@@ -17,7 +17,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -25,12 +25,13 @@ import numpy as np
 
 from passthru import __version__
 from passthru.errors import PassthruError
-from passthru.kvconfig import format_kv, parse_kv_text
+from passthru.kvconfig import format_kv, number_parser, parse_kv_text
 from passthru.mg_panel import (
     MgResult,
     ModelSpec,
     NearUnitRootError,
     PassThroughPanel,
+    SingularCovarianceError,
     build_passthrough_spec,
     estimate_decade_passthroughs,
     fit_country,
@@ -50,7 +51,7 @@ from passthru.panel_data import (
     window,
 )
 from passthru.second_stage import COVARIATE_LABELS, SecondStageResult, table5_results
-from passthru.synth_lab import DgpParams, dgp_params_from_mapping, generate_panel
+from passthru.synth_lab import DgpParams, dgp_params_from_mapping, dgp_params_to_mapping, generate_panel
 from passthru.tree_forest import (
     AxisSpec,
     SplitParams,
@@ -280,6 +281,16 @@ class ForestConfig:
     max_depth: int | None = None
     steps: int = 50
 
+    def __post_init__(self):
+        if self.trees < 1:
+            raise ConfigError("forest.trees", f"need at least 1 tree, got {self.trees}")
+        if self.min_leaf < 1:
+            raise ConfigError("forest.min_leaf", f"must be at least 1, got {self.min_leaf}")
+        if not 0.0 < self.subsample <= 1.0:
+            raise ConfigError("forest.subsample", f"must lie in (0, 1], got {self.subsample}")
+        if self.steps < 2:
+            raise ConfigError("forest.steps", f"need at least 2 grid steps, got {self.steps}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -299,39 +310,38 @@ class RunConfig:
     min_obs: int | None = None
 
 
+# forest.<field> key -> ForestConfig field and its parser; reading, writing and the
+# unknown-key check all go through this table.
+_FOREST_KEYS = {f"forest.{f.name}": (f.name, number_parser(f.type)) for f in fields(ForestConfig)}
+
 _KNOWN_KEYS = {
     "data.panel_path", "data.decade_path", "data.synthetic",
     "model.variants", "model.control", "model.interactions", "model.min_obs",
-    "decades", "exclude", "outputs",
-    "forest.trees", "forest.subsample", "forest.min_leaf", "forest.max_depth", "forest.steps",
+    "decades", "exclude", "outputs", *_FOREST_KEYS,
     "seed", "output.dir", "output.format",
 }
 
 
-def _parse_int(mapping: Mapping[str, str], key: str) -> int | None:
+def _parse_number(mapping: Mapping[str, str], key: str, cast: type):
     raw = mapping.get(key)
     if raw is None or raw == "":
         return None
     try:
-        return int(raw)
+        return cast(raw)
     except ValueError:
-        raise ConfigError(key, f"expected an integer, got {raw!r}") from None
-
-
-def _parse_float(mapping: Mapping[str, str], key: str) -> float | None:
-    raw = mapping.get(key)
-    if raw is None or raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {raw!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(key, f"expected {kind}, got {raw!r}") from None
 
 
 def _parse_list(raw: str | None) -> tuple[str, ...]:
     if not raw:
         return ()
     return tuple(v.strip() for v in raw.split(",") if v.strip())
+
+
+def _given(**settings) -> dict:
+    """Drop the settings a config leaves unset, so the dataclass defaults apply."""
+    return {k: v for k, v in settings.items() if v is not None and v != "" and v != ()}
 
 
 def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None) -> RunConfig:
@@ -366,19 +376,19 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
     panel_path = resolve("data.panel_path", required=False)
     decade_path = resolve("data.decade_path", required=False)
 
-    variants = _parse_list(mapping.get("model.variants")) or ("headline",)
+    variants = _parse_list(mapping.get("model.variants"))
     for v in variants:
         if v not in VARIANTS:
             raise ConfigError("model.variants", f"unknown variant {v!r} (choose from {sorted(VARIANTS)})")
 
-    control = mapping.get("model.control", "none").strip() or "none"
-    if control not in ("none", *CONTROLS):
+    control = mapping.get("model.control", "").strip()
+    if control not in ("", "none", *CONTROLS):
         raise ConfigError("model.control", f"unknown control {control!r}")
-    interactions = mapping.get("model.interactions", "none").strip() or "none"
-    if interactions not in INTERACTIONS:
+    interactions = mapping.get("model.interactions", "").strip()
+    if interactions not in ("", *INTERACTIONS):
         raise ConfigError("model.interactions", f"unknown interaction set {interactions!r}")
 
-    decades = _parse_list(mapping.get("decades")) or ("full", "1980s", "1990s", "2000s", "2010s")
+    decades = _parse_list(mapping.get("decades"))
     for label in decades:
         if label == "full":
             continue
@@ -387,13 +397,13 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
         except PassthruError as exc:
             raise ConfigError("decades", str(exc)) from exc
 
-    outputs = _parse_list(mapping.get("outputs")) or ("mg_table",)
+    outputs = _parse_list(mapping.get("outputs"))
     for out in outputs:
         if out not in OUTPUTS:
             raise ConfigError("outputs", f"unknown output {out!r} (choose from {OUTPUTS})")
 
-    fmt = mapping.get("output.format", "text").strip() or "text"
-    if fmt not in FORMATS:
+    fmt = mapping.get("output.format", "").strip()
+    if fmt not in ("", *FORMATS):
         raise ConfigError("output.format", f"unknown format {fmt!r}")
 
     out_raw = mapping.get("output.dir")
@@ -403,27 +413,10 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
     if not out_dir.is_absolute():
         out_dir = base / out_dir
 
-    seed = _parse_int(mapping, "seed")
-    if "pd_grid" in outputs and seed is None:
-        raise ConfigError("seed", "a seed is required whenever the forest runs")
-
-    forest = ForestConfig(
-        trees=_parse_int(mapping, "forest.trees") or 1000,
-        subsample=_parse_float(mapping, "forest.subsample") or 2.0 / 3.0,
-        min_leaf=_parse_int(mapping, "forest.min_leaf") or 5,
-        max_depth=_parse_int(mapping, "forest.max_depth"),
-        steps=_parse_int(mapping, "forest.steps") or 50,
-    )
-
-    if not synthetic and panel_path is None:
-        needs_panel = set(outputs) - {"medians"}
-        if needs_panel:
-            raise ConfigError("data.panel_path", "required data file not configured")
-    if "medians" in outputs and decade_path is None:
-        raise ConfigError("data.decade_path", "medians need the decade covariate file")
-
-    return RunConfig(
-        out_dir=out_dir.resolve(),
+    forest = ForestConfig(**_given(**{
+        attr: _parse_number(mapping, key, cast) for key, (attr, cast) in _FOREST_KEYS.items()
+    }))
+    cfg = RunConfig(out_dir=out_dir.resolve(), **_given(
         panel_path=panel_path,
         decade_path=decade_path,
         dgp=dgp,
@@ -434,10 +427,18 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
         exclude=_parse_list(mapping.get("exclude")),
         outputs=outputs,
         forest=forest,
-        seed=seed,
+        seed=_parse_number(mapping, "seed", int),
         fmt=fmt,
-        min_obs=_parse_int(mapping, "model.min_obs"),
-    )
+        min_obs=_parse_number(mapping, "model.min_obs", int),
+    ))
+
+    if "pd_grid" in cfg.outputs and cfg.seed is None:
+        raise ConfigError("seed", "a seed is required whenever the forest runs")
+    if not synthetic and panel_path is None and set(cfg.outputs) - {"medians"}:
+        raise ConfigError("data.panel_path", "required data file not configured")
+    if "medians" in cfg.outputs and decade_path is None:
+        raise ConfigError("data.decade_path", "medians need the decade covariate file")
+    return cfg
 
 
 def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
@@ -450,15 +451,12 @@ def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
         "outputs": ",".join(cfg.outputs),
         "output.dir": str(cfg.out_dir),
         "output.format": cfg.fmt,
-        "forest.trees": str(cfg.forest.trees),
-        "forest.subsample": repr(cfg.forest.subsample),
-        "forest.min_leaf": str(cfg.forest.min_leaf),
-        "forest.steps": str(cfg.forest.steps),
     }
+    for key, (attr, _) in _FOREST_KEYS.items():
+        if (value := getattr(cfg.forest, attr)) is not None:
+            mapping[key] = str(value)
     if cfg.exclude:
         mapping["exclude"] = ",".join(cfg.exclude)
-    if cfg.forest.max_depth is not None:
-        mapping["forest.max_depth"] = str(cfg.forest.max_depth)
     if cfg.panel_path is not None:
         mapping["data.panel_path"] = str(cfg.panel_path)
     if cfg.decade_path is not None:
@@ -468,26 +466,8 @@ def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
     if cfg.min_obs is not None:
         mapping["model.min_obs"] = str(cfg.min_obs)
     if cfg.dgp is not None:
-        p = cfg.dgp
         mapping["data.synthetic"] = "true"
-        mapping.update({
-            "dgp.countries": str(p.n_countries),
-            "dgp.years": str(p.n_years),
-            "dgp.rho": repr(p.rho),
-            "dgp.lam": repr(p.lam),
-            "dgp.sigma_mu1": repr(p.sigma_mu1),
-            "dgp.sigma_mu2": repr(p.sigma_mu2),
-            "dgp.alpha_mean": repr(p.alpha_mean),
-            "dgp.alpha_sd": repr(p.alpha_sd),
-            "dgp.sigma_eps": repr(p.sigma_eps),
-            "dgp.cost_ar": repr(p.cost_ar),
-            "dgp.cost_sd": repr(p.cost_sd),
-            "dgp.start_year": str(p.start_year),
-            "dgp.burn_in": str(p.burn_in),
-            "dgp.seed": str(p.seed),
-        })
-        if p.lambda_schedule is not None:
-            mapping["dgp.lambda_schedule"] = ",".join(repr(v) for v in p.lambda_schedule)
+        mapping.update(dgp_params_to_mapping(cfg.dgp))
     return mapping
 
 
@@ -529,12 +509,15 @@ def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
             cells["lt"] = Cell.coef(lt, lt_se)
         except NearUnitRootError:
             cells["lt"] = Cell.plain("n/a (unit root)")
-    stat, _, p = wald_joint(result)
     cells["obs"] = Cell.plain(str(result.total_obs))
     cells["countries"] = Cell.plain(str(result.n_countries))
     cells["rmse"] = Cell.plain(fmt6(result.sigma_pooled))
-    cells["chi2"] = Cell.plain(fmt6(stat) + p_stars(p))
-    cells["wald_p"] = Cell.plain(fmt6(p))
+    try:
+        stat, _, p = wald_joint(result)
+        cells["chi2"] = Cell.plain(fmt6(stat) + p_stars(p))
+        cells["wald_p"] = Cell.plain(fmt6(p))
+    except SingularCovarianceError:
+        cells["chi2"] = cells["wald_p"] = Cell.plain("n/a (singular)")
     return cells
 
 
@@ -812,38 +795,27 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
     }
     if name not in presets:
         raise ConfigError("preset", f"unknown preset {name!r} (choose from {sorted(presets)})")
-    settings = presets[name]
-    outputs = settings.get("outputs", ("mg_table",))
 
-    panel_path = None
-    decade_path = None
-    if data_dir is not None:
-        candidate = data_dir / "panel.csv"
-        if candidate.is_file():
-            panel_path = candidate.resolve()
-        candidate = data_dir / "decades.csv"
-        if candidate.is_file():
-            decade_path = candidate.resolve()
-    if "medians" in outputs and decade_path is None:
-        decade_path = table_a2_path()
-    if set(outputs) - {"medians"} and panel_path is None:
-        raise ConfigError("data.panel_path", f"preset {name!r} needs <data>/panel.csv")
-    if "pd_grid" in outputs and seed is None:
-        seed = 0
+    def data_file(filename: str) -> Path | None:
+        if data_dir is None or not (data_dir / filename).is_file():
+            return None
+        return (data_dir / filename).resolve()
 
-    return RunConfig(
+    cfg = RunConfig(
         out_dir=out_dir.resolve(),
-        panel_path=panel_path,
-        decade_path=decade_path,
-        variants=settings.get("variants", ("headline",)),
-        control=settings.get("control"),
-        interactions=settings.get("interactions", "none"),
-        decades=settings.get("decades", ("full", "1980s", "1990s", "2000s", "2010s")),
-        exclude=settings.get("exclude", ()),
-        outputs=outputs,
+        panel_path=data_file("panel.csv"),
+        decade_path=data_file("decades.csv"),
         seed=seed,
         fmt=fmt,
+        **presets[name],
     )
+    if "medians" in cfg.outputs and cfg.decade_path is None:
+        cfg = replace(cfg, decade_path=table_a2_path())
+    if set(cfg.outputs) - {"medians"} and cfg.panel_path is None:
+        raise ConfigError("data.panel_path", f"preset {name!r} needs <data>/panel.csv")
+    if "pd_grid" in cfg.outputs and cfg.seed is None:
+        cfg = replace(cfg, seed=0)
+    return cfg
 
 
 PRESET_NAMES = (

@@ -6,8 +6,6 @@ format drives pipeline runs and synthetic-generator settings.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from passthru.errors import PassthruError
 
 
@@ -35,8 +33,9 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def parse_kv_file(path: str | Path) -> dict[str, str]:
-    return parse_kv_text(Path(path).read_text(encoding="utf-8"))
+def number_parser(annotation: str) -> type:
+    """int or float, read off a numeric dataclass field's annotation such as 'int | None'."""
+    return {"int": int, "float": float}[annotation.removesuffix(" | None")]
 
 
 def format_kv(mapping: dict[str, str]) -> str:

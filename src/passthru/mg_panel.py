@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from passthru.errors import PassthruError
 from passthru.panel_data import (
@@ -306,6 +305,22 @@ def long_run_effect(r: MgResult, cost_slot: str, rho_slot: str) -> tuple[float, 
     return value, math.sqrt(max(var, 0.0))
 
 
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-square survival function for integer dof, in closed form.
+
+    Q = [dof odd] erfc(sqrt(x/2)) + exp(-x/2) * (t_j summed over j = dof % 2, ..., dof - 2
+    in steps of 2), with t_0 = 1, t_1 = sqrt(2x/pi) and t_{j+2} = t_j * x / (j + 2).
+    """
+    if x <= 0.0:
+        return 1.0
+    odd = dof % 2
+    term, total = (math.sqrt(2.0 * x / math.pi) if odd else 1.0), 0.0
+    for j in range(odd, dof, 2):
+        total += term
+        term *= x / (j + 2)
+    return (math.erfc(math.sqrt(x / 2.0)) if odd else 0.0) + math.exp(-x / 2.0) * total
+
+
 def wald_joint(r: MgResult, slots: Sequence[str] | None = None) -> tuple[float, int, float]:
     """Chi-square test that the selected coefficients are jointly zero.
 
@@ -326,7 +341,7 @@ def wald_joint(r: MgResult, slots: Sequence[str] | None = None) -> tuple[float, 
         raise SingularCovarianceError(f"restricted covariance for {slots} is singular")
     stat = float(theta @ np.linalg.solve(v, theta))
     dof = len(idx)
-    return stat, dof, float(chi2.sf(stat, dof))
+    return stat, dof, _chi2_sf(stat, dof)
 
 
 @dataclass(frozen=True)

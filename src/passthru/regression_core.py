@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from passthru.errors import PassthruError
 
@@ -119,13 +118,23 @@ class OlsFit:
 
 
 def _dependent_columns(xe: np.ndarray, columns: tuple[str, ...]) -> tuple[str, ...]:
-    """Name the columns a rank-revealing QR flags as redundant."""
-    _, r, piv = scipy.linalg.qr(xe, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0:
-        return columns
-    rank = int(np.sum(diag > diag[0] * SV_RTOL))
-    return tuple(columns[j] for j in sorted(piv[rank:]))
+    """Name each column that adds no rank to the columns before it."""
+    dependent, rank = [], 0
+    for j in range(xe.shape[1]):
+        sv = np.linalg.svd(xe[:, : j + 1], compute_uv=False)
+        grown = int(np.sum(sv > sv[0] * SV_RTOL))
+        if grown == rank:
+            dependent.append(columns[j])
+        rank = grown
+    return tuple(dependent)
+
+
+def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the upper-triangular system r x = b, last row first."""
+    x = np.zeros_like(b)
+    for i in range(len(b) - 1, -1, -1):
+        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+    return x
 
 
 def ols_fit(d: DesignMatrix) -> OlsFit:
@@ -148,7 +157,7 @@ def ols_fit(d: DesignMatrix) -> OlsFit:
         raise SingularDesignError(_dependent_columns(xe, d.columns))
 
     q, r = np.linalg.qr(xe)
-    coef = scipy.linalg.solve_triangular(r, q.T @ y) / norms
+    coef = _back_substitute(r, q.T @ y) / norms
     fitted = x @ coef
     resid = y - fitted
     ssr = float(resid @ resid)
@@ -156,7 +165,7 @@ def ols_fit(d: DesignMatrix) -> OlsFit:
     dof = n - k - d.absorbed_dof
     sigma = math.sqrt(ssr / dof) if dof > 0 else math.nan
 
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(k))
+    r_inv = np.linalg.solve(r, np.eye(k))
     xtx_inv = (r_inv @ r_inv.T) / np.outer(norms, norms)
     xtx_inv = (xtx_inv + xtx_inv.T) / 2.0
 
@@ -202,6 +211,13 @@ def robust_cov(fit: OlsFit, d: DesignMatrix) -> np.ndarray:
     return (cov + cov.T) / 2.0
 
 
+def entity_index(entities: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row entity codes, numbered in order of first appearance, and rows per entity."""
+    codes: dict[Hashable, int] = {}
+    idx = np.array([codes.setdefault(e, len(codes)) for e in entities], dtype=int)
+    return idx, np.bincount(idx).astype(float)
+
+
 def _resolve_groups(
     groups: Mapping[Hashable, Hashable] | Sequence[Hashable], labels: tuple[Hashable, ...]
 ) -> list[Hashable]:
@@ -225,15 +241,10 @@ def within_transform(
     dropped; the entity count is added to absorbed_dof so downstream sigma and
     standard errors lose the right degrees of freedom.
     """
-    entities = _resolve_groups(groups, d.row_labels)
-    uniq = list(dict.fromkeys(entities))
-    index = {e: i for i, e in enumerate(uniq)}
-    idx = np.array([index[e] for e in entities])
-    counts = np.bincount(idx, minlength=len(uniq)).astype(float)
+    idx, counts = entity_index(_resolve_groups(groups, d.row_labels))
 
     def demean(col: np.ndarray) -> np.ndarray:
-        means = np.bincount(idx, weights=col, minlength=len(uniq)) / counts
-        return col - means[idx]
+        return col - (np.bincount(idx, weights=col) / counts)[idx]
 
     xd = np.column_stack([demean(d.x[:, j]) for j in range(d.k)]) if d.k else d.x.copy()
     yd = demean(d.y)
@@ -248,7 +259,7 @@ def within_transform(
         y=yd,
         columns=tuple(d.columns[j] for j in keep),
         row_labels=d.row_labels,
-        absorbed_dof=d.absorbed_dof + len(uniq),
+        absorbed_dof=d.absorbed_dof + len(counts),
     )
 
 
@@ -271,22 +282,18 @@ def r2_components(
     Fitted values use only the columns the within fit kept; constants absorbed
     by the transform shift neither correlation.
     """
-    entities = _resolve_groups(groups, d.row_labels)
+    idx, counts = entity_index(_resolve_groups(groups, d.row_labels))
     try:
         cols = [d.columns.index(c) for c in fit.columns]
     except ValueError as exc:
         raise ShapeMismatchError(f"design lacks a fitted column: {exc}") from None
     yhat = d.x[:, cols] @ fit.coefficients
 
-    uniq = list(dict.fromkeys(entities))
-    index = {e: i for i, e in enumerate(uniq)}
-    idx = np.array([index[e] for e in entities])
-    counts = np.bincount(idx, minlength=len(uniq)).astype(float)
-    yhat_means = np.bincount(idx, weights=yhat, minlength=len(uniq)) / counts
-    y_means = np.bincount(idx, weights=d.y, minlength=len(uniq)) / counts
+    yhat_means = np.bincount(idx, weights=yhat) / counts
+    y_means = np.bincount(idx, weights=d.y) / counts
 
     r2_within = _squared_corr(yhat - yhat_means[idx], d.y - y_means[idx], "within")
-    if len(uniq) < 2:
+    if len(counts) < 2:
         raise DegenerateVarianceError("between")
     r2_between = _squared_corr(yhat_means, y_means, "between")
     return r2_within, r2_between

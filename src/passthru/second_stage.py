@@ -18,6 +18,7 @@ from passthru.regression_core import (
     DegenerateVarianceError,
     DesignMatrix,
     TooFewRowsError,
+    entity_index,
     ols_fit,
     r2_components,
     robust_cov,
@@ -83,7 +84,8 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
     y = np.array([r.passthrough for r in rows])
     labels = tuple((r.country, r.decade) for r in rows)
     countries = [r.country for r in rows]
-    n_countries = len(set(countries))
+    idx, counts = entity_index(countries)
+    n_countries = len(counts)
     col = f"ln_{covariate}"
 
     if not fe:
@@ -107,10 +109,7 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
             r2=fit.r2,
         )
 
-    counts: dict[str, int] = {}
-    for c in countries:
-        counts[c] = counts.get(c, 0) + 1
-    if max(counts.values()) < 2:
+    if counts.max() < 2:
         raise DegenerateVarianceError("within (no country observed twice)")
 
     design = DesignMatrix(x=x[:, None], y=y, columns=(col,), row_labels=labels)
@@ -122,11 +121,7 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
     slope = fit.coef(col)
 
     # grand mean of the per-country effects implied by the within slope
-    uniq = list(dict.fromkeys(countries))
-    alphas = []
-    for c in uniq:
-        mask = [i for i, cc in enumerate(countries) if cc == c]
-        alphas.append(float(y[mask].mean() - slope * x[mask].mean()))
+    alphas = [float(y[idx == g].mean() - slope * x[idx == g].mean()) for g in range(n_countries)]
     r2_within, r2_between = r2_components(fit, design, countries)
     return SecondStageResult(
         covariate=covariate,

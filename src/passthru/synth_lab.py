@@ -10,15 +10,16 @@ simulated rates exactly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, fields
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.stats import norm
 
 from passthru.errors import PassthruError
+from passthru.kvconfig import number_parser
 from passthru.mg_panel import (
     MgResult,
     ModelSpec,
@@ -29,7 +30,7 @@ from passthru.mg_panel import (
 )
 from passthru.panel_data import PanelDataset
 
-Z90 = float(norm.ppf(0.95))  # two-sided 90% band
+Z90 = 1.6448536269514722  # standard normal 95th percentile: two-sided 90% band
 
 _STATIONARY_BOUND = 0.95
 _REDRAW_LIMIT = 1000
@@ -93,6 +94,16 @@ def _draw_rho(p: DgpParams, rng: np.random.Generator) -> float:
     raise InvalidParamsError("could not draw a stationary persistence coefficient")
 
 
+def _ar1(x: np.ndarray, coef: float) -> np.ndarray:
+    """First-order recursion y[t] = x[t] + coef * y[t-1], starting from rest."""
+    out = np.empty(len(x))
+    prev = 0.0
+    for t, v in enumerate(x.tolist()):
+        prev = v + coef * prev
+        out[t] = prev
+    return out
+
+
 def _lambda_path(p: DgpParams, mu2: float, total: int) -> np.ndarray:
     """Per-period pass-through over burn-in plus emitted years."""
     if p.lambda_schedule is None:
@@ -146,11 +157,11 @@ def generate_panel(
         truths.append(CountryTruth(country, rho_i, p.lam + mu2, alpha_i))
 
         cost_innov = rng.normal(0.0, p.cost_sd, total)
-        dc = lfilter([1.0], [1.0, -p.cost_ar], cost_innov)
+        dc = _ar1(cost_innov, p.cost_ar)
         eps = rng.normal(0.0, p.sigma_eps, total)
         lam_path = _lambda_path(p, mu2, total)
         shocks = lam_path * dc + alpha_i + eps
-        dp = lfilter([1.0], [1.0, -rho_i], shocks)
+        dp = _ar1(shocks, rho_i)
 
         dp_keep = dp[p.burn_in:]
         dc_keep = dc[p.burn_in:]
@@ -233,6 +244,16 @@ def _mg_estimate(ds: PanelDataset, spec: ModelSpec) -> MgResult:
     return mean_group(fits)
 
 
+def _replicate(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str, rep: int) -> dict:
+    """Replication rep: (estimate, standard error) of each slot."""
+    ds = generate_panel(p, seed=(p.seed, rep))
+    if estimator == "mg":
+        r = _mg_estimate(ds, spec)
+        return {name: (r.coef(name), r.se_of(name)) for name in slots}
+    fit = pooled_fixed_effects(materialize_design(ds, spec), spec)
+    return {name: (fit.coef(name), fit.se_classical(name)) for name in slots}
+
+
 def monte_carlo(
     p: DgpParams,
     spec: ModelSpec,
@@ -243,8 +264,9 @@ def monte_carlo(
 ) -> McReport:
     """Repeat generate-and-estimate; report bias, RMSE, and 90% CI coverage.
 
-    Replication r uses the derived seed (p.seed, r), so results do not depend
-    on scheduling, and a longer run extends a shorter one rep for rep.
+    n_jobs > 1 runs replications in spawned worker processes. Replication r
+    uses the derived seed (p.seed, r), so results do not depend on scheduling,
+    and a longer run extends a shorter one rep for rep.
     Aggregation uses compensated summation, making it order-independent.
     """
     if reps < 2:
@@ -257,21 +279,9 @@ def monte_carlo(
     if not truths:
         raise InvalidParamsError("no slots with known true values")
 
-    def one(rep: int) -> dict[str, tuple[float, float]]:
-        ds = generate_panel(p, seed=(p.seed, rep))
-        out: dict[str, tuple[float, float]] = {}
-        if estimator == "mg":
-            r = _mg_estimate(ds, spec)
-            for name in truths:
-                out[name] = (r.coef(name), r.se_of(name))
-        else:
-            fit = pooled_fixed_effects(materialize_design(ds, spec), spec)
-            for name in truths:
-                out[name] = (fit.coef(name), fit.se_classical(name))
-        return out
-
+    one = partial(_replicate, p, spec, tuple(truths), estimator)
     if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
+        with ProcessPoolExecutor(n_jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(one, range(reps)))
     else:
         results = [one(rep) for rep in range(reps)]
@@ -294,37 +304,38 @@ def monte_carlo(
     return McReport(reps=reps, estimator=estimator, slots=slots)
 
 
-def dgp_params_from_mapping(mapping: Mapping[str, str], prefix: str = "dgp.") -> DgpParams:
-    """Build DgpParams from flat `key = value` config entries."""
-    fields = {
-        "countries": ("n_countries", int),
-        "years": ("n_years", int),
-        "rho": ("rho", float),
-        "lam": ("lam", float),
-        "sigma_mu1": ("sigma_mu1", float),
-        "sigma_mu2": ("sigma_mu2", float),
-        "alpha_mean": ("alpha_mean", float),
-        "alpha_sd": ("alpha_sd", float),
-        "sigma_eps": ("sigma_eps", float),
-        "cost_ar": ("cost_ar", float),
-        "cost_sd": ("cost_sd", float),
-        "start_year": ("start_year", int),
-        "burn_in": ("burn_in", int),
-        "seed": ("seed", int),
-    }
+# Config key (after "dgp.") -> DgpParams field and its parser, read off the field's
+# annotation; lambda_schedule is a comma-separated list and is handled on its own.
+_DGP_KEYS = {
+    {"n_countries": "countries", "n_years": "years"}.get(f.name, f.name): (f.name, number_parser(f.type))
+    for f in fields(DgpParams)
+    if f.name != "lambda_schedule"
+}
+
+
+def dgp_params_from_mapping(mapping: Mapping[str, str]) -> DgpParams:
+    """Build DgpParams from flat `dgp.key = value` config entries."""
     kwargs: dict = {}
     for key, raw in mapping.items():
-        if not key.startswith(prefix):
+        if not key.startswith("dgp."):
             continue
-        short = key[len(prefix):]
+        short = key[len("dgp."):]
         if short == "lambda_schedule":
             kwargs["lambda_schedule"] = tuple(float(v) for v in raw.split(",") if v.strip())
             continue
-        if short not in fields:
+        if short not in _DGP_KEYS:
             raise InvalidParamsError(f"unknown generator setting {key!r}")
-        attr, cast = fields[short]
+        attr, cast = _DGP_KEYS[short]
         try:
             kwargs[attr] = cast(raw)
         except ValueError:
             raise InvalidParamsError(f"{key}: cannot parse {raw!r}") from None
     return DgpParams(**kwargs)
+
+
+def dgp_params_to_mapping(p: DgpParams) -> dict[str, str]:
+    """Flat config entries that dgp_params_from_mapping turns back into p."""
+    mapping = {f"dgp.{key}": str(getattr(p, attr)) for key, (attr, _) in _DGP_KEYS.items()}
+    if p.lambda_schedule is not None:
+        mapping["dgp.lambda_schedule"] = ",".join(str(v) for v in p.lambda_schedule)
+    return mapping

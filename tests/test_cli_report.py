@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import passthru
 
 from passthru.cli_report import (
     Cell,
@@ -22,6 +27,7 @@ from passthru.cli_report import (
     run_pipeline,
     stars_for,
 )
+from passthru.kvconfig import number_parser
 from passthru.panel_data import write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 
@@ -157,6 +163,38 @@ def test_config_requires_seed_for_forest(tmp_path, data_dir):
     with pytest.raises(ConfigError) as err:
         config_from_mapping(mapping)
     assert err.value.field_path == "seed"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("forest.trees", "0"),
+        ("forest.min_leaf", "0"),
+        ("forest.subsample", "0"),
+        ("forest.subsample", "1.5"),
+        ("forest.steps", "0"),
+        ("forest.steps", "1"),
+    ],
+)
+def test_config_rejects_degenerate_forest_settings(tmp_path, data_dir, key, value):
+    mapping = {
+        "output.dir": str(tmp_path),
+        "data.panel_path": str(data_dir / "panel.csv"),
+        "outputs": "pd_grid",
+        "seed": "1",
+        key: value,
+    }
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping(mapping)
+    assert err.value.field_path == key
+
+
+def test_number_parser_reads_field_annotations():
+    assert number_parser("int") is int
+    assert number_parser("float") is float
+    assert number_parser("int | None") is int
+    with pytest.raises(KeyError):
+        number_parser("tuple[float, ...] | None")
 
 
 def test_config_decade_labels_validated(tmp_path, data_dir):
@@ -327,3 +365,67 @@ def test_config_to_mapping_round_trips(tmp_path, data_dir):
     cfg = config_from_mapping(mapping)
     again = config_from_mapping(config_to_mapping(cfg))
     assert again == cfg
+
+
+def test_singular_wald_cells_are_marked(tmp_path):
+    # three usable countries cannot identify a five-slope dispersion matrix
+    data = tmp_path / "data"
+    data.mkdir()
+    write_panel_csv(generate_panel(DgpParams(n_countries=3, n_years=40, seed=5)), data / "panel.csv")
+    mapping = {
+        "data.panel_path": str(data / "panel.csv"),
+        "output.dir": str(tmp_path / "out"),
+        "model.interactions": "both",
+        "decades": "full",
+        "outputs": "mg_table",
+        "output.format": "json",
+    }
+    run_pipeline(config_from_mapping(mapping))
+    rows = read_rows(tmp_path / "out" / "mg_table.json")
+    assert rows[("countries", "full")]["text"] == "3"
+    assert rows[("chi2", "full")]["text"] == "n/a (singular)"
+    assert rows[("Wald p", "full")]["text"] == "n/a (singular)"
+    assert rows[("dln_ulc", "full")]["estimate"] is not None
+
+
+NO_SCIPY_SCRIPT = """
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+
+import passthru.cli_report
+import passthru.synth_lab
+from passthru.mg_panel import build_passthrough_spec
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+assert not scipy_modules(), scipy_modules()
+assert passthru.cli_report.main(["preset", "table1", "--data", sys.argv[1], "--out", sys.argv[2]]) == 0
+params = passthru.synth_lab.DgpParams(seed=3)
+report = passthru.synth_lab.monte_carlo(params, build_passthrough_spec(), reps=2)
+assert report.reps == 2 and report.slots, report
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path, data_dir):
+    src = str(Path(passthru.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(data_dir), str(tmp_path / "t1")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "t1" / "mg_table.txt").is_file()

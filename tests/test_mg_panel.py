@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from passthru.mg_panel import (
     CountryFit,
@@ -17,6 +16,7 @@ from passthru.mg_panel import (
     Term,
     TooFewCountriesError,
     UnknownCountryError,
+    _chi2_sf,
     build_passthrough_spec,
     estimate_decade_passthroughs,
     fit_country,
@@ -280,6 +280,21 @@ def test_wald_singular_covariance():
     r = mg_from_matrix([[0.0, 0.1, 0.3], [0.0, 0.2, 0.5]])
     with pytest.raises(SingularCovarianceError):
         wald_joint(r, ["b0", "b1"])
+
+
+def test_chi2_sf_tabulated_points():
+    assert _chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, rel=1e-12)
+    for x in (0.1, 1.0, 5.0, 40.0):
+        assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-15)
+    assert _chi2_sf(0.0, 3) == 1.0
+
+
+def test_chi2_sf_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    for dof in range(1, 10):
+        for x in np.concatenate([np.geomspace(1e-6, 1.0, 40), np.linspace(1.0, 120.0, 400)]):
+            expected = stats.chi2.sf(x, dof)
+            assert _chi2_sf(float(x), dof) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_wald_rejects_constant_in_subset():

@@ -46,8 +46,9 @@ def test_exact_linear_combination_is_singular():
     x = rng.normal(size=(30, 3))
     combo = x[:, 0] - 2.0 * x[:, 1] + 0.5 * x[:, 2]
     d = design(np.column_stack([x, combo]), rng.normal(size=30), ("a", "b", "c", "combo"))
-    with pytest.raises(SingularDesignError):
+    with pytest.raises(SingularDesignError) as err:
         ols_fit(d)
+    assert err.value.columns == ("combo",)
 
 
 def test_too_few_rows():

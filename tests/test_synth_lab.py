@@ -10,9 +10,12 @@ from passthru.mg_panel import build_passthrough_spec, fit_country, materialize_d
 from passthru.panel_data import TransformSpec, apply_transform
 from passthru.synth_lab import (
     DgpParams,
+    Z90,
     InvalidParamsError,
+    _ar1,
     default_truths,
     dgp_params_from_mapping,
+    dgp_params_to_mapping,
     generate_panel,
     monte_carlo,
 )
@@ -99,9 +102,9 @@ def test_monte_carlo_report_shape_and_serialization():
 def test_monte_carlo_parallel_matches_serial():
     p = DgpParams(n_countries=5, n_years=20, seed=13)
     serial = monte_carlo(p, SPEC, reps=6)
-    threaded = monte_carlo(p, SPEC, reps=6, n_jobs=4)
+    parallel = monte_carlo(p, SPEC, reps=6, n_jobs=4)
     for name in serial.slots:
-        assert serial.slots[name] == threaded.slots[name]
+        assert serial.slots[name] == parallel.slots[name]
 
 
 def test_monte_carlo_doubling_reps_self_consistency():
@@ -157,6 +160,29 @@ def test_dgp_params_from_mapping():
         dgp_params_from_mapping({"dgp.mystery": "1"})
     with pytest.raises(InvalidParamsError):
         dgp_params_from_mapping({"dgp.rho": "abc"})
+
+
+def test_dgp_params_mapping_round_trip():
+    p = DgpParams(n_countries=7, rho=0.3, sigma_eps=0.02, lambda_schedule=(0.25, 0.1), seed=3)
+    mapping = dgp_params_to_mapping(p)
+    assert mapping["dgp.countries"] == "7"
+    assert mapping["dgp.lambda_schedule"] == "0.25,0.1"
+    assert dgp_params_from_mapping(mapping) == p
+    assert dgp_params_from_mapping(dgp_params_to_mapping(DgpParams())) == DgpParams()
+
+
+def test_ar1_matches_lfilter_bit_for_bit():
+    signal = pytest.importorskip("scipy.signal")
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x = rng.normal(0.0, rng.uniform(0.001, 1.0), int(rng.integers(1, 120)))
+        coef = float(rng.uniform(-0.99, 0.99))
+        assert np.array_equal(_ar1(x, coef), signal.lfilter([1.0], [1.0, -coef], x))
+
+
+def test_z90_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    assert Z90 == float(stats.norm.ppf(0.95))
 
 
 def test_default_truths_mapping():
