@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -59,6 +60,7 @@ from passthru.tree_forest import (
     fit_tree,
     importance,
     partial_dependence,
+    tree_shape,
 )
 
 log = logging.getLogger("passthru")
@@ -74,6 +76,8 @@ VARIANTS = {
 CONTROLS = ("output_gap", "unemp_gap")
 INTERACTIONS = ("none", "globalisation", "lagged_inflation", "both")
 OUTPUTS = ("mg_table", "medians", "passthrough_panel", "second_stage", "importance", "pd_grid")
+# outputs built on the per-country-per-decade pass-through panel
+_PANEL_OUTPUTS = frozenset({"passthrough_panel", "second_stage", "importance", "pd_grid"})
 FORMATS = ("text", "csv", "json")
 EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
 
@@ -423,7 +427,6 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
         variants=variants,
         control=None if control == "none" else control,
         interactions=interactions,
-        decades=decades,
         exclude=_parse_list(mapping.get("exclude")),
         outputs=outputs,
         forest=forest,
@@ -431,6 +434,13 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
         fmt=fmt,
         min_obs=_parse_number(mapping, "model.min_obs", int),
     ))
+    if "decades" in mapping:  # an empty list means no decades, not the default ones
+        cfg = replace(cfg, decades=decades)
+
+    # one mg_table column per decade, unless the columns are variants
+    needing = set(cfg.outputs) & (_PANEL_OUTPUTS | ({"mg_table"} if len(cfg.variants) == 1 else set()))
+    if not cfg.decades and needing:
+        raise ConfigError("decades", f"{', '.join(sorted(needing))} need at least one decade")
 
     if "pd_grid" in cfg.outputs and cfg.seed is None:
         raise ConfigError("seed", "a seed is required whenever the forest runs")
@@ -638,12 +648,16 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     @contextmanager
     def stage(name: str):
         log.info("stage %s", name)
+        began = time.perf_counter()
         try:
             yield
         except StageError:
             raise
         except PassthruError as exc:
             raise StageError(name, exc) from exc
+        finally:
+            # wall times go to the log only: the output directory stays byte-identical
+            log.info("stage %s ended after %.3f s", name, time.perf_counter() - began)
 
     panel: PanelDataset | None = None
     decade_data: PanelDataset | None = None
@@ -679,8 +693,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
             emit(f"medians.{ext}", render_table(medians_table(decade_data), cfg.fmt))
 
     pass_panel: PassThroughPanel | None = None
-    needs_panel_stage = {"passthrough_panel", "second_stage", "importance", "pd_grid"}
-    if needs_panel_stage & set(cfg.outputs):
+    if _PANEL_OUTPUTS & set(cfg.outputs):
         with stage("passthroughs"):
             assert panel is not None
             spec = _build_spec(cfg, cfg.variants[0])
@@ -734,6 +747,9 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
                 params=params,
                 feature_names=("em10", "avg_inflation"),
             )
+            if log.isEnabledFor(logging.INFO):
+                nodes, depth = tree_shape(forest)
+                log.info("forest: %d trees, %d nodes, max depth %d", forest.n_trees, nodes, depth)
             axes = (
                 AxisSpec("em10", float(forest.feature_min[0]), float(forest.feature_max[0]), cfg.forest.steps),
                 AxisSpec("avg_inflation", float(forest.feature_min[1]), float(forest.feature_max[1]), cfg.forest.steps),

@@ -3,8 +3,15 @@
 Splitting is exhaustive over midpoints of adjacent observed feature values,
 gain-ties break to the lowest feature index then lowest threshold, and forests
 subsample two thirds of the rows without replacement per tree with seeds
-derived from (master seed, tree index). Identical data, settings and seed give
-identical models regardless of worker count.
+derived from (master seed, tree index).
+
+Growth is level-synchronous: each tree's rows are sorted once per feature
+(the presort scheme of CART), and every open node of every tree in a batch
+is scanned at once in zero-padded (nodes, features, rows) arrays. Trees and
+forests alike go through this one kernel; a forest's trees are grown in
+fixed-size batches in one thread, and the `n_jobs` argument of `fit_forest`
+is unused. Identical data, settings and seed give identical models, whatever
+the batch a tree is grown in or the worker count asked for.
 """
 
 from __future__ import annotations
@@ -12,13 +19,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from passthru.errors import PassthruError
+
+
+# Trees that fit_forest grows together. A batch's per-level arrays grow with
+# its size, so this bounds peak memory near that of growing one tree at a time.
+_BATCH_TREES = 128
 
 
 class TreeError(PassthruError):
@@ -98,15 +109,76 @@ class ForestModel:
         return len(self.trees)
 
 
-def _node_mse(y: np.ndarray) -> float:
-    return float(np.mean((y - y.mean()) ** 2))
-
-
 def _exact_sse(values: np.ndarray) -> float:
     """Sum of squared deviations via exactly rounded sums (order-independent)."""
     m = values.shape[0]
-    s = math.fsum(values)
-    return max(math.fsum(values * values) - s * s / m, 0.0)
+    s = math.fsum(values.tolist())  # a list sums faster than numpy scalars, to the same value
+    return max(math.fsum((values * values).tolist()) - s * s / m, 0.0)
+
+
+def _scan(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    n: np.ndarray,
+    node_sse: np.ndarray,
+    params: SplitParams,
+    features: np.ndarray,
+) -> list[tuple[float, int, float, int, float, float] | None]:
+    """Best admissible split of each node, from its rows presorted per feature.
+
+    xs and ys are (nodes, features, rows) arrays holding node i's values of
+    each feature in ascending order and its responses in that order, zero
+    past row n[i]. The prefix sums run along the row axis, so they equal the
+    sums of a lone node. Returns, per node, None or (exact gain, feature,
+    threshold, left size, left sse, right sse).
+    """
+    boundary = np.arange(1, xs.shape[-1])  # left child = the first `boundary` rows
+    valid = (
+        (xs[..., 1:] > xs[..., :-1])
+        & (boundary >= params.min_leaf)
+        & (n[:, None, None] - boundary >= params.min_leaf)
+    )
+    csum = np.cumsum(ys, axis=-1)
+    csumsq = np.cumsum(ys * ys, axis=-1)
+    node, feat, pos = np.nonzero(valid)
+    iv = pos + 1
+    nv = n[node]
+    tot, totsq = csum[node, feat, nv - 1], csumsq[node, feat, nv - 1]
+    left, leftsq = csum[node, feat, pos], csumsq[node, feat, pos]
+    sse_l = np.maximum(leftsq - left ** 2 / iv, 0.0)
+    sse_r = np.maximum((totsq - leftsq) - (tot - left) ** 2 / (nv - iv), 0.0)
+    gains = (node_sse[node] - sse_l - sse_r) / nv
+    best_float = np.full(n.shape, -np.inf)
+    np.maximum.at(best_float, node, gains)
+    band = best_float - 1e-9 * np.maximum(np.abs(best_float), node_sse / n)
+
+    # near-best candidates are re-evaluated with exactly rounded sums, so ties
+    # (identical partitions reachable through different features) resolve to
+    # the lowest feature index, then the lowest threshold
+    near = np.nonzero(gains >= band[node])[0]
+    node, feat, iv = node[near], feat[near], iv[near]
+    below, above = xs[node, feat, iv - 1], xs[node, feat, iv]
+    thresholds = (below + above) / 2.0
+    # adjacent doubles can round the midpoint up to the right value, which
+    # would route the boundary row the wrong way; fall back to the left value
+    thresholds = np.where(thresholds >= above, below, thresholds)
+    sizes, sses = n.tolist(), node_sse.tolist()
+    best: list[tuple | None] = [None] * n.shape[0]
+    for i, p, b, threshold in zip(node.tolist(), feat.tolist(), iv.tolist(), thresholds.tolist()):
+        row = ys[i, p, : sizes[i]]
+        sse_left, sse_right = _exact_sse(row[:b]), _exact_sse(row[b:])
+        exact = (sses[i] - sse_left - sse_right) / sizes[i]
+        j = int(features[p])
+        held = best[i]
+        if held is None or exact > held[0] or (exact == held[0] and (j, threshold) < (held[1], held[2])):
+            best[i] = (exact, j, threshold, b, sse_left, sse_right)
+    return [None if found is None or found[0] <= params.min_gain else found for found in best]
+
+
+def _feature_columns(x: np.ndarray, features: Sequence[int] | None) -> np.ndarray:
+    if features is None:
+        return np.arange(x.shape[1])
+    return np.asarray(features, dtype=np.intp).reshape(-1)
 
 
 def best_split(
@@ -125,60 +197,15 @@ def best_split(
     then the lowest threshold.
     """
     n = y.shape[0]
-    if n < 2 * params.min_leaf:
+    if n < 2 * params.min_leaf or float(y.min()) == float(y.max()):
         return None
-    if float(y.min()) == float(y.max()):
-        return None
-    node_sse = _exact_sse(y)
-
-    # per feature: (gains over valid boundaries, thresholds, boundary indices, sorted y)
-    scan: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-    best_float = -math.inf
-    for j in features if features is not None else range(x.shape[1]):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csumsq = np.cumsum(ys * ys)
-        boundaries = np.arange(1, n)
-        valid = (
-            (xs[1:] > xs[:-1])
-            & (boundaries >= params.min_leaf)
-            & ((n - boundaries) >= params.min_leaf)
-        )
-        if not np.any(valid):
-            continue
-        iv = boundaries[valid]
-        sse_l = np.maximum(csumsq[iv - 1] - csum[iv - 1] ** 2 / iv, 0.0)
-        sse_r = np.maximum(
-            (csumsq[-1] - csumsq[iv - 1]) - (csum[-1] - csum[iv - 1]) ** 2 / (n - iv), 0.0
-        )
-        gains = (node_sse - sse_l - sse_r) / n
-        thresholds = (xs[iv - 1] + xs[iv]) / 2.0
-        # adjacent doubles can round the midpoint up to the right value, which
-        # would route the boundary row the wrong way; fall back to the left value
-        rounded_up = thresholds >= xs[iv]
-        if np.any(rounded_up):
-            thresholds = np.where(rounded_up, xs[iv - 1], thresholds)
-        scan.append((j, gains, thresholds, iv, ys))
-        best_float = max(best_float, float(gains.max()))
-    if not scan:
-        return None
-
-    band = best_float - 1e-9 * max(abs(best_float), node_sse / n)
-    best: tuple[float, int, float] | None = None  # (exact gain, feature, threshold)
-    for j, gains, thresholds, iv, ys in scan:
-        for pos in np.nonzero(gains >= band)[0]:
-            i = int(iv[pos])
-            exact = (node_sse - _exact_sse(ys[:i]) - _exact_sse(ys[i:])) / n
-            threshold = float(thresholds[pos])
-            if best is None or exact > best[0] or (
-                exact == best[0] and (j, threshold) < (best[1], best[2])
-            ):
-                best = (exact, j, threshold)
-    if best is None or best[0] <= params.min_gain:
-        return None
-    return best[1], best[2], best[0]
+    cols = _feature_columns(x, features)
+    order = np.argsort(x[:, cols], axis=0, kind="stable").T
+    found = _scan(
+        x[order, cols[:, None]][None], y[order][None],
+        np.array([n]), np.array([_exact_sse(y)]), params, cols,
+    )[0]
+    return None if found is None else (found[1], found[2], found[0])
 
 
 def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -193,6 +220,98 @@ def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _feature_names(x: np.ndarray, feature_names: Sequence[str] | None) -> tuple[str, ...] | None:
+    if feature_names is not None and len(feature_names) != x.shape[1]:
+        raise DimensionMismatchError("one name per feature column")
+    return tuple(feature_names) if feature_names is not None else None
+
+
+def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray) -> list[Node]:
+    """Grow one tree on each m-row block of (x, y); return the roots.
+
+    Every open node of every tree is split at once, one depth level per pass.
+    Each tree's rows are sorted once per feature, stable by (value, row), and
+    each node owns one segment of every sorted order; a split partitions its
+    segments stably, so the children's segments stay sorted. The last order
+    is by row, and gives each node's responses in row order for its
+    prediction and mse.
+    """
+    f = features.shape[0]
+    starts = np.arange(0, y.shape[0], m)
+    order = np.argsort(x[:, features].T.reshape(f, starts.size, m), axis=-1, kind="stable") + starts[:, None]
+    order = np.concatenate([order.reshape(f, y.shape[0]), np.arange(y.shape[0])[None]])
+    size = np.full(starts.shape, m)
+    sse = np.array([_exact_sse(y[s : s + m]) for s in starts])
+    # per node, in creation order (a level after its parents)
+    sizes: list[int] = []
+    predictions: list[float] = []
+    mses: list[float] = []
+    splits: dict[int, tuple[int, float, float, int]] = {}  # node -> feature, threshold, gain, left child
+    depth = 0
+    while True:
+        first = len(sizes)
+        width = int(size.max())
+        inside = np.arange(width) < size[:, None]
+        rows = order[:, np.where(inside, starts[:, None] + np.arange(width), 0)].swapaxes(0, 1)
+        ys = np.where(inside[:, None], y[rows], 0.0)
+        in_row_order = ys[:, f]
+        prediction = np.empty(size.shape)
+        mse = np.empty(size.shape)
+        # a mean over equal-length rows sums each row as np.mean does a lone array
+        for s in set(size.tolist()):
+            same = size == s
+            block = np.ascontiguousarray(in_row_order[same, :s])
+            prediction[same] = mean = block.mean(axis=1)
+            mse[same] = ((block - mean[:, None]) ** 2).mean(axis=1)
+        sizes += size.tolist()
+        predictions += prediction.tolist()
+        mses += mse.tolist()
+
+        lowest = np.where(inside, in_row_order, np.inf).min(axis=1)
+        highest = np.where(inside, in_row_order, -np.inf).max(axis=1)
+        splittable = (size >= 2 * params.min_leaf) & (lowest != highest)
+        if params.max_depth is not None and depth >= params.max_depth:
+            splittable[:] = False
+        nodes = np.nonzero(splittable)[0]
+        found = _scan(
+            x[rows[nodes, :f], features[:, None]], ys[nodes, :f], size[nodes], sse[nodes], params, features
+        ) if nodes.size else []
+        chosen = [(i, *r) for i, r in zip(nodes.tolist(), found) if r is not None]
+        if not chosen:
+            break
+        node, gain, feature, threshold, n_left, sse_left, sse_right = (np.array(c) for c in zip(*chosen))
+        child = first + starts.size + 2 * np.arange(node.size)
+        for i, j, t, g, c in zip(node.tolist(), feature.tolist(), threshold.tolist(), gain.tolist(), child.tolist()):
+            splits[first + i] = (j, t, g, c)
+
+        # stable partition of each split node's segments: left rows first
+        part = rows[node]
+        held = np.broadcast_to(inside[node, None], part.shape)
+        goes_left = x[part, feature[:, None, None]] <= threshold[:, None, None]
+        begin = starts[node, None, None]
+        dest = np.where(
+            goes_left,
+            begin + np.cumsum(goes_left & held, axis=-1) - 1,
+            begin + n_left[:, None, None] + np.cumsum(~goes_left & held, axis=-1) - 1,
+        )
+        which = np.broadcast_to(np.arange(f + 1)[:, None], part.shape)
+        order[which[held], dest[held]] = part[held]
+
+        starts = np.column_stack([starts[node], starts[node] + n_left]).ravel()
+        size = np.column_stack([n_left, size[node] - n_left]).ravel()
+        sse = np.column_stack([sse_left, sse_right]).ravel()
+        depth += 1
+
+    built: list[Node | None] = [None] * len(sizes)
+    for i in range(len(sizes) - 1, -1, -1):
+        if i in splits:
+            feature, threshold, gain, c = splits[i]
+            built[i] = Split(feature, threshold, gain, sizes[i], mses[i], built[c], built[c + 1])
+        else:
+            built[i] = Leaf(predictions[i], sizes[i], mses[i])
+    return built[: y.shape[0] // m]
+
+
 def fit_tree(
     x,
     y,
@@ -200,40 +319,11 @@ def fit_tree(
     feature_names: Sequence[str] | None = None,
     features: Sequence[int] | None = None,
 ) -> RegressionTree:
-    """Grow a tree by recursive best splits until none is admissible."""
+    """Grow a tree by best splits, level by level, until none is admissible."""
     x, y = _validate_xy(x, y)
-    if feature_names is not None and len(feature_names) != x.shape[1]:
-        raise DimensionMismatchError("one name per feature column")
-
-    def grow(rows: np.ndarray, depth: int) -> Node:
-        ys = y[rows]
-        n = rows.shape[0]
-        mse = _node_mse(ys)
-        prediction = float(ys.mean())
-        if params.max_depth is not None and depth >= params.max_depth:
-            return Leaf(prediction, n, mse)
-        found = best_split(x[rows], ys, params, features)
-        if found is None:
-            return Leaf(prediction, n, mse)
-        feature, threshold, gain = found
-        mask = x[rows, feature] <= threshold
-        return Split(
-            feature=feature,
-            threshold=threshold,
-            gain=gain,
-            n=n,
-            mse=mse,
-            left=grow(rows[mask], depth + 1),
-            right=grow(rows[~mask], depth + 1),
-        )
-
-    root = grow(np.arange(x.shape[0]), 0)
-    return RegressionTree(
-        root=root,
-        n_features=x.shape[1],
-        params=params,
-        feature_names=tuple(feature_names) if feature_names is not None else None,
-    )
+    names = _feature_names(x, feature_names)
+    (root,) = _grow(x, y, x.shape[0], params, _feature_columns(x, features))
+    return RegressionTree(root=root, n_features=x.shape[1], params=params, feature_names=names)
 
 
 def _route(node: Node, row: np.ndarray) -> float:
@@ -293,10 +383,13 @@ def fit_forest(
 ) -> ForestModel:
     """Bag `n_trees` trees, each on ceil(subsample * n) distinct rows.
 
-    Tree t draws its rows from a generator seeded by (seed, t), so the model
-    is identical for any worker count or execution order.
+    Tree t draws its rows from a generator seeded by (seed, t), and trees are
+    grown together in fixed-size batches, each tree from its own rows only, so
+    the model does not depend on which trees share a batch. `n_jobs` is
+    accepted for compatibility and unused: growth runs in one thread.
     """
     x, y = _validate_xy(x, y)
+    names = _feature_names(x, feature_names)
     n = x.shape[0]
     if n < 3:
         raise EmptyInputError("bagging needs at least 3 rows")
@@ -305,27 +398,23 @@ def fit_forest(
     if n_trees < 1:
         raise TreeError("need at least one tree")
     m = math.ceil(subsample * n)
-
-    def one(t: int) -> tuple[RegressionTree, np.ndarray]:
-        rng = np.random.default_rng((seed, t))
-        idx = np.sort(rng.choice(n, size=m, replace=False))
-        tree = fit_tree(x[idx], y[idx], params, feature_names, features)
-        return tree, idx
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(one, range(n_trees)))
-    else:
-        results = [one(t) for t in range(n_trees)]
-
+    cols = _feature_columns(x, features)
+    row_indices = tuple(
+        np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False))
+        for t in range(n_trees)
+    )
+    roots: list[Node] = []
+    for first in range(0, n_trees, _BATCH_TREES):
+        idx = np.concatenate(row_indices[first : first + _BATCH_TREES])
+        roots += _grow(x[idx], y[idx], m, params, cols)
     return ForestModel(
-        trees=tuple(tree for tree, _ in results),
-        row_indices=tuple(idx for _, idx in results),
+        trees=tuple(RegressionTree(root, x.shape[1], params, names) for root in roots),
+        row_indices=row_indices,
         n_features=x.shape[1],
         subsample=subsample,
         seed=seed,
         params=params,
-        feature_names=tuple(feature_names) if feature_names is not None else None,
+        feature_names=names,
         feature_min=x.min(axis=0),
         feature_max=x.max(axis=0),
     )
@@ -375,6 +464,20 @@ def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> I
         shares=raw / raw.sum(),
         n_splits=tuple(int(c) for c in counts),
     )
+
+
+def tree_shape(model: RegressionTree | ForestModel) -> tuple[int, int]:
+    """Node count and greatest depth over the model's trees; a lone leaf has depth 0."""
+    trees = model.trees if isinstance(model, ForestModel) else (model,)
+    nodes = depth = 0
+    stack = [(tree.root, 0) for tree in trees]
+    while stack:
+        node, level = stack.pop()
+        nodes += 1
+        depth = max(depth, level)
+        if isinstance(node, Split):
+            stack += [(node.left, level + 1), (node.right, level + 1)]
+    return nodes, depth
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,32 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import passthru
 
 from passthru.cli_report import (
+    CONTROLS,
+    FORMATS,
+    INTERACTIONS,
+    OUTPUTS,
+    VARIANTS,
     Cell,
     ConfigError,
+    ForestConfig,
     RaggedGridError,
     RenderedTable,
+    RunConfig,
     StageError,
     TableRow,
     config_from_mapping,
@@ -28,7 +40,7 @@ from passthru.cli_report import (
     stars_for,
 )
 from passthru.kvconfig import number_parser
-from passthru.panel_data import write_panel_csv
+from passthru.panel_data import table_a2_path, write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 
 
@@ -304,6 +316,136 @@ def test_manifest_round_trip(tmp_path, data_dir):
     run_pipeline(cfg)
     for name, blob in files.items():
         assert (out / name).read_bytes() == blob, f"{name} changed across manifest re-run"
+
+
+# SHA-256 of every fig4 and fig5 output but manifest.json (which records paths), for
+# generate_panel(DgpParams(n_countries=21, n_years=40, seed=1)) and --seed 1, as
+# written by the node-at-a-time tree grower that the batched level-wise one replaced.
+GOLDEN_DIGESTS = {
+    "fig4/exclusions.csv": "7ce0e117d557c3a19d11423126d6af72767f710b964af64d14b2dea85f506f5f",
+    "fig4/importance.txt": "82907f43a4d5b2c7585292d187814a3b3381a86f83200b6a732f534e611a2dfc",
+    "fig4/passthrough_panel.csv": "25c81b1910f050bc99f1a7320b562c0dfa0640d80e9d23b92a3f193a2b1c387e",
+    "fig5/exclusions.csv": "7ce0e117d557c3a19d11423126d6af72767f710b964af64d14b2dea85f506f5f",
+    "fig5/passthrough_panel.csv": "25c81b1910f050bc99f1a7320b562c0dfa0640d80e9d23b92a3f193a2b1c387e",
+    "fig5/pd_grid.csv": "a3d008b77a5559c708c978575b1f496b93dd07e695e77c762b19d22f62bf0a83",
+    "fig5/pd_grid.json": "1dfefa6b2e1d6ad045056610f684ac27f2a03a5100a29112517007767877a027",
+    "fig5/pd_slices.csv": "7efa5cf5d893a3092a0e6652674d8e51b06fbd22d0fee383bbb6a07118f3085e",
+}
+
+
+def test_fig4_fig5_outputs_match_golden_digests(tmp_path):
+    data = tmp_path / "data"
+    data.mkdir()
+    write_panel_csv(generate_panel(DgpParams(n_countries=21, n_years=40, seed=1)), data / "panel.csv")
+    digests = {}
+    for name in ("fig4", "fig5"):
+        assert main(["preset", name, "--data", str(data), "--out", str(tmp_path / name), "--seed", "1"]) == 0
+        for path in (tmp_path / name).iterdir():
+            if path.name != "manifest.json":
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == GOLDEN_DIGESTS
+
+
+def test_fig2_manifest_rerun_is_byte_identical(tmp_path):
+    out = tmp_path / "fig2"
+    assert main(["preset", "fig2", "--out", str(out)]) == 0
+    first = (out / "manifest.json").read_bytes()
+    assert json.loads(first)["config"]["decades"] == ""
+    assert config_from_manifest(out / "manifest.json").decades == ()
+    assert main(["run", str(out / "manifest.json")]) == 0
+    assert (out / "manifest.json").read_bytes() == first
+
+
+def test_config_decades_empty_or_absent(tmp_path, data_dir):
+    base = {"data.panel_path": str(data_dir / "panel.csv"), "output.dir": str(tmp_path / "d")}
+    assert config_from_mapping(base).decades == RunConfig(out_dir=tmp_path).decades
+    variant_columns = config_from_mapping(base | {"decades": "", "model.variants": "headline,core"})
+    assert variant_columns.decades == ()
+    for extra in ({}, {"outputs": "passthrough_panel"}, {"outputs": "pd_grid", "seed": "1"}):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(base | {"decades": ""} | extra)
+        assert err.value.field_path == "decades"
+
+
+DECADE_LABELS = ("full", "1970s", "1980s", "1990s", "2000s", "2010s")
+CONFIG_FLOATS = st.floats(-0.9, 0.9, allow_nan=False)
+
+
+@st.composite
+def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> RunConfig:
+    outputs = tuple(draw(st.lists(st.sampled_from(OUTPUTS), min_size=1, max_size=3)))
+    variants = tuple(draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=2)))
+    panel_based = set(outputs) & {"passthrough_panel", "second_stage", "importance", "pd_grid"}
+    needs_decades = panel_based or ("mg_table" in outputs and len(variants) == 1)
+    decade_lists = st.lists(st.sampled_from(DECADE_LABELS), min_size=1, max_size=4).map(tuple)
+    dgp = draw(st.one_of(st.none(), st.builds(
+        DgpParams,
+        n_countries=st.integers(1, 40),
+        n_years=st.integers(10, 80),
+        rho=CONFIG_FLOATS,
+        cost_ar=CONFIG_FLOATS,
+        lambda_schedule=st.one_of(st.none(), st.lists(CONFIG_FLOATS, min_size=1, max_size=4).map(tuple)),
+        seed=st.integers(0, 2**32),
+    )))
+    return RunConfig(
+        out_dir=out_dir,
+        panel_path=None if dgp is not None and draw(st.booleans()) else panel_path,
+        decade_path=decade_path if "medians" in outputs or draw(st.booleans()) else None,
+        dgp=dgp,
+        variants=variants,
+        control=draw(st.sampled_from((None, *CONTROLS))),
+        interactions=draw(st.sampled_from(INTERACTIONS)),
+        decades=draw(decade_lists if needs_decades else st.one_of(st.just(()), decade_lists)),
+        exclude=tuple(draw(st.lists(st.sampled_from(("AT", "CZ", "EE", "LU")), max_size=3))),
+        outputs=outputs,
+        forest=ForestConfig(
+            trees=draw(st.integers(1, 5000)),
+            subsample=draw(st.floats(1e-3, 1.0)),
+            min_leaf=draw(st.integers(1, 20)),
+            max_depth=draw(st.one_of(st.none(), st.integers(0, 30))),
+            steps=draw(st.integers(2, 200)),
+        ),
+        seed=draw(st.integers(0, 10**6)) if "pd_grid" in outputs else draw(st.one_of(st.none(), st.integers(0, 10**6))),
+        fmt=draw(st.sampled_from(FORMATS)),
+        min_obs=draw(st.one_of(st.none(), st.integers(1, 40))),
+    )
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_config_survives_mapping_round_trip(data, tmp_path, data_dir):
+    decade_path = (tmp_path / "decades.csv").resolve()
+    if not decade_path.exists():
+        decade_path.write_bytes(table_a2_path().read_bytes())
+    cfg = data.draw(run_configs(tmp_path.resolve(), (data_dir / "panel.csv").resolve(), decade_path))
+    assert config_from_mapping(config_to_mapping(cfg)) == cfg
+
+
+def test_stage_wall_times_and_forest_shape_go_to_the_log_only(tmp_path, data_dir, caplog):
+    out = tmp_path / "logged"
+    mapping = {
+        "data.panel_path": str(data_dir / "panel.csv"),
+        "output.dir": str(out),
+        "decades": "1990s,2000s",
+        "outputs": "pd_grid",
+        "forest.trees": "12",
+        "forest.steps": "4",
+        "seed": "2",
+    }
+    with caplog.at_level(logging.INFO, logger="passthru"):
+        written = run_pipeline(config_from_mapping(mapping))
+    messages = [r.getMessage() for r in caplog.records]
+    for name in ("ingest", "passthroughs", "pd_grid"):
+        assert any(m.startswith(f"stage {name} ended after ") and m.endswith(" s") for m in messages), name
+    shapes = [m for m in messages if m.startswith("forest: ")]
+    assert len(shapes) == 1
+    found = re.fullmatch(r"forest: 12 trees, (\d+) nodes, max depth (\d+)", shapes[0])
+    nodes, depth = int(found[1]), int(found[2])
+    assert nodes >= 12 and (nodes - 12) % 2 == 0  # each split adds two nodes
+    assert (depth == 0) == (nodes == 12)
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written) == [
+        "manifest.json", "pd_grid.csv", "pd_grid.json", "pd_slices.csv",
+    ]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

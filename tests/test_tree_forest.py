@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import assert_same_tree, bf_fit_tree
+from oracles import assert_same_tree, bf_best_split, bf_fit_tree
+from passthru import tree_forest
 from passthru.tree_forest import (
     AxisSpec,
     DimensionMismatchError,
@@ -24,6 +27,7 @@ from passthru.tree_forest import (
     partial_dependence,
     predict,
     predict_many,
+    tree_shape,
 )
 
 STEP_X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -152,6 +156,80 @@ def test_monotone_feature_transform_preserves_structure():
     assert np.array_equal(predict_many(base, x), predict_many(other, transformed))
 
 
+# ---------------------------------------------------------------- properties
+
+# Coarse grids force ties between rows, features and candidate splits. Responses
+# stay on a decimal grid near zero: with a mean far larger than the spread,
+# fsum(y^2) - fsum(y)^2 / m loses precision in the package and the oracle alike.
+FEATURE_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+)
+RESPONSE_VALUES = st.one_of(st.integers(-8, 8).map(lambda v: v / 4), st.integers(-50, 50).map(lambda v: v / 10))
+
+
+@st.composite
+def tree_inputs(draw, min_rows: int = 1, max_rows: int = 24):
+    n = draw(st.integers(min_rows, max_rows))
+    k = draw(st.integers(1, 3))
+    x = np.array(draw(st.lists(st.lists(FEATURE_VALUES, min_size=k, max_size=k), min_size=n, max_size=n)))
+    y = np.array(draw(st.lists(RESPONSE_VALUES, min_size=n, max_size=n)))
+    params = SplitParams(
+        min_leaf=draw(st.integers(1, 5)),
+        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
+        min_gain=draw(st.sampled_from([0.0, 0.01, 0.25])),
+    )
+    features = draw(st.one_of(st.none(), st.sets(st.integers(0, k - 1), min_size=1).map(sorted)))
+    return x, y, params, features
+
+
+def _on_columns(ref: dict, cols: list[int]) -> dict:
+    """A brute-force tree grown on x[:, cols], with features renumbered to x's columns."""
+    if "feature" not in ref:
+        return ref
+    return dict(ref, feature=cols[ref["feature"]],
+                left=_on_columns(ref["left"], cols), right=_on_columns(ref["right"], cols))
+
+
+def _nodes(node) -> list[tuple]:
+    """Every field of every node in preorder; repr keeps -0.0 apart from 0.0."""
+    if isinstance(node, Leaf):
+        return [("leaf", repr(node.prediction), node.n, repr(node.mse))]
+    return [("split", node.feature, repr(node.threshold), repr(node.gain), node.n, repr(node.mse))] + (
+        _nodes(node.left) + _nodes(node.right)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_inputs(max_rows=30))
+def test_best_split_agrees_with_brute_force(case):
+    x, y, params, features = case
+    cols = list(range(x.shape[1])) if features is None else features
+    ref = bf_best_split(x[:, cols], y, params.min_leaf, params.min_gain)
+    expected = None if ref is None else (cols[ref[0]], ref[1], ref[2])
+    assert best_split(x, y, params, features) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_inputs())
+def test_fit_tree_agrees_with_brute_force(case):
+    x, y, params, features = case
+    cols = list(range(x.shape[1])) if features is None else features
+    ref = bf_fit_tree(x[:, cols], y, params.min_leaf, params.min_gain, params.max_depth)
+    assert_same_tree(fit_tree(x, y, params, features=features).root, _on_columns(ref, cols))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree_inputs(min_rows=3, max_rows=40), st.sampled_from([1, 6, tree_forest._BATCH_TREES + 3]), st.integers(0, 99))
+def test_forest_tree_is_the_tree_of_its_rows(case, n_trees, seed):
+    # a tree must not depend on which trees share its batch
+    x, y, params, features = case
+    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
+    for tree, rows in zip(forest.trees, forest.row_indices):
+        alone = fit_tree(x[rows], y[rows], params, features=features)
+        assert _nodes(tree.root) == _nodes(alone.root)
+
+
 # ---------------------------------------------------------------- predict
 
 def test_two_leaf_routing():
@@ -271,6 +349,15 @@ def test_importance_removed_feature_has_zero_share():
     report = importance(tree)
     assert report.shares[1] == 0.0
     assert report.shares[0] == 1.0
+
+
+def test_tree_shape_counts_nodes_and_depth():
+    assert tree_shape(fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1, max_depth=0))) == (1, 0)
+    assert tree_shape(fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))) == (3, 1)
+    forest = fit_forest(STEP_X, STEP_Y, n_trees=4, subsample=1.0, seed=1, params=SplitParams(min_leaf=1))
+    assert tree_shape(forest) == (12, 1)
+    x = np.arange(8.0).reshape(-1, 1)
+    assert tree_shape(fit_tree(x, x[:, 0], SplitParams(min_leaf=1))) == (15, 3)  # balanced halves
 
 
 def test_importance_no_splits():
