@@ -17,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -35,7 +36,7 @@ from passthru.mg_panel import (
     SingularCovarianceError,
     build_passthrough_spec,
     estimate_decade_passthroughs,
-    fit_country,
+    fit_countries,
     long_run_effect,
     materialize_design,
     mean_group,
@@ -481,11 +482,23 @@ def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
     return mapping
 
 
+def _input_digests(cfg: RunConfig) -> dict[str, str]:
+    """SHA-256 of each input file, keyed by the config key that names it."""
+    inputs = {"data.panel_path": cfg.panel_path, "data.decade_path": cfg.decade_path}
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items() if path is not None}
+
+
 def config_from_manifest(path: str | Path) -> RunConfig:
+    """The config of an earlier run; its input files must still hold what that run read."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict) or "config" not in payload:
         raise ConfigError("manifest", f"{path} is not a run manifest")
-    return config_from_mapping(payload["config"], base_dir=Path(path).resolve().parent)
+    cfg = config_from_mapping(payload["config"], base_dir=Path(path).resolve().parent)
+    digests = _input_digests(cfg)
+    for key, recorded in payload.get("input_sha256", {}).items():
+        if digests.get(key) != recorded:
+            raise ConfigError(key, f"{payload['config'].get(key)} has changed since {path} was written")
+    return cfg
 
 
 def _build_spec(cfg: RunConfig, variant: str) -> ModelSpec:
@@ -500,9 +513,17 @@ def _build_spec(cfg: RunConfig, variant: str) -> ModelSpec:
     )
 
 
+def _log_usable(where: str, usable: int, reasons: Sequence[str]) -> None:
+    """Usable countries and unusable ones by reason, to the log only."""
+    counts = ", ".join(f"{reason} {n}" for reason, n in sorted(Counter(reasons).items()))
+    log.info("%s: %d usable countries; unusable: %s", where, usable, counts or "none")
+
+
 def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> MgResult:
     sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
-    return mean_group([fit_country(sub, spec, c) for c in sub.countries])
+    fits = fit_countries(sub, spec)
+    _log_usable(f"mg_table {label}", sum(f.usable for f in fits), [f.reason for f in fits if not f.usable])
+    return mean_group(fits)
 
 
 def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
@@ -662,6 +683,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     panel: PanelDataset | None = None
     decade_data: PanelDataset | None = None
     with stage("ingest"):
+        input_sha256 = _input_digests(cfg)
         if cfg.dgp is not None:
             panel = generate_panel(cfg.dgp)
             emit("synthetic_panel.csv", panel_csv_text(panel))
@@ -701,6 +723,12 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
             pass_panel = estimate_decade_passthroughs(
                 panel, spec, windows, decade_data=decade_data, exclude=cfg.exclude
             )
+            for w in windows:
+                _log_usable(
+                    f"passthroughs {w.label}",
+                    sum(r.decade == w.label for r in pass_panel.rows),
+                    [e.reason for e in pass_panel.exclusions if e.decade == w.label],
+                )
             if "passthrough_panel" in cfg.outputs:
                 emit("passthrough_panel.csv", passthrough_csv(pass_panel))
                 emit("exclusions.csv", exclusions_csv(pass_panel))
@@ -767,6 +795,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
         "seed": cfg.seed,
         "config": mapping,
         "config_sha256": hashlib.sha256(format_kv(mapping).encode()).hexdigest(),
+        "input_sha256": input_sha256,
         "outputs": sorted(p.name for p in written),
     }
     emit("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -26,8 +26,8 @@ from passthru.panel_data import (
 from passthru.regression_core import (
     DesignMatrix,
     OlsFit,
-    SingularDesignError,
     ols_fit,
+    ols_stack,
     within_transform,
 )
 
@@ -195,40 +195,50 @@ class CountryFit:
         return float(self.coefficients[self.columns.index(name)])
 
 
-def fit_country(ds: PanelDataset, spec: ModelSpec, country: str) -> CountryFit:
-    """OLS on one country's complete rows; short or singular samples come back unusable."""
-    if country not in ds.countries:
-        raise UnknownCountryError(country)
-    needed = [spec.dependent.name] + [t.name for t in spec.regressors]
-    rows = ds.complete_rows(needed, country)
-    n = len(rows)
-    if n < spec.min_obs_effective:
-        return CountryFit(country, (), None, n, math.nan, math.nan, 0, False, "TooFewRows")
+def fit_countries(
+    ds: PanelDataset, spec: ModelSpec, countries: Sequence[str] | None = None
+) -> tuple[CountryFit, ...]:
+    """OLS on each country's complete rows, in the order of `countries` (default: all).
 
-    y = np.array([vals[0] for _, vals in rows])
-    x_cols = [np.array([vals[j + 1] for _, vals in rows]) for j in range(len(spec.regressors))]
-    if spec.include_constant:
-        x_cols.insert(0, np.ones(n))
-    design = DesignMatrix(
-        x=np.column_stack(x_cols),
-        y=y,
-        columns=spec.design_columns,
-        row_labels=tuple((country, yr) for yr, _ in rows),
-    )
-    try:
-        fit = ols_fit(design)
-    except SingularDesignError:
-        return CountryFit(country, (), None, n, math.nan, math.nan, 0, False, "SingularDesign")
-    return CountryFit(
-        country=country,
-        columns=fit.columns,
-        coefficients=fit.coefficients,
-        n_obs=n,
-        sigma=fit.sigma,
-        ssr=fit.ssr,
-        dof=fit.dof,
-        usable=True,
-    )
+    Countries with equal counts of complete rows are stacked and fitted together
+    by `ols_stack`, so each fit equals `ols_fit` on that country's design bit for
+    bit. Rows are never zero-padded to a common length: padding changes the
+    QR's rounding. Short or singular samples come back unusable.
+    """
+    countries = ds.countries if countries is None else tuple(countries)
+    for country in countries:
+        if country not in ds.countries:
+            raise UnknownCountryError(country)
+    names = [spec.dependent.name] + [t.name for t in spec.regressors]
+    values, complete = ds.complete_cells(names)
+    pos = [ds.countries.index(c) for c in countries]
+    values, complete = values[:, pos], complete[pos]
+    counts = complete.sum(axis=1)
+    fits: list[CountryFit | None] = [None] * len(countries)
+    for n in sorted(set(counts.tolist())):
+        group = np.flatnonzero(counts == n)
+        if n < spec.min_obs_effective:
+            for g in group:
+                fits[g] = CountryFit(countries[g], (), None, n, math.nan, math.nan, 0, False, "TooFewRows")
+            continue
+        block = values[:, group][:, complete[group]].reshape(len(names), len(group), n)
+        x = np.moveaxis(block[1:], 0, -1)
+        if spec.include_constant:
+            x = np.concatenate([np.ones((len(group), n, 1)), x], axis=2)
+        ok, coef, ssr = ols_stack(np.ascontiguousarray(x), np.ascontiguousarray(block[0]))
+        dof = n - spec.k
+        for g, fine, b, s in zip(group, ok, coef, ssr.tolist()):
+            if not fine:
+                fits[g] = CountryFit(countries[g], (), None, n, math.nan, math.nan, 0, False, "SingularDesign")
+            else:
+                sigma = math.sqrt(s / dof) if dof > 0 else math.nan
+                fits[g] = CountryFit(countries[g], spec.design_columns, b, n, sigma, s, dof, True)
+    return tuple(fits)
+
+
+def fit_country(ds: PanelDataset, spec: ModelSpec, country: str) -> CountryFit:
+    """OLS on one country's complete rows: `fit_countries` on that country alone."""
+    return fit_countries(ds, spec, (country,))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,11 +414,12 @@ def estimate_decade_passthroughs(
         except EmptyWindowError:
             exclusions.append(Exclusion("*", w.label, "EmptyWindow"))
             continue
+        fits = iter(fit_countries(sub, spec, [c for c in sub.countries if c not in excluded]))
         for country in materialized.countries:
             if country in excluded:
                 exclusions.append(Exclusion(country, w.label, "ExcludedByConfig"))
                 continue
-            fit = fit_country(sub, spec, country)
+            fit = next(fits)
             if not fit.usable:
                 exclusions.append(Exclusion(country, w.label, fit.reason or "unusable"))
                 continue
@@ -446,20 +457,11 @@ def estimate_decade_passthroughs(
 
 def pooled_fixed_effects(ds: PanelDataset, spec: ModelSpec) -> OlsFit:
     """Within (entity-demeaned) OLS pooling all countries, for comparison with MG."""
-    needed = [spec.dependent.name] + [t.name for t in spec.regressors]
-    ys, xs, labels, groups = [], [], [], []
-    for country in ds.countries:
-        for year, vals in ds.complete_rows(needed, country):
-            ys.append(vals[0])
-            xs.append(vals[1:])
-            labels.append((country, year))
-            groups.append(country)
-    if len(ys) < len(spec.regressors) + 2:
+    names = [spec.dependent.name] + [t.name for t in spec.regressors]
+    values, complete = ds.complete_cells(names)
+    if np.count_nonzero(complete) < len(spec.regressors) + 2:
         raise TooFewCountriesError("not enough pooled rows")
-    design = DesignMatrix(
-        x=np.array(xs),
-        y=np.array(ys),
-        columns=tuple(t.name for t in spec.regressors),
-        row_labels=tuple(labels),
-    )
+    rows = values[:, complete]  # country by country, years ascending
+    groups = [ds.countries[i] for i in np.nonzero(complete)[0].tolist()]
+    design = DesignMatrix(x=np.ascontiguousarray(rows[1:].T), y=rows[0], columns=tuple(t.name for t in spec.regressors))
     return ols_fit(within_transform(design, groups))

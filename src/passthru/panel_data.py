@@ -1,8 +1,10 @@
 """Country-year panel container, CSV ingestion, transforms, and decade windows.
 
-The dataset is a grid of named numeric series indexed by (country, year).
-Missing observations are absent cells, never NaN or sentinel values, and every
-operation is a pure function returning a new dataset.
+The dataset is a grid of named numeric series indexed by (country, year), stored
+as one dense (variable, country, year) array with a mask of observed cells.
+Transforms are array operations, a decade window is a slice of the year axis,
+and every operation is a pure function returning a new dataset. A missing
+observation reads as None, never as NaN or a sentinel value.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ import csv
 import io
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from passthru.errors import PassthruError
 
@@ -27,15 +32,13 @@ class PanelDataError(PassthruError):
 class DuplicateKeyError(PanelDataError):
     def __init__(self, country: str, year: int):
         super().__init__(f"duplicate row for ({country}, {year})")
-        self.country = country
-        self.year = year
+        self.country, self.year = country, year
 
 
 class MalformedNumberError(PanelDataError):
     def __init__(self, row: int, col: str, raw: str):
         super().__init__(f"row {row}, column {col!r}: cannot parse {raw!r} as a number")
-        self.row = row
-        self.col = col
+        self.row, self.col = row, col
 
 
 class EmptyFileError(PanelDataError):
@@ -49,8 +52,7 @@ class UnknownColumnError(PanelDataError):
 class NonPositiveForLogError(PanelDataError):
     def __init__(self, country: str, year: int, value: float):
         super().__init__(f"log transform needs strictly positive values; ({country}, {year}) = {value}")
-        self.country = country
-        self.year = year
+        self.country, self.year = country, year
 
 
 class NameCollisionError(PanelDataError):
@@ -65,10 +67,7 @@ class NoDataError(PanelDataError):
     pass
 
 
-PANEL_SCHEMA = (
-    "cpi", "core_cpi", "ulc", "earnings_h",
-    "output_gap", "unemp_gap", "kof", "em6", "em10",
-)
+PANEL_SCHEMA = ("cpi", "core_cpi", "ulc", "earnings_h", "output_gap", "unemp_gap", "kof", "em6", "em10")
 DECADE_SCHEMA = ("kof", "em6", "em10")
 
 
@@ -136,131 +135,151 @@ class TransformSpec:
         return cls("identity", source)
 
 
+def _check_axes(countries: Iterable[str], years: Iterable[int]) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    countries, years = tuple(str(c) for c in countries), tuple(int(y) for y in years)
+    if not countries or not years:
+        raise PanelDataError("dataset needs at least one country and one year")
+    if len(set(countries)) != len(countries) or any(not c for c in countries):
+        raise PanelDataError("country codes must be unique and non-empty")
+    if any(b <= a for a, b in zip(years, years[1:])):
+        raise PanelDataError("years must be strictly increasing")
+    return countries, years
+
+
 class PanelDataset:
     """Immutable country x year grid of named numeric series.
 
-    `series` maps variable name -> {(country, year): value}. Cells absent from
-    the inner mapping are missing observations.
+    One read-only float64 array of shape (variable, country, year) holds the
+    values, and a boolean array of the same shape marks the observed cells.
+    Observed cells are finite and missing cells hold NaN, so two datasets are
+    equal when their grids and value arrays are, NaN for NaN.
     """
 
-    __slots__ = ("countries", "years", "variables", "_cells")
+    __slots__ = ("countries", "years", "variables", "_values", "_observed", "_row", "_country", "_year")
 
     def __init__(
-        self,
-        countries: Iterable[str],
-        years: Iterable[int],
-        series: Mapping[str, Mapping[tuple[str, int], float]],
+        self, countries: Iterable[str], years: Iterable[int], series: Mapping[str, Mapping[tuple[str, int], float]]
     ):
-        countries = tuple(str(c) for c in countries)
-        if not countries:
-            raise PanelDataError("dataset needs at least one country")
-        if len(set(countries)) != len(countries) or any(not c for c in countries):
-            raise PanelDataError("country codes must be unique and non-empty")
-        years = tuple(int(y) for y in years)
-        if not years:
-            raise PanelDataError("dataset needs at least one year")
-        if any(b <= a for a, b in zip(years, years[1:])):
-            raise PanelDataError("years must be strictly increasing")
-
-        country_set = frozenset(countries)
-        year_set = frozenset(years)
-        cells: dict[str, dict[tuple[str, int], float]] = {}
-        for name, obs in series.items():
-            name = str(name)
-            if not name:
-                raise PanelDataError("variable names must be non-empty")
-            clean: dict[tuple[str, int], float] = {}
+        """`series` maps variable name -> {(country, year): value}; absent cells are missing."""
+        countries, years = _check_axes(countries, years)
+        country_pos, year_pos = {c: i for i, c in enumerate(countries)}, {y: j for j, y in enumerate(years)}
+        values = np.full((len(series), len(countries), len(years)), np.nan)
+        observed = np.zeros(values.shape, dtype=bool)
+        for v, (name, obs) in enumerate(series.items()):
             for (country, year), value in obs.items():
-                if country not in country_set or year not in year_set:
+                i, j = country_pos.get(country), year_pos.get(year)
+                if i is None or j is None:
                     raise PanelDataError(f"{name}: cell ({country}, {year}) outside the declared grid")
-                value = float(value)
-                if not math.isfinite(value):
-                    raise PanelDataError(
-                        f"{name}: non-finite value at ({country}, {year}); leave missing cells absent"
-                    )
-                clean[(country, int(year))] = value
-            cells[name] = clean
+                values[v, i, j], observed[v, i, j] = float(value), True
+        self._set(countries, years, tuple(str(name) for name in series), values, observed)
 
-        self.countries = countries
-        self.years = years
-        self.variables = tuple(cells)
-        self._cells = cells
+    @classmethod
+    def from_arrays(
+        cls, countries: Iterable[str], years: Iterable[int], variables: Iterable[str], values: np.ndarray
+    ) -> "PanelDataset":
+        """Build from a dense (variable, country, year) array in which every cell is observed."""
+        countries, years = _check_axes(countries, years)
+        variables = tuple(str(v) for v in variables)
+        values = np.array(values, dtype=float)
+        if values.shape != (len(variables), len(countries), len(years)):
+            raise PanelDataError(f"array of shape {values.shape} does not fit the grid")
+        return cls.__new__(cls)._set(countries, years, variables, values, np.ones(values.shape, dtype=bool))
+
+    def _set(self, countries, years, variables, values, observed, first: int = 0) -> "PanelDataset":
+        """Take checked axes and the arrays; check the names and the observed cells of layers `first`.."""
+        if any(not name for name in variables) or len(set(variables)) != len(variables):
+            raise PanelDataError("variable names must be unique and non-empty")
+        bad = np.argwhere(observed[first:] & ~np.isfinite(values[first:]))
+        if len(bad):
+            v, i, j = bad[0]
+            where = f"{variables[first + v]}: non-finite value at ({countries[i]}, {years[j]})"
+            raise PanelDataError(f"{where}; leave missing cells absent")
+        values.flags.writeable = observed.flags.writeable = False
+        self.countries, self.years, self.variables = countries, years, variables
+        self._values, self._observed = values, observed
+        self._row = {name: r for r, name in enumerate(variables)}
+        self._country = {c: i for i, c in enumerate(countries)}
+        self._year = {y: j for j, y in enumerate(years)}
+        return self
+
+    def _derive(self, years, variables, values, observed) -> "PanelDataset":
+        """A dataset on the same countries; only the layers this one lacks are checked."""
+        return PanelDataset.__new__(PanelDataset)._set(
+            self.countries, years, variables, values, observed, first=len(self.variables)
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset):
             return NotImplemented
-        return (
-            self.countries == other.countries
-            and self.years == other.years
-            and self.variables == other.variables
-            and self._cells == other._cells
-        )
+        grid = (self.countries, self.years, self.variables) == (other.countries, other.years, other.variables)
+        return grid and np.array_equal(self._values, other._values, equal_nan=True)
 
     def __repr__(self) -> str:
-        return (
-            f"PanelDataset({len(self.countries)} countries, years "
-            f"{self.years[0]}..{self.years[-1]}, {len(self.variables)} variables)"
-        )
+        years = f"{self.years[0]}..{self.years[-1]}"
+        return f"PanelDataset({len(self.countries)} countries, years {years}, {len(self.variables)} variables)"
+
+    def _layer(self, var: str) -> tuple[np.ndarray, np.ndarray]:
+        return self._values[self._row[var]], self._observed[self._row[var]]
 
     def value(self, var: str, country: str, year: int) -> float | None:
         """Cell value, or None when the observation is missing."""
-        return self._cells[var].get((country, year))
+        r, i, j = self._row[var], self._country.get(country), self._year.get(year)
+        if i is None or j is None or not self._observed[r, i, j]:
+            return None
+        return float(self._values[r, i, j])
 
     def cells(self, var: str) -> Mapping[tuple[str, int], float]:
         """Read-only view of one variable's observed cells."""
-        return MappingProxyType(self._cells[var])
+        values, observed = self._layer(var)
+        keys = [(self.countries[i], self.years[j]) for i, j in np.argwhere(observed).tolist()]
+        return MappingProxyType(dict(zip(keys, values[observed].tolist())))
 
     def n_obs(self, var: str) -> int:
-        return len(self._cells[var])
+        return int(np.count_nonzero(self._layer(var)[1]))
 
     def with_series(self, name: str, obs: Mapping[tuple[str, int], float]) -> "PanelDataset":
-        if name in self._cells:
+        return self._with_layer(name, *PanelDataset(self.countries, self.years, {name: obs})._layer(name))
+
+    def _with_layer(self, name: str, values: np.ndarray, observed: np.ndarray) -> "PanelDataset":
+        if name in self._row:
             raise NameCollisionError(f"variable {name!r} already exists")
-        merged = dict(self._cells)
-        merged[name] = dict(obs)
-        return PanelDataset(self.countries, self.years, merged)
+        values, observed = np.concatenate([self._values, [values]]), np.concatenate([self._observed, [observed]])
+        return self._derive(self.years, self.variables + (name,), values, observed)
+
+    def complete_cells(self, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The variables' (variable, country, year) values, and the (country, year) mask where all are observed."""
+        rows = [self._row[v] for v in variables]
+        return self._values[rows], self._observed[rows].all(axis=0)
 
     def complete_rows(self, variables: Iterable[str], country: str) -> list[tuple[int, list[float]]]:
         """Years of `country` where every listed variable is observed."""
-        maps = [self._cells[v] for v in variables]
-        rows = []
-        for year in self.years:
-            values = []
-            for m in maps:
-                v = m.get((country, year))
-                if v is None:
-                    break
-                values.append(v)
-            else:
-                rows.append((year, values))
-        return rows
+        values, complete = self.complete_cells(variables)
+        if country not in self._country:
+            return []
+        i = self._country[country]
+        return list(zip(np.asarray(self.years)[complete[i]].tolist(), values[:, i, complete[i]].T.tolist()))
 
 
 def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]):
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyFileError(f"{path}: no header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise EmptyFileError(f"{path}: no header row")
         header = [h.strip() for h in header]
         if len(header) < 2 or header[0] != "country" or header[1] not in key_names:
             raise UnknownColumnError(
                 f"{path}: header must start with 'country,{ ' or '.join(key_names)}', got {header[:2]}"
             )
-        key_col = header[1]
-        var_names = header[2:]
+        key_col, var_names = header[1], header[2:]
         if len(set(var_names)) != len(var_names) or any(not v for v in var_names):
             raise UnknownColumnError(f"{path}: variable columns must be unique and non-empty")
-        if schema is not None:
-            unknown = [v for v in var_names if v not in tuple(schema)]
-            if unknown:
-                raise UnknownColumnError(f"{path}: unknown columns {unknown} (schema rejects them)")
+        unknown = [] if schema is None else [v for v in var_names if v not in tuple(schema)]
+        if unknown:
+            raise UnknownColumnError(f"{path}: unknown columns {unknown} (schema rejects them)")
 
-        countries: list[str] = []
-        seen = set()
-        keys = set()
+        keys: dict[tuple[str, int], None] = {}  # in order of appearance
         cells: dict[str, dict[tuple[str, int], float]] = {v: {} for v in var_names}
         for row_no, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
@@ -276,10 +295,7 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
                 raise MalformedNumberError(row_no, key_col, row[1]) from None
             if (country, year) in keys:
                 raise DuplicateKeyError(country, year)
-            keys.add((country, year))
-            if country not in seen:
-                seen.add(country)
-                countries.append(country)
+            keys[(country, year)] = None
             for name, raw in zip(var_names, row[2:]):
                 raw = raw.strip()
                 if not raw:
@@ -294,8 +310,8 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
         if not keys:
             raise EmptyFileError(f"{path}: header but no data rows")
 
-    years = sorted({y for _, y in keys})
-    return PanelDataset(countries, years, cells), key_col
+    countries = dict.fromkeys(c for c, _ in keys)
+    return PanelDataset(countries, sorted({y for _, y in keys}), cells), key_col
 
 
 def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA) -> PanelDataset:
@@ -304,8 +320,7 @@ def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA
     Header is `country,year,<var>,...`; empty cells are missing observations.
     Pass schema=None to accept arbitrary variable columns.
     """
-    ds, _ = _load_keyed_csv(path, schema, ("year", "decade"))
-    return ds
+    return _load_keyed_csv(path, schema, ("year", "decade"))[0]
 
 
 def load_decade_csv(path: str | Path, schema: Iterable[str] | None = DECADE_SCHEMA) -> PanelDataset:
@@ -325,12 +340,11 @@ def panel_csv_text(ds: PanelDataset, key_name: str = "year") -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["country", key_name, *ds.variables])
-    for country in ds.countries:
-        for year in ds.years:
-            values = [ds.value(v, country, year) for v in ds.variables]
-            if all(v is None for v in values):
-                continue
-            writer.writerow([country, year] + [("" if v is None else repr(v)) for v in values])
+    for i, country in enumerate(ds.countries):
+        for j, year in enumerate(ds.years):
+            if ds._observed[:, i, j].any():
+                cells = zip(ds._values[:, i, j].tolist(), ds._observed[:, i, j].tolist())
+                writer.writerow([country, year] + [repr(v) if seen else "" for v, seen in cells])
     return buf.getvalue()
 
 
@@ -359,62 +373,47 @@ def apply_transform(ds: PanelDataset, t: TransformSpec, out_name: str) -> PanelD
         if operand not in ds.variables:
             raise PanelDataError(f"transform operand {operand!r} not in dataset")
 
-    src = ds.cells(t.source)
-    out: dict[tuple[str, int], float] = {}
+    values, observed = ds._layer(t.source)
     if t.kind == "identity":
-        out = dict(src)
-    elif t.kind == "lag":
-        for country in ds.countries:
-            for year in ds.years:
-                prev = src.get((country, year - t.periods))
-                if prev is not None:
-                    out[(country, year)] = prev
-    elif t.kind == "log_diff":
-        for country in ds.countries:
-            for year in ds.years:
-                v = src.get((country, year))
-                if v is not None and v <= 0.0:
-                    raise NonPositiveForLogError(country, year, v)
-        for country in ds.countries:
-            for year in ds.years:
-                cur = src.get((country, year))
-                prev = src.get((country, year - 1))
-                if cur is not None and prev is not None:
-                    out[(country, year)] = math.log(cur) - math.log(prev)
-    else:  # product
-        other = ds.cells(t.other)
-        for key, a in src.items():
-            b = other.get(key)
-            if b is not None:
-                out[key] = a * b
-    return ds.with_series(out_name, out)
+        return ds._with_layer(out_name, values, observed)
+    if t.kind == "lag":
+        return ds._with_layer(out_name, *_lag(ds, values, observed, t.periods))
+    if t.kind == "product":
+        other, other_observed = ds._layer(t.other)
+        with np.errstate(over="ignore"):  # an overflow is reported as a non-finite cell
+            return ds._with_layer(out_name, values * other, observed & other_observed)
+    bad = np.argwhere(observed & (values <= 0.0))
+    if len(bad):
+        i, j = bad[0]
+        raise NonPositiveForLogError(ds.countries[i], ds.years[j], float(values[i, j]))
+    # math.log, cell by cell: np.log differs from it in the last bit of some cells
+    logs = np.full(values.shape, np.nan)
+    logs[observed] = list(map(math.log, values[observed].tolist()))
+    prev, prev_observed = _lag(ds, logs, observed, 1)
+    return ds._with_layer(out_name, logs - prev, observed & prev_observed)
+
+
+def _lag(ds: PanelDataset, values: np.ndarray, observed: np.ndarray, periods: int):
+    """Calendar lag of a (country, year) layer: year y takes the cell of year y - periods."""
+    src = np.array([ds._year.get(y - periods, -1) for y in ds.years])
+    return np.where(src >= 0, values[:, src], np.nan), (src >= 0) & observed[:, src]
 
 
 def window(ds: PanelDataset, w: DecadeWindow) -> PanelDataset:
-    """Restrict to years inside the window; previously computed transforms keep their cells."""
-    years = [y for y in ds.years if w.start_year <= y <= w.end_year]
-    if not years:
+    """Restrict to years inside the window, a slice of the year axis; earlier transforms keep their cells."""
+    span = slice(bisect_left(ds.years, w.start_year), bisect_right(ds.years, w.end_year))
+    if span.start == span.stop:
         raise EmptyWindowError(f"{w.label}: no dataset years in [{w.start_year}, {w.end_year}]")
-    keep = set(years)
-    series = {
-        name: {key: v for key, v in ds.cells(name).items() if key[1] in keep}
-        for name in ds.variables
-    }
-    return PanelDataset(ds.countries, years, series)
+    return ds._derive(ds.years[span], ds.variables, ds._values[:, :, span], ds._observed[:, :, span])
 
 
 def median_by_window(ds: PanelDataset, var: str, w: DecadeWindow) -> float:
     """Cross-country median of per-country mean values inside the window."""
     if var not in ds.variables:
         raise PanelDataError(f"unknown variable {var!r}")
-    per_country = []
-    for country in ds.countries:
-        values = [
-            v for y in ds.years
-            if w.start_year <= y <= w.end_year and (v := ds.value(var, country, y)) is not None
-        ]
-        if values:
-            per_country.append(sum(values) / len(values))
+    values, observed = ds._layer(var)
+    observed = observed & np.array([w.start_year <= y <= w.end_year for y in ds.years])
+    per_country = [sum(v) / len(v) for v in (row[m].tolist() for row, m in zip(values, observed)) if v]
     if not per_country:
         raise NoDataError(f"{var}: no observations in {w.label}")
     return float(statistics.median(per_country))

@@ -199,6 +199,37 @@ def ols_fit(d: DesignMatrix) -> OlsFit:
     )
 
 
+def ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares on a stack of designs x (G, n, k) and responses y (G, n).
+
+    Each slice gets the arithmetic of `ols_fit`, bit for bit: the column norms,
+    the SVD singularity test and the QR run per slice, and back-substitution,
+    fitted values and the residual sum of squares take the same dot products.
+    Returns the mask of nonsingular slices, their coefficients (G, k) and their
+    residual sums of squares (G,); both are NaN on singular slices.
+    """
+    g, n, k = x.shape
+    if k == 0:
+        raise RegressionError("design has no columns")
+    coef, ssr = np.full((g, k), np.nan), np.full(g, np.nan)
+    norms = np.sqrt(np.einsum("gij,gij->gj", x, x))
+    ok = np.all(norms != 0.0, axis=1)
+    xe = x[ok] / norms[ok][:, None, :]
+    sv = np.linalg.svd(xe, compute_uv=False)
+    fine = ~(sv[:, -1] <= SV_RTOL * sv[:, 0])
+    ok[ok] = fine
+    x, y, norms = x[ok], y[ok], norms[ok]
+    q, r = np.linalg.qr(xe[fine])
+    qty = np.matmul(np.swapaxes(q, 1, 2), y[:, :, None])[:, :, 0]
+    b = np.zeros_like(qty)
+    for i in range(k - 1, -1, -1):
+        b[:, i] = (qty[:, i] - np.matmul(r[:, i, None, i + 1:], b[:, i + 1:, None])[:, 0, 0]) / r[:, i, i]
+    coef[ok] = b / norms
+    resid = y - np.matmul(x, coef[ok][:, :, None])[:, :, 0]
+    ssr[ok] = [float(e @ e) for e in resid]
+    return ok, coef, ssr
+
+
 def robust_cov(fit: OlsFit, d: DesignMatrix) -> np.ndarray:
     """HC1 sandwich: (n/dof) * (X'X)^-1 X' diag(e^2) X (X'X)^-1."""
     if d.x.shape != (fit.n, fit.k) or d.columns != fit.columns:

@@ -23,7 +23,7 @@ from passthru.kvconfig import number_parser
 from passthru.mg_panel import (
     MgResult,
     ModelSpec,
-    fit_country,
+    fit_countries,
     materialize_design,
     mean_group,
     pooled_fixed_effects,
@@ -94,13 +94,16 @@ def _draw_rho(p: DgpParams, rng: np.random.Generator) -> float:
     raise InvalidParamsError("could not draw a stationary persistence coefficient")
 
 
-def _ar1(x: np.ndarray, coef: float) -> np.ndarray:
-    """First-order recursion y[t] = x[t] + coef * y[t-1], starting from rest."""
-    out = np.empty(len(x))
-    prev = 0.0
-    for t, v in enumerate(x.tolist()):
-        prev = v + coef * prev
-        out[t] = prev
+def _ar1(x: np.ndarray, coef: float | np.ndarray) -> np.ndarray:
+    """First-order recursion y[..., t] = x[..., t] + coef * y[..., t-1] along the last axis, from rest.
+
+    `coef` is a scalar or holds one coefficient per row of a 2-d `x`.
+    """
+    out = np.empty_like(x)
+    prev = np.zeros(x.shape[:-1])
+    for t in range(x.shape[-1]):
+        prev = x[..., t] + coef * prev
+        out[..., t] = prev
     return out
 
 
@@ -138,57 +141,41 @@ def generate_panel(
     countries = [f"C{i:02d}" for i in range(p.n_countries)]
     ramp = np.linspace(0.0, 1.0, p.n_years)
 
-    series: dict[str, dict[tuple[str, int], float]] = {
-        name: {}
-        for name in (
-            "cpi", "core_cpi", "ulc", "earnings_h",
-            "output_gap", "unemp_gap", "kof", "em6", "em10",
-        )
-    }
-    if include_growth:
-        series["cpi_growth"] = {}
-        series["ulc_growth"] = {}
+    n = p.n_countries
+    rho, alpha = np.empty(n), np.empty(n)
+    lam_path, cost_innov, eps = np.empty((n, total)), np.empty((n, total)), np.empty((n, total))
+    output_gap, unemp_gap, kof_noise, em6_noise = np.empty((4, n, p.n_years))
     truths: list[CountryTruth] = []
-
-    for country in countries:
+    # draws country by country, in a fixed order; the arithmetic then runs on all countries at once
+    for i, country in enumerate(countries):
         rho_i = _draw_rho(p, rng)
         mu2 = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
         alpha_i = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
         truths.append(CountryTruth(country, rho_i, p.lam + mu2, alpha_i))
+        rho[i], alpha[i], lam_path[i] = rho_i, alpha_i, _lambda_path(p, mu2, total)
+        cost_innov[i] = rng.normal(0.0, p.cost_sd, total)
+        eps[i] = rng.normal(0.0, p.sigma_eps, total)
+        output_gap[i] = rng.normal(0.0, 0.01, p.n_years)
+        unemp_gap[i] = rng.normal(0.0, 0.01, p.n_years)
+        kof_noise[i] = rng.normal(0.0, 0.005, p.n_years)
+        em6_noise[i] = rng.normal(0.0, 0.05, p.n_years)
 
-        cost_innov = rng.normal(0.0, p.cost_sd, total)
-        dc = _ar1(cost_innov, p.cost_ar)
-        eps = rng.normal(0.0, p.sigma_eps, total)
-        lam_path = _lambda_path(p, mu2, total)
-        shocks = lam_path * dc + alpha_i + eps
-        dp = _ar1(shocks, rho_i)
+    dc = _ar1(cost_innov, p.cost_ar)
+    dp = _ar1(lam_path * dc + alpha[:, None] + eps, rho)
+    dp_keep = dp[:, p.burn_in:]
+    dc_keep = dc[:, p.burn_in:]
+    cpi = 100.0 * np.exp(np.cumsum(dp_keep, axis=1))
+    ulc = 100.0 * np.exp(np.cumsum(dc_keep, axis=1))
+    kof = 0.65 + 0.2 * ramp + kof_noise
+    em6 = 0.004 * np.exp(2.0 * ramp) * np.exp(em6_noise)
+    em10 = 1.4 * em6
 
-        dp_keep = dp[p.burn_in:]
-        dc_keep = dc[p.burn_in:]
-        cpi = 100.0 * np.exp(np.cumsum(dp_keep))
-        ulc = 100.0 * np.exp(np.cumsum(dc_keep))
-        output_gap = rng.normal(0.0, 0.01, p.n_years)
-        unemp_gap = rng.normal(0.0, 0.01, p.n_years)
-        kof = 0.65 + 0.2 * ramp + rng.normal(0.0, 0.005, p.n_years)
-        em6 = 0.004 * np.exp(2.0 * ramp) * np.exp(rng.normal(0.0, 0.05, p.n_years))
-        em10 = 1.4 * em6
-
-        for j, year in enumerate(years):
-            key = (country, year)
-            series["cpi"][key] = cpi[j]
-            series["core_cpi"][key] = cpi[j]
-            series["ulc"][key] = ulc[j]
-            series["earnings_h"][key] = ulc[j]
-            series["output_gap"][key] = output_gap[j]
-            series["unemp_gap"][key] = unemp_gap[j]
-            series["kof"][key] = kof[j]
-            series["em6"][key] = em6[j]
-            series["em10"][key] = em10[j]
-            if include_growth:
-                series["cpi_growth"][key] = dp_keep[j]
-                series["ulc_growth"][key] = dc_keep[j]
-
-    ds = PanelDataset(countries, years, series)
+    names = ("cpi", "core_cpi", "ulc", "earnings_h", "output_gap", "unemp_gap", "kof", "em6", "em10")
+    layers = [cpi, cpi, ulc, ulc, output_gap, unemp_gap, kof, em6, em10]
+    if include_growth:
+        names += ("cpi_growth", "ulc_growth")
+        layers += [dp_keep, dc_keep]
+    ds = PanelDataset.from_arrays(countries, years, names, np.stack(layers))
     return (ds, tuple(truths)) if return_truth else ds
 
 
@@ -239,9 +226,7 @@ def default_truths(p: DgpParams, spec: ModelSpec) -> dict[str, float]:
 
 
 def _mg_estimate(ds: PanelDataset, spec: ModelSpec) -> MgResult:
-    materialized = materialize_design(ds, spec)
-    fits = [fit_country(materialized, spec, c) for c in materialized.countries]
-    return mean_group(fits)
+    return mean_group(fit_countries(materialize_design(ds, spec), spec))
 
 
 def _replicate(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str, rep: int) -> dict:

@@ -40,7 +40,7 @@ from passthru.cli_report import (
     stars_for,
 )
 from passthru.kvconfig import number_parser
-from passthru.panel_data import table_a2_path, write_panel_csv
+from passthru.panel_data import PanelDataset, table_a2_path, write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 
 
@@ -346,6 +346,31 @@ def test_fig4_fig5_outputs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+def test_manifest_rerun_rejects_an_input_that_changed(tmp_path, data_dir, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    panel = data / "panel.csv"
+    panel.write_bytes((data_dir / "panel.csv").read_bytes())
+    out = tmp_path / "out"
+    assert main(["preset", "table1", "--data", str(data), "--out", str(out)]) == 0
+    manifest = out / "manifest.json"
+    recorded = json.loads(manifest.read_text())["input_sha256"]
+    assert recorded == {"data.panel_path": hashlib.sha256(panel.read_bytes()).hexdigest()}
+    assert main(["run", str(manifest)]) == 0  # unchanged input: the re-run goes ahead
+
+    header, first, *rest = panel.read_text().splitlines(keepends=True)
+    cells = first.split(",")
+    cells[2] = repr(float(cells[2]) * 1.01)
+    panel.write_text("".join([header, ",".join(cells), *rest]))
+    with pytest.raises(ConfigError) as err:
+        config_from_manifest(manifest)
+    assert err.value.field_path == "data.panel_path"
+    assert str(panel.resolve()) in str(err.value)
+    capsys.readouterr()
+    assert main(["run", str(manifest)]) == 2
+    assert str(panel.resolve()) in capsys.readouterr().err
+
+
 def test_fig2_manifest_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "fig2"
     assert main(["preset", "fig2", "--out", str(out)]) == 0
@@ -445,6 +470,38 @@ def test_stage_wall_times_and_forest_shape_go_to_the_log_only(tmp_path, data_dir
     assert (depth == 0) == (nodes == 12)
     assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written) == [
         "manifest.json", "pd_grid.csv", "pd_grid.json", "pd_slices.csv",
+    ]
+
+
+def test_usable_countries_by_reason_go_to_the_log_only(tmp_path, caplog):
+    base = generate_panel(DgpParams(n_countries=5, n_years=40, seed=7))
+    cells = {v: dict(base.cells(v)) for v in base.variables}
+    for (country, year) in list(cells["cpi"]):
+        if country == "C03" and year >= 1985:  # five years of levels: too few rows everywhere
+            del cells["cpi"][(country, year)]
+        if country == "C04":  # constant cost growth: singular in every window
+            cells["ulc"][(country, year)] = 100.0 * 1.02 ** (year - 1980)
+    data = tmp_path / "panel.csv"
+    write_panel_csv(PanelDataset(base.countries, base.years, cells), data)
+    out = tmp_path / "logged"
+    mapping = {
+        "data.panel_path": str(data),
+        "output.dir": str(out),
+        "decades": "full,1990s",
+        "outputs": "mg_table,passthrough_panel",
+        "exclude": "C00",
+    }
+    with caplog.at_level(logging.INFO, logger="passthru"):
+        written = run_pipeline(config_from_mapping(mapping))
+    messages = [r.getMessage() for r in caplog.records]
+    for line in (
+        "mg_table full: 3 usable countries; unusable: SingularDesign 1, TooFewRows 1",
+        "mg_table 1990s: 3 usable countries; unusable: SingularDesign 1, TooFewRows 1",
+        "passthroughs 1990s: 2 usable countries; unusable: ExcludedByConfig 1, SingularDesign 1, TooFewRows 1",
+    ):
+        assert line in messages
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in written) == [
+        "exclusions.csv", "manifest.json", "mg_table.txt", "passthrough_panel.csv",
     ]
 
 

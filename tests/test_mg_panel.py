@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passthru.mg_panel import (
     CountryFit,
@@ -19,6 +21,7 @@ from passthru.mg_panel import (
     _chi2_sf,
     build_passthrough_spec,
     estimate_decade_passthroughs,
+    fit_countries,
     fit_country,
     long_run_effect,
     materialize_design,
@@ -27,6 +30,7 @@ from passthru.mg_panel import (
     wald_joint,
 )
 from passthru.panel_data import DecadeWindow, PanelDataset, TransformSpec, load_table_a2
+from passthru.regression_core import DesignMatrix, SingularDesignError, ols_fit
 from passthru.synth_lab import DgpParams, generate_panel
 
 
@@ -129,6 +133,100 @@ def test_fit_country_unknown_country(toy_levels):
     spec = build_passthrough_spec("cpi", "ulc")
     with pytest.raises(UnknownCountryError):
         fit_country(materialize_design(toy_levels, spec), spec, "ZZ")
+
+
+# ---------------------------------------------------------------- batched fits
+
+IDENTITY_SPEC = ModelSpec(
+    dependent=Term("y", TransformSpec.identity("y")),
+    regressors=(
+        Term("x_cost", TransformSpec.identity("x_cost"), role="cost"),
+        Term("x_ctrl", TransformSpec.identity("x_ctrl")),
+    ),
+)
+
+
+@st.composite
+def holey_panels(draw) -> PanelDataset:
+    """Panels with holes: mixed row counts, countries below min_obs, constant (singular) cost columns."""
+    countries = [f"K{i}" for i in range(draw(st.integers(2, 9)))]
+    years = range(1990, 1990 + draw(st.integers(8, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hole_rate = draw(st.sampled_from((0.0, 0.05, 0.2, 0.4)))
+    short = draw(st.sets(st.sampled_from(countries), max_size=2))  # five years at most
+    constant_cost = draw(st.sets(st.sampled_from(countries), max_size=2))
+    scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
+    series = {}
+    for var in ("y", "x_cost", "x_ctrl"):
+        series[var] = {
+            (c, yr): 0.02 if var == "x_cost" and c in constant_cost else scale * float(rng.normal())
+            for c in countries
+            for yr in years
+            if rng.random() >= hole_rate and not (c in short and yr >= years[5])
+        }
+    return PanelDataset(countries, years, series)
+
+
+def bits(a: np.ndarray | None) -> bytes | None:
+    return None if a is None else a.tobytes()
+
+
+def ols_reference(ds: PanelDataset, spec: ModelSpec, country: str):
+    """Row count and ols_fit on one country's complete rows; the fit is a reason when there is none."""
+    rows = ds.complete_rows([spec.dependent.name] + [t.name for t in spec.regressors], country)
+    if len(rows) < spec.min_obs_effective:
+        return len(rows), "TooFewRows"
+    x = np.array([[1.0, *vals[1:]] for _, vals in rows])
+    try:
+        return len(rows), ols_fit(DesignMatrix(x, np.array([vals[0] for _, vals in rows]), spec.design_columns))
+    except SingularDesignError:
+        return len(rows), "SingularDesign"
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=holey_panels())
+def test_batched_fits_equal_per_country_ols_bit_for_bit(ds):
+    fits = fit_countries(ds, IDENTITY_SPEC)
+    assert [f.country for f in fits] == list(ds.countries)
+    for fit in fits:
+        n, ref = ols_reference(ds, IDENTITY_SPEC, fit.country)
+        assert fit.n_obs == n
+        if isinstance(ref, str):
+            assert (fit.usable, fit.reason, fit.coefficients, fit.dof) == (False, ref, None, 0)
+        else:
+            assert fit.usable and fit.reason is None
+            assert bits(fit.coefficients) == bits(ref.coefficients)
+            assert (fit.ssr, fit.sigma, fit.dof) == (ref.ssr, ref.sigma, ref.dof)
+        alone = fit_country(ds, IDENTITY_SPEC, fit.country)
+        assert (alone.reason, bits(alone.coefficients)) == (fit.reason, bits(fit.coefficients))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), ds=holey_panels())
+def test_reordering_countries_leaves_mean_group_bit_identical(data, ds):
+    order = data.draw(st.permutations(ds.countries))
+    shuffled = PanelDataset(order, ds.years, {v: ds.cells(v) for v in ds.variables})
+    try:
+        r = mean_group(fit_countries(ds, IDENTITY_SPEC))
+    except TooFewCountriesError:
+        with pytest.raises(TooFewCountriesError):
+            mean_group(fit_countries(shuffled, IDENTITY_SPEC))
+        return
+    again = mean_group(fit_countries(shuffled, IDENTITY_SPEC))
+    assert again.coefficients.tobytes() == r.coefficients.tobytes()
+    assert again.covariance.tobytes() == r.covariance.tobytes()
+    assert np.float64(again.sigma_pooled).tobytes() == np.float64(r.sigma_pooled).tobytes()
+    assert (again.n_countries, again.total_obs) == (r.n_countries, r.total_obs)
+
+
+def test_fit_countries_keeps_the_requested_order():
+    ds = materialize_design(generate_panel(DgpParams(n_countries=4, n_years=20, seed=3)), build_passthrough_spec())
+    spec = build_passthrough_spec()
+    fits = fit_countries(ds, spec, ("C02", "C00"))
+    assert [f.country for f in fits] == ["C02", "C00"]
+    assert fits[0].coefficients.tobytes() == fit_country(ds, spec, "C02").coefficients.tobytes()
+    with pytest.raises(UnknownCountryError):
+        fit_countries(ds, spec, ("C00", "ZZ"))
 
 
 # ---------------------------------------------------------------- mean_group

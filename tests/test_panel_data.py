@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from passthru.panel_data import (
@@ -102,6 +103,64 @@ def test_round_trip_is_bit_exact(tmp_path, toy_levels):
     ds = one_country({1990: 0.1, 1991: 1e-17, 1992: -3.141592653589793})
     path = write_panel_csv(ds, tmp_path / "tricky.csv")
     assert load_panel_csv(path, schema=None) == ds
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def panels_with_holes(draw) -> PanelDataset:
+    """Every (country, year) row keeps at least one observed cell, so the CSV lists it."""
+    countries = draw(st.lists(st.text("ABCXYZ", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    years = sorted(draw(st.sets(st.integers(1950, 2030), min_size=1, max_size=6)))
+    variables = draw(st.lists(st.sampled_from(("v1", "v2", "v3", "v4")), min_size=1, max_size=4, unique=True))
+    series = {v: {} for v in variables}
+    for c in countries:
+        for y in years:
+            present = draw(st.sets(st.sampled_from(variables), min_size=1))
+            for v in present:
+                series[v][(c, y)] = draw(FINITE)
+    return PanelDataset(countries, years, series)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=panels_with_holes())
+def test_panel_with_holes_survives_csv_round_trip_bit_for_bit(ds, tmp_path):
+    path = tmp_path / "holes.csv"
+    path.write_text(panel_csv_text(ds), encoding="utf-8")
+    again = load_panel_csv(path, schema=None)
+    assert (again.countries, again.years, again.variables) == (ds.countries, ds.years, ds.variables)
+    for v in ds.variables:
+        for c in ds.countries:
+            for y in ds.years:
+                cell, back = ds.value(v, c, y), again.value(v, c, y)
+                if (c, y) in ds.cells(v):
+                    assert back.hex() == cell.hex()
+                else:
+                    assert cell is None and back is None
+
+
+def test_array_constructor_copies_and_checks_its_array():
+    values = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])
+    ds = PanelDataset.from_arrays(["AA"], [1990, 1991, 1992], ["x", "y"], values)
+    assert ds == PanelDataset(
+        ["AA"], [1990, 1991, 1992],
+        {"x": {("AA", 1990 + j): v for j, v in enumerate((1.0, 2.0, 3.0))},
+         "y": {("AA", 1990 + j): v for j, v in enumerate((4.0, 5.0, 6.0))}},
+    )
+    values[0, 0, 0] = 99.0  # the dataset keeps its own copy
+    assert ds.value("x", "AA", 1990) == 1.0
+    values[1, 0, 2] = np.inf
+    with pytest.raises(PanelDataError, match=r"y: non-finite value at \(AA, 1992\)"):
+        PanelDataset.from_arrays(["AA"], [1990, 1991, 1992], ["x", "y"], values)
+    with pytest.raises(PanelDataError):
+        PanelDataset.from_arrays(["AA"], [1990], ["x"], np.ones((1, 1, 2)))
+
+
+def test_product_overflow_is_rejected():
+    ds = one_country({1990: 1e200})
+    with pytest.raises(PanelDataError, match="non-finite"):
+        apply_transform(ds, TransformSpec.product("x", "x"), "xx")
 
 
 def test_decade_loader_requires_decade_multiples(tmp_path):

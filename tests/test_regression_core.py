@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import fe_dummy_ols, ols_normal_equations
+from passthru.mg_panel import ModelSpec, Term, pooled_fixed_effects
+from passthru.panel_data import PanelDataset, TransformSpec
 from passthru.regression_core import (
     DegenerateVarianceError,
     DesignMatrix,
@@ -169,6 +173,57 @@ def test_within_matches_dummy_variable_oracle():
     fit = ols_fit(within_transform(design(x, y, ("x0", "x1")), groups))
     expected = fe_dummy_ols(x, y, groups)
     assert np.allclose(fit.coefficients, expected, atol=1e-10)
+
+
+@st.composite
+def unbalanced_panels(draw):
+    """Rows of 2-7 entities with 1-9 rows each, in random order, with random slopes and effects."""
+    sizes = draw(st.lists(st.integers(1, 9), min_size=2, max_size=7))
+    assume(sum(sizes) - len(sizes) >= 4)  # enough within variation for two slopes
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups = [f"e{i}" for i, m in enumerate(sizes) for _ in range(m)]
+    order = rng.permutation(len(groups))
+    groups = [groups[i] for i in order]
+    effects = {g: rng.normal(0.0, 5.0) for g in set(groups)}
+    x = rng.normal(size=(len(groups), 2)) * draw(st.sampled_from((1e-2, 1.0, 1e2)))
+    y = x @ rng.normal(size=2) + np.array([effects[g] for g in groups]) + rng.normal(0.0, 0.1, len(groups))
+    return x, y, groups
+
+
+@settings(max_examples=100, deadline=None)
+@given(panel=unbalanced_panels())
+def test_within_then_ols_matches_dummy_variable_oracle_on_unbalanced_panels(panel):
+    x, y, groups = panel
+    fit = ols_fit(within_transform(design(x, y, ("x0", "x1")), groups))
+    assert fit.columns == ("x0", "x1")
+    assert fit.dof == len(y) - 2 - len(set(groups))
+    assert np.allclose(fit.coefficients, fe_dummy_ols(x, y, groups), rtol=1e-8, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(panel=unbalanced_panels(), year_seed=st.integers(0, 2**32 - 1))
+def test_pooled_fixed_effects_matches_dummy_variable_oracle(panel, year_seed):
+    x, y, groups = panel
+    rng = np.random.default_rng(year_seed)
+    entities = sorted(set(groups))
+    used: dict[str, list[int]] = {g: [] for g in entities}
+    cells: dict[str, dict] = {"y": {}, "a": {}, "b": {}}
+    for (a, b), yy, g in zip(x.tolist(), y.tolist(), groups):
+        year = 1990 + len(used[g]) * 2 + int(rng.integers(0, 2))  # gaps between rows
+        used[g].append(year)
+        for var, value in (("y", yy), ("a", a), ("b", b)):
+            cells[var][(g, year)] = value
+    spec = ModelSpec(
+        dependent=Term("y", TransformSpec.identity("y")),
+        regressors=(Term("a", TransformSpec.identity("a"), role="cost"), Term("b", TransformSpec.identity("b"))),
+    )
+    ds = PanelDataset(entities, range(1990, 2010), cells)
+    rows = [(g, yr) for g in entities for yr in ds.years if ds.value("y", g, yr) is not None]
+    xs = np.array([[ds.value("a", *r), ds.value("b", *r)] for r in rows])
+    ys = np.array([ds.value("y", *r) for r in rows])
+    fit = pooled_fixed_effects(ds, spec)
+    assert fit.columns == ("a", "b")
+    assert np.allclose(fit.coefficients, fe_dummy_ols(xs, ys, [g for g, _ in rows]), rtol=1e-8, atol=1e-10)
 
 
 def test_within_drops_constant_column_and_counts_dof():
