@@ -291,6 +291,8 @@ class ForestConfig:
             raise ConfigError("forest.trees", f"need at least 1 tree, got {self.trees}")
         if self.min_leaf < 1:
             raise ConfigError("forest.min_leaf", f"must be at least 1, got {self.min_leaf}")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ConfigError("forest.max_depth", f"must be at least 0, got {self.max_depth}")
         if not 0.0 < self.subsample <= 1.0:
             raise ConfigError("forest.subsample", f"must lie in (0, 1], got {self.subsample}")
         if self.steps < 2:
@@ -314,6 +316,10 @@ class RunConfig:
     fmt: str = "text"
     min_obs: int | None = None
 
+    def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError("seed", f"must be at least 0, got {self.seed}")
+
 
 # forest.<field> key -> ForestConfig field and its parser; reading, writing and the
 # unknown-key check all go through this table.
@@ -325,6 +331,9 @@ _KNOWN_KEYS = {
     "decades", "exclude", "outputs", *_FOREST_KEYS,
     "seed", "output.dir", "output.format",
 }
+
+# accepted values of an on/off key, in any case; empty means off
+_SWITCHES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False, "": False}
 
 
 def _parse_number(mapping: Mapping[str, str], key: str, cast: type):
@@ -352,12 +361,16 @@ def _given(**settings) -> dict:
 def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None) -> RunConfig:
     """Validate flat config entries into a RunConfig; paths resolve against base_dir."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
+    raw_synthetic = mapping.get("data.synthetic", "")
+    synthetic = _SWITCHES.get(raw_synthetic.strip().lower())
+    if synthetic is None:
+        raise ConfigError("data.synthetic", f"expected true/false, yes/no or 1/0, got {raw_synthetic!r}")
     for key in mapping:
-        if key in _KNOWN_KEYS or key.startswith("dgp."):
-            continue
-        raise ConfigError(key, "unknown configuration key")
+        if key.startswith("dgp.") and not synthetic:
+            raise ConfigError(key, "generator settings need data.synthetic = true")
+        if key not in _KNOWN_KEYS and not key.startswith("dgp."):
+            raise ConfigError(key, "unknown configuration key")
 
-    synthetic = mapping.get("data.synthetic", "").lower() in ("1", "true", "yes")
     dgp = None
     if synthetic:
         try:
@@ -802,44 +815,46 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     return written
 
 
+# preset name -> the RunConfig fields it sets; the CLI's preset choices come from here
+PRESETS: dict[str, dict] = {
+    "table1": {"variants": ("headline",)},
+    "table2": {"variants": ("core",)},
+    "table3": {
+        "variants": ("core",), "control": "output_gap",
+        "decades": ("full", "1990s", "2000s", "2010s"),
+    },
+    "table4": {"variants": ("earnings",)},
+    "table5": {
+        "variants": ("headline",),
+        "decades": ("1980s", "1990s", "2000s", "2010s"),
+        "outputs": ("passthrough_panel", "second_stage"),
+        "exclude": ("CZ", "EE", "LU", "KR"),
+    },
+    "table6": {"variants": ("headline", "core"), "interactions": "globalisation", "decades": ("full",)},
+    "table7": {"variants": ("headline", "core"), "interactions": "lagged_inflation", "decades": ("full",)},
+    "table8": {"variants": ("headline", "core"), "interactions": "both", "decades": ("full",)},
+    "a1": {
+        "variants": ("core",), "control": "unemp_gap",
+        "decades": ("full", "1990s", "2000s", "2010s"),
+    },
+    "fig2": {"outputs": ("medians",), "decades": ()},
+    "fig4": {
+        "variants": ("headline",),
+        "decades": ("1980s", "1990s", "2000s", "2010s"),
+        "outputs": ("passthrough_panel", "importance"),
+        "exclude": ("CZ", "EE", "LU", "KR"),
+    },
+    "fig5": {
+        "variants": ("headline",),
+        "decades": ("1980s", "1990s", "2000s", "2010s"),
+        "outputs": ("passthrough_panel", "pd_grid"),
+        "exclude": ("CZ", "EE", "LU", "KR"),
+    },
+}
+
+
 def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | None, fmt: str) -> RunConfig:
-    presets: dict[str, dict] = {
-        "table1": {"variants": ("headline",)},
-        "table2": {"variants": ("core",)},
-        "table3": {
-            "variants": ("core",), "control": "output_gap",
-            "decades": ("full", "1990s", "2000s", "2010s"),
-        },
-        "table4": {"variants": ("earnings",)},
-        "a1": {
-            "variants": ("core",), "control": "unemp_gap",
-            "decades": ("full", "1990s", "2000s", "2010s"),
-        },
-        "table5": {
-            "variants": ("headline",),
-            "decades": ("1980s", "1990s", "2000s", "2010s"),
-            "outputs": ("passthrough_panel", "second_stage"),
-            "exclude": ("CZ", "EE", "LU", "KR"),
-        },
-        "table6": {"variants": ("headline", "core"), "interactions": "globalisation", "decades": ("full",)},
-        "table7": {"variants": ("headline", "core"), "interactions": "lagged_inflation", "decades": ("full",)},
-        "table8": {"variants": ("headline", "core"), "interactions": "both", "decades": ("full",)},
-        "fig2": {"outputs": ("medians",), "decades": ()},
-        "fig4": {
-            "variants": ("headline",),
-            "decades": ("1980s", "1990s", "2000s", "2010s"),
-            "outputs": ("passthrough_panel", "importance"),
-            "exclude": ("CZ", "EE", "LU", "KR"),
-        },
-        "fig5": {
-            "variants": ("headline",),
-            "decades": ("1980s", "1990s", "2000s", "2010s"),
-            "outputs": ("passthrough_panel", "pd_grid"),
-            "exclude": ("CZ", "EE", "LU", "KR"),
-        },
-    }
-    if name not in presets:
-        raise ConfigError("preset", f"unknown preset {name!r} (choose from {sorted(presets)})")
+    """The RunConfig of preset `name`, one of the CLI's choices (the keys of PRESETS)."""
 
     def data_file(filename: str) -> Path | None:
         if data_dir is None or not (data_dir / filename).is_file():
@@ -852,7 +867,7 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
         decade_path=data_file("decades.csv"),
         seed=seed,
         fmt=fmt,
-        **presets[name],
+        **PRESETS[name],
     )
     if "medians" in cfg.outputs and cfg.decade_path is None:
         cfg = replace(cfg, decade_path=table_a2_path())
@@ -861,12 +876,6 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
     if "pd_grid" in cfg.outputs and cfg.seed is None:
         cfg = replace(cfg, seed=0)
     return cfg
-
-
-PRESET_NAMES = (
-    "table1", "table2", "table3", "table4", "table5",
-    "table6", "table7", "table8", "a1", "fig2", "fig4", "fig5",
-)
 
 
 def _load_run_config(path: Path) -> RunConfig:
@@ -886,7 +895,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     run_p.add_argument("config", type=Path)
 
     preset_p = sub.add_parser("preset", help="run a canned table or figure-data recipe")
-    preset_p.add_argument("name", choices=PRESET_NAMES)
+    preset_p.add_argument("name", choices=PRESETS)
     preset_p.add_argument("--data", type=Path, default=None, help="directory with panel.csv / decades.csv")
     preset_p.add_argument("--out", type=Path, required=True)
     preset_p.add_argument("--seed", type=int, default=None)

@@ -65,11 +65,9 @@ class DgpParams:
             raise InvalidParamsError("need at least one country")
         if self.n_years < 10:
             raise InvalidParamsError("need at least 10 years")
-        for name in ("sigma_mu1", "sigma_mu2", "alpha_sd", "sigma_eps", "cost_sd"):
+        for name in ("sigma_mu1", "sigma_mu2", "alpha_sd", "sigma_eps", "cost_sd", "burn_in", "seed"):
             if getattr(self, name) < 0:
                 raise InvalidParamsError(f"{name} must be non-negative")
-        if self.burn_in < 0:
-            raise InvalidParamsError("burn_in must be non-negative")
         if abs(self.rho) >= _STATIONARY_BOUND and self.sigma_mu1 == 0.0:
             raise InvalidParamsError(f"|rho| must stay below {_STATIONARY_BOUND}")
         if abs(self.cost_ar) >= 1.0:

@@ -11,7 +11,9 @@ is scanned at once in zero-padded (nodes, features, rows) arrays. Trees and
 forests alike go through this one kernel; a forest's trees are grown in
 fixed-size batches in one thread, and the `n_jobs` argument of `fit_forest`
 is unused. Identical data, settings and seed give identical models, whatever
-the batch a tree is grown in or the worker count asked for.
+the batch a tree is grown in or the worker count asked for. A fitted tree is
+a set of flat node arrays in preorder (see `RegressionTree`), which one
+routing function, `importance` and `tree_shape` read.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -64,29 +66,23 @@ class SplitParams:
 
 
 @dataclass(frozen=True, eq=False)
-class Leaf:
-    prediction: float
-    n: int
-    mse: float
-
-
-@dataclass(frozen=True, eq=False)
-class Split:
-    feature: int
-    threshold: float
-    gain: float
-    n: int
-    mse: float
-    left: "Node"
-    right: "Node"
-
-
-Node = Union[Leaf, Split]
-
-
-@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    root: Node
+    """A fitted tree as seven equal-length, read-only node arrays, in preorder.
+
+    Node 0 is the root. A split node i sends the rows with
+    x[feature[i]] <= threshold[i] to its left child, i + 1, and the others to
+    its right child, right[i]. A leaf has feature and right -1, threshold and
+    gain 0. Every node holds its training row count n, the mse of its rows
+    and their mean, prediction.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    gain: np.ndarray
+    n: np.ndarray
+    mse: np.ndarray
+    prediction: np.ndarray
     n_features: int
     params: SplitParams
     feature_names: tuple[str, ...] | None = None
@@ -226,8 +222,10 @@ def _feature_names(x: np.ndarray, feature_names: Sequence[str] | None) -> tuple[
     return tuple(feature_names) if feature_names is not None else None
 
 
-def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray) -> list[Node]:
-    """Grow one tree on each m-row block of (x, y); return the roots.
+def _grow(
+    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """Grow one tree on each m-row block of (x, y); return each tree's node arrays.
 
     Every open node of every tree is split at once, one depth level per pass.
     Each tree's rows are sorted once per feature, stable by (value, row), and
@@ -235,6 +233,10 @@ def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: n
     segments stably, so the children's segments stay sorted. The last order
     is by row, and gives each node's responses in row order for its
     prediction and mse.
+
+    Nodes are numbered as they are created, a level after their parents, and
+    renumbered in preorder at the end: subtree sizes bottom-up, then
+    positions top-down. The arrays come back in `RegressionTree` field order.
     """
     f = features.shape[0]
     starts = np.arange(0, y.shape[0], m)
@@ -242,14 +244,15 @@ def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: n
     order = np.concatenate([order.reshape(f, y.shape[0]), np.arange(y.shape[0])[None]])
     size = np.full(starts.shape, m)
     sse = np.array([_exact_sse(y[s : s + m]) for s in starts])
-    # per node, in creation order (a level after its parents)
-    sizes: list[int] = []
-    predictions: list[float] = []
-    mses: list[float] = []
-    splits: dict[int, tuple[int, float, float, int]] = {}  # node -> feature, threshold, gain, left child
-    depth = 0
+    trees = starts.size
+    # per level, by creation number: every node's (size, mse, prediction), and
+    # the split nodes' (node, left child, feature, threshold, gain); the right
+    # child follows the left one
+    created: list[tuple[np.ndarray, ...]] = []
+    levels: list[tuple[np.ndarray, ...]] = []
+    total = 0  # nodes created so far
     while True:
-        first = len(sizes)
+        first, total = total, total + size.size
         width = int(size.max())
         inside = np.arange(width) < size[:, None]
         rows = order[:, np.where(inside, starts[:, None] + np.arange(width), 0)].swapaxes(0, 1)
@@ -263,14 +266,12 @@ def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: n
             block = np.ascontiguousarray(in_row_order[same, :s])
             prediction[same] = mean = block.mean(axis=1)
             mse[same] = ((block - mean[:, None]) ** 2).mean(axis=1)
-        sizes += size.tolist()
-        predictions += prediction.tolist()
-        mses += mse.tolist()
+        created.append((size, mse, prediction))
 
         lowest = np.where(inside, in_row_order, np.inf).min(axis=1)
         highest = np.where(inside, in_row_order, -np.inf).max(axis=1)
         splittable = (size >= 2 * params.min_leaf) & (lowest != highest)
-        if params.max_depth is not None and depth >= params.max_depth:
+        if params.max_depth is not None and len(levels) >= params.max_depth:
             splittable[:] = False
         nodes = np.nonzero(splittable)[0]
         found = _scan(
@@ -280,9 +281,7 @@ def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: n
         if not chosen:
             break
         node, gain, feature, threshold, n_left, sse_left, sse_right = (np.array(c) for c in zip(*chosen))
-        child = first + starts.size + 2 * np.arange(node.size)
-        for i, j, t, g, c in zip(node.tolist(), feature.tolist(), threshold.tolist(), gain.tolist(), child.tolist()):
-            splits[first + i] = (j, t, g, c)
+        levels.append((first + node, total + 2 * np.arange(node.size), feature, threshold, gain))
 
         # stable partition of each split node's segments: left rows first
         part = rows[node]
@@ -300,16 +299,26 @@ def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: n
         starts = np.column_stack([starts[node], starts[node] + n_left]).ravel()
         size = np.column_stack([n_left, size[node] - n_left]).ravel()
         sse = np.column_stack([sse_left, sse_right]).ravel()
-        depth += 1
 
-    built: list[Node | None] = [None] * len(sizes)
-    for i in range(len(sizes) - 1, -1, -1):
-        if i in splits:
-            feature, threshold, gain, c = splits[i]
-            built[i] = Split(feature, threshold, gain, sizes[i], mses[i], built[c], built[c + 1])
-        else:
-            built[i] = Leaf(predictions[i], sizes[i], mses[i])
-    return built[: y.shape[0] // m]
+    subtree = np.ones(total, dtype=np.intp)
+    for parent, left, *_ in reversed(levels):
+        subtree[parent] += subtree[left] + subtree[left + 1]
+    root = np.cumsum(subtree[:trees]) - subtree[:trees]  # each tree's first slot
+    home = np.repeat(root, subtree[:trees])  # each slot's tree's first slot
+    slot = np.empty(total, dtype=np.intp)  # each node's preorder position in the batch
+    slot[:trees] = root
+    feature, threshold, right, gain = np.full(total, -1), np.zeros(total), np.full(total, -1), np.zeros(total)
+    for parent, left, *split in levels:
+        at = slot[parent]
+        slot[left] = at + 1
+        slot[left + 1] = at + 1 + subtree[left]
+        feature[at], threshold[at], gain[at] = split
+        right[at] = slot[left + 1] - home[at]
+    preorder = np.argsort(slot)  # the creation number of each slot
+    columns = [feature, threshold, right, gain, *(np.concatenate(c)[preorder] for c in zip(*created))]
+    for c in columns:
+        c.flags.writeable = False
+    return list(zip(*(np.split(c, root[1:]) for c in columns)))
 
 
 def fit_tree(
@@ -322,41 +331,31 @@ def fit_tree(
     """Grow a tree by best splits, level by level, until none is admissible."""
     x, y = _validate_xy(x, y)
     names = _feature_names(x, feature_names)
-    (root,) = _grow(x, y, x.shape[0], params, _feature_columns(x, features))
-    return RegressionTree(root=root, n_features=x.shape[1], params=params, feature_names=names)
+    (nodes,) = _grow(x, y, x.shape[0], params, _feature_columns(x, features))
+    return RegressionTree(*nodes, n_features=x.shape[1], params=params, feature_names=names)
 
 
-def _route(node: Node, row: np.ndarray) -> float:
-    while isinstance(node, Split):
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.prediction
-
-
-def _tree_predict_many(root: Node, x: np.ndarray) -> np.ndarray:
+def _tree_predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    """Each row's leaf prediction: node by node, the node's rows split by one mask."""
+    feature, threshold, right = tree.feature.tolist(), tree.threshold.tolist(), tree.right.tolist()
+    prediction = tree.prediction.tolist()
     out = np.empty(x.shape[0])
-
-    def rec(node: Node, idx: np.ndarray) -> None:
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        i, idx = stack.pop()
         if idx.size == 0:
-            return
-        if isinstance(node, Leaf):
-            out[idx] = node.prediction
-            return
-        mask = x[idx, node.feature] <= node.threshold
-        rec(node.left, idx[mask])
-        rec(node.right, idx[~mask])
-
-    rec(root, np.arange(x.shape[0]))
+            continue
+        if feature[i] < 0:
+            out[idx] = prediction[i]
+            continue
+        mask = x[idx, feature[i]] <= threshold[i]
+        stack += [(right[i], idx[~mask]), (i + 1, idx[mask])]
     return out
 
 
 def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
-    """Single-point prediction; forests average their trees (order-independent)."""
-    row = np.asarray(row, dtype=float)
-    if row.shape != (model.n_features,):
-        raise DimensionMismatchError(f"expected {model.n_features} features, got {row.shape}")
-    if isinstance(model, RegressionTree):
-        return _route(model.root, row)
-    return math.fsum(_route(t.root, row) for t in model.trees) / model.n_trees
+    """Single-point prediction: predict_many on one row, so forests average exactly too."""
+    return float(predict_many(model, np.asarray(row, dtype=float)[None])[0])
 
 
 def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
@@ -364,8 +363,8 @@ def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DimensionMismatchError(f"expected (n, {model.n_features}) features")
     if isinstance(model, RegressionTree):
-        return _tree_predict_many(model.root, x)
-    stacked = np.vstack([_tree_predict_many(t.root, x) for t in model.trees])
+        return _tree_predict_many(model, x)
+    stacked = np.vstack([_tree_predict_many(t, x) for t in model.trees])
     # exact summation keeps the forest mean invariant to tree order
     return np.array([math.fsum(col) for col in stacked.T]) / model.n_trees
 
@@ -403,12 +402,12 @@ def fit_forest(
         np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False))
         for t in range(n_trees)
     )
-    roots: list[Node] = []
+    grown: list[tuple[np.ndarray, ...]] = []
     for first in range(0, n_trees, _BATCH_TREES):
         idx = np.concatenate(row_indices[first : first + _BATCH_TREES])
-        roots += _grow(x[idx], y[idx], m, params, cols)
+        grown += _grow(x[idx], y[idx], m, params, cols)
     return ForestModel(
-        trees=tuple(RegressionTree(root, x.shape[1], params, names) for root in roots),
+        trees=tuple(RegressionTree(*nodes, x.shape[1], params, names) for nodes in grown),
         row_indices=row_indices,
         n_features=x.shape[1],
         subsample=subsample,
@@ -431,13 +430,6 @@ class ImportanceReport:
         return float(self.shares[self.feature_names.index(name)])
 
 
-def _iter_splits(node: Node) -> Iterable[Split]:
-    if isinstance(node, Split):
-        yield node
-        yield from _iter_splits(node.left)
-        yield from _iter_splits(node.right)
-
-
 def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> ImportanceReport:
     """Per-feature average of node MSE gains, over every split in the model.
 
@@ -445,15 +437,14 @@ def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> I
     """
     trees = model.trees if isinstance(model, ForestModel) else (model,)
     k = model.n_features
-    gain_sum = np.zeros(k)
-    weight_sum = np.zeros(k)
-    counts = np.zeros(k, dtype=int)
-    for tree in trees:
-        for node in _iter_splits(tree.root):
-            w = float(node.n) if weighted else 1.0
-            gain_sum[node.feature] += w * node.gain
-            weight_sum[node.feature] += w
-            counts[node.feature] += 1
+    feature = np.concatenate([t.feature for t in trees])
+    split = feature >= 0
+    feature = feature[split]
+    # bincount adds in input order, so the gains sum in preorder, tree by tree
+    w = np.concatenate([t.n for t in trees])[split].astype(float) if weighted else np.ones(feature.size)
+    gain_sum = np.bincount(feature, w * np.concatenate([t.gain for t in trees])[split], minlength=k)
+    weight_sum = np.bincount(feature, w, minlength=k)
+    counts = np.bincount(feature, minlength=k)
     if counts.sum() == 0:
         raise NoSplitsError("model has no split nodes")
     raw = np.where(weight_sum > 0, gain_sum / np.where(weight_sum > 0, weight_sum, 1.0), 0.0)
@@ -470,13 +461,13 @@ def tree_shape(model: RegressionTree | ForestModel) -> tuple[int, int]:
     """Node count and greatest depth over the model's trees; a lone leaf has depth 0."""
     trees = model.trees if isinstance(model, ForestModel) else (model,)
     nodes = depth = 0
-    stack = [(tree.root, 0) for tree in trees]
-    while stack:
-        node, level = stack.pop()
-        nodes += 1
-        depth = max(depth, level)
-        if isinstance(node, Split):
-            stack += [(node.left, level + 1), (node.right, level + 1)]
+    for tree in trees:
+        level = [0] * tree.feature.size  # a child's index exceeds its parent's
+        for i, (j, r) in enumerate(zip(tree.feature.tolist(), tree.right.tolist())):
+            if j >= 0:
+                level[i + 1] = level[r] = level[i] + 1
+        nodes += len(level)
+        depth = max(depth, max(level))
     return nodes, depth
 
 

@@ -85,18 +85,33 @@ def bf_fit_tree(x: np.ndarray, y: np.ndarray, min_leaf: int, min_gain: float = 0
     return node
 
 
-def assert_same_tree(node, ref, path="root"):
-    """Node-for-node comparison of a package tree against a brute-force dict tree."""
-    from passthru.tree_forest import Leaf, Split
+def bf_predict(ref: dict, row) -> float:
+    """Route one row down a brute-force dict tree: feature <= threshold goes left."""
+    while "feature" in ref:
+        ref = ref["left"] if row[ref["feature"]] <= ref["threshold"] else ref["right"]
+    return ref["prediction"]
 
+
+def assert_same_tree(tree, ref, path="root", i=0):
+    """Node-for-node comparison of a package tree against a brute-force dict tree.
+
+    Walks the package's preorder node arrays from node i (the left child of a
+    split is the next node) and returns the index just past that subtree; at
+    the root, every node must have been visited.
+    """
     if "feature" not in ref:
-        assert isinstance(node, Leaf), f"{path}: expected a leaf"
-        assert node.n == ref["n"], f"{path}: leaf sizes differ"
-        assert node.prediction == ref["prediction"], f"{path}: leaf predictions differ"
-        return
-    assert isinstance(node, Split), f"{path}: expected a split"
-    assert node.feature == ref["feature"], f"{path}: split features differ"
-    assert node.threshold == ref["threshold"], f"{path}: thresholds differ"
-    assert node.gain == ref["gain"], f"{path}: gains differ"
-    assert_same_tree(node.left, ref["left"], path + ".L")
-    assert_same_tree(node.right, ref["right"], path + ".R")
+        assert tree.feature[i] < 0, f"{path}: expected a leaf"
+        assert tree.n[i] == ref["n"], f"{path}: leaf sizes differ"
+        assert tree.prediction[i] == ref["prediction"], f"{path}: leaf predictions differ"
+        end = i + 1
+    else:
+        assert tree.feature[i] >= 0, f"{path}: expected a split"
+        assert tree.feature[i] == ref["feature"], f"{path}: split features differ"
+        assert tree.threshold[i] == ref["threshold"], f"{path}: thresholds differ"
+        assert tree.gain[i] == ref["gain"], f"{path}: gains differ"
+        right = assert_same_tree(tree, ref["left"], path + ".L", i + 1)
+        assert tree.right[i] == right, f"{path}: right child is not next after the left subtree"
+        end = assert_same_tree(tree, ref["right"], path + ".R", right)
+    if i == 0:
+        assert end == tree.feature.size, f"{path}: nodes outside the tree"
+    return end

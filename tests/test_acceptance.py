@@ -187,7 +187,7 @@ def test_criterion_6_tree_oracle_equivalence():
         y = rng.normal(size=n)
         min_leaf = int(rng.integers(1, 6))
         tree = fit_tree(x, y, SplitParams(min_leaf=min_leaf))
-        assert_same_tree(tree.root, bf_fit_tree(x, y, min_leaf), path=f"trial{trial}")
+        assert_same_tree(tree, bf_fit_tree(x, y, min_leaf), path=f"trial{trial}")
     report(6, "200 random datasets match the brute-force tree node for node",
            time.perf_counter() - start, 30.0)
 

@@ -186,6 +186,7 @@ def test_config_requires_seed_for_forest(tmp_path, data_dir):
         ("forest.subsample", "1.5"),
         ("forest.steps", "0"),
         ("forest.steps", "1"),
+        ("forest.max_depth", "-1"),
     ],
 )
 def test_config_rejects_degenerate_forest_settings(tmp_path, data_dir, key, value):
@@ -199,6 +200,51 @@ def test_config_rejects_degenerate_forest_settings(tmp_path, data_dir, key, valu
     with pytest.raises(ConfigError) as err:
         config_from_mapping(mapping)
     assert err.value.field_path == key
+
+
+@pytest.mark.parametrize(
+    "lines, field",
+    [
+        (("outputs = mg_table", "forest.max_depth = -1"), "forest.max_depth"),
+        (("decades = 1990s,2000s", "outputs = passthrough_panel,pd_grid", "seed = -3"), "seed"),
+        (("data.synthetic = true", "dgp.seed = -1"), "dgp"),
+    ],
+)
+def test_bad_forest_and_seed_values_fail_before_any_output(tmp_path, data_dir, capsys, lines, field):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([f"data.panel_path = {data_dir / 'panel.csv'}", f"output.dir = {out}", *lines]) + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
+def test_preset_rejects_a_negative_seed_before_any_output(tmp_path, data_dir, capsys):
+    out = tmp_path / "out"
+    assert main(["preset", "fig5", "--data", str(data_dir), "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error: seed: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, synthetic", [
+    ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False), ("", False),
+])
+def test_config_synthetic_switch_values(tmp_path, data_dir, value, synthetic):
+    mapping = {"data.panel_path": str(data_dir / "panel.csv"), "output.dir": str(tmp_path), "data.synthetic": value}
+    assert (config_from_mapping(mapping).dgp is not None) == synthetic
+
+
+def test_config_synthetic_switch_is_strict(tmp_path, data_dir):
+    base = {"data.panel_path": str(data_dir / "panel.csv"), "output.dir": str(tmp_path)}
+    for mapping, field in [
+        (base | {"data.synthetic": "ture", "dgp.countires": "30"}, "data.synthetic"),
+        (base | {"data.synthetic": "on"}, "data.synthetic"),
+        (base | {"dgp.seed": "5"}, "dgp.seed"),
+        (base | {"data.synthetic": "no", "dgp.countries": "8"}, "dgp.countries"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(mapping)
+        assert err.value.field_path == field
 
 
 def test_number_parser_reads_field_annotations():

@@ -34,6 +34,8 @@ def test_params_validation():
         DgpParams(cost_ar=1.0)
     with pytest.raises(InvalidParamsError):
         DgpParams(lambda_schedule=())
+    with pytest.raises(InvalidParamsError):
+        DgpParams(seed=-1)
 
 
 def test_noise_free_homogeneous_panel():

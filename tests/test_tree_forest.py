@@ -7,17 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_same_tree, bf_best_split, bf_fit_tree
+from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict
 from passthru import tree_forest
 from passthru.tree_forest import (
     AxisSpec,
     DimensionMismatchError,
     EmptyInputError,
     ForestModel,
-    Leaf,
     NoSplitsError,
     RegressionTree,
-    Split,
     SplitParams,
     TreeError,
     best_split,
@@ -66,7 +64,7 @@ def test_best_split_tie_breaks_to_lowest_feature_then_threshold():
 
 def test_single_row_tree():
     tree = fit_tree(np.array([[3.0]]), np.array([7.5]), SplitParams(min_leaf=1))
-    assert isinstance(tree.root, Leaf)
+    assert tree.feature.tolist() == [-1]
     assert predict(tree, [99.0]) == 7.5
 
 
@@ -87,8 +85,8 @@ def test_fit_tree_empty_input():
 
 def test_fit_tree_max_depth_zero_is_single_leaf():
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1, max_depth=0))
-    assert isinstance(tree.root, Leaf)
-    assert tree.root.prediction == 5.0
+    assert tree.feature.tolist() == [-1]
+    assert tree.prediction[0] == 5.0
 
 
 def test_tree_matches_brute_force_oracle():
@@ -101,7 +99,7 @@ def test_tree_matches_brute_force_oracle():
         min_leaf = int(rng.integers(1, 5))
         tree = fit_tree(x, y, SplitParams(min_leaf=min_leaf))
         ref = bf_fit_tree(x, y, min_leaf)
-        assert_same_tree(tree.root, ref, path=f"trial{trial}")
+        assert_same_tree(tree, ref, path=f"trial{trial}")
 
 
 def test_split_admissibility_postorder():
@@ -111,17 +109,18 @@ def test_split_admissibility_postorder():
     params = SplitParams(min_leaf=7)
     tree = fit_tree(x, y, params)
 
-    def walk(node):
-        if isinstance(node, Leaf):
-            assert node.n >= params.min_leaf
+    def walk(i):
+        if tree.feature[i] < 0:
+            assert tree.n[i] >= params.min_leaf
             return
-        assert node.gain > params.min_gain
-        combined = (node.left.n * node.left.mse + node.right.n * node.right.mse) / node.n
-        assert node.mse - combined == pytest.approx(node.gain, rel=1e-9, abs=1e-12)
-        walk(node.left)
-        walk(node.right)
+        assert tree.gain[i] > params.min_gain
+        left, right = i + 1, tree.right[i]
+        combined = (tree.n[left] * tree.mse[left] + tree.n[right] * tree.mse[right]) / tree.n[i]
+        assert tree.mse[i] - combined == pytest.approx(tree.gain[i], rel=1e-9, abs=1e-12)
+        walk(left)
+        walk(right)
 
-    walk(tree.root)
+    walk(0)
 
 
 def test_monotone_feature_transform_preserves_structure():
@@ -133,25 +132,25 @@ def test_monotone_feature_transform_preserves_structure():
     transformed = x.copy()
     transformed[:, 0] = transformed[:, 0] ** 3  # strictly increasing
 
-    def check(node, tnode, axis_vals, t_axis_vals):
-        assert type(node) is type(tnode)
-        if isinstance(node, Leaf):
-            assert tnode.prediction == node.prediction
-            assert tnode.n == node.n
+    def check(i, ti, axis_vals, t_axis_vals):
+        assert (base.feature[i] < 0) == (other.feature[ti] < 0)
+        if base.feature[i] < 0:
+            assert other.prediction[ti] == base.prediction[i]
+            assert other.n[ti] == base.n[i]
             return
-        assert tnode.feature == node.feature
-        if node.feature == 0:
+        assert other.feature[ti] == base.feature[i]
+        if base.feature[i] == 0:
             # threshold lands in the same gap between observed values
-            below = axis_vals[axis_vals <= node.threshold]
-            t_below = t_axis_vals[t_axis_vals <= tnode.threshold]
+            below = axis_vals[axis_vals <= base.threshold[i]]
+            t_below = t_axis_vals[t_axis_vals <= other.threshold[ti]]
             assert len(below) == len(t_below)
         else:
-            assert tnode.threshold == node.threshold
-        check(node.left, tnode.left, axis_vals, t_axis_vals)
-        check(node.right, tnode.right, axis_vals, t_axis_vals)
+            assert other.threshold[ti] == base.threshold[i]
+        check(i + 1, ti + 1, axis_vals, t_axis_vals)
+        check(base.right[i], other.right[ti], axis_vals, t_axis_vals)
 
     other = fit_tree(transformed, y, params)
-    check(base.root, other.root, np.sort(x[:, 0]), np.sort(transformed[:, 0]))
+    check(0, 0, np.sort(x[:, 0]), np.sort(transformed[:, 0]))
     # routing of every training row is unchanged
     assert np.array_equal(predict_many(base, x), predict_many(other, transformed))
 
@@ -191,13 +190,10 @@ def _on_columns(ref: dict, cols: list[int]) -> dict:
                 left=_on_columns(ref["left"], cols), right=_on_columns(ref["right"], cols))
 
 
-def _nodes(node) -> list[tuple]:
-    """Every field of every node in preorder; repr keeps -0.0 apart from 0.0."""
-    if isinstance(node, Leaf):
-        return [("leaf", repr(node.prediction), node.n, repr(node.mse))]
-    return [("split", node.feature, repr(node.threshold), repr(node.gain), node.n, repr(node.mse))] + (
-        _nodes(node.left) + _nodes(node.right)
-    )
+def _nodes(tree) -> list[tuple]:
+    """Every field of every node, array by array, in preorder; repr keeps -0.0 apart from 0.0."""
+    floats = [list(map(repr, a.tolist())) for a in (tree.threshold, tree.gain, tree.mse, tree.prediction)]
+    return list(zip(tree.feature.tolist(), tree.right.tolist(), tree.n.tolist(), *floats))
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,7 +212,7 @@ def test_fit_tree_agrees_with_brute_force(case):
     x, y, params, features = case
     cols = list(range(x.shape[1])) if features is None else features
     ref = bf_fit_tree(x[:, cols], y, params.min_leaf, params.min_gain, params.max_depth)
-    assert_same_tree(fit_tree(x, y, params, features=features).root, _on_columns(ref, cols))
+    assert_same_tree(fit_tree(x, y, params, features=features), _on_columns(ref, cols))
 
 
 @settings(max_examples=25, deadline=None)
@@ -227,7 +223,7 @@ def test_forest_tree_is_the_tree_of_its_rows(case, n_trees, seed):
     forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
     for tree, rows in zip(forest.trees, forest.row_indices):
         alone = fit_tree(x[rows], y[rows], params, features=features)
-        assert _nodes(tree.root) == _nodes(alone.root)
+        assert _nodes(tree) == _nodes(alone)
 
 
 # ---------------------------------------------------------------- predict
@@ -237,6 +233,55 @@ def test_two_leaf_routing():
     assert predict(tree, [2.4]) == 0.0
     assert predict(tree, [2.6]) == 10.0
     assert np.array_equal(predict_many(tree, [[2.4], [2.6]]), [0.0, 10.0])
+
+
+def _probes(x: np.ndarray, refs: list[dict], extra: list) -> np.ndarray:
+    """The training rows, each again with one split's feature set to exactly its
+    threshold (a row that reaches a split still does, so `<=` is tested there),
+    and the extra rows."""
+    splits, stack = set(), list(refs)
+    while stack:
+        ref = stack.pop()
+        if "feature" in ref:
+            splits.add((ref["feature"], ref["threshold"]))
+            stack += [ref["left"], ref["right"]]
+    rows = [x]
+    for j, threshold in sorted(splits):
+        at = x.copy()
+        at[:, j] = threshold
+        rows.append(at)
+    return np.vstack(rows + [np.array(extra).reshape(-1, x.shape[1])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree_inputs(), st.data())
+def test_tree_routes_like_the_brute_force_tree(case, data):
+    x, y, params, features = case
+    cols = list(range(x.shape[1])) if features is None else features
+    ref = _on_columns(bf_fit_tree(x[:, cols], y, params.min_leaf, params.min_gain, params.max_depth), cols)
+    extra = data.draw(st.lists(FEATURE_VALUES, max_size=6 * x.shape[1]).map(
+        lambda v: v[: len(v) - len(v) % x.shape[1]]))
+    probe = _probes(x, [ref], extra)
+    tree = fit_tree(x, y, params, features=features)
+    expected = [bf_predict(ref, row) for row in probe]
+    assert predict_many(tree, probe).tolist() == expected
+    assert [predict(tree, row) for row in probe] == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree_inputs(min_rows=3), st.integers(1, 5), st.integers(0, 99))
+def test_forest_routes_like_the_brute_force_trees(case, n_trees, seed):
+    x, y, params, features = case
+    cols = list(range(x.shape[1])) if features is None else features
+    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
+    refs = [
+        _on_columns(bf_fit_tree(x[rows][:, cols], y[rows], params.min_leaf, params.min_gain, params.max_depth), cols)
+        for rows in forest.row_indices
+    ]
+    probe = _probes(x, refs, [])
+    expected = [math.fsum(bf_predict(ref, row) for ref in refs) / n_trees for row in probe]
+    assert predict_many(forest, probe).tolist() == expected
+    assert [predict(forest, row) for row in probe] == expected
 
 
 def test_predict_dimension_mismatch():
