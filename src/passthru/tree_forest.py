@@ -14,6 +14,12 @@ is unused. Identical data, settings and seed give identical models, whatever
 the batch a tree is grown in or the worker count asked for. A fitted tree is
 a set of flat node arrays in preorder (see `RegressionTree`), which one
 routing function, `importance` and `tree_shape` read.
+
+Routing gives each row's leaf id. A forest's prediction is the correctly
+rounded sum of its trees' leaf values, divided by the tree count: the sum
+runs over exact integer limbs, one tree at a time, and equals math.fsum, so
+it does not depend on tree order. `partial_dependence` routes the grid and
+every slice through the trees in one pass.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -216,6 +222,10 @@ def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
+def _names(model: RegressionTree | ForestModel) -> tuple[str, ...]:
+    return model.feature_names or tuple(f"x{j}" for j in range(model.n_features))
+
+
 def _feature_names(x: np.ndarray, feature_names: Sequence[str] | None) -> tuple[str, ...] | None:
     if feature_names is not None and len(feature_names) != x.shape[1]:
         raise DimensionMismatchError("one name per feature column")
@@ -335,22 +345,60 @@ def fit_tree(
     return RegressionTree(*nodes, n_features=x.shape[1], params=params, feature_names=names)
 
 
-def _tree_predict_many(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Each row's leaf prediction: node by node, the node's rows split by one mask."""
+def _tree_leaves(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
+    """Each row's leaf node index: node by node, the node's rows split by one mask."""
     feature, threshold, right = tree.feature.tolist(), tree.threshold.tolist(), tree.right.tolist()
-    prediction = tree.prediction.tolist()
-    out = np.empty(x.shape[0])
+    out = np.empty(x.shape[0], dtype=np.intp)
     stack = [(0, np.arange(x.shape[0]))]
     while stack:
         i, idx = stack.pop()
         if idx.size == 0:
             continue
         if feature[i] < 0:
-            out[idx] = prediction[i]
+            out[idx] = i
             continue
         mask = x[idx, feature[i]] <= threshold[i]
         stack += [(right[i], idx[~mask]), (i + 1, idx[mask])]
     return out
+
+
+def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np.ndarray:
+    """Per point, the correctly rounded sum over t of values[t][picks[t]].
+
+    Equal to math.fsum over each point's terms, and so invariant to their
+    order, without a (terms, points) matrix: every value is scaled by a common
+    power of two to an exact integer, split into signed int64 limbs of w bits
+    (Demmel & Hida 2003), and the limbs are summed term by term. Each point's
+    limbs are then joined as a Python int and rounded once by int division.
+    When the scaled values overflow a double, the terms are stacked and
+    summed by math.fsum instead. `picks` is consumed once, in order.
+    """
+    flat = np.concatenate(values)
+    offsets = np.cumsum([0] + [v.size for v in values[:-1]])
+    nonzero = flat[flat != 0.0]
+    lowest = int(np.frexp(nonzero)[1].min()) if nonzero.size else 53
+    shift = min(lowest, 53) - 53  # 2^-shift * each value is an integer
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.ldexp(flat, -shift)
+    if not np.all(np.isfinite(scaled)):
+        stacked = np.vstack([v[p] for v, p in zip(values, picks)])
+        return np.array([math.fsum(col) for col in stacked.T])
+    # w <= 53 keeps each low limb exact in a double; w + log2(terms) <= 62
+    # keeps every limb's sum inside an int64
+    w = min(53, 62 - len(values).bit_length())
+    bits = int(np.frexp(np.abs(scaled).max())[1])
+    limbs = []
+    for _ in range(max(1, -(-bits // w)) - 1):
+        high = np.floor(np.ldexp(scaled, -w))
+        limbs.append(scaled - np.ldexp(high, w))
+        scaled = high
+    table = np.array(limbs + [scaled]).astype(np.int64)
+    acc = 0  # a (limbs, points) array from the first term on
+    for offset, pick in zip(offsets.tolist(), picks):
+        acc += table[:, offset + pick]
+    scale = 1 << -shift
+    totals = (sum(limb << (j * w) for j, limb in enumerate(point)) for point in acc.T.tolist())
+    return np.array([total / scale for total in totals])
 
 
 def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
@@ -359,14 +407,18 @@ def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
 
 
 def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
+    """Each row's prediction; a forest's is the exactly summed mean over its trees."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DimensionMismatchError(f"expected (n, {model.n_features}) features")
+    bad = np.argwhere(~np.isfinite(x))
+    if bad.size:
+        r, j = bad[0].tolist()
+        raise TreeError(f"row {r}: feature {_names(model)[j]!r} is {x[r, j]}, not finite")
     if isinstance(model, RegressionTree):
-        return _tree_predict_many(model, x)
-    stacked = np.vstack([_tree_predict_many(t, x) for t in model.trees])
-    # exact summation keeps the forest mean invariant to tree order
-    return np.array([math.fsum(col) for col in stacked.T]) / model.n_trees
+        return model.prediction[_tree_leaves(model, x)]
+    trees = model.trees
+    return _exact_sums([t.prediction for t in trees], (_tree_leaves(t, x) for t in trees)) / model.n_trees
 
 
 def fit_forest(
@@ -448,9 +500,8 @@ def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> I
     if counts.sum() == 0:
         raise NoSplitsError("model has no split nodes")
     raw = np.where(weight_sum > 0, gain_sum / np.where(weight_sum > 0, weight_sum, 1.0), 0.0)
-    names = model.feature_names or tuple(f"x{j}" for j in range(k))
     return ImportanceReport(
-        feature_names=tuple(names),
+        feature_names=_names(model),
         raw=raw,
         shares=raw / raw.sum(),
         n_splits=tuple(int(c) for c in counts),
@@ -481,6 +532,8 @@ class AxisSpec:
     def __post_init__(self):
         if self.steps < 2:
             raise TreeError("axis needs at least 2 steps")
+        if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
+            raise TreeError(f"axis bounds must be finite, got [{self.minimum}, {self.maximum}]")
         if not (self.maximum > self.minimum):
             raise TreeError("axis maximum must exceed its minimum")
 
@@ -550,7 +603,7 @@ class PdGrid:
 
 def _feature_index(model: ForestModel, feature: int | str) -> int:
     if isinstance(feature, str):
-        names = model.feature_names or tuple(f"x{j}" for j in range(model.n_features))
+        names = _names(model)
         if feature not in names:
             raise DimensionMismatchError(f"unknown feature {feature!r}")
         return names.index(feature)
@@ -568,7 +621,9 @@ def partial_dependence(
 
     With exactly two predictors the surface is the direct prediction, no
     marginalization needed. Slice curves fix one feature and sweep the other
-    along its grid axis. Grid points outside the training range warn but run.
+    along its grid axis. Axes and slices outside the training range warn but
+    run. The grid and all slice points go through the trees in one
+    predict_many call.
     """
     if model.n_features != 2:
         raise DimensionMismatchError("partial dependence grids need a 2-feature model")
@@ -576,7 +631,7 @@ def partial_dependence(
     if set(idx) != {0, 1}:
         raise DimensionMismatchError("grid axes must cover both model features")
 
-    names = model.feature_names or ("x0", "x1")
+    names = _names(model)
     for ax, j in zip(axes, idx):
         if ax.minimum < model.feature_min[j] or ax.maximum > model.feature_max[j]:
             warnings.warn(
@@ -591,27 +646,28 @@ def partial_dependence(
     a, b = np.meshgrid(vals0, vals1, indexing="ij")
     grid[:, idx[0]] = a.ravel()
     grid[:, idx[1]] = b.ravel()
-    surface = predict_many(model, grid).reshape(vals0.size, vals1.size)
 
-    curves: list[SliceCurve] = []
+    # every slice's points follow the grid's, so the trees route them all at once
+    points, shown = [grid], []
     for feature, value in slices:
         j = _feature_index(model, feature)
-        other_pos = 0 if idx[0] != j else 1
-        other_axis = axes[other_pos]
-        other_j = idx[other_pos]
-        sweep = other_axis.values()
+        if not model.feature_min[j] <= value <= model.feature_max[j]:
+            warnings.warn(
+                f"slice at {names[j]!r} = {value:g} lies beyond the training range "
+                f"[{model.feature_min[j]:g}, {model.feature_max[j]:g}]",
+                stacklevel=2,
+            )
+        other = 1 - j
+        sweep = axes[idx.index(other)].values()
         pts = np.empty((sweep.size, 2))
         pts[:, j] = value
-        pts[:, other_j] = sweep
-        curves.append(
-            SliceCurve(
-                fixed_feature=names[j],
-                fixed_value=float(value),
-                along_feature=names[other_j],
-                along_values=sweep,
-                predictions=predict_many(model, pts),
-            )
-        )
+        pts[:, other] = sweep
+        points.append(pts)
+        shown.append((names[j], float(value), names[other], sweep))
+    ends = np.cumsum([p.shape[0] for p in points])
+    predictions = np.split(predict_many(model, np.vstack(points)), ends[:-1])
+    surface = predictions[0].reshape(vals0.size, vals1.size)
+    curves = [SliceCurve(*s, predictions=p) for s, p in zip(shown, predictions[1:])]
     return PdGrid(
         axes=axes,
         axis_names=(names[idx[0]], names[idx[1]]),

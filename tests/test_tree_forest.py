@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,51 @@ def test_predict_dimension_mismatch():
         predict_many(tree, np.ones((3, 2)))
 
 
+# Atoms for the exact forest sum: signs, ties at half an ulp, subnormals, a
+# span past what the integer limbs cover (1e300 with 5e-324), and unrestricted
+# floats kept small enough that 1,100 of them cannot overflow.
+SUM_ATOMS = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0 ** -53, 3 * 2.0 ** -54, 0.1, 0.3, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300]),
+    st.floats(-1e3, 1e3),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(st.integers(1, 12), st.just(1100)),
+    st.integers(1, 6),
+    st.lists(SUM_ATOMS, min_size=1, max_size=6),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_exact_sums_equal_fsum_per_point(n_terms, n_points, atoms, seed):
+    pool = np.array(atoms + [-a for a in atoms])  # cancellation down to exact zeros
+    terms = pool[np.random.default_rng(seed).integers(pool.size, size=(n_terms, n_points))]
+    # each term's values are a one-node-per-point "tree", every point picking its own node
+    got = tree_forest._exact_sums(list(terms), [np.arange(n_points)] * n_terms)
+    assert got.tobytes() == np.array([math.fsum(col) for col in terms.T]).tobytes()
+
+
+def test_exact_sums_of_shared_nodes():
+    values = [np.array([0.1, -0.2, 1e-300]), np.array([0.7]), np.array([5e-324, -0.3])]
+    picks = [np.array([0, 1, 2, 0]), np.array([0, 0, 0, 0]), np.array([1, 0, 0, 1])]
+    expected = [math.fsum(v[p[i]] for v, p in zip(values, picks)) for i in range(4)]
+    assert tree_forest._exact_sums(values, picks).tolist() == expected
+
+
+def test_predict_rejects_non_finite_rows():
+    tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
+    with pytest.raises(TreeError, match=r"row 1: feature 'x0' is inf"):
+        predict_many(tree, [[1.0], [math.inf]])
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=(20, 2))
+    forest = fit_forest(x, rng.normal(size=20), n_trees=3, seed=1, feature_names=("em10", "avg_inflation"))
+    with pytest.raises(TreeError, match=r"row 0: feature 'em10' is nan"):
+        predict_many(forest, [[math.nan, 0.0], [math.inf, 0.0]])
+    with pytest.raises(TreeError, match=r"row 0: feature 'avg_inflation' is -inf"):
+        predict(forest, [0.5, -math.inf])
+
+
 def test_forest_of_identical_trees_equals_tree():
     forest = fit_forest(STEP_X, STEP_Y, n_trees=25, subsample=1.0,
                         seed=1, params=SplitParams(min_leaf=1))
@@ -484,6 +530,51 @@ def test_pd_warns_outside_training_hull():
         partial_dependence(forest, axes)
 
 
+@pytest.mark.parametrize("fixed, message", [
+    ((0, 50.0), r"slice at 'x0' = 50 lies beyond the training range \[-"),
+    (("x1", -9.5), r"slice at 'x1' = -9.5 lies beyond the training range \[-"),
+])
+def test_pd_warns_for_slices_outside_training_range(fixed, message):
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(30, 2))
+    forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=7)
+    with pytest.warns(UserWarning, match=message) as fired:
+        partial_dependence(forest, grid_axes(x, steps=4), [fixed, (0, 0.0)])
+    assert len(fired) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 999),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from([0, 1, "x0", "x1"]), st.floats(-0.5, 1.5)), max_size=4),
+    st.integers(2, 9),
+    st.integers(2, 9),
+)
+def test_pd_routes_grid_and_slices_like_their_points_alone(seed, swap, slices, steps0, steps1):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(30, 2))
+    forest = fit_forest(x, rng.normal(size=30), n_trees=7, seed=seed, params=SplitParams(min_leaf=2))
+    axes = (AxisSpec("x0", 0.0, 1.0, steps0), AxisSpec("x1", 0.0, 1.0, steps1))
+    if swap:
+        axes = axes[::-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid = partial_dependence(forest, axes, slices)
+    a, b = np.meshgrid(*grid.axis_values, indexing="ij")
+    points = np.column_stack([a.ravel(), b.ravel()])[:, ::-1 if swap else 1]
+    assert grid.surface.ravel().tobytes() == predict_many(forest, points).tobytes()
+    assert len(grid.slices) == len(slices)
+    for (feature, value), curve in zip(slices, grid.slices):
+        j = feature if isinstance(feature, int) else int(feature[1])
+        along = {ax.feature: ax for ax in axes}[f"x{1 - j}"].values()
+        pts = np.empty((along.size, 2))
+        pts[:, j] = value
+        pts[:, 1 - j] = along
+        assert np.array_equal(curve.along_values, along)
+        assert curve.predictions.tobytes() == predict_many(forest, pts).tobytes()
+
+
 def test_pd_requires_two_feature_model():
     rng = np.random.default_rng(16)
     x = rng.uniform(size=(30, 3))
@@ -497,3 +588,9 @@ def test_axis_spec_validation():
         AxisSpec("x0", 0.0, 1.0, 1)
     with pytest.raises(TreeError):
         AxisSpec("x0", 1.0, 0.0, 5)
+
+
+@pytest.mark.parametrize("low, high", [(-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+def test_axis_spec_rejects_non_finite_bounds(low, high):
+    with pytest.raises(TreeError, match="axis bounds must be finite"):
+        AxisSpec(0, low, high, 3)
