@@ -29,6 +29,7 @@ from passthru import __version__
 from passthru.errors import PassthruError
 from passthru.kvconfig import format_kv, number_parser, parse_kv_text
 from passthru.mg_panel import (
+    MgError,
     MgResult,
     ModelSpec,
     NearUnitRootError,
@@ -514,16 +515,21 @@ def config_from_manifest(path: str | Path) -> RunConfig:
     return cfg
 
 
-def _build_spec(cfg: RunConfig, variant: str) -> ModelSpec:
-    price, cost = VARIANTS[variant]
-    return build_passthrough_spec(
-        price_var=price,
-        cost_var=cost,
-        controls=(cfg.control,) if cfg.control else (),
-        with_globalisation=cfg.interactions in ("globalisation", "both"),
-        with_lagged_inflation=cfg.interactions in ("lagged_inflation", "both"),
-        min_obs=cfg.min_obs,
-    )
+def _build_specs(cfg: RunConfig) -> dict[str, ModelSpec]:
+    """The model spec of each configured variant; a min_obs below k + 2 is a config error."""
+    try:
+        return {
+            variant: build_passthrough_spec(
+                *VARIANTS[variant],
+                controls=(cfg.control,) if cfg.control else (),
+                with_globalisation=cfg.interactions in ("globalisation", "both"),
+                with_lagged_inflation=cfg.interactions in ("lagged_inflation", "both"),
+                min_obs=cfg.min_obs,
+            )
+            for variant in cfg.variants
+        }
+    except MgError as exc:
+        raise ConfigError("model.min_obs", str(exc)) from exc
 
 
 def _log_usable(where: str, usable: int, reasons: Sequence[str]) -> None:
@@ -670,6 +676,7 @@ def _tree_rows(panel: PassThroughPanel, openness: str) -> tuple:
 
 def run_pipeline(cfg: RunConfig) -> list[Path]:
     """Execute the configured stages and write their files plus a manifest."""
+    specs = _build_specs(cfg)  # before any output: a bad spec is a config error
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ext = EXTENSIONS[cfg.fmt]
     written: list[Path] = []
@@ -711,12 +718,12 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
             if len(cfg.variants) > 1:
                 columns = []
                 for variant in cfg.variants:
-                    spec = _build_spec(cfg, variant)
+                    spec = specs[variant]
                     mat = materialize_design(panel, spec)
                     columns.append((variant, _mg_column(mat, spec, "full"), spec))
                 title = "Pass-through estimates by inflation measure"
             else:
-                spec = _build_spec(cfg, cfg.variants[0])
+                spec = specs[cfg.variants[0]]
                 mat = materialize_design(panel, spec)
                 columns = [(label, _mg_column(mat, spec, label), spec) for label in cfg.decades]
                 title = f"Pass-through estimates ({cfg.variants[0]})"
@@ -731,7 +738,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     if _PANEL_OUTPUTS & set(cfg.outputs):
         with stage("passthroughs"):
             assert panel is not None
-            spec = _build_spec(cfg, cfg.variants[0])
+            spec = specs[cfg.variants[0]]
             windows = [DecadeWindow.from_label(lbl) for lbl in cfg.decades if lbl != "full"]
             pass_panel = estimate_decade_passthroughs(
                 panel, spec, windows, decade_data=decade_data, exclude=cfg.exclude

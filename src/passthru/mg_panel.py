@@ -201,9 +201,9 @@ def fit_countries(
     """OLS on each country's complete rows, in the order of `countries` (default: all).
 
     Countries with equal counts of complete rows are stacked and fitted together
-    by `ols_stack`, so each fit equals `ols_fit` on that country's design bit for
-    bit. Rows are never zero-padded to a common length: padding changes the
-    QR's rounding. Short or singular samples come back unusable.
+    by `ols_stack`, whose slices do not depend on their stack: each fit is
+    `ols_fit` on that country's design. Rows are never zero-padded, as padding
+    changes the QR's rounding. Short or singular samples come back unusable.
     """
     countries = ds.countries if countries is None else tuple(countries)
     for country in countries:
@@ -225,14 +225,14 @@ def fit_countries(
         x = np.moveaxis(block[1:], 0, -1)
         if spec.include_constant:
             x = np.concatenate([np.ones((len(group), n, 1)), x], axis=2)
-        ok, coef, ssr = ols_stack(np.ascontiguousarray(x), np.ascontiguousarray(block[0]))
+        ok, coef, fitted, _ = ols_stack(np.ascontiguousarray(x), block[0])
         dof = n - spec.k
-        for g, fine, b, s in zip(group, ok, coef, ssr.tolist()):
+        for g, fine, b, e in zip(group, ok, coef, block[0] - fitted):
             if not fine:
                 fits[g] = CountryFit(countries[g], (), None, n, math.nan, math.nan, 0, False, "SingularDesign")
             else:
-                sigma = math.sqrt(s / dof) if dof > 0 else math.nan
-                fits[g] = CountryFit(countries[g], spec.design_columns, b, n, sigma, s, dof, True)
+                s = float(e @ e)  # dof >= 2: min_obs is at least k + 2
+                fits[g] = CountryFit(countries[g], spec.design_columns, b, n, math.sqrt(s / dof), s, dof, True)
     return tuple(fits)
 
 
@@ -299,18 +299,24 @@ def mean_group(fits: Iterable[CountryFit]) -> MgResult:
     )
 
 
+def _slot_indices(r: MgResult, slots: Sequence[str]) -> list[int]:
+    """Result columns of the slots; an unknown or repeated slot raises, naming it."""
+    for s in slots:
+        if s not in r.columns or slots.count(s) > 1:
+            raise MgError(f"slot {s!r} is {'repeated' if s in r.columns else 'unknown'} (columns: {list(r.columns)})")
+    return [r.columns.index(s) for s in slots]
+
+
 def long_run_effect(r: MgResult, cost_slot: str, rho_slot: str) -> tuple[float, float]:
     """Cumulative effect cost/(1 - persistence), with a delta-method SE."""
-    i_rho = r.columns.index(rho_slot)
-    i_cost = r.columns.index(cost_slot)
-    rho = float(r.coefficients[i_rho])
-    lam = float(r.coefficients[i_cost])
+    idx = _slot_indices(r, [rho_slot, cost_slot])
+    rho, lam = (float(v) for v in r.coefficients[idx])
     denom = 1.0 - rho
     if abs(denom) <= 1e-6:
         raise NearUnitRootError(f"persistence {rho} too close to 1")
     value = lam / denom
     grad = np.array([lam / denom**2, 1.0 / denom])
-    sub = r.covariance[np.ix_([i_rho, i_cost], [i_rho, i_cost])]
+    sub = r.covariance[np.ix_(idx, idx)]
     var = float(grad @ sub @ grad)
     return value, math.sqrt(max(var, 0.0))
 
@@ -343,7 +349,7 @@ def wald_joint(r: MgResult, slots: Sequence[str] | None = None) -> tuple[float, 
         raise MgError("the constant is not part of a joint slope test")
     if not slots:
         raise MgError("empty slot subset")
-    idx = [r.columns.index(s) for s in slots]
+    idx = _slot_indices(r, slots)
     theta = r.coefficients[idx]
     v = r.covariance[np.ix_(idx, idx)]
     sv = np.linalg.svd(v, compute_uv=False)

@@ -1,8 +1,9 @@
 """Dense least squares: QR fit, HC1 sandwich covariance, within transform, R2 parts.
 
-Solves through an orthogonal decomposition on column-norm equilibrated data,
-never through raw normal equations; decade-window designs with interaction
-columns can be badly conditioned.
+One kernel, `ols_stack`, solves every fit (`ols_fit` is one slice of it)
+through an orthogonal decomposition on column-norm equilibrated data, never
+through raw normal equations; decade-window designs with interaction columns
+can be badly conditioned.
 """
 
 from __future__ import annotations
@@ -129,36 +130,17 @@ def _dependent_columns(xe: np.ndarray, columns: tuple[str, ...]) -> tuple[str, .
     return tuple(dependent)
 
 
-def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the upper-triangular system r x = b, last row first."""
-    x = np.zeros_like(b)
-    for i in range(len(b) - 1, -1, -1):
-        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
-    return x
-
-
 def ols_fit(d: DesignMatrix) -> OlsFit:
-    """Least-squares fit via QR on the equilibrated design."""
+    """Least squares on one design: `ols_stack` on one slice, plus residuals, (X'X)^-1 and R2."""
     x, y = d.x, d.y
     n, k = x.shape
-    if n < k:
-        raise TooFewRowsError(f"{n} rows cannot identify {k} coefficients")
-    if k == 0:
-        raise RegressionError("design has no columns")
-
+    ok, coef, fitted, r = (a[0] for a in ols_stack(x[None], y[None]))
     norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-    dead = [c for c, s in zip(d.columns, norms) if s == 0.0]
-    if dead:
-        raise SingularDesignError(dead, "all-zero columns")
-    xe = x / norms
-
-    sv = np.linalg.svd(xe, compute_uv=False)
-    if sv[-1] <= SV_RTOL * sv[0]:
-        raise SingularDesignError(_dependent_columns(xe, d.columns))
-
-    q, r = np.linalg.qr(xe)
-    coef = _back_substitute(r, q.T @ y) / norms
-    fitted = x @ coef
+    if not ok:
+        dead = [c for c, s in zip(d.columns, norms) if s == 0.0]
+        if dead:
+            raise SingularDesignError(dead, "all-zero columns")
+        raise SingularDesignError(_dependent_columns(x / norms, d.columns))
     resid = y - fitted
     ssr = float(resid @ resid)
 
@@ -199,35 +181,40 @@ def ols_fit(d: DesignMatrix) -> OlsFit:
     )
 
 
-def ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Least squares on a stack of designs x (G, n, k) and responses y (G, n).
 
-    Each slice gets the arithmetic of `ols_fit`, bit for bit: the column norms,
-    the SVD singularity test and the QR run per slice, and back-substitution,
-    fitted values and the residual sum of squares take the same dot products.
-    Returns the mask of nonsingular slices, their coefficients (G, k) and their
-    residual sums of squares (G,); both are NaN on singular slices.
+    Each slice gets a relative SVD singularity test, then QR on its column-norm
+    equilibrated design; the arithmetic runs per slice, so a slice's results do
+    not depend on the other slices in its stack. Returns the mask of nonsingular
+    slices, their coefficients (G, k), fitted values (G, n) and R factors of the
+    equilibrated QR (G, k, k); all three are NaN on singular slices.
     """
+    if x.ndim != 3 or y.shape != x.shape[:2]:
+        raise ShapeMismatchError(f"x has shape {x.shape} and y {y.shape}, expected (G, n, k) and (G, n)")
     g, n, k = x.shape
+    if n < k:
+        raise TooFewRowsError(f"{n} rows cannot identify {k} coefficients")
     if k == 0:
         raise RegressionError("design has no columns")
-    coef, ssr = np.full((g, k), np.nan), np.full(g, np.nan)
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise RegressionError("design must not contain missing or non-finite cells")
+    coef, fitted, r_all = np.full((g, k), np.nan), np.full((g, n), np.nan), np.full((g, k, k), np.nan)
     norms = np.sqrt(np.einsum("gij,gij->gj", x, x))
     ok = np.all(norms != 0.0, axis=1)
     xe = x[ok] / norms[ok][:, None, :]
     sv = np.linalg.svd(xe, compute_uv=False)
     fine = ~(sv[:, -1] <= SV_RTOL * sv[:, 0])
     ok[ok] = fine
-    x, y, norms = x[ok], y[ok], norms[ok]
     q, r = np.linalg.qr(xe[fine])
-    qty = np.matmul(np.swapaxes(q, 1, 2), y[:, :, None])[:, :, 0]
+    qty = np.matmul(np.swapaxes(q, 1, 2), y[ok][:, :, None])[:, :, 0]
     b = np.zeros_like(qty)
     for i in range(k - 1, -1, -1):
         b[:, i] = (qty[:, i] - np.matmul(r[:, i, None, i + 1:], b[:, i + 1:, None])[:, 0, 0]) / r[:, i, i]
-    coef[ok] = b / norms
-    resid = y - np.matmul(x, coef[ok][:, :, None])[:, :, 0]
-    ssr[ok] = [float(e @ e) for e in resid]
-    return ok, coef, ssr
+    coef[ok] = b / norms[ok]
+    fitted[ok] = np.matmul(x[ok], coef[ok][:, :, None])[:, :, 0]
+    r_all[ok] = r
+    return ok, coef, fitted, r_all
 
 
 def robust_cov(fit: OlsFit, d: DesignMatrix) -> np.ndarray:

@@ -600,6 +600,15 @@ def test_synthetic_config_drives_generator(tmp_path):
     assert (tmp_path / "sout" / "mg_table.txt").is_file()
 
 
+def test_min_obs_below_k_plus_2_fails_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "synth.cfg"
+    cfg.write_text(f"data.synthetic = true\nmodel.variants = headline,core\nmodel.min_obs = 2\noutput.dir = {out}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: model.min_obs: min_obs must be >= k + 2 = 5\n"
+    assert not out.exists()
+
+
 def test_config_to_mapping_round_trips(tmp_path, data_dir):
     mapping = {
         "data.panel_path": str(data_dir / "panel.csv"),

@@ -401,6 +401,18 @@ def test_wald_rejects_constant_in_subset():
         wald_joint(r, ["const"])
 
 
+def test_unknown_or_repeated_slots_are_named():
+    r = mg_from_matrix([[0.0, 0.1, 0.3], [0.1, 0.2, 0.1], [0.2, 0.3, 0.4]])
+    with pytest.raises(MgError, match="slot 'b9' is unknown"):
+        wald_joint(r, ["b0", "b9"])
+    with pytest.raises(MgError, match="slot 'b0' is repeated"):
+        wald_joint(r, ["b0", "b0"])
+    with pytest.raises(MgError, match="slot 'rho' is unknown"):
+        long_run_effect(r, "b1", "rho")
+    with pytest.raises(MgError, match="slot 'b1' is repeated"):
+        long_run_effect(r, "b1", "b1")
+
+
 def test_wald_null_size_simulation():
     rng = np.random.default_rng(2024)
     n_countries, reps = 50, 2000

@@ -11,11 +11,13 @@ from passthru.panel_data import PanelDataset, TransformSpec
 from passthru.regression_core import (
     DegenerateVarianceError,
     DesignMatrix,
+    RegressionError,
     ShapeMismatchError,
     SingularDesignError,
     TooFewRowsError,
     UnmappedRowError,
     ols_fit,
+    ols_stack,
     r2_components,
     robust_cov,
     within_transform,
@@ -94,6 +96,66 @@ def test_scale_equivariance():
         fit = ols_fit(design(scaled, y, ("const", "a", "b")))
         assert fit.coef("a") == pytest.approx(base.coef("a") / c, rel=1e-10)
         assert np.allclose(fit.fitted, base.fitted, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------- ols_stack
+
+@st.composite
+def mixed_stacks(draw):
+    """Stacks (G, n, k) whose slices are regular, have an all-zero column, or are collinear."""
+    g, k = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    n = draw(st.integers(k, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(g, n, k)) * draw(st.sampled_from((1e-3, 1.0, 1e4)))
+    for s, kind in enumerate(draw(st.lists(st.sampled_from(("regular", "zero", "collinear")), min_size=g, max_size=g))):
+        j = int(rng.integers(k))
+        if kind == "zero":
+            x[s, :, j] = 0.0
+        elif kind == "collinear" and k > 1:
+            x[s, :, j] = x[s, :, (j + 1) % k] * rng.choice((-2.0, 0.5, 3.0))
+    return x, rng.normal(size=(g, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=mixed_stacks())
+def test_stack_slices_equal_ols_fit_and_single_slice_stacks(stack):
+    x, y = stack
+    ok, coef, fitted, r = ols_stack(x, y)
+    for g in range(x.shape[0]):
+        try:
+            fit = ols_fit(design(x[g], y[g], [f"c{j}" for j in range(x.shape[2])]))
+        except SingularDesignError:
+            assert not ok[g]
+            assert np.isnan(coef[g]).all() and np.isnan(fitted[g]).all() and np.isnan(r[g]).all()
+            continue
+        assert ok[g]
+        assert coef[g].tobytes() == fit.coefficients.tobytes()
+        assert fitted[g].tobytes() == fit.fitted.tobytes()
+        alone = ols_stack(x[g][None], y[g][None])
+        assert r[g].tobytes() == alone[3][0].tobytes()
+
+
+def test_stack_rejects_too_few_rows():
+    with pytest.raises(TooFewRowsError):
+        ols_stack(np.random.default_rng(0).random((2, 2, 3)), np.zeros((2, 2)))
+
+
+def test_stack_rejects_mismatched_shapes():
+    rng = np.random.default_rng(1)
+    with pytest.raises(ShapeMismatchError):
+        ols_stack(rng.random((2, 5, 2)), rng.random((2, 4)))
+    with pytest.raises(ShapeMismatchError):
+        ols_stack(rng.random((5, 2)), rng.random(5))
+
+
+def test_stack_rejects_non_finite_cells():
+    x, y = np.random.default_rng(2).random((2, 5, 2)), np.zeros((2, 5))
+    x[1, 3, 0] = np.nan
+    with pytest.raises(RegressionError, match="non-finite"):
+        ols_stack(x, y)
+    y[0, 0] = np.inf
+    with pytest.raises(RegressionError, match="non-finite"):
+        ols_stack(np.ones((2, 5, 1)), y)
 
 
 # ---------------------------------------------------------------- robust_cov
