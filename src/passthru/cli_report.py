@@ -463,6 +463,7 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
         raise ConfigError("data.panel_path", "required data file not configured")
     if "medians" in cfg.outputs and decade_path is None:
         raise ConfigError("data.decade_path", "medians need the decade covariate file")
+    _build_specs(cfg)  # a model.min_obs below k + 2 fails here, at parse time
     return cfg
 
 

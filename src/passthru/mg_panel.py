@@ -206,14 +206,15 @@ def fit_countries(
     changes the QR's rounding. Short or singular samples come back unusable.
     """
     countries = ds.countries if countries is None else tuple(countries)
-    for country in countries:
-        if country not in ds.countries:
-            raise UnknownCountryError(country)
+    try:
+        pos = ds.country_positions(countries)
+    except KeyError as exc:
+        raise UnknownCountryError(exc.args[0]) from None
     names = [spec.dependent.name] + [t.name for t in spec.regressors]
     values, complete = ds.complete_cells(names)
-    pos = [ds.countries.index(c) for c in countries]
     values, complete = values[:, pos], complete[pos]
     counts = complete.sum(axis=1)
+    columns = spec.design_columns
     fits: list[CountryFit | None] = [None] * len(countries)
     for n in sorted(set(counts.tolist())):
         group = np.flatnonzero(counts == n)
@@ -232,7 +233,7 @@ def fit_countries(
                 fits[g] = CountryFit(countries[g], (), None, n, math.nan, math.nan, 0, False, "SingularDesign")
             else:
                 s = float(e @ e)  # dof >= 2: min_obs is at least k + 2
-                fits[g] = CountryFit(countries[g], spec.design_columns, b, n, math.sqrt(s / dof), s, dof, True)
+                fits[g] = CountryFit(countries[g], columns, b, n, math.sqrt(s / dof), s, dof, True)
     return tuple(fits)
 
 

@@ -251,6 +251,10 @@ class PanelDataset:
         rows = [self._row[v] for v in variables]
         return self._values[rows], self._observed[rows].all(axis=0)
 
+    def country_positions(self, countries: Iterable[str]) -> list[int]:
+        """Index of each country on the country axis; an unknown country raises KeyError naming it."""
+        return [self._country[c] for c in countries]
+
     def complete_rows(self, variables: Iterable[str], country: str) -> list[tuple[int, list[float]]]:
         """Years of `country` where every listed variable is observed."""
         values, complete = self.complete_cells(variables)
@@ -405,6 +409,16 @@ def window(ds: PanelDataset, w: DecadeWindow) -> PanelDataset:
     if span.start == span.stop:
         raise EmptyWindowError(f"{w.label}: no dataset years in [{w.start_year}, {w.end_year}]")
     return ds._derive(ds.years[span], ds.variables, ds._values[:, :, span], ds._observed[:, :, span])
+
+
+def country_span(ds: PanelDataset, start: int, stop: int) -> PanelDataset:
+    """Restrict to countries start..stop - 1, a slice of the country axis; every series keeps its cells."""
+    span = slice(start, stop)
+    if not ds.countries[span]:
+        raise PanelDataError(f"no countries in positions [{start}, {stop})")
+    return PanelDataset.__new__(PanelDataset)._set(
+        ds.countries[span], ds.years, ds.variables, ds._values[:, span], ds._observed[:, span], first=len(ds.variables)
+    )
 
 
 def median_by_window(ds: PanelDataset, var: str, w: DecadeWindow) -> float:

@@ -21,19 +21,21 @@ import numpy as np
 from passthru.errors import PassthruError
 from passthru.kvconfig import number_parser
 from passthru.mg_panel import (
-    MgResult,
     ModelSpec,
     fit_countries,
     materialize_design,
     mean_group,
     pooled_fixed_effects,
 )
-from passthru.panel_data import PanelDataset
+from passthru.panel_data import PanelDataset, country_span
 
 Z90 = 1.6448536269514722  # standard normal 95th percentile: two-sided 90% band
 
 _STATIONARY_BOUND = 0.95
 _REDRAW_LIMIT = 1000
+# Replications stacked into one panel by monte_carlo: time per replication is flat
+# from 10 upward, and memory grows with the block.
+BLOCK_REPS = 10
 
 
 class InvalidParamsError(PassthruError):
@@ -105,17 +107,60 @@ def _ar1(x: np.ndarray, coef: float | np.ndarray) -> np.ndarray:
     return out
 
 
-def _lambda_path(p: DgpParams, mu2: float, total: int) -> np.ndarray:
-    """Per-period pass-through over burn-in plus emitted years."""
+def _lambda_base(p: DgpParams, total: int) -> np.ndarray:
+    """Per-period pass-through over burn-in plus emitted years, before a country's offset mu2."""
     if p.lambda_schedule is None:
-        return np.full(total, p.lam + mu2)
-    sched = p.lambda_schedule
-    path = np.empty(total)
-    path[: p.burn_in] = sched[0] + mu2
-    for j in range(p.burn_in, total):
-        decade = min((j - p.burn_in) // 10, len(sched) - 1)
-        path[j] = sched[decade] + mu2
-    return path
+        return np.full(total, p.lam)
+    decade = np.minimum(np.maximum(np.arange(total) - p.burn_in, 0) // 10, len(p.lambda_schedule) - 1)
+    return np.array(p.lambda_schedule)[decade]
+
+
+def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], include_growth: bool = False):
+    """One panel per seed, stacked on the country axis, and each country's drawn rho_i, mu2_i and alpha_i.
+
+    Seed `tag`'s countries are `tag + "C00"`, `tag + "C01"`, ... Each seed's
+    generator draws its countries one by one, in a fixed order; the arithmetic
+    then runs on all rows at once and is element-wise per row, so a panel's
+    cells do not depend on the panels stacked with it.
+    """
+    total = p.burn_in + p.n_years
+    n = p.n_countries * len(seeds)
+    rho, mu2, alpha = np.empty((3, n))
+    # a country's series draws, in order: cost and price shocks over burn-in plus
+    # emitted years, then output gap, unemployment gap, kof and em6 noise
+    z = np.empty((n, 2 * total + 4 * p.n_years))
+    rngs = [np.random.default_rng(seed) for seed in seeds.values()]
+    for i in range(n):
+        rng = rngs[i // p.n_countries]
+        rho[i] = _draw_rho(p, rng)
+        mu2[i] = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
+        alpha[i] = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
+        z[i] = rng.standard_normal(z.shape[1])
+    # rng.normal(0, sd, size) is 0 + sd * (standard normal draws), value for value
+    cuts = np.cumsum([0, total, total] + [p.n_years] * 4)
+    cost_innov, eps, output_gap, unemp_gap, kof_noise, em6_noise = (
+        0.0 + sd * z[:, a:b] for sd, a, b in zip((p.cost_sd, p.sigma_eps, 0.01, 0.01, 0.005, 0.05), cuts, cuts[1:])
+    )
+
+    dc = _ar1(cost_innov, p.cost_ar)
+    dp = _ar1((_lambda_base(p, total) + mu2[:, None]) * dc + alpha[:, None] + eps, rho)
+    dp_keep = dp[:, p.burn_in:]
+    dc_keep = dc[:, p.burn_in:]
+    cpi = 100.0 * np.exp(np.cumsum(dp_keep, axis=1))
+    ulc = 100.0 * np.exp(np.cumsum(dc_keep, axis=1))
+    ramp = np.linspace(0.0, 1.0, p.n_years)
+    kof = 0.65 + 0.2 * ramp + kof_noise
+    em6 = 0.004 * np.exp(2.0 * ramp) * np.exp(em6_noise)
+    em10 = 1.4 * em6
+
+    names = ("cpi", "core_cpi", "ulc", "earnings_h", "output_gap", "unemp_gap", "kof", "em6", "em10")
+    layers = [cpi, cpi, ulc, ulc, output_gap, unemp_gap, kof, em6, em10]
+    if include_growth:
+        names += ("cpi_growth", "ulc_growth")
+        layers += [dp_keep, dc_keep]
+    countries = [f"{tag}C{j:02d}" for tag in seeds for j in range(p.n_countries)]
+    years = range(p.start_year, p.start_year + p.n_years)
+    return PanelDataset.from_arrays(countries, years, names, np.stack(layers)), rho, mu2, alpha
 
 
 def generate_panel(
@@ -131,50 +176,14 @@ def generate_panel(
     headline and earnings mirror unit labour costs in this synthetic world.
     With include_growth, the true growth-rate series ride along for
     round-trip checks. With return_truth, the drawn country parameters are
-    returned next to the dataset.
+    returned next to the dataset. This is the one-panel case of the simulator
+    `monte_carlo` stacks its replications with.
     """
-    rng = np.random.default_rng(p.seed if seed is None else seed)
-    total = p.burn_in + p.n_years
-    years = list(range(p.start_year, p.start_year + p.n_years))
-    countries = [f"C{i:02d}" for i in range(p.n_countries)]
-    ramp = np.linspace(0.0, 1.0, p.n_years)
-
-    n = p.n_countries
-    rho, alpha = np.empty(n), np.empty(n)
-    lam_path, cost_innov, eps = np.empty((n, total)), np.empty((n, total)), np.empty((n, total))
-    output_gap, unemp_gap, kof_noise, em6_noise = np.empty((4, n, p.n_years))
-    truths: list[CountryTruth] = []
-    # draws country by country, in a fixed order; the arithmetic then runs on all countries at once
-    for i, country in enumerate(countries):
-        rho_i = _draw_rho(p, rng)
-        mu2 = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
-        alpha_i = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
-        truths.append(CountryTruth(country, rho_i, p.lam + mu2, alpha_i))
-        rho[i], alpha[i], lam_path[i] = rho_i, alpha_i, _lambda_path(p, mu2, total)
-        cost_innov[i] = rng.normal(0.0, p.cost_sd, total)
-        eps[i] = rng.normal(0.0, p.sigma_eps, total)
-        output_gap[i] = rng.normal(0.0, 0.01, p.n_years)
-        unemp_gap[i] = rng.normal(0.0, 0.01, p.n_years)
-        kof_noise[i] = rng.normal(0.0, 0.005, p.n_years)
-        em6_noise[i] = rng.normal(0.0, 0.05, p.n_years)
-
-    dc = _ar1(cost_innov, p.cost_ar)
-    dp = _ar1(lam_path * dc + alpha[:, None] + eps, rho)
-    dp_keep = dp[:, p.burn_in:]
-    dc_keep = dc[:, p.burn_in:]
-    cpi = 100.0 * np.exp(np.cumsum(dp_keep, axis=1))
-    ulc = 100.0 * np.exp(np.cumsum(dc_keep, axis=1))
-    kof = 0.65 + 0.2 * ramp + kof_noise
-    em6 = 0.004 * np.exp(2.0 * ramp) * np.exp(em6_noise)
-    em10 = 1.4 * em6
-
-    names = ("cpi", "core_cpi", "ulc", "earnings_h", "output_gap", "unemp_gap", "kof", "em6", "em10")
-    layers = [cpi, cpi, ulc, ulc, output_gap, unemp_gap, kof, em6, em10]
-    if include_growth:
-        names += ("cpi_growth", "ulc_growth")
-        layers += [dp_keep, dc_keep]
-    ds = PanelDataset.from_arrays(countries, years, names, np.stack(layers))
-    return (ds, tuple(truths)) if return_truth else ds
+    ds, rho, mu2, alpha = _simulate(p, {"": p.seed if seed is None else seed}, include_growth)
+    if not return_truth:
+        return ds
+    drawn = zip(ds.countries, rho.tolist(), mu2.tolist(), alpha.tolist())
+    return ds, tuple(CountryTruth(c, rho_i, p.lam + mu2_i, alpha_i) for c, rho_i, mu2_i, alpha_i in drawn)
 
 
 @dataclass(frozen=True)
@@ -223,18 +232,22 @@ def default_truths(p: DgpParams, spec: ModelSpec) -> dict[str, float]:
     return truths
 
 
-def _mg_estimate(ds: PanelDataset, spec: ModelSpec) -> MgResult:
-    return mean_group(fit_countries(materialize_design(ds, spec), spec))
+def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str, reps: range) -> list[dict]:
+    """Replications `reps` as one stacked panel: each one's (estimate, standard error) of every slot.
 
-
-def _replicate(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str, rep: int) -> dict:
-    """Replication rep: (estimate, standard error) of each slot."""
-    ds = generate_panel(p, seed=(p.seed, rep))
+    Replication r is drawn from the generator seeded (p.seed, r), as
+    `generate_panel(p, seed=(p.seed, r))` draws it; the design and the country
+    fits run once over the block, and each replication's estimate comes from
+    its own slice of countries.
+    """
+    ds = materialize_design(_simulate(p, {f"R{rep}:": (p.seed, rep) for rep in reps})[0], spec)
+    n = p.n_countries
     if estimator == "mg":
-        r = _mg_estimate(ds, spec)
-        return {name: (r.coef(name), r.se_of(name)) for name in slots}
-    fit = pooled_fixed_effects(materialize_design(ds, spec), spec)
-    return {name: (fit.coef(name), fit.se_classical(name)) for name in slots}
+        fits = fit_countries(ds, spec)
+        results = [mean_group(fits[b * n:(b + 1) * n]) for b in range(len(reps))]
+        return [{name: (r.coef(name), r.se_of(name)) for name in slots} for r in results]
+    pooled = [pooled_fixed_effects(country_span(ds, b * n, (b + 1) * n), spec) for b in range(len(reps))]
+    return [{name: (f.coef(name), f.se_classical(name)) for name in slots} for f in pooled]
 
 
 def monte_carlo(
@@ -247,27 +260,46 @@ def monte_carlo(
 ) -> McReport:
     """Repeat generate-and-estimate; report bias, RMSE, and 90% CI coverage.
 
-    n_jobs > 1 runs replications in spawned worker processes. Replication r
-    uses the derived seed (p.seed, r), so results do not depend on scheduling,
-    and a longer run extends a shorter one rep for rep.
-    Aggregation uses compensated summation, making it order-independent.
+    Replications run in blocks of BLOCK_REPS consecutive ones, each block one
+    stacked panel (see `_block`). Replication r uses the derived seed
+    (p.seed, r), and stacking leaves every replication's estimate bit for bit
+    as a fit of `generate_panel(p, seed=(p.seed, r))` alone, so a longer run
+    extends a shorter one rep for rep. Aggregation uses compensated
+    summation, making it order-independent.
+
+    n_jobs, an int >= 1, caps the worker processes: blocks run on
+    min(n_jobs, number of blocks) workers, and in the calling process when
+    that is 1. Workers fork from a forkserver that has imported this module
+    once, so a pool starts in milliseconds; the server starts with the first
+    pool and lives as long as the calling process. Reports do not depend on
+    n_jobs. On Python 3.11 the server does not see `sys.path` entries added at
+    run time (pytest's `pythonpath`, say; `PYTHONPATH` is seen) and skips a
+    preload that fails to import; workers then import the module themselves,
+    which gives the same results and only a slower start.
     """
     if reps < 2:
         raise InvalidParamsError("need at least 2 replications")
     if estimator not in ("mg", "pooled_fe"):
         raise InvalidParamsError(f"unknown estimator {estimator!r}")
+    if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
+        raise InvalidParamsError(f"n_jobs must be an int of at least 1, got {n_jobs!r}")
     truths = dict(truths) if truths is not None else default_truths(p, spec)
     if estimator == "pooled_fe":
         truths.pop("const", None)  # absorbed by the within transform
     if not truths:
         raise InvalidParamsError("no slots with known true values")
 
-    one = partial(_replicate, p, spec, tuple(truths), estimator)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(n_jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(one, range(reps)))
+    run = partial(_block, p, spec, tuple(truths), estimator)
+    blocks = [range(start, min(start + BLOCK_REPS, reps)) for start in range(0, reps, BLOCK_REPS)]
+    workers = min(n_jobs, len(blocks))
+    if workers > 1:
+        context = multiprocessing.get_context("forkserver")
+        context.set_forkserver_preload(["passthru.synth_lab"])
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            done = list(pool.map(run, blocks))
     else:
-        results = [one(rep) for rep in range(reps)]
+        done = [run(block) for block in blocks]
+    results = [replication for block in done for replication in block]
 
     slots: dict[str, SlotStats] = {}
     for name, truth in truths.items():

@@ -115,3 +115,45 @@ def assert_same_tree(tree, ref, path="root", i=0):
     if i == 0:
         assert end == tree.feature.size, f"{path}: nodes outside the tree"
     return end
+
+
+def simulate_panel(p, seed):
+    """The generating process country by country, with one `rng.normal` call per draw.
+
+    Returns the (variable, country, year) values of cpi, ulc, kof, em6 and em10,
+    and each country's (rho_i, lam_i, alpha_i). A rho_i outside the stationary
+    bound is redrawn; the recursions run from rest over the burn-in years,
+    which are then dropped.
+    """
+    rng = np.random.default_rng(seed)
+    total = p.burn_in + p.n_years
+    ramp = np.linspace(0.0, 1.0, p.n_years)
+    layers, truths = [], []
+    for _ in range(p.n_countries):
+        while True:
+            rho = p.rho + rng.normal(0.0, p.sigma_mu1) if p.sigma_mu1 > 0 else p.rho
+            if abs(rho) < 0.95:
+                break
+        mu2 = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
+        alpha = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
+        truths.append((rho, p.lam + mu2, alpha))
+        cost_innov = rng.normal(0.0, p.cost_sd, total)
+        eps = rng.normal(0.0, p.sigma_eps, total)
+        noise = [rng.normal(0.0, sd, p.n_years) for sd in (0.01, 0.01, 0.005, 0.05)]
+        dc, dp = np.zeros(total), np.zeros(total)
+        for t in range(total):
+            if p.lambda_schedule is None:
+                lam = p.lam + mu2
+            else:
+                lam = p.lambda_schedule[min(max(t - p.burn_in, 0) // 10, len(p.lambda_schedule) - 1)] + mu2
+            dc[t] = cost_innov[t] + p.cost_ar * (dc[t - 1] if t else 0.0)
+            dp[t] = lam * dc[t] + alpha + eps[t] + rho * (dp[t - 1] if t else 0.0)
+        em6 = 0.004 * np.exp(2.0 * ramp) * np.exp(noise[3])
+        layers.append([
+            100.0 * np.exp(np.cumsum(dp[p.burn_in:])),
+            100.0 * np.exp(np.cumsum(dc[p.burn_in:])),
+            0.65 + 0.2 * ramp + noise[2],
+            em6,
+            1.4 * em6,
+        ])
+    return np.array(layers).transpose(1, 0, 2), truths

@@ -40,6 +40,7 @@ from passthru.cli_report import (
     stars_for,
 )
 from passthru.kvconfig import number_parser
+from passthru.mg_panel import build_passthrough_spec
 from passthru.panel_data import PanelDataset, table_a2_path, write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 
@@ -458,14 +459,21 @@ def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> Run
         lambda_schedule=st.one_of(st.none(), st.lists(CONFIG_FLOATS, min_size=1, max_size=4).map(tuple)),
         seed=st.integers(0, 2**32),
     )))
+    control = draw(st.sampled_from((None, *CONTROLS)))
+    interactions = draw(st.sampled_from(INTERACTIONS))
+    k = build_passthrough_spec(  # every variant has the same k
+        controls=(control,) if control else (),
+        with_globalisation=interactions in ("globalisation", "both"),
+        with_lagged_inflation=interactions in ("lagged_inflation", "both"),
+    ).k
     return RunConfig(
         out_dir=out_dir,
         panel_path=None if dgp is not None and draw(st.booleans()) else panel_path,
         decade_path=decade_path if "medians" in outputs or draw(st.booleans()) else None,
         dgp=dgp,
         variants=variants,
-        control=draw(st.sampled_from((None, *CONTROLS))),
-        interactions=draw(st.sampled_from(INTERACTIONS)),
+        control=control,
+        interactions=interactions,
         decades=draw(decade_lists if needs_decades else st.one_of(st.just(()), decade_lists)),
         exclude=tuple(draw(st.lists(st.sampled_from(("AT", "CZ", "EE", "LU")), max_size=3))),
         outputs=outputs,
@@ -478,7 +486,7 @@ def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> Run
         ),
         seed=draw(st.integers(0, 10**6)) if "pd_grid" in outputs else draw(st.one_of(st.none(), st.integers(0, 10**6))),
         fmt=draw(st.sampled_from(FORMATS)),
-        min_obs=draw(st.one_of(st.none(), st.integers(1, 40))),
+        min_obs=draw(st.one_of(st.none(), st.integers(k + 2, k + 40))),
     )
 
 
@@ -598,6 +606,15 @@ def test_synthetic_config_drives_generator(tmp_path):
     assert main(["run", str(cfg)]) == 0
     assert (tmp_path / "sout" / "synthetic_panel.csv").is_file()
     assert (tmp_path / "sout" / "mg_table.txt").is_file()
+
+
+def test_config_rejects_min_obs_below_k_plus_2_at_parse_time(tmp_path):
+    base = {"data.synthetic": "true", "output.dir": str(tmp_path / "o"), "model.variants": "headline"}
+    assert config_from_mapping(base | {"model.min_obs": "5"}).min_obs == 5
+    for extra in ({"model.min_obs": "4"}, {"model.min_obs": "5", "model.interactions": "globalisation"}):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(base | extra)
+        assert err.value.field_path == "model.min_obs"
 
 
 def test_min_obs_below_k_plus_2_fails_before_any_output(tmp_path, capsys):

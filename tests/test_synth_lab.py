@@ -1,18 +1,32 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passthru.mg_panel import build_passthrough_spec, fit_country, materialize_design
+from oracles import simulate_panel
+from passthru import synth_lab
+from passthru.mg_panel import (
+    build_passthrough_spec,
+    fit_countries,
+    fit_country,
+    materialize_design,
+    mean_group,
+    pooled_fixed_effects,
+)
 from passthru.panel_data import TransformSpec, apply_transform
 from passthru.synth_lab import (
+    BLOCK_REPS,
     DgpParams,
     Z90,
     InvalidParamsError,
     _ar1,
+    _block,
     default_truths,
     dgp_params_from_mapping,
     dgp_params_to_mapping,
@@ -103,10 +117,114 @@ def test_monte_carlo_report_shape_and_serialization():
 
 def test_monte_carlo_parallel_matches_serial():
     p = DgpParams(n_countries=5, n_years=20, seed=13)
-    serial = monte_carlo(p, SPEC, reps=6)
-    parallel = monte_carlo(p, SPEC, reps=6, n_jobs=4)
+    serial = monte_carlo(p, SPEC, reps=2 * BLOCK_REPS)
+    parallel = monte_carlo(p, SPEC, reps=2 * BLOCK_REPS, n_jobs=4)
     for name in serial.slots:
         assert serial.slots[name] == parallel.slots[name]
+
+
+# sha256 of the sort_keys JSON report of monte_carlo(DgpParams(seed=42), headline spec, reps=40)
+REPORT_SHA256 = {
+    "mg": "4c11164d16c2d6918760aa813a2d3be7532b9e814909c572228b5ead802c923c",
+    "pooled_fe": "e78d32239a1c3c7e7cbc848a23c91ab3422289bbc4573d21d3779885545b62e6",
+}
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2, 3])
+@pytest.mark.parametrize("estimator", sorted(REPORT_SHA256))
+def test_monte_carlo_reports_are_pinned_for_every_worker_count(estimator, n_jobs):
+    report = monte_carlo(DgpParams(seed=42), build_passthrough_spec(), reps=40, estimator=estimator, n_jobs=n_jobs)
+    payload = json.dumps(report.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(payload).hexdigest() == REPORT_SHA256[estimator]
+
+
+@pytest.mark.parametrize("n_jobs", [0, -1, 1.5, "2", True, None])
+def test_monte_carlo_rejects_a_bad_n_jobs(n_jobs):
+    with pytest.raises(InvalidParamsError, match="n_jobs"):
+        monte_carlo(DgpParams(n_countries=3, n_years=12, seed=1), SPEC, reps=3, n_jobs=n_jobs)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the tasks in this process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers, mp_context):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(("reps", "n_jobs", "pool"), [
+    (3, 8, []),
+    (BLOCK_REPS, 2, []),
+    (BLOCK_REPS + 1, 8, [2]),
+    (2 * BLOCK_REPS + 5, 8, [3]),
+    (2 * BLOCK_REPS + 5, 2, [2]),
+    (2 * BLOCK_REPS + 5, 1, []),
+])
+def test_monte_carlo_pool_has_one_worker_per_block_at_most(monkeypatch, reps, n_jobs, pool):
+    p = DgpParams(n_countries=3, n_years=12, seed=2)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
+    report = monte_carlo(p, SPEC, reps=reps, n_jobs=n_jobs)
+    assert _InlinePool.sizes == pool
+    monkeypatch.undo()
+    assert report == monte_carlo(p, SPEC, reps=reps)
+
+
+@st.composite
+def small_dgps(draw) -> DgpParams:
+    floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731
+    return DgpParams(
+        n_countries=draw(st.integers(2, 5)),
+        n_years=draw(st.integers(10, 24)),
+        rho=draw(floats(-0.9, 0.9)),
+        lam=draw(floats(-0.5, 0.5)),
+        # up to 1.0: a rho_i outside the stationary bound is often redrawn
+        sigma_mu1=draw(st.sampled_from([0.0, 0.1, 0.6, 1.0])),
+        sigma_mu2=draw(st.sampled_from([0.0, 0.1])),
+        alpha_sd=draw(st.sampled_from([0.0, 0.005])),
+        sigma_eps=draw(floats(0.001, 0.05)),
+        cost_ar=draw(floats(-0.9, 0.9)),
+        lambda_schedule=draw(st.one_of(st.none(), st.lists(floats(-0.5, 0.5), min_size=1, max_size=3).map(tuple))),
+        burn_in=draw(st.integers(0, 30)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=small_dgps(), seed=st.integers(0, 2**32))
+def test_generate_panel_matches_the_per_country_reference(p, seed):
+    ds, truths = generate_panel(p, seed=seed, return_truth=True)
+    values, expected_truths = simulate_panel(p, seed)
+    assert np.array_equal(ds.complete_cells(["cpi", "ulc", "kof", "em6", "em10"])[0], values)
+    assert [(t.rho_i, t.lam_i, t.alpha_i) for t in truths] == expected_truths
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=small_dgps(), reps=st.integers(1, 8), data=st.data())
+def test_any_split_into_blocks_gives_each_replication_its_own_fit(p, reps, data):
+    cuts = sorted(data.draw(st.sets(st.integers(1, reps - 1), max_size=reps - 1)) if reps > 1 else set())
+    blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, reps])]
+    slots = ("dln_cpi_lag1", "dln_ulc")
+    for estimator in ("mg", "pooled_fe"):
+        stacked = [r for block in blocks for r in _block(p, SPEC, slots, estimator, block)]
+        for rep, got in enumerate(stacked):
+            ds = materialize_design(generate_panel(p, seed=(p.seed, rep)), SPEC)
+            if estimator == "mg":
+                alone = mean_group(fit_countries(ds, SPEC))
+                assert got == {name: (alone.coef(name), alone.se_of(name)) for name in slots}
+            else:
+                alone = pooled_fixed_effects(ds, SPEC)
+                assert got == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
 
 
 def test_monte_carlo_doubling_reps_self_consistency():
