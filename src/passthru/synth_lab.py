@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
@@ -36,6 +38,11 @@ _REDRAW_LIMIT = 1000
 # Replications stacked into one panel by monte_carlo: time per replication is flat
 # from 10 upward, and memory grows with the block.
 BLOCK_REPS = 10
+
+# The worker pool monte_carlo keeps between calls, as (creating pid, workers, pool),
+# and the lock a call holds while it finds, uses or discards the pool.
+_pool: tuple[int, int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
 
 
 class InvalidParamsError(PassthruError):
@@ -63,6 +70,12 @@ class DgpParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidParamsError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        for i, value in enumerate(self.lambda_schedule or ()):
+            if not math.isfinite(value):
+                raise InvalidParamsError(f"lambda_schedule[{i}] must be finite, got {value!r}")
         if self.n_countries < 1:
             raise InvalidParamsError("need at least one country")
         if self.n_years < 10:
@@ -250,6 +263,30 @@ def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str
     return [{name: (f.coef(name), f.se_classical(name)) for name in slots} for f in pooled]
 
 
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept forkserver pool of `workers` processes, started or resized as needed."""
+    global _pool
+    if _pool is not None and _pool[:2] == (os.getpid(), workers):
+        return _pool[2]
+    _discard_pool()
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(["passthru.synth_lab"])
+    _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
+    return _pool[2]
+
+
+def _discard_pool() -> None:
+    """Forget the kept pool, shutting it down if this process started it.
+
+    A pool inherited through os.fork belongs to the parent, which still uses
+    its queues and workers, so a child only drops its copy.
+    """
+    global _pool
+    kept, _pool = _pool, None
+    if kept is not None and kept[0] == os.getpid():
+        kept[2].shutdown(wait=True, cancel_futures=True)
+
+
 def monte_carlo(
     p: DgpParams,
     spec: ModelSpec,
@@ -267,36 +304,48 @@ def monte_carlo(
     extends a shorter one rep for rep. Aggregation uses compensated
     summation, making it order-independent.
 
+    reps is an int >= 2, and every slot of `truths` must be a design column.
     n_jobs, an int >= 1, caps the worker processes: blocks run on
     min(n_jobs, number of blocks) workers, and in the calling process when
     that is 1. Workers fork from a forkserver that has imported this module
-    once, so a pool starts in milliseconds; the server starts with the first
-    pool and lives as long as the calling process. Reports do not depend on
-    n_jobs. On Python 3.11 the server does not see `sys.path` entries added at
-    run time (pytest's `pythonpath`, say; `PYTHONPATH` is seen) and skips a
-    preload that fails to import; workers then import the module themselves,
-    which gives the same results and only a slower start.
+    once. The pool is kept for the next call: a call needing the same number
+    of workers reuses it, one needing another number shuts it down and starts
+    a new one, and a pool started by another process (before an os.fork) is
+    never reused. An exception out of the pool (a worker's error, a dead
+    worker, an interrupt) shuts the pool down before it propagates, so the
+    next call starts afresh. Idle workers live until the interpreter exits,
+    which joins them; calls from several threads take turns on the pool.
+    Reports do not depend on n_jobs. On Python 3.11 the server does not see
+    `sys.path` entries added at run time (pytest's `pythonpath`, say;
+    `PYTHONPATH` is seen) and skips a preload that fails to import; workers
+    then import the module themselves, which gives the same results and only
+    a slower start.
     """
-    if reps < 2:
-        raise InvalidParamsError("need at least 2 replications")
+    for name, value, least in (("reps", reps, 2), ("n_jobs", n_jobs, 1)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise InvalidParamsError(f"{name} must be an int of at least {least}, got {value!r}")
     if estimator not in ("mg", "pooled_fe"):
         raise InvalidParamsError(f"unknown estimator {estimator!r}")
-    if not isinstance(n_jobs, int) or isinstance(n_jobs, bool) or n_jobs < 1:
-        raise InvalidParamsError(f"n_jobs must be an int of at least 1, got {n_jobs!r}")
     truths = dict(truths) if truths is not None else default_truths(p, spec)
     if estimator == "pooled_fe":
         truths.pop("const", None)  # absorbed by the within transform
     if not truths:
         raise InvalidParamsError("no slots with known true values")
+    for slot in truths:
+        if slot not in spec.design_columns:
+            raise InvalidParamsError(f"truths: unknown slot {slot!r}, the design has {spec.design_columns}")
 
     run = partial(_block, p, spec, tuple(truths), estimator)
     blocks = [range(start, min(start + BLOCK_REPS, reps)) for start in range(0, reps, BLOCK_REPS)]
     workers = min(n_jobs, len(blocks))
     if workers > 1:
-        context = multiprocessing.get_context("forkserver")
-        context.set_forkserver_preload(["passthru.synth_lab"])
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            done = list(pool.map(run, blocks))
+        with _pool_lock:
+            pool = _worker_pool(workers)
+            try:
+                done = list(pool.map(run, blocks))
+            except BaseException:
+                _discard_pool()
+                raise
     else:
         done = [run(block) for block in blocks]
     results = [replication for block in done for replication in block]
@@ -328,6 +377,13 @@ _DGP_KEYS = {
 }
 
 
+def _parse(key: str, cast: type, text: str):
+    try:
+        return cast(text)
+    except ValueError:
+        raise InvalidParamsError(f"{key}: cannot parse {text!r}") from None
+
+
 def dgp_params_from_mapping(mapping: Mapping[str, str]) -> DgpParams:
     """Build DgpParams from flat `dgp.key = value` config entries."""
     kwargs: dict = {}
@@ -336,15 +392,12 @@ def dgp_params_from_mapping(mapping: Mapping[str, str]) -> DgpParams:
             continue
         short = key[len("dgp."):]
         if short == "lambda_schedule":
-            kwargs["lambda_schedule"] = tuple(float(v) for v in raw.split(",") if v.strip())
-            continue
-        if short not in _DGP_KEYS:
+            kwargs[short] = tuple(_parse(key, float, v.strip()) for v in raw.split(",") if v.strip())
+        elif short in _DGP_KEYS:
+            attr, cast = _DGP_KEYS[short]
+            kwargs[attr] = _parse(key, cast, raw)
+        else:
             raise InvalidParamsError(f"unknown generator setting {key!r}")
-        attr, cast = _DGP_KEYS[short]
-        try:
-            kwargs[attr] = cast(raw)
-        except ValueError:
-            raise InvalidParamsError(f"{key}: cannot parse {raw!r}") from None
     return DgpParams(**kwargs)
 
 

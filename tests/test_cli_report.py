@@ -220,6 +220,20 @@ def test_bad_forest_and_seed_values_fail_before_any_output(tmp_path, data_dir, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("dgp.lambda_schedule = 0.1,abc", "dgp: dgp.lambda_schedule: cannot parse 'abc'"),
+    ("dgp.rho = nan", "dgp: rho must be finite, got nan"),
+    ("dgp.lam = inf", "dgp: lam must be finite, got inf"),
+])
+def test_bad_generator_values_fail_before_any_output(tmp_path, data_dir, capsys, line, message):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"data.panel_path = {data_dir / 'panel.csv'}\noutput.dir = {out}\ndata.synthetic = true\n{line}\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_preset_rejects_a_negative_seed_before_any_output(tmp_path, data_dir, capsys):
     out = tmp_path / "out"
     assert main(["preset", "fig5", "--data", str(data_dir), "--out", str(out), "--seed", "-1"]) == 2

@@ -3,6 +3,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
+from concurrent.futures import CancelledError, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -50,6 +54,12 @@ def test_params_validation():
         DgpParams(lambda_schedule=())
     with pytest.raises(InvalidParamsError):
         DgpParams(seed=-1)
+    for name in ("rho", "lam", "sigma_mu1", "sigma_mu2", "alpha_mean", "alpha_sd", "sigma_eps", "cost_ar", "cost_sd"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParamsError, match=f"^{name} must be finite"):
+                DgpParams(**{name: value})
+    with pytest.raises(InvalidParamsError, match=r"^lambda_schedule\[1\] must be finite, got nan"):
+        DgpParams(lambda_schedule=(0.1, math.nan))
 
 
 def test_noise_free_homogeneous_panel():
@@ -144,22 +154,53 @@ def test_monte_carlo_rejects_a_bad_n_jobs(n_jobs):
         monte_carlo(DgpParams(n_countries=3, n_years=12, seed=1), SPEC, reps=3, n_jobs=n_jobs)
 
 
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records its size, runs the tasks in this process."""
+@pytest.mark.parametrize("reps", [1, 0, -5, 3.0, "3", True, None])
+def test_monte_carlo_rejects_a_bad_reps(reps):
+    with pytest.raises(InvalidParamsError, match="reps"):
+        monte_carlo(DgpParams(n_countries=3, n_years=12, seed=1), SPEC, reps=reps)
 
-    sizes: list[int] = []
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records starts and shutdowns, runs the tasks in this process."""
+
+    sizes: list[int] = []  # max_workers of each pool started
+    shutdowns: list[tuple[int, bool]] = []  # (max_workers, cancel_futures) of each shutdown
 
     def __init__(self, max_workers, mp_context):
+        self.max_workers = max_workers
+        self.closed = False
         self.sizes.append(max_workers)
 
-    def __enter__(self):
-        return self
+    def map(self, fn, items):
+        for item in items:
+            if self.closed:  # a real pool cancels the tasks left at shutdown
+                raise CancelledError()
+            yield fn(item)
 
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.closed = True
+        self.shutdowns.append((self.max_workers, cancel_futures))
+
+
+class _FailingPool(_InlinePool):
+    """A stand-in whose tasks fail, as they do when a worker dies."""
 
     def map(self, fn, items):
-        return map(fn, items)
+        raise BrokenProcessPool("a worker died")
+
+
+P_POOL = DgpParams(n_countries=3, n_years=12, seed=2)
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """ProcessPoolExecutor replaced by _InlinePool, with no pool kept before or after the test."""
+    synth_lab._discard_pool()
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(_InlinePool, "shutdowns", [])
+    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
+    yield
+    synth_lab._discard_pool()
 
 
 @pytest.mark.parametrize(("reps", "n_jobs", "pool"), [
@@ -170,14 +211,71 @@ class _InlinePool:
     (2 * BLOCK_REPS + 5, 2, [2]),
     (2 * BLOCK_REPS + 5, 1, []),
 ])
-def test_monte_carlo_pool_has_one_worker_per_block_at_most(monkeypatch, reps, n_jobs, pool):
-    p = DgpParams(n_countries=3, n_years=12, seed=2)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
-    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
-    report = monte_carlo(p, SPEC, reps=reps, n_jobs=n_jobs)
+def test_monte_carlo_pool_has_one_worker_per_block_at_most(inline_pool, reps, n_jobs, pool):
+    report = monte_carlo(P_POOL, SPEC, reps=reps, n_jobs=n_jobs)
     assert _InlinePool.sizes == pool
-    monkeypatch.undo()
-    assert report == monte_carlo(p, SPEC, reps=reps)
+    assert report == monte_carlo(P_POOL, SPEC, reps=reps)
+
+
+def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
+    monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
+    kept = synth_lab._pool
+    monte_carlo(P_POOL, SPEC, reps=3, n_jobs=2)  # one block: runs in this process
+    assert monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=2) == monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS)
+    assert _InlinePool.sizes == [2]
+    assert _InlinePool.shutdowns == []
+    assert synth_lab._pool is kept
+
+
+def test_monte_carlo_resizes_its_pool_for_another_worker_count(inline_pool):
+    monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
+    monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=3)
+    assert _InlinePool.sizes == [2, 3]
+    assert [workers for workers, _ in _InlinePool.shutdowns] == [2]
+    assert synth_lab._pool[1] == 3 and not synth_lab._pool[2].closed
+
+
+def test_monte_carlo_discards_a_pool_that_raised(inline_pool, monkeypatch):
+    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _FailingPool)
+    with pytest.raises(BrokenProcessPool, match="a worker died"):
+        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
+    assert synth_lab._pool is None
+    assert _InlinePool.shutdowns == [(2, True)]
+    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
+    report = monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
+    assert _InlinePool.sizes == [2, 2]
+    assert report == monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS)
+
+
+def test_monte_carlo_never_reuses_a_pool_from_another_process(inline_pool):
+    monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
+    pid, workers, inherited = synth_lab._pool
+    synth_lab._pool = (pid + 1, workers, inherited)  # as a child of os.fork finds its parent's pool
+    monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
+    assert _InlinePool.sizes == [2, 2]
+    assert _InlinePool.shutdowns == []  # the parent's pool is the parent's to shut down
+    assert synth_lab._pool[0] == os.getpid() and synth_lab._pool[2] is not inherited
+
+
+def test_monte_carlo_calls_from_threads_take_turns_on_the_pool(inline_pool):
+    serial = monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as threads:
+            calls = [threads.submit(monte_carlo, P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=n) for n in [2, 3] * 4]
+            reports = [call.result(timeout=120) for call in calls]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(report == serial for report in reports)
+
+
+@pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
+def test_monte_carlo_names_an_unknown_truths_slot_before_any_block(inline_pool, estimator):
+    with pytest.raises(InvalidParamsError, match="truths: unknown slot 'x'"):
+        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_ulc": 0.25, "x": 1.0},
+                    estimator=estimator, n_jobs=2)
+    assert _InlinePool.sizes == []
 
 
 @st.composite
@@ -280,6 +378,8 @@ def test_dgp_params_from_mapping():
         dgp_params_from_mapping({"dgp.mystery": "1"})
     with pytest.raises(InvalidParamsError):
         dgp_params_from_mapping({"dgp.rho": "abc"})
+    with pytest.raises(InvalidParamsError, match="^dgp.lambda_schedule: cannot parse 'abc'$"):
+        dgp_params_from_mapping({"dgp.lambda_schedule": "0.1, abc"})
 
 
 def test_dgp_params_mapping_round_trip():
