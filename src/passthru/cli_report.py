@@ -19,7 +19,7 @@ import sys
 import time
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -318,45 +318,96 @@ class RunConfig:
     min_obs: int | None = None
 
     def __post_init__(self):
+        for key, values, allowed in (
+            ("model.variants", self.variants, tuple(VARIANTS)),
+            ("model.control", () if self.control is None else (self.control,), CONTROLS),
+            ("model.interactions", (self.interactions,), INTERACTIONS),
+            ("outputs", self.outputs, OUTPUTS),
+            ("output.format", (self.fmt,), FORMATS),
+        ):
+            for value in values:
+                if value not in allowed:
+                    raise ConfigError(key, f"unknown value {value!r} (choose from {', '.join(allowed)})")
+        for key, values in (("model.variants", self.variants), ("outputs", self.outputs)):
+            if not values:
+                raise ConfigError(key, "must name at least one")
+        for label in self.decades:
+            if label != "full":
+                try:
+                    DecadeWindow.from_label(label)
+                except PassthruError as exc:
+                    raise ConfigError("decades", str(exc)) from exc
         if self.seed is not None and self.seed < 0:
             raise ConfigError("seed", f"must be at least 0, got {self.seed}")
+        if self.seed is None and "pd_grid" in self.outputs:
+            raise ConfigError("seed", "a seed is required whenever the forest runs")
+        # one mg_table column per decade, unless the columns are variants
+        needing = set(self.outputs) & (_PANEL_OUTPUTS | ({"mg_table"} if len(self.variants) == 1 else set()))
+        if not self.decades and needing:
+            raise ConfigError("decades", f"{', '.join(sorted(needing))} need at least one decade")
+        _build_specs(self)  # a model.min_obs below k + 2 fails here
 
 
-# forest.<field> key -> ForestConfig field and its parser; reading, writing and the
-# unknown-key check all go through this table.
-_FOREST_KEYS = {f"forest.{f.name}": (f.name, number_parser(f.type)) for f in fields(ForestConfig)}
-
-_KNOWN_KEYS = {
-    "data.panel_path", "data.decade_path", "data.synthetic",
-    "model.variants", "model.control", "model.interactions", "model.min_obs",
-    "decades", "exclude", "outputs", *_FOREST_KEYS,
-    "seed", "output.dir", "output.format",
+# config key -> field; the field's annotation says how the key's text is read (see
+# _read). Reading, writing and the unknown-key check go through these two tables;
+# data.synthetic and the dgp.* keys make the `dgp` field.
+_RUN_KEYS = {
+    "data.panel_path": "panel_path",
+    "data.decade_path": "decade_path",
+    "model.variants": "variants",
+    "model.control": "control",
+    "model.interactions": "interactions",
+    "model.min_obs": "min_obs",
+    "decades": "decades",
+    "exclude": "exclude",
+    "outputs": "outputs",
+    "seed": "seed",
+    "output.dir": "out_dir",
+    "output.format": "fmt",
 }
+_FOREST_KEYS = {f"forest.{f.name}": f.name for f in fields(ForestConfig)}
 
 # accepted values of an on/off key, in any case; empty means off
 _SWITCHES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False, "": False}
 
 
-def _parse_number(mapping: Mapping[str, str], key: str, cast: type):
-    raw = mapping.get(key)
-    if raw is None or raw == "":
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        kind = "an integer" if cast is int else "a number"
-        raise ConfigError(key, f"expected {kind}, got {raw!r}") from None
+def _read(key: str, annotation: str, raw: str, base: Path):
+    """One config entry's text, read as its field's annotation says.
+
+    A path resolves against base, a list is comma-separated, and a number is an
+    int or a float; an empty path or number is None. A string is stripped, and
+    `none` is None when the field is optional.
+    """
+    kind = annotation.removesuffix(" | None")
+    if kind == "Path":
+        return (base / raw).resolve() if raw else None
+    if kind == "tuple[str, ...]":
+        return tuple(v.strip() for v in raw.split(",") if v.strip())
+    if kind in ("int", "float"):
+        if raw == "":
+            return None
+        try:
+            return number_parser(kind)(raw)
+        except ValueError:
+            raise ConfigError(key, f"expected {'an integer' if kind == 'int' else 'a number'}, got {raw!r}") from None
+    text = raw.strip()
+    return None if text == "none" and annotation == "str | None" else text
 
 
-def _parse_list(raw: str | None) -> tuple[str, ...]:
-    if not raw:
-        return ()
-    return tuple(v.strip() for v in raw.split(",") if v.strip())
+def _read_fields(cls: type, keys: Mapping[str, str], mapping: Mapping[str, str], base: Path) -> dict:
+    """Keyword arguments for `cls` from the entries of `keys` in mapping.
 
-
-def _given(**settings) -> dict:
-    """Drop the settings a config leaves unset, so the dataclass defaults apply."""
-    return {k: v for k, v in settings.items() if v is not None and v != "" and v != ()}
+    An entry read as empty leaves its field at the default, except `decades`,
+    where it means no decades.
+    """
+    annotations = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, name in keys.items():
+        if key in mapping:
+            value = _read(key, annotations[name], mapping[key], base)
+            if value not in (None, "", ()) or key == "decades":
+                kwargs[name] = value
+    return kwargs
 
 
 def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None) -> RunConfig:
@@ -366,11 +417,14 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
     synthetic = _SWITCHES.get(raw_synthetic.strip().lower())
     if synthetic is None:
         raise ConfigError("data.synthetic", f"expected true/false, yes/no or 1/0, got {raw_synthetic!r}")
+    known = {*_RUN_KEYS, *_FOREST_KEYS, "data.synthetic"}
     for key in mapping:
         if key.startswith("dgp.") and not synthetic:
             raise ConfigError(key, "generator settings need data.synthetic = true")
-        if key not in _KNOWN_KEYS and not key.startswith("dgp."):
+        if key not in known and not key.startswith("dgp."):
             raise ConfigError(key, "unknown configuration key")
+    if not mapping.get("output.dir"):
+        raise ConfigError("output.dir", "output directory not configured")
 
     dgp = None
     if synthetic:
@@ -378,129 +432,48 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
             dgp = dgp_params_from_mapping(mapping)
         except PassthruError as exc:
             raise ConfigError("dgp", str(exc)) from exc
+    forest = ForestConfig(**_read_fields(ForestConfig, _FOREST_KEYS, mapping, base))
+    cfg = RunConfig(dgp=dgp, forest=forest, **_read_fields(RunConfig, _RUN_KEYS, mapping, base))
 
-    def resolve(key: str, required: bool) -> Path | None:
-        raw = mapping.get(key)
-        if not raw:
-            if required:
-                raise ConfigError(key, "required data file not configured")
-            return None
-        path = Path(raw)
-        if not path.is_absolute():
-            path = base / path
+    for key, path in _data_files(cfg).items():
         if not path.is_file():
             raise ConfigError(key, f"file not found: {path}")
-        return path.resolve()
-
-    panel_path = resolve("data.panel_path", required=False)
-    decade_path = resolve("data.decade_path", required=False)
-
-    variants = _parse_list(mapping.get("model.variants"))
-    for v in variants:
-        if v not in VARIANTS:
-            raise ConfigError("model.variants", f"unknown variant {v!r} (choose from {sorted(VARIANTS)})")
-
-    control = mapping.get("model.control", "").strip()
-    if control not in ("", "none", *CONTROLS):
-        raise ConfigError("model.control", f"unknown control {control!r}")
-    interactions = mapping.get("model.interactions", "").strip()
-    if interactions not in ("", *INTERACTIONS):
-        raise ConfigError("model.interactions", f"unknown interaction set {interactions!r}")
-
-    decades = _parse_list(mapping.get("decades"))
-    for label in decades:
-        if label == "full":
-            continue
-        try:
-            DecadeWindow.from_label(label)
-        except PassthruError as exc:
-            raise ConfigError("decades", str(exc)) from exc
-
-    outputs = _parse_list(mapping.get("outputs"))
-    for out in outputs:
-        if out not in OUTPUTS:
-            raise ConfigError("outputs", f"unknown output {out!r} (choose from {OUTPUTS})")
-
-    fmt = mapping.get("output.format", "").strip()
-    if fmt not in ("", *FORMATS):
-        raise ConfigError("output.format", f"unknown format {fmt!r}")
-
-    out_raw = mapping.get("output.dir")
-    if not out_raw:
-        raise ConfigError("output.dir", "output directory not configured")
-    out_dir = Path(out_raw)
-    if not out_dir.is_absolute():
-        out_dir = base / out_dir
-
-    forest = ForestConfig(**_given(**{
-        attr: _parse_number(mapping, key, cast) for key, (attr, cast) in _FOREST_KEYS.items()
-    }))
-    cfg = RunConfig(out_dir=out_dir.resolve(), **_given(
-        panel_path=panel_path,
-        decade_path=decade_path,
-        dgp=dgp,
-        variants=variants,
-        control=None if control == "none" else control,
-        interactions=interactions,
-        exclude=_parse_list(mapping.get("exclude")),
-        outputs=outputs,
-        forest=forest,
-        seed=_parse_number(mapping, "seed", int),
-        fmt=fmt,
-        min_obs=_parse_number(mapping, "model.min_obs", int),
-    ))
-    if "decades" in mapping:  # an empty list means no decades, not the default ones
-        cfg = replace(cfg, decades=decades)
-
-    # one mg_table column per decade, unless the columns are variants
-    needing = set(cfg.outputs) & (_PANEL_OUTPUTS | ({"mg_table"} if len(cfg.variants) == 1 else set()))
-    if not cfg.decades and needing:
-        raise ConfigError("decades", f"{', '.join(sorted(needing))} need at least one decade")
-
-    if "pd_grid" in cfg.outputs and cfg.seed is None:
-        raise ConfigError("seed", "a seed is required whenever the forest runs")
-    if not synthetic and panel_path is None and set(cfg.outputs) - {"medians"}:
+    if dgp is None and cfg.panel_path is None and set(cfg.outputs) - {"medians"}:
         raise ConfigError("data.panel_path", "required data file not configured")
-    if "medians" in cfg.outputs and decade_path is None:
+    if "medians" in cfg.outputs and cfg.decade_path is None:
         raise ConfigError("data.decade_path", "medians need the decade covariate file")
-    _build_specs(cfg)  # a model.min_obs below k + 2 fails here, at parse time
     return cfg
 
 
 def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
-    """Canonical flat form of a config, suitable for hashing and manifests."""
-    mapping: dict[str, str] = {
-        "model.variants": ",".join(cfg.variants),
-        "model.control": cfg.control or "none",
-        "model.interactions": cfg.interactions,
-        "decades": ",".join(cfg.decades),
-        "outputs": ",".join(cfg.outputs),
-        "output.dir": str(cfg.out_dir),
-        "output.format": cfg.fmt,
-    }
-    for key, (attr, _) in _FOREST_KEYS.items():
-        if (value := getattr(cfg.forest, attr)) is not None:
-            mapping[key] = str(value)
-    if cfg.exclude:
-        mapping["exclude"] = ",".join(cfg.exclude)
-    if cfg.panel_path is not None:
-        mapping["data.panel_path"] = str(cfg.panel_path)
-    if cfg.decade_path is not None:
-        mapping["data.decade_path"] = str(cfg.decade_path)
-    if cfg.seed is not None:
-        mapping["seed"] = str(cfg.seed)
-    if cfg.min_obs is not None:
-        mapping["model.min_obs"] = str(cfg.min_obs)
+    """Canonical flat form of a config, suitable for hashing and manifests.
+
+    The inverse of config_from_mapping: None is left out (a control of None is
+    written `none`), and so is an empty list other than `decades`.
+    """
+    mapping: dict[str, str] = {}
+    for owner, keys in ((cfg, _RUN_KEYS), (cfg.forest, _FOREST_KEYS)):
+        for key, name in keys.items():
+            value = getattr(owner, name)
+            if key == "model.control" and value is None:
+                value = "none"
+            if value is not None and (value != () or key == "decades"):
+                mapping[key] = ",".join(value) if isinstance(value, tuple) else str(value)
     if cfg.dgp is not None:
         mapping["data.synthetic"] = "true"
         mapping.update(dgp_params_to_mapping(cfg.dgp))
     return mapping
 
 
+def _data_files(cfg: RunConfig) -> dict[str, Path]:
+    """The configured input files, keyed by the config key that names each."""
+    files = {"data.panel_path": cfg.panel_path, "data.decade_path": cfg.decade_path}
+    return {key: path for key, path in files.items() if path is not None}
+
+
 def _input_digests(cfg: RunConfig) -> dict[str, str]:
     """SHA-256 of each input file, keyed by the config key that names it."""
-    inputs = {"data.panel_path": cfg.panel_path, "data.decade_path": cfg.decade_path}
-    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in inputs.items() if path is not None}
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in _data_files(cfg).items()}
 
 
 def config_from_manifest(path: str | Path) -> RunConfig:
@@ -677,7 +650,7 @@ def _tree_rows(panel: PassThroughPanel, openness: str) -> tuple:
 
 def run_pipeline(cfg: RunConfig) -> list[Path]:
     """Execute the configured stages and write their files plus a manifest."""
-    specs = _build_specs(cfg)  # before any output: a bad spec is a config error
+    specs = _build_specs(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ext = EXTENSIONS[cfg.fmt]
     written: list[Path] = []
@@ -869,20 +842,17 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
             return None
         return (data_dir / filename).resolve()
 
+    outputs = PRESETS[name].get("outputs", ())
     cfg = RunConfig(
         out_dir=out_dir.resolve(),
         panel_path=data_file("panel.csv"),
-        decade_path=data_file("decades.csv"),
-        seed=seed,
+        decade_path=data_file("decades.csv") or (table_a2_path() if "medians" in outputs else None),
+        seed=0 if seed is None and "pd_grid" in outputs else seed,
         fmt=fmt,
         **PRESETS[name],
     )
-    if "medians" in cfg.outputs and cfg.decade_path is None:
-        cfg = replace(cfg, decade_path=table_a2_path())
     if set(cfg.outputs) - {"medians"} and cfg.panel_path is None:
         raise ConfigError("data.panel_path", f"preset {name!r} needs <data>/panel.csv")
-    if "pd_grid" in cfg.outputs and cfg.seed is None:
-        cfg = replace(cfg, seed=0)
     return cfg
 
 

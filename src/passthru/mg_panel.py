@@ -16,6 +16,7 @@ import numpy as np
 
 from passthru.errors import PassthruError
 from passthru.panel_data import (
+    DECADE_SCHEMA,
     DecadeWindow,
     EmptyWindowError,
     PanelDataset,
@@ -399,7 +400,6 @@ def estimate_decade_passthroughs(
     windows: Sequence[DecadeWindow],
     decade_data: PanelDataset | None = None,
     exclude: Sequence[str] = (),
-    covariates: Sequence[str] = ("kof", "em6", "em10"),
 ) -> PassThroughPanel:
     """Fit the spec per (country, decade); keep the cost coefficient of usable fits.
 
@@ -431,7 +431,7 @@ def estimate_decade_passthroughs(
                 exclusions.append(Exclusion(country, w.label, fit.reason or "unusable"))
                 continue
             values: dict[str, float | None] = {}
-            for var in covariates:
+            for var in DECADE_SCHEMA:
                 val = None
                 if decade_data is not None and var in decade_data.variables:
                     val = decade_data.value(var, country, w.start_year)

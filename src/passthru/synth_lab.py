@@ -43,6 +43,10 @@ BLOCK_REPS = 10
 # and the lock a call holds while it finds, uses or discards the pool.
 _pool: tuple[int, int, ProcessPoolExecutor] | None = None
 _pool_lock = threading.Lock()
+# The pid of the process whose first pool started the forkserver. multiprocessing
+# keeps that server for the process and its forks alike, and only the process that
+# started it can start workers from it.
+_server_pid: int | None = None
 
 
 class InvalidParamsError(PassthruError):
@@ -265,10 +269,11 @@ def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
     """The kept forkserver pool of `workers` processes, started or resized as needed."""
-    global _pool
+    global _pool, _server_pid
     if _pool is not None and _pool[:2] == (os.getpid(), workers):
         return _pool[2]
     _discard_pool()
+    _server_pid = _server_pid or os.getpid()
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload(["passthru.synth_lab"])
     _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
@@ -308,13 +313,15 @@ def monte_carlo(
     n_jobs, an int >= 1, caps the worker processes: blocks run on
     min(n_jobs, number of blocks) workers, and in the calling process when
     that is 1. Workers fork from a forkserver that has imported this module
-    once. The pool is kept for the next call: a call needing the same number
-    of workers reuses it, one needing another number shuts it down and starts
-    a new one, and a pool started by another process (before an os.fork) is
-    never reused. An exception out of the pool (a worker's error, a dead
-    worker, an interrupt) shuts the pool down before it propagates, so the
-    next call starts afresh. Idle workers live until the interpreter exits,
-    which joins them; calls from several threads take turns on the pool.
+    once. A process forked (os.fork) from the one that started the forkserver
+    cannot start workers from it, and runs its blocks itself. The pool is
+    kept for the next call: a call needing the same number of workers reuses
+    it, one needing another number shuts it down and starts a new one, and a
+    pool started by another process (before an os.fork) is never reused. An
+    exception out of the pool (a worker's error, a dead worker, an interrupt)
+    shuts the pool down before it propagates, so the next call starts afresh.
+    Idle workers live until the interpreter exits, which joins them; calls
+    from several threads take turns on the pool.
     Reports do not depend on n_jobs. On Python 3.11 the server does not see
     `sys.path` entries added at run time (pytest's `pythonpath`, say;
     `PYTHONPATH` is seen) and skips a preload that fails to import; workers
@@ -338,7 +345,7 @@ def monte_carlo(
     run = partial(_block, p, spec, tuple(truths), estimator)
     blocks = [range(start, min(start + BLOCK_REPS, reps)) for start in range(0, reps, BLOCK_REPS)]
     workers = min(n_jobs, len(blocks))
-    if workers > 1:
+    if workers > 1 and _server_pid in (None, os.getpid()):
         with _pool_lock:
             pool = _worker_pool(workers)
             try:

@@ -9,9 +9,8 @@ Growth is level-synchronous: each tree's rows are sorted once per feature
 (the presort scheme of CART), and every open node of every tree in a batch
 is scanned at once in zero-padded (nodes, features, rows) arrays. Trees and
 forests alike go through this one kernel; a forest's trees are grown in
-fixed-size batches in one thread, and the `n_jobs` argument of `fit_forest`
-is unused. Identical data, settings and seed give identical models, whatever
-the batch a tree is grown in or the worker count asked for. A fitted tree is
+fixed-size batches in one thread. Identical data, settings and seed give
+identical models, whatever the batch a tree is grown in. A fitted tree is
 a set of flat node arrays in preorder (see `RegressionTree`), which one
 routing function, `importance` and `tree_shape` read.
 
@@ -430,14 +429,13 @@ def fit_forest(
     params: SplitParams = SplitParams(),
     feature_names: Sequence[str] | None = None,
     features: Sequence[int] | None = None,
-    n_jobs: int = 1,
 ) -> ForestModel:
     """Bag `n_trees` trees, each on ceil(subsample * n) distinct rows.
 
     Tree t draws its rows from a generator seeded by (seed, t), and trees are
     grown together in fixed-size batches, each tree from its own rows only, so
-    the model does not depend on which trees share a batch. `n_jobs` is
-    accepted for compatibility and unused: growth runs in one thread.
+    the model does not depend on which trees share a batch. Growth runs in
+    one thread.
     """
     x, y = _validate_xy(x, y)
     names = _feature_names(x, feature_names)

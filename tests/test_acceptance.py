@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import assert_same_tree, bf_fit_tree, ols_normal_equations
+from passthru import tree_forest
 from passthru.cli_report import main, render_table, second_stage_table
 from passthru.mg_panel import (
     MgResult,
@@ -193,9 +194,9 @@ def test_criterion_6_tree_oracle_equivalence():
 
 
 # ---------------------------------------------------------------------------
-# 7. Forest determinism across worker counts, and the subsample contract.
+# 7. Forest determinism across tree batches, and the subsample contract.
 
-def test_criterion_7_forest_determinism_and_bagging():
+def test_criterion_7_forest_determinism_and_bagging(monkeypatch):
     start = time.perf_counter()
     rng = np.random.default_rng(58)
     n = 58
@@ -206,14 +207,17 @@ def test_criterion_7_forest_determinism_and_bagging():
         AxisSpec("x1", float(x[:, 1].min()), float(x[:, 1].max()), 50),
     )
     grids = []
-    for workers in (1, 4, 8):
-        forest = fit_forest(x, y, n_trees=1000, seed=99, n_jobs=workers)
+    batches = (tree_forest._BATCH_TREES, 7, 1000)  # trees grown together
+    for batch in batches:
+        monkeypatch.setattr(tree_forest, "_BATCH_TREES", batch)
+        forest = fit_forest(x, y, n_trees=1000, seed=99)
         grids.append(partial_dependence(forest, axes).to_csv().encode())
         expected_m = math.ceil(2 * n / 3)
         for idx in forest.row_indices:
             assert len(np.unique(idx)) == expected_m == len(idx)
     assert grids[0] == grids[1] == grids[2]
-    report(7, "byte-identical 50x50 grids for 1/4/8 workers; all subsamples ceil(2n/3) distinct rows",
+    report(7, f"byte-identical 50x50 grids for batches of {'/'.join(map(str, batches))} trees; "
+           "all subsamples ceil(2n/3) distinct rows",
            time.perf_counter() - start, 30.0)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import passthru
 
+from passthru import cli_report
 from passthru.cli_report import (
     CONTROLS,
     FORMATS,
@@ -278,6 +279,105 @@ def test_config_decade_labels_validated(tmp_path, data_dir):
     }
     with pytest.raises(ConfigError):
         config_from_mapping(mapping)
+
+
+BAD_RUN_CONFIGS = [
+    ({"variants": ("bogus",)}, "model.variants"),
+    ({"variants": ()}, "model.variants"),
+    ({"control": "gap"}, "model.control"),
+    ({"control": "none"}, "model.control"),  # no control is None; `none` is its config text
+    ({"interactions": "all"}, "model.interactions"),
+    ({"outputs": ("mg_table", "bogus")}, "outputs"),
+    ({"outputs": ()}, "outputs"),
+    ({"fmt": "xml"}, "output.format"),
+    ({"decades": ("full", "eighties")}, "decades"),
+    ({"seed": -1}, "seed"),
+    ({"outputs": ("passthrough_panel", "pd_grid")}, "seed"),
+    ({"outputs": ("passthrough_panel",), "decades": ()}, "decades"),
+    ({"min_obs": 2}, "model.min_obs"),
+]
+
+
+@pytest.mark.parametrize("settings, field", BAD_RUN_CONFIGS)
+def test_run_config_built_in_code_names_its_bad_field(tmp_path, settings, field):
+    with pytest.raises(ConfigError) as err:
+        RunConfig(out_dir=tmp_path / "out", **settings)
+    assert err.value.field_path == field
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_to_mapping_is_pinned():
+    cfg = RunConfig(
+        out_dir=Path("/runs/out"),
+        panel_path=Path("/data/panel.csv"),
+        decade_path=Path("/data/decades.csv"),
+        dgp=DgpParams(n_countries=8, n_years=30, lambda_schedule=(0.3, 0.1), seed=5),
+        variants=("core", "earnings"),
+        control="unemp_gap",
+        interactions="both",
+        decades=("full", "1990s"),
+        exclude=("CZ", "LU"),
+        outputs=("mg_table", "passthrough_panel", "pd_grid"),
+        forest=ForestConfig(trees=200, subsample=0.5, min_leaf=3, max_depth=6, steps=20),
+        seed=11,
+        fmt="json",
+        min_obs=12,
+    )
+    assert config_to_mapping(cfg) == {
+        "data.decade_path": "/data/decades.csv",
+        "data.panel_path": "/data/panel.csv",
+        "data.synthetic": "true",
+        "decades": "full,1990s",
+        "dgp.alpha_mean": "0.01",
+        "dgp.alpha_sd": "0.0",
+        "dgp.burn_in": "50",
+        "dgp.cost_ar": "0.5",
+        "dgp.cost_sd": "0.02",
+        "dgp.countries": "8",
+        "dgp.lam": "0.25",
+        "dgp.lambda_schedule": "0.3,0.1",
+        "dgp.rho": "0.4",
+        "dgp.seed": "5",
+        "dgp.sigma_eps": "0.01",
+        "dgp.sigma_mu1": "0.1",
+        "dgp.sigma_mu2": "0.1",
+        "dgp.start_year": "1980",
+        "dgp.years": "30",
+        "exclude": "CZ,LU",
+        "forest.max_depth": "6",
+        "forest.min_leaf": "3",
+        "forest.steps": "20",
+        "forest.subsample": "0.5",
+        "forest.trees": "200",
+        "model.control": "unemp_gap",
+        "model.interactions": "both",
+        "model.min_obs": "12",
+        "model.variants": "core,earnings",
+        "output.dir": "/runs/out",
+        "output.format": "json",
+        "outputs": "mg_table,passthrough_panel,pd_grid",
+        "seed": "11",
+    }
+
+
+def test_fig5_preset_config_mapping_is_pinned(tmp_path, data_dir):
+    cfg = cli_report._preset_config("fig5", data_dir, tmp_path / "out", None, "text")
+    assert config_to_mapping(cfg) == {
+        "data.panel_path": str((data_dir / "panel.csv").resolve()),
+        "decades": "1980s,1990s,2000s,2010s",
+        "exclude": "CZ,EE,LU,KR",
+        "forest.min_leaf": "5",
+        "forest.steps": "50",
+        "forest.subsample": "0.6666666666666666",
+        "forest.trees": "1000",
+        "model.control": "none",
+        "model.interactions": "none",
+        "model.variants": "headline",
+        "output.dir": str((tmp_path / "out").resolve()),
+        "output.format": "text",
+        "outputs": "passthrough_panel,pd_grid",
+        "seed": "0",
+    }
 
 
 # ---------------------------------------------------------------- pipeline

