@@ -438,11 +438,16 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
     for key, path in _data_files(cfg).items():
         if not path.is_file():
             raise ConfigError(key, f"file not found: {path}")
-    if dgp is None and cfg.panel_path is None and set(cfg.outputs) - {"medians"}:
+    _check_data_sources(cfg)
+    return cfg
+
+
+def _check_data_sources(cfg: RunConfig) -> None:
+    """Every output but `medians` needs a panel or a generator, and `medians` a decade file."""
+    if cfg.dgp is None and cfg.panel_path is None and set(cfg.outputs) - {"medians"}:
         raise ConfigError("data.panel_path", "required data file not configured")
     if "medians" in cfg.outputs and cfg.decade_path is None:
         raise ConfigError("data.decade_path", "medians need the decade covariate file")
-    return cfg
 
 
 def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
@@ -649,8 +654,12 @@ def _tree_rows(panel: PassThroughPanel, openness: str) -> tuple:
 
 
 def run_pipeline(cfg: RunConfig) -> list[Path]:
-    """Execute the configured stages and write their files plus a manifest."""
+    """Execute the configured stages and write their files plus a manifest.
+
+    A missing data source fails, naming its config key, before anything is written.
+    """
     specs = _build_specs(cfg)
+    _check_data_sources(cfg)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     ext = EXTENSIONS[cfg.fmt]
     written: list[Path] = []
@@ -688,7 +697,6 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
 
     if "mg_table" in cfg.outputs:
         with stage("mg_table"):
-            assert panel is not None
             if len(cfg.variants) > 1:
                 columns = []
                 for variant in cfg.variants:
@@ -705,13 +713,11 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
 
     if "medians" in cfg.outputs:
         with stage("medians"):
-            assert decade_data is not None
             emit(f"medians.{ext}", render_table(medians_table(decade_data), cfg.fmt))
 
     pass_panel: PassThroughPanel | None = None
     if _PANEL_OUTPUTS & set(cfg.outputs):
         with stage("passthroughs"):
-            assert panel is not None
             spec = specs[cfg.variants[0]]
             windows = [DecadeWindow.from_label(lbl) for lbl in cfg.decades if lbl != "full"]
             pass_panel = estimate_decade_passthroughs(
@@ -729,14 +735,12 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
 
     if "second_stage" in cfg.outputs:
         with stage("second_stage"):
-            assert pass_panel is not None
             emit(f"second_stage.{ext}", render_table(second_stage_table(table5_results(pass_panel)), cfg.fmt))
 
     params = SplitParams(min_leaf=cfg.forest.min_leaf, max_depth=cfg.forest.max_depth)
 
     if "importance" in cfg.outputs:
         with stage("importance"):
-            assert pass_panel is not None
             rows = []
             for openness in ("em6", "em10"):
                 x, y = _tree_rows(pass_panel, openness)
@@ -759,7 +763,6 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
 
     if "pd_grid" in cfg.outputs:
         with stage("pd_grid"):
-            assert pass_panel is not None and cfg.seed is not None
             x, y = _tree_rows(pass_panel, "em10")
             forest = fit_forest(
                 x, y,

@@ -392,7 +392,8 @@ def apply_transform(ds: PanelDataset, t: TransformSpec, out_name: str) -> PanelD
         raise NonPositiveForLogError(ds.countries[i], ds.years[j], float(values[i, j]))
     # math.log, cell by cell: np.log differs from it in the last bit of some cells
     logs = np.full(values.shape, np.nan)
-    logs[observed] = list(map(math.log, values[observed].tolist()))
+    cells = values[observed]
+    logs[observed] = np.fromiter(map(math.log, cells.tolist()), float, len(cells))
     prev, prev_observed = _lag(ds, logs, observed, 1)
     return ds._with_layer(out_name, logs - prev, observed & prev_observed)
 

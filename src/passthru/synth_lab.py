@@ -35,8 +35,8 @@ Z90 = 1.6448536269514722  # standard normal 95th percentile: two-sided 90% band
 
 _STATIONARY_BOUND = 0.95
 _REDRAW_LIMIT = 1000
-# Replications stacked into one panel by monte_carlo: time per replication is flat
-# from 10 upward, and memory grows with the block.
+# At most BLOCK_REPS replications are stacked into one panel by monte_carlo: time
+# per replication is flat from 10 upward, and memory grows with the block.
 BLOCK_REPS = 10
 
 # The worker pool monte_carlo keeps between calls, as (creating pid, workers, pool),
@@ -75,8 +75,11 @@ class DgpParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise InvalidParamsError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise InvalidParamsError(f"{f.name} must be finite, got {value!r}")
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise InvalidParamsError(f"{f.name} must be an int, got {value!r}")
         for i, value in enumerate(self.lambda_schedule or ()):
             if not math.isfinite(value):
                 raise InvalidParamsError(f"lambda_schedule[{i}] must be finite, got {value!r}")
@@ -132,28 +135,51 @@ def _lambda_base(p: DgpParams, total: int) -> np.ndarray:
     return np.array(p.lambda_schedule)[decade]
 
 
+def _draw_countries(p: DgpParams, rng: np.random.Generator, z_cols: int):
+    """One seed's countries: each one's rho_i, mu2_i, alpha_i and `z_cols` standard normal series draws.
+
+    Country by country, the generator draws rho_i, mu2_i and alpha_i (each only
+    when its sd is positive), then the series draws. One standard_normal call
+    with a row per country draws the same stream; when a rho_i of it leaves the
+    stationary bound, the generator goes back to its saved state and draws
+    country by country, redrawing that rho_i.
+    """
+    m = p.n_countries
+    sds = [sd for sd in (p.sigma_mu1, p.sigma_mu2, p.alpha_sd) if sd > 0]
+    state = rng.bit_generator.state
+    z = rng.standard_normal((m, len(sds) + z_cols))
+    # rng.normal(0, sd, size) is 0 + sd * (standard normal draws), value for value
+    offsets = iter([0.0 + sd * z[:, j] for j, sd in enumerate(sds)])
+    rho = p.rho + next(offsets) if p.sigma_mu1 > 0 else np.full(m, p.rho)
+    mu2 = next(offsets) if p.sigma_mu2 > 0 else np.zeros(m)
+    alpha = p.alpha_mean + (next(offsets) if p.alpha_sd > 0 else np.zeros(m))
+    shocks = z[:, len(sds):]
+    if np.all(np.abs(rho) < _STATIONARY_BOUND):
+        return rho, mu2, alpha, shocks
+    rng.bit_generator.state = state
+    for i in range(m):
+        rho[i] = _draw_rho(p, rng)
+        mu2[i] = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
+        alpha[i] = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
+        shocks[i] = rng.standard_normal(z_cols)
+    return rho, mu2, alpha, shocks
+
+
 def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], include_growth: bool = False):
     """One panel per seed, stacked on the country axis, and each country's drawn rho_i, mu2_i and alpha_i.
 
     Seed `tag`'s countries are `tag + "C00"`, `tag + "C01"`, ... Each seed's
-    generator draws its countries one by one, in a fixed order; the arithmetic
-    then runs on all rows at once and is element-wise per row, so a panel's
-    cells do not depend on the panels stacked with it.
+    generator draws all its countries in one call, or country by country when
+    a rho_i must be redrawn (see `_draw_countries`), in the same order either
+    way; the arithmetic then runs on all rows at once and is element-wise per
+    row, so a panel's cells do not depend on the panels stacked with it.
     """
     total = p.burn_in + p.n_years
-    n = p.n_countries * len(seeds)
-    rho, mu2, alpha = np.empty((3, n))
     # a country's series draws, in order: cost and price shocks over burn-in plus
     # emitted years, then output gap, unemployment gap, kof and em6 noise
-    z = np.empty((n, 2 * total + 4 * p.n_years))
-    rngs = [np.random.default_rng(seed) for seed in seeds.values()]
-    for i in range(n):
-        rng = rngs[i // p.n_countries]
-        rho[i] = _draw_rho(p, rng)
-        mu2[i] = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
-        alpha[i] = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
-        z[i] = rng.standard_normal(z.shape[1])
-    # rng.normal(0, sd, size) is 0 + sd * (standard normal draws), value for value
+    z_cols = 2 * total + 4 * p.n_years
+    draws = [_draw_countries(p, np.random.default_rng(seed), z_cols) for seed in seeds.values()]
+    rho, mu2, alpha, z = (np.concatenate(parts) for parts in zip(*draws))
     cuts = np.cumsum([0, total, total] + [p.n_years] * 4)
     cost_innov, eps, output_gap, unemp_gap, kof_noise, em6_noise = (
         0.0 + sd * z[:, a:b] for sd, a, b in zip((p.cost_sd, p.sigma_eps, 0.01, 0.01, 0.005, 0.05), cuts, cuts[1:])
@@ -302,17 +328,20 @@ def monte_carlo(
 ) -> McReport:
     """Repeat generate-and-estimate; report bias, RMSE, and 90% CI coverage.
 
-    Replications run in blocks of BLOCK_REPS consecutive ones, each block one
-    stacked panel (see `_block`). Replication r uses the derived seed
-    (p.seed, r), and stacking leaves every replication's estimate bit for bit
-    as a fit of `generate_panel(p, seed=(p.seed, r))` alone, so a longer run
-    extends a shorter one rep for rep. Aggregation uses compensated
-    summation, making it order-independent.
+    Replications run in blocks of consecutive ones, each block one stacked
+    panel (see `_block`): ceil(reps / BLOCK_REPS) blocks, rounded up to a
+    multiple of the worker count, whose sizes differ by at most one, so every
+    worker fits an equal share and no block holds more than BLOCK_REPS.
+    Replication r uses the derived seed (p.seed, r), and stacking leaves every
+    replication's estimate bit for bit as a fit of
+    `generate_panel(p, seed=(p.seed, r))` alone, so a longer run extends a
+    shorter one rep for rep. Aggregation uses compensated summation, making it
+    order-independent.
 
     reps is an int >= 2, and every slot of `truths` must be a design column.
     n_jobs, an int >= 1, caps the worker processes: blocks run on
-    min(n_jobs, number of blocks) workers, and in the calling process when
-    that is 1. Workers fork from a forkserver that has imported this module
+    min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
+    when that is 1. Workers fork from a forkserver that has imported this module
     once. A process forked (os.fork) from the one that started the forkserver
     cannot start workers from it, and runs its blocks itself. The pool is
     kept for the next call: a call needing the same number of workers reuses
@@ -343,8 +372,11 @@ def monte_carlo(
             raise InvalidParamsError(f"truths: unknown slot {slot!r}, the design has {spec.design_columns}")
 
     run = partial(_block, p, spec, tuple(truths), estimator)
-    blocks = [range(start, min(start + BLOCK_REPS, reps)) for start in range(0, reps, BLOCK_REPS)]
-    workers = min(n_jobs, len(blocks))
+    count = -(-reps // BLOCK_REPS)
+    workers = min(n_jobs, count)
+    count = -(-count // workers) * workers
+    cuts = [reps * b // count for b in range(count + 1)]
+    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     if workers > 1 and _server_pid in (None, os.getpid()):
         with _pool_lock:
             pool = _worker_pool(workers)

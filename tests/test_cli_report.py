@@ -306,6 +306,19 @@ def test_run_config_built_in_code_names_its_bad_field(tmp_path, settings, field)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(("settings", "field"), [
+    ({}, "data.panel_path"),
+    ({"outputs": ("mg_table", "medians"), "decade_path": Path("decades.csv")}, "data.panel_path"),
+    ({"outputs": ("medians",)}, "data.decade_path"),
+    ({"outputs": ("mg_table", "medians"), "dgp": DgpParams(n_countries=3, seed=1)}, "data.decade_path"),
+])
+def test_run_pipeline_names_a_missing_data_source_before_writing(tmp_path, settings, field):
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(RunConfig(out_dir=tmp_path / "out", **settings))
+    assert err.value.field_path == field
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_to_mapping_is_pinned():
     cfg = RunConfig(
         out_dir=Path("/runs/out"),

@@ -62,6 +62,10 @@ def test_params_validation():
                 DgpParams(**{name: value})
     with pytest.raises(InvalidParamsError, match=r"^lambda_schedule\[1\] must be finite, got nan"):
         DgpParams(lambda_schedule=(0.1, math.nan))
+    for name in ("n_countries", "n_years", "start_year", "burn_in", "seed"):
+        for value in (2.0, 20.5, True, "3", None):
+            with pytest.raises(InvalidParamsError, match=f"^{name} must be an int, got {value!r}$"):
+                DgpParams(**{name: value})
 
 
 def test_noise_free_homogeneous_panel():
@@ -163,10 +167,11 @@ def test_monte_carlo_rejects_a_bad_reps(reps):
 
 
 class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records starts and shutdowns, runs the tasks in this process."""
+    """Stands in for ProcessPoolExecutor: records starts, tasks and shutdowns, runs the tasks in this process."""
 
     sizes: list[int] = []  # max_workers of each pool started
     shutdowns: list[tuple[int, bool]] = []  # (max_workers, cancel_futures) of each shutdown
+    tasks: list[list] = []  # the items of each map call
 
     def __init__(self, max_workers, mp_context):
         self.max_workers = max_workers
@@ -174,6 +179,8 @@ class _InlinePool:
         self.sizes.append(max_workers)
 
     def map(self, fn, items):
+        items = list(items)
+        self.tasks.append(items)
         for item in items:
             if self.closed:  # a real pool cancels the tasks left at shutdown
                 raise CancelledError()
@@ -200,6 +207,7 @@ def inline_pool(monkeypatch):
     synth_lab._discard_pool()
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "shutdowns", [])
+    monkeypatch.setattr(_InlinePool, "tasks", [])
     monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
     yield
     synth_lab._discard_pool()
@@ -217,6 +225,18 @@ def test_monte_carlo_pool_has_one_worker_per_block_at_most(inline_pool, reps, n_
     report = monte_carlo(P_POOL, SPEC, reps=reps, n_jobs=n_jobs)
     assert _InlinePool.sizes == pool
     assert report == monte_carlo(P_POOL, SPEC, reps=reps)
+
+
+@pytest.mark.parametrize(("reps", "n_jobs"), [(50, 2), (25, 2), (11, 8), (100, 3), (2 * BLOCK_REPS + 1, 2), (97, 4)])
+def test_monte_carlo_gives_each_worker_an_equal_share_of_blocks(inline_pool, reps, n_jobs):
+    monte_carlo(P_POOL, SPEC, reps=reps, n_jobs=n_jobs)
+    [blocks] = _InlinePool.tasks
+    [workers] = _InlinePool.sizes
+    sizes = [len(block) for block in blocks]
+    assert [r for block in blocks for r in block] == list(range(reps))
+    assert len(blocks) % workers == 0
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) <= BLOCK_REPS
 
 
 def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
@@ -328,6 +348,26 @@ def test_generate_panel_matches_the_per_country_reference(p, seed):
     values, expected_truths = simulate_panel(p, seed)
     assert np.array_equal(ds.complete_cells(["cpi", "ulc", "kof", "em6", "em10"])[0], values)
     assert [(t.rho_i, t.lam_i, t.alpha_i) for t in truths] == expected_truths
+
+
+def test_one_stacked_call_takes_both_draw_paths():
+    # rho 0.9 with sigma_mu1 0.3: some seeds draw a rho_i outside the stationary bound
+    p = DgpParams(n_countries=4, n_years=12, rho=0.9, sigma_mu1=0.3, sigma_mu2=0.1, alpha_sd=0.005, burn_in=5)
+    seeds = range(12)
+    m, row = p.n_countries, 3 + 2 * (p.burn_in + p.n_years) + 4 * p.n_years
+    # a seed redraws when a rho_i of one draw of all its countries' rows leaves the bound
+    first_rho = [p.rho + 0.3 * np.random.default_rng(seed).standard_normal((m, row))[:, 0] for seed in seeds]
+    redrawn = [bool(np.any(np.abs(rho) >= 0.95)) for rho in first_rho]
+    assert any(redrawn) and not all(redrawn)
+
+    ds, rho, mu2, alpha = synth_lab._simulate(p, {f"S{seed}:": seed for seed in seeds})
+    values = ds.complete_cells(["cpi", "ulc", "kof", "em6", "em10"])[0]
+    for k, seed in enumerate(seeds):
+        expected_values, expected_truths = simulate_panel(p, seed)
+        rows = slice(k * m, (k + 1) * m)
+        assert np.array_equal(values[:, rows], expected_values)
+        assert list(zip(rho[rows].tolist(), (p.lam + mu2[rows]).tolist(), alpha[rows].tolist())) == expected_truths
+        assert np.array_equal(rho[rows], first_rho[k]) != redrawn[k]
 
 
 @settings(max_examples=30, deadline=None)
