@@ -394,6 +394,23 @@ class PassThroughPanel:
         return len(self.rows)
 
 
+def _window_means(sub: PanelDataset, names: Sequence[str]) -> dict[str, list[float | None]]:
+    """Each variable's per-country mean over the observed years of `sub`, or None with none observed.
+
+    The sum runs year by year as Python's sum() adds, so each mean equals
+    sum(obs) / len(obs) bit for bit (np.mean sums pairwise).
+    """
+    values, _ = sub.complete_cells(names)
+    observed = ~np.isnan(values)  # missing cells hold NaN
+    # + 0.0 turns a sum of -0.0 cells into 0.0, as sum() starting from 0 does
+    sums = (np.cumsum(np.where(observed, values, 0.0), axis=2)[:, :, -1] + 0.0).tolist()
+    counts = np.count_nonzero(observed, axis=2).tolist()
+    return {
+        name: [total / count if count else None for total, count in zip(var_sums, var_counts)]
+        for name, var_sums, var_counts in zip(names, sums, counts)
+    }
+
+
 def estimate_decade_passthroughs(
     ds: PanelDataset,
     spec: ModelSpec,
@@ -412,6 +429,7 @@ def estimate_decade_passthroughs(
         raise MgError("spec has no cost slot to extract a pass-through from")
     materialized = materialize_design(ds, spec)
     excluded = set(exclude)
+    annual_names = [v for v in DECADE_SCHEMA if v in materialized.variables] + [spec.dependent.name]
     rows: list[PassThroughRow] = []
     exclusions: list[Exclusion] = []
 
@@ -422,7 +440,8 @@ def estimate_decade_passthroughs(
             exclusions.append(Exclusion("*", w.label, "EmptyWindow"))
             continue
         fits = iter(fit_countries(sub, spec, [c for c in sub.countries if c not in excluded]))
-        for country in materialized.countries:
+        annual = _window_means(sub, annual_names)
+        for i, country in enumerate(materialized.countries):
             if country in excluded:
                 exclusions.append(Exclusion(country, w.label, "ExcludedByConfig"))
                 continue
@@ -435,28 +454,18 @@ def estimate_decade_passthroughs(
                 val = None
                 if decade_data is not None and var in decade_data.variables:
                     val = decade_data.value(var, country, w.start_year)
-                if val is None and var in materialized.variables:
-                    obs = [
-                        v for yr in sub.years
-                        if (v := materialized.value(var, country, yr)) is not None
-                    ]
-                    if obs:
-                        val = sum(obs) / len(obs)
+                if val is None and var in annual:
+                    val = annual[var][i]
                 values[var] = val
-            dep_obs = [
-                v for yr in sub.years
-                if (v := sub.value(spec.dependent.name, country, yr)) is not None
-            ]
-            avg_inflation = sum(dep_obs) / len(dep_obs) if dep_obs else None
             rows.append(
                 PassThroughRow(
                     country=country,
                     decade=w.label,
                     passthrough=fit.coef(cost),
-                    kof=values.get("kof"),
-                    em6=values.get("em6"),
-                    em10=values.get("em10"),
-                    avg_inflation=avg_inflation,
+                    kof=values["kof"],
+                    em6=values["em6"],
+                    em10=values["em10"],
+                    avg_inflation=annual[spec.dependent.name][i],
                 )
             )
     return PassThroughPanel(tuple(rows), tuple(exclusions))

@@ -237,9 +237,6 @@ class PanelDataset:
     def n_obs(self, var: str) -> int:
         return int(np.count_nonzero(self._layer(var)[1]))
 
-    def with_series(self, name: str, obs: Mapping[tuple[str, int], float]) -> "PanelDataset":
-        return self._with_layer(name, *PanelDataset(self.countries, self.years, {name: obs})._layer(name))
-
     def _with_layer(self, name: str, values: np.ndarray, observed: np.ndarray) -> "PanelDataset":
         if name in self._row:
             raise NameCollisionError(f"variable {name!r} already exists")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class DesignMatrix:
     x: np.ndarray
     y: np.ndarray
     columns: tuple[str, ...]
-    row_labels: tuple[Hashable, ...] = ()
     absorbed_dof: int = 0
 
     def __post_init__(self):
@@ -77,13 +76,9 @@ class DesignMatrix:
             raise RegressionError("column names must be unique")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise RegressionError("design must not contain missing or non-finite cells")
-        labels = tuple(self.row_labels) if self.row_labels else tuple(range(n))
-        if len(labels) != n:
-            raise ShapeMismatchError(f"{len(labels)} row labels for {n} rows")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "columns", columns)
-        object.__setattr__(self, "row_labels", labels)
 
     @property
     def n(self) -> int:
@@ -236,30 +231,21 @@ def entity_index(entities: Sequence[Hashable]) -> tuple[np.ndarray, np.ndarray]:
     return idx, np.bincount(idx).astype(float)
 
 
-def _resolve_groups(
-    groups: Mapping[Hashable, Hashable] | Sequence[Hashable], labels: tuple[Hashable, ...]
-) -> list[Hashable]:
-    if isinstance(groups, Mapping):
-        missing = [lab for lab in labels if lab not in groups]
-        if missing:
-            raise UnmappedRowError(f"rows without an entity: {missing[:5]}")
-        return [groups[lab] for lab in labels]
-    ents = list(groups)
-    if len(ents) != len(labels):
-        raise UnmappedRowError(f"{len(ents)} entities for {len(labels)} rows")
-    return ents
+def _row_entities(groups: Sequence[Hashable], d: DesignMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """entity_index of `groups`, which holds one entity per row of `d`."""
+    if len(groups) != d.n:
+        raise UnmappedRowError(f"{len(groups)} entities for {d.n} rows")
+    return entity_index(groups)
 
 
-def within_transform(
-    d: DesignMatrix, groups: Mapping[Hashable, Hashable] | Sequence[Hashable]
-) -> DesignMatrix:
-    """Demean columns and response within entities (fixed-effects transform).
+def within_transform(d: DesignMatrix, groups: Sequence[Hashable]) -> DesignMatrix:
+    """Demean columns and response within entities (fixed-effects transform); `groups` holds each row's entity.
 
     Columns that demean to zero everywhere (constants, entity dummies) are
     dropped; the entity count is added to absorbed_dof so downstream sigma and
     standard errors lose the right degrees of freedom.
     """
-    idx, counts = entity_index(_resolve_groups(groups, d.row_labels))
+    idx, counts = _row_entities(groups, d)
 
     def demean(col: np.ndarray) -> np.ndarray:
         return col - (np.bincount(idx, weights=col) / counts)[idx]
@@ -276,7 +262,6 @@ def within_transform(
         x=xd[:, keep],
         y=yd,
         columns=tuple(d.columns[j] for j in keep),
-        row_labels=d.row_labels,
         absorbed_dof=d.absorbed_dof + len(counts),
     )
 
@@ -290,17 +275,13 @@ def _squared_corr(a: np.ndarray, b: np.ndarray, component: str) -> float:
     return float((a @ b) ** 2 / denom)
 
 
-def r2_components(
-    fit: OlsFit,
-    d: DesignMatrix,
-    groups: Mapping[Hashable, Hashable] | Sequence[Hashable],
-) -> tuple[float, float]:
-    """Within and between R2 of a fixed-effects fit, on the untransformed design.
+def r2_components(fit: OlsFit, d: DesignMatrix, groups: Sequence[Hashable]) -> tuple[float, float]:
+    """Within and between R2 of a fixed-effects fit, on the untransformed design; `groups` as in within_transform.
 
     Fitted values use only the columns the within fit kept; constants absorbed
     by the transform shift neither correlation.
     """
-    idx, counts = entity_index(_resolve_groups(groups, d.row_labels))
+    idx, counts = _row_entities(groups, d)
     try:
         cols = [d.columns.index(c) for c in fit.columns]
     except ValueError as exc:

@@ -82,19 +82,13 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
         )
     x = np.log(raw)
     y = np.array([r.passthrough for r in rows])
-    labels = tuple((r.country, r.decade) for r in rows)
     countries = [r.country for r in rows]
     idx, counts = entity_index(countries)
     n_countries = len(counts)
     col = f"ln_{covariate}"
 
     if not fe:
-        design = DesignMatrix(
-            x=np.column_stack([np.ones(n), x]),
-            y=y,
-            columns=("const", col),
-            row_labels=labels,
-        )
+        design = DesignMatrix(x=np.column_stack([np.ones(n), x]), y=y, columns=("const", col))
         fit = ols_fit(design)
         rc = robust_cov(fit, design)
         return SecondStageResult(
@@ -112,7 +106,7 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
     if counts.max() < 2:
         raise DegenerateVarianceError("within (no country observed twice)")
 
-    design = DesignMatrix(x=x[:, None], y=y, columns=(col,), row_labels=labels)
+    design = DesignMatrix(x=x[:, None], y=y, columns=(col,))
     demeaned = within_transform(design, countries)
     if demeaned.k == 0:
         raise DegenerateVarianceError("within (covariate constant inside every country)")

@@ -16,6 +16,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,15 +75,16 @@ class DgpParams:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise InvalidParamsError(f"{f.name} must be finite, got {value!r}")
-            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-                raise InvalidParamsError(f"{f.name} must be an int, got {value!r}")
-        for i, value in enumerate(self.lambda_schedule or ()):
-            if not math.isfinite(value):
-                raise InvalidParamsError(f"lambda_schedule[{i}] must be finite, got {value!r}")
+        schedule = self.lambda_schedule
+        if schedule is not None and not isinstance(schedule, tuple):
+            raise InvalidParamsError(f"lambda_schedule must be a tuple, got {schedule!r}")
+        checks = [(f.name, f.type, getattr(self, f.name)) for f in fields(self) if f.type in ("int", "float")]
+        checks += [(f"lambda_schedule[{i}]", "float", value) for i, value in enumerate(schedule or ())]
+        for name, kind, value in checks:
+            if isinstance(value, bool) or not isinstance(value, int if kind == "int" else Real):
+                raise InvalidParamsError(f"{name} must be {'an int' if kind == 'int' else 'a real number'}, got {value!r}")
+            if kind == "float" and not math.isfinite(value):
+                raise InvalidParamsError(f"{name} must be finite, got {value!r}")
         if self.n_countries < 1:
             raise InvalidParamsError("need at least one country")
         if self.n_years < 10:
@@ -104,14 +106,6 @@ class CountryTruth:
     rho_i: float
     lam_i: float  # base value; schedule offsets add mu2 per decade
     alpha_i: float
-
-
-def _draw_rho(p: DgpParams, rng: np.random.Generator) -> float:
-    for _ in range(_REDRAW_LIMIT):
-        rho_i = p.rho + rng.normal(0.0, p.sigma_mu1) if p.sigma_mu1 > 0 else p.rho
-        if abs(rho_i) < _STATIONARY_BOUND:
-            return rho_i
-    raise InvalidParamsError("could not draw a stationary persistence coefficient")
 
 
 def _ar1(x: np.ndarray, coef: float | np.ndarray) -> np.ndarray:
@@ -138,41 +132,43 @@ def _lambda_base(p: DgpParams, total: int) -> np.ndarray:
 def _draw_countries(p: DgpParams, rng: np.random.Generator, z_cols: int):
     """One seed's countries: each one's rho_i, mu2_i, alpha_i and `z_cols` standard normal series draws.
 
-    Country by country, the generator draws rho_i, mu2_i and alpha_i (each only
-    when its sd is positive), then the series draws. One standard_normal call
-    with a row per country draws the same stream; when a rho_i of it leaves the
-    stationary bound, the generator goes back to its saved state and draws
-    country by country, redrawing that rho_i.
+    Country by country, the generator draws rho_i, redrawing it while it leaves
+    the stationary bound (at most _REDRAW_LIMIT times), then mu2_i and alpha_i
+    (each only when its sd is positive), then the series draws. One
+    standard_normal call with a row per country draws that stream; a rejected
+    rho_i candidate is deleted from it and one more normal appended, which
+    shifts the later draws as the redraw does.
     """
     m = p.n_countries
     sds = [sd for sd in (p.sigma_mu1, p.sigma_mu2, p.alpha_sd) if sd > 0]
-    state = rng.bit_generator.state
-    z = rng.standard_normal((m, len(sds) + z_cols))
+    width = len(sds) + z_cols
+    flat = rng.standard_normal(m * width)
+    rejected = np.zeros(m, dtype=int)
     # rng.normal(0, sd, size) is 0 + sd * (standard normal draws), value for value
+    while p.sigma_mu1 > 0:
+        outside = np.abs(p.rho + (0.0 + p.sigma_mu1 * flat[::width])) >= _STATIONARY_BOUND
+        if not outside.any():
+            break
+        i = int(np.argmax(outside))  # the first country whose rho_i candidate is rejected
+        rejected[i] += 1
+        if rejected[i] == _REDRAW_LIMIT:
+            raise InvalidParamsError("could not draw a stationary persistence coefficient")
+        flat = np.append(np.delete(flat, i * width), rng.standard_normal(1))
+    z = flat.reshape(m, width)
     offsets = iter([0.0 + sd * z[:, j] for j, sd in enumerate(sds)])
     rho = p.rho + next(offsets) if p.sigma_mu1 > 0 else np.full(m, p.rho)
     mu2 = next(offsets) if p.sigma_mu2 > 0 else np.zeros(m)
     alpha = p.alpha_mean + (next(offsets) if p.alpha_sd > 0 else np.zeros(m))
-    shocks = z[:, len(sds):]
-    if np.all(np.abs(rho) < _STATIONARY_BOUND):
-        return rho, mu2, alpha, shocks
-    rng.bit_generator.state = state
-    for i in range(m):
-        rho[i] = _draw_rho(p, rng)
-        mu2[i] = rng.normal(0.0, p.sigma_mu2) if p.sigma_mu2 > 0 else 0.0
-        alpha[i] = p.alpha_mean + (rng.normal(0.0, p.alpha_sd) if p.alpha_sd > 0 else 0.0)
-        shocks[i] = rng.standard_normal(z_cols)
-    return rho, mu2, alpha, shocks
+    return rho, mu2, alpha, z[:, len(sds):]
 
 
 def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], include_growth: bool = False):
     """One panel per seed, stacked on the country axis, and each country's drawn rho_i, mu2_i and alpha_i.
 
     Seed `tag`'s countries are `tag + "C00"`, `tag + "C01"`, ... Each seed's
-    generator draws all its countries in one call, or country by country when
-    a rho_i must be redrawn (see `_draw_countries`), in the same order either
-    way; the arithmetic then runs on all rows at once and is element-wise per
-    row, so a panel's cells do not depend on the panels stacked with it.
+    generator draws all its countries in one call (see `_draw_countries`); the
+    arithmetic then runs on all rows at once and is element-wise per row, so a
+    panel's cells do not depend on the panels stacked with it.
     """
     total = p.burn_in + p.n_years
     # a country's series draws, in order: cost and price shocks over burn-in plus

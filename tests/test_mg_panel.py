@@ -29,7 +29,7 @@ from passthru.mg_panel import (
     pooled_fixed_effects,
     wald_joint,
 )
-from passthru.panel_data import DecadeWindow, PanelDataset, TransformSpec, load_table_a2
+from passthru.panel_data import DECADE_SCHEMA, DecadeWindow, PanelDataset, TransformSpec, load_table_a2
 from passthru.regression_core import DesignMatrix, SingularDesignError, ols_fit
 from passthru.synth_lab import DgpParams, generate_panel
 
@@ -114,9 +114,9 @@ def test_fit_country_constant_cost_is_singular():
     cells = {
         "dln_cpi": {("AA", y): 0.01 + 0.001 * (y % 3) for y in years},
         "dln_ulc": growth,
+        "dln_cpi_lag1": {("AA", y): 0.01 for y in years},
     }
     ds = PanelDataset(["AA"], years, cells)
-    ds = ds.with_series("dln_cpi_lag1", {("AA", y): 0.01 for y in years})
     spec = ModelSpec(
         dependent=Term("dln_cpi", TransformSpec.identity("dln_cpi")),
         regressors=(
@@ -457,6 +457,71 @@ def test_decade_passthroughs_exclusion_and_covariate_join():
     c01 = [r for r in panel.rows if r.country == "C01"]
     assert all(r.em6 is not None for r in c01)
     assert all(r.avg_inflation is not None for r in panel.rows)
+
+
+def _decade_reference(ds, spec, windows, decade_data):
+    """Each (country, decade)'s covariates and average inflation, read cell by cell with value()."""
+    mat = materialize_design(ds, spec)
+    expected = {}
+    for w in windows:
+        years = [y for y in mat.years if w.start_year <= y <= w.end_year]
+        for country in mat.countries:
+            row = {}
+            for var in DECADE_SCHEMA:
+                val = None
+                if decade_data is not None and var in decade_data.variables:
+                    val = decade_data.value(var, country, w.start_year)
+                if val is None and var in mat.variables:
+                    obs = [v for y in years if (v := mat.value(var, country, y)) is not None]
+                    val = sum(obs) / len(obs) if obs else None
+                row[var] = val
+            dep = [v for y in years if (v := mat.value(spec.dependent.name, country, y)) is not None]
+            row["avg_inflation"] = sum(dep) / len(dep) if dep else None
+            expected[(country, w.label)] = row
+    return expected
+
+
+def _same_float(a, b) -> bool:
+    """Both None, or equal floats with the same sign, so -0.0 differs from 0.0."""
+    if a is None or b is None:
+        return a is b
+    return type(a) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_decade_passthroughs_match_a_cell_by_cell_reference():
+    # a panel starting mid-decade, with annual covariate and price cells missing at random
+    ds = generate_panel(DgpParams(n_countries=6, n_years=37, start_year=1981, seed=11))
+    rng = np.random.default_rng(4)
+    cells = {}
+    for var in ds.variables:
+        keep = 0.97 if var in ("cpi", "ulc") else 0.6
+        cells[var] = {key: v for key, v in ds.cells(var).items() if rng.random() < keep}
+    cells["kof"] = {(c, y): v for (c, y), v in cells["kof"].items() if not (c == "C01" and y < 2000)}
+    cells["em10"].update({("C04", y): -0.0 for y in range(2000, 2010)})  # sums to -0.0 cell by cell
+    ds = PanelDataset(ds.countries, ds.years, cells)
+    # the decade file lacks em10, countries C01 and C05, and one cell of C02
+    in_file = ("C00", "C02", "C03", "C04")
+    decades = (1980, 1990, 2000, 2010)
+    decade_cells = {
+        var: {(c, d): 0.1 + 0.01 * i + d / 1e5 for i, c in enumerate(in_file) for d in decades} for var in ("kof", "em6")
+    }
+    del decade_cells["em6"][("C02", 1990)]
+    spec = build_passthrough_spec("cpi", "ulc")
+    windows = [DecadeWindow.from_start(d) for d in decades]
+    for decade_data in (None, PanelDataset(in_file, decades, decade_cells)):
+        panel = estimate_decade_passthroughs(ds, spec, windows, decade_data=decade_data, exclude=("C03",))
+        expected = _decade_reference(ds, spec, windows, decade_data)
+        assert {r.country for r in panel.rows} == {"C00", "C01", "C02", "C04", "C05"}
+        assert Exclusion("C03", "1980s", "ExcludedByConfig") in panel.exclusions
+        assert len(panel.rows) + len(panel.exclusions) == 6 * len(windows)
+        for row in panel.rows:
+            want = expected[(row.country, row.decade)]
+            for name in ("kof", "em6", "em10", "avg_inflation"):
+                assert _same_float(getattr(row, name), want[name]), (row.country, row.decade, name)
+        got = {(r.country, r.decade): r for r in panel.rows}
+        assert got[("C01", "1990s")].kof is None  # no kof cell in the decade file or the annual panel
+        assert _same_float(got[("C04", "2000s")].em10, 0.0)
+        assert sum(decade == "1980s" for _, decade in got) >= 3  # fitted on the nine panel years of the 1980s
 
 
 def test_decade_passthroughs_require_cost_slot(toy_levels):

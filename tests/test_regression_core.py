@@ -300,9 +300,13 @@ def test_within_drops_constant_column_and_counts_dof():
 
 
 def test_within_unmapped_row():
-    d = design(np.ones((3, 1)), np.arange(3.0), ("x",), row_labels=("r0", "r1", "r2"))
-    with pytest.raises(UnmappedRowError):
-        within_transform(d, {"r0": "a", "r1": "a"})
+    d = design(np.column_stack([np.ones(3), np.arange(3.0)]), np.arange(3.0), ("const", "x"))
+    for groups in (["a", "a"], ["a", "a", "b", "b"]):
+        with pytest.raises(UnmappedRowError, match=f"^{len(groups)} entities for 3 rows$"):
+            within_transform(d, groups)
+    fit = ols_fit(within_transform(d, ["a", "a", "b"]))
+    with pytest.raises(UnmappedRowError, match="^2 entities for 3 rows$"):
+        r2_components(fit, d, ["a", "a"])
 
 
 # ---------------------------------------------------------------- r2 components

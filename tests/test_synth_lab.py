@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import sys
 import time
@@ -66,6 +67,23 @@ def test_params_validation():
         for value in (2.0, 20.5, True, "3", None):
             with pytest.raises(InvalidParamsError, match=f"^{name} must be an int, got {value!r}$"):
                 DgpParams(**{name: value})
+    for name in ("rho", "lam", "sigma_mu1", "sigma_mu2", "alpha_mean", "alpha_sd", "sigma_eps", "cost_ar", "cost_sd"):
+        for value in (True, False, "0.4", None, 1j, [0.4]):
+            with pytest.raises(InvalidParamsError, match=rf"^{name} must be a real number, got {re.escape(repr(value))}$"):
+                DgpParams(**{name: value})
+    for schedule in ([0.1, 0.2], 0.1, "0.1"):
+        with pytest.raises(InvalidParamsError, match=rf"^lambda_schedule must be a tuple, got {re.escape(repr(schedule))}$"):
+            DgpParams(lambda_schedule=schedule)
+    for entry in ("0.2", None, True, (0.2,)):
+        with pytest.raises(InvalidParamsError, match=rf"^lambda_schedule\[1\] must be a real number, got {re.escape(repr(entry))}$"):
+            DgpParams(lambda_schedule=(0.1, entry))
+    assert DgpParams(rho=np.float64(0.4), lam=1, lambda_schedule=(np.float64(0.2), 0)).lam == 1
+
+
+def test_redraw_limit_names_the_persistence_draw():
+    # every rho_i candidate lies near 5, outside the stationary bound
+    with pytest.raises(InvalidParamsError, match="^could not draw a stationary persistence coefficient$"):
+        generate_panel(DgpParams(rho=5.0, sigma_mu1=0.01))
 
 
 def test_noise_free_homogeneous_panel():
