@@ -27,7 +27,7 @@ import numpy as np
 
 from passthru import __version__
 from passthru.errors import PassthruError
-from passthru.kvconfig import format_kv, number_parser, parse_kv_text
+from passthru.kvconfig import format_kv, parse_kv_text
 from passthru.mg_panel import (
     MgError,
     MgResult,
@@ -54,7 +54,7 @@ from passthru.panel_data import (
     window,
 )
 from passthru.second_stage import COVARIATE_LABELS, SecondStageResult, table5_results
-from passthru.synth_lab import DgpParams, dgp_params_from_mapping, dgp_params_to_mapping, generate_panel
+from passthru.synth_lab import DgpParams, InvalidParamsError, generate_panel
 from passthru.tree_forest import (
     AxisSpec,
     SplitParams,
@@ -349,7 +349,7 @@ class RunConfig:
 
 
 # config key -> field; the field's annotation says how the key's text is read (see
-# _read). Reading, writing and the unknown-key check go through these two tables;
+# _read). Reading, writing and the unknown-key check go through these three tables;
 # data.synthetic and the dgp.* keys make the `dgp` field.
 _RUN_KEYS = {
     "data.panel_path": "panel_path",
@@ -366,6 +366,9 @@ _RUN_KEYS = {
     "output.format": "fmt",
 }
 _FOREST_KEYS = {f"forest.{f.name}": f.name for f in fields(ForestConfig)}
+_DGP_KEYS = {
+    "dgp." + {"n_countries": "countries", "n_years": "years"}.get(f.name, f.name): f.name for f in fields(DgpParams)
+}
 
 # accepted values of an on/off key, in any case; empty means off
 _SWITCHES = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False, "": False}
@@ -374,20 +377,22 @@ _SWITCHES = {"true": True, "yes": True, "1": True, "false": False, "no": False, 
 def _read(key: str, annotation: str, raw: str, base: Path):
     """One config entry's text, read as its field's annotation says.
 
-    A path resolves against base, a list is comma-separated, and a number is an
-    int or a float; an empty path or number is None. A string is stripped, and
+    A path resolves against base, a list is comma-separated (its non-empty
+    entries, stripped), and a number is an int or a float, as is each entry of a
+    float list; an empty path or number is None. A string is stripped, and
     `none` is None when the field is optional.
     """
     kind = annotation.removesuffix(" | None")
     if kind == "Path":
         return (base / raw).resolve() if raw else None
-    if kind == "tuple[str, ...]":
-        return tuple(v.strip() for v in raw.split(",") if v.strip())
+    if kind in ("tuple[str, ...]", "tuple[float, ...]"):
+        entries = tuple(v.strip() for v in raw.split(",") if v.strip())
+        return entries if kind == "tuple[str, ...]" else tuple(_read(key, "float", v, base) for v in entries)
     if kind in ("int", "float"):
         if raw == "":
             return None
         try:
-            return number_parser(kind)(raw)
+            return int(raw) if kind == "int" else float(raw)
         except ValueError:
             raise ConfigError(key, f"expected {'an integer' if kind == 'int' else 'a number'}, got {raw!r}") from None
     text = raw.strip()
@@ -417,20 +422,21 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
     synthetic = _SWITCHES.get(raw_synthetic.strip().lower())
     if synthetic is None:
         raise ConfigError("data.synthetic", f"expected true/false, yes/no or 1/0, got {raw_synthetic!r}")
-    known = {*_RUN_KEYS, *_FOREST_KEYS, "data.synthetic"}
+    known = {*_RUN_KEYS, *_FOREST_KEYS, *_DGP_KEYS, "data.synthetic"}
     for key in mapping:
         if key.startswith("dgp.") and not synthetic:
             raise ConfigError(key, "generator settings need data.synthetic = true")
-        if key not in known and not key.startswith("dgp."):
+        if key not in known:
             raise ConfigError(key, "unknown configuration key")
     if not mapping.get("output.dir"):
         raise ConfigError("output.dir", "output directory not configured")
 
     dgp = None
     if synthetic:
+        kwargs = _read_fields(DgpParams, _DGP_KEYS, mapping, base)
         try:
-            dgp = dgp_params_from_mapping(mapping)
-        except PassthruError as exc:
+            dgp = DgpParams(**kwargs)
+        except InvalidParamsError as exc:
             raise ConfigError("dgp", str(exc)) from exc
     forest = ForestConfig(**_read_fields(ForestConfig, _FOREST_KEYS, mapping, base))
     cfg = RunConfig(dgp=dgp, forest=forest, **_read_fields(RunConfig, _RUN_KEYS, mapping, base))
@@ -457,16 +463,17 @@ def config_to_mapping(cfg: RunConfig) -> dict[str, str]:
     written `none`), and so is an empty list other than `decades`.
     """
     mapping: dict[str, str] = {}
-    for owner, keys in ((cfg, _RUN_KEYS), (cfg.forest, _FOREST_KEYS)):
+    tables = [(cfg, _RUN_KEYS), (cfg.forest, _FOREST_KEYS)]
+    if cfg.dgp is not None:
+        mapping["data.synthetic"] = "true"
+        tables.append((cfg.dgp, _DGP_KEYS))
+    for owner, keys in tables:
         for key, name in keys.items():
             value = getattr(owner, name)
             if key == "model.control" and value is None:
                 value = "none"
             if value is not None and (value != () or key == "decades"):
-                mapping[key] = ",".join(value) if isinstance(value, tuple) else str(value)
-    if cfg.dgp is not None:
-        mapping["data.synthetic"] = "true"
-        mapping.update(dgp_params_to_mapping(cfg.dgp))
+                mapping[key] = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
     return mapping
 
 

@@ -33,11 +33,6 @@ def parse_kv_text(text: str) -> dict[str, str]:
     return out
 
 
-def number_parser(annotation: str) -> type:
-    """int or float, read off a numeric dataclass field's annotation such as 'int | None'."""
-    return {"int": int, "float": float}[annotation.removesuffix(" | None")]
-
-
 def format_kv(mapping: dict[str, str]) -> str:
     """Canonical serialization: sorted keys, one per line."""
     return "".join(f"{k} = {mapping[k]}\n" for k in sorted(mapping))

@@ -14,15 +14,14 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
-from numbers import Real
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from passthru.errors import PassthruError
-from passthru.kvconfig import number_parser
 from passthru.mg_panel import (
     ModelSpec,
     fit_countries,
@@ -81,7 +80,7 @@ class DgpParams:
         checks = [(f.name, f.type, getattr(self, f.name)) for f in fields(self) if f.type in ("int", "float")]
         checks += [(f"lambda_schedule[{i}]", "float", value) for i, value in enumerate(schedule or ())]
         for name, kind, value in checks:
-            if isinstance(value, bool) or not isinstance(value, int if kind == "int" else Real):
+            if isinstance(value, bool) or not isinstance(value, Integral if kind == "int" else Real):
                 raise InvalidParamsError(f"{name} must be {'an int' if kind == 'int' else 'a real number'}, got {value!r}")
             if kind == "float" and not math.isfinite(value):
                 raise InvalidParamsError(f"{name} must be finite, got {value!r}")
@@ -241,20 +240,7 @@ class McReport:
     slots: dict[str, SlotStats]
 
     def to_json_dict(self) -> dict:
-        return {
-            "reps": self.reps,
-            "estimator": self.estimator,
-            "slots": {
-                name: {
-                    "truth": s.truth,
-                    "mean_estimate": s.mean_estimate,
-                    "bias": s.bias,
-                    "rmse": s.rmse,
-                    "coverage": s.coverage,
-                }
-                for name, s in self.slots.items()
-            },
-        }
+        return asdict(self)
 
 
 def default_truths(p: DgpParams, spec: ModelSpec) -> dict[str, float]:
@@ -334,8 +320,9 @@ def monte_carlo(
     shorter one rep for rep. Aggregation uses compensated summation, making it
     order-independent.
 
-    reps is an int >= 2, and every slot of `truths` must be a design column.
-    n_jobs, an int >= 1, caps the worker processes: blocks run on
+    reps is an integer >= 2 (any Integral but a bool, as in the int fields of
+    DgpParams), and every slot of `truths` must be a design column.
+    n_jobs, an integer >= 1, caps the worker processes: blocks run on
     min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
     when that is 1. Workers fork from a forkserver that has imported this module
     once. A process forked (os.fork) from the one that started the forkserver
@@ -354,8 +341,9 @@ def monte_carlo(
     a slower start.
     """
     for name, value, least in (("reps", reps, 2), ("n_jobs", n_jobs, 1)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
             raise InvalidParamsError(f"{name} must be an int of at least {least}, got {value!r}")
+    reps, n_jobs = int(reps), int(n_jobs)
     if estimator not in ("mg", "pooled_fe"):
         raise InvalidParamsError(f"unknown estimator {estimator!r}")
     truths = dict(truths) if truths is not None else default_truths(p, spec)
@@ -402,43 +390,3 @@ def monte_carlo(
         )
     return McReport(reps=reps, estimator=estimator, slots=slots)
 
-
-# Config key (after "dgp.") -> DgpParams field and its parser, read off the field's
-# annotation; lambda_schedule is a comma-separated list and is handled on its own.
-_DGP_KEYS = {
-    {"n_countries": "countries", "n_years": "years"}.get(f.name, f.name): (f.name, number_parser(f.type))
-    for f in fields(DgpParams)
-    if f.name != "lambda_schedule"
-}
-
-
-def _parse(key: str, cast: type, text: str):
-    try:
-        return cast(text)
-    except ValueError:
-        raise InvalidParamsError(f"{key}: cannot parse {text!r}") from None
-
-
-def dgp_params_from_mapping(mapping: Mapping[str, str]) -> DgpParams:
-    """Build DgpParams from flat `dgp.key = value` config entries."""
-    kwargs: dict = {}
-    for key, raw in mapping.items():
-        if not key.startswith("dgp."):
-            continue
-        short = key[len("dgp."):]
-        if short == "lambda_schedule":
-            kwargs[short] = tuple(_parse(key, float, v.strip()) for v in raw.split(",") if v.strip())
-        elif short in _DGP_KEYS:
-            attr, cast = _DGP_KEYS[short]
-            kwargs[attr] = _parse(key, cast, raw)
-        else:
-            raise InvalidParamsError(f"unknown generator setting {key!r}")
-    return DgpParams(**kwargs)
-
-
-def dgp_params_to_mapping(p: DgpParams) -> dict[str, str]:
-    """Flat config entries that dgp_params_from_mapping turns back into p."""
-    mapping = {f"dgp.{key}": str(getattr(p, attr)) for key, (attr, _) in _DGP_KEYS.items()}
-    if p.lambda_schedule is not None:
-        mapping["dgp.lambda_schedule"] = ",".join(str(v) for v in p.lambda_schedule)
-    return mapping

@@ -556,28 +556,23 @@ class PdGrid:
     surface: np.ndarray  # shape (axes[0].steps, axes[1].steps)
     slices: tuple[SliceCurve, ...] = ()
 
-    def to_csv(self, float_fmt: str = "{:.6g}") -> str:
+    def to_csv(self) -> str:
         lines = [f"{self.axis_names[0]},{self.axis_names[1]},prediction"]
         for i, a in enumerate(self.axis_values[0]):
             for j, b in enumerate(self.axis_values[1]):
-                lines.append(
-                    ",".join(float_fmt.format(v) for v in (a, b, self.surface[i, j]))
-                )
+                lines.append(f"{a:.6g},{b:.6g},{self.surface[i, j]:.6g}")
         return "\n".join(lines) + "\n"
 
-    def slices_to_csv(self, float_fmt: str = "{:.6g}") -> str:
+    def slices_to_csv(self) -> str:
         lines = ["fixed_feature,fixed_value,along_feature,along_value,prediction"]
         for s in self.slices:
             for v, pred in zip(s.along_values, s.predictions):
-                lines.append(
-                    f"{s.fixed_feature},{float_fmt.format(s.fixed_value)},{s.along_feature},"
-                    f"{float_fmt.format(v)},{float_fmt.format(pred)}"
-                )
+                lines.append(f"{s.fixed_feature},{s.fixed_value:.6g},{s.along_feature},{v:.6g},{pred:.6g}")
         return "\n".join(lines) + "\n"
 
-    def to_json(self, float_fmt: str = "{:.6g}") -> str:
+    def to_json(self) -> str:
         def f(v: float) -> float:
-            return float(float_fmt.format(v))
+            return float(f"{v:.6g}")
 
         payload = {
             "axes": [

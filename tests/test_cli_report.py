@@ -40,7 +40,6 @@ from passthru.cli_report import (
     run_pipeline,
     stars_for,
 )
-from passthru.kvconfig import number_parser
 from passthru.mg_panel import build_passthrough_spec
 from passthru.panel_data import PanelDataset, table_a2_path, write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
@@ -222,7 +221,7 @@ def test_bad_forest_and_seed_values_fail_before_any_output(tmp_path, data_dir, c
 
 
 @pytest.mark.parametrize("line, message", [
-    ("dgp.lambda_schedule = 0.1,abc", "dgp: dgp.lambda_schedule: cannot parse 'abc'"),
+    ("dgp.lambda_schedule = 0.1,abc", "dgp.lambda_schedule: expected a number, got 'abc'"),
     ("dgp.rho = nan", "dgp: rho must be finite, got nan"),
     ("dgp.lam = inf", "dgp: lam must be finite, got inf"),
 ])
@@ -263,12 +262,51 @@ def test_config_synthetic_switch_is_strict(tmp_path, data_dir):
         assert err.value.field_path == field
 
 
-def test_number_parser_reads_field_annotations():
-    assert number_parser("int") is int
-    assert number_parser("float") is float
-    assert number_parser("int | None") is int
-    with pytest.raises(KeyError):
-        number_parser("tuple[float, ...] | None")
+def test_config_reads_generator_keys(tmp_path):
+    base = {"output.dir": str(tmp_path), "data.synthetic": "true"}
+    cfg = config_from_mapping(base | {
+        "dgp.countries": "7", "dgp.years": "25", "dgp.rho": "0.3", "dgp.lam": "0.2",
+        "dgp.sigma_eps": "0.02", "dgp.seed": "3", "dgp.lambda_schedule": "0.25, 0.1",
+    })
+    p = cfg.dgp
+    assert (p.n_countries, p.n_years, p.rho, p.lam, p.sigma_eps, p.seed) == (7, 25, 0.3, 0.2, 0.02, 3)
+    assert p.lambda_schedule == (0.25, 0.1)
+    # an empty value leaves the default, as for every other key
+    assert config_from_mapping(base | {"dgp.rho": ""}).dgp == DgpParams()
+    assert config_from_mapping(base | {"dgp.lambda_schedule": ""}).dgp == DgpParams()
+    for key, raw, message in [
+        ("dgp.mystery", "1", "unknown configuration key"),
+        ("dgp.n_countries", "7", "unknown configuration key"),
+        ("dgp.rho", "abc", "expected a number, got 'abc'"),
+        ("dgp.seed", "1.5", "expected an integer, got '1.5'"),
+        ("dgp.lambda_schedule", "0.1, abc", "expected a number, got 'abc'"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping(base | {key: raw})
+        assert (err.value.field_path, str(err.value)) == (key, f"{key}: {message}")
+
+
+def test_config_reads_int_and_float_keys_by_their_field_types(tmp_path):
+    cfg = config_from_mapping({
+        "output.dir": str(tmp_path), "data.synthetic": "true", "dgp.seed": "3", "dgp.countries": "7",
+        "dgp.rho": "1", "model.min_obs": "12", "forest.subsample": "1",
+    })
+    p = cfg.dgp
+    # an int key reads as an int and a float key as a float, whatever the table
+    assert [type(v) for v in (p.seed, p.n_countries, cfg.min_obs, p.rho, cfg.forest.subsample)] == [int] * 3 + [float] * 2
+    assert (p.seed, p.n_countries, cfg.min_obs, p.rho, cfg.forest.subsample) == (3, 7, 12, 1.0, 1.0)
+
+
+def test_config_round_trips_generator_settings(tmp_path):
+    custom = DgpParams(n_countries=7, rho=0.3, sigma_eps=0.02, lambda_schedule=(0.25, 0.1), seed=3)
+    mappings = []
+    for p in (DgpParams(), custom):
+        cfg = RunConfig(out_dir=tmp_path.resolve(), dgp=p)
+        mappings.append(config_to_mapping(cfg))
+        assert config_from_mapping(mappings[-1]) == cfg
+    default, written = mappings
+    assert (written["dgp.countries"], written["dgp.lambda_schedule"]) == ("7", "0.25,0.1")
+    assert "dgp.lambda_schedule" not in default
 
 
 def test_config_decade_labels_validated(tmp_path, data_dir):

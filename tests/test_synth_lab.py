@@ -26,7 +26,7 @@ from passthru.mg_panel import (
     mean_group,
     pooled_fixed_effects,
 )
-from passthru.panel_data import TransformSpec, apply_transform
+from passthru.panel_data import TransformSpec, apply_transform, panel_csv_text
 from passthru.synth_lab import (
     BLOCK_REPS,
     DgpParams,
@@ -35,8 +35,6 @@ from passthru.synth_lab import (
     _ar1,
     _block,
     default_truths,
-    dgp_params_from_mapping,
-    dgp_params_to_mapping,
     generate_panel,
     monte_carlo,
 )
@@ -182,6 +180,18 @@ def test_monte_carlo_rejects_a_bad_n_jobs(n_jobs):
 def test_monte_carlo_rejects_a_bad_reps(reps):
     with pytest.raises(InvalidParamsError, match="reps"):
         monte_carlo(DgpParams(n_countries=3, n_years=12, seed=1), SPEC, reps=reps)
+
+
+def test_numpy_integers_count_as_ints():
+    values = {"n_countries": 4, "n_years": 15, "start_year": 1990, "burn_in": 7, "seed": 3}
+    built = DgpParams(**{name: np.int64(v) for name, v in values.items()})
+    assert built == DgpParams(**values)
+    assert panel_csv_text(generate_panel(built)) == panel_csv_text(generate_panel(DgpParams(**values)))
+    p = DgpParams(n_countries=3, n_years=12, seed=1)
+    want = json.dumps(monte_carlo(p, SPEC, reps=4).to_json_dict(), sort_keys=True)
+    got = monte_carlo(p, SPEC, reps=np.int64(4), n_jobs=np.int64(1)).to_json_dict()
+    assert json.dumps(got, sort_keys=True) == want
+    assert type(got["reps"]) is int
 
 
 class _InlinePool:
@@ -444,32 +454,6 @@ def test_pooled_fe_bias_exceeds_mg_under_heterogeneity():
     pooled = monte_carlo(p, SPEC, reps=60, estimator="pooled_fe")
     assert abs(pooled.slots["dln_ulc"].bias) > abs(mg.slots["dln_ulc"].bias)
     assert abs(pooled.slots["dln_ulc"].bias) > 3 * abs(mg.slots["dln_ulc"].bias)
-
-
-def test_dgp_params_from_mapping():
-    mapping = {
-        "dgp.countries": "7", "dgp.years": "25", "dgp.rho": "0.3", "dgp.lam": "0.2",
-        "dgp.sigma_eps": "0.02", "dgp.seed": "3", "dgp.lambda_schedule": "0.25, 0.1",
-        "other.key": "ignored",
-    }
-    p = dgp_params_from_mapping(mapping)
-    assert (p.n_countries, p.n_years, p.rho, p.lam) == (7, 25, 0.3, 0.2)
-    assert p.lambda_schedule == (0.25, 0.1)
-    with pytest.raises(InvalidParamsError):
-        dgp_params_from_mapping({"dgp.mystery": "1"})
-    with pytest.raises(InvalidParamsError):
-        dgp_params_from_mapping({"dgp.rho": "abc"})
-    with pytest.raises(InvalidParamsError, match="^dgp.lambda_schedule: cannot parse 'abc'$"):
-        dgp_params_from_mapping({"dgp.lambda_schedule": "0.1, abc"})
-
-
-def test_dgp_params_mapping_round_trip():
-    p = DgpParams(n_countries=7, rho=0.3, sigma_eps=0.02, lambda_schedule=(0.25, 0.1), seed=3)
-    mapping = dgp_params_to_mapping(p)
-    assert mapping["dgp.countries"] == "7"
-    assert mapping["dgp.lambda_schedule"] == "0.25,0.1"
-    assert dgp_params_from_mapping(mapping) == p
-    assert dgp_params_from_mapping(dgp_params_to_mapping(DgpParams())) == DgpParams()
 
 
 def test_ar1_matches_lfilter_bit_for_bit():
