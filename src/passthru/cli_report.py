@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -378,9 +378,10 @@ def _read(key: str, annotation: str, raw: str, base: Path):
     """One config entry's text, read as its field's annotation says.
 
     A path resolves against base, a list is comma-separated (its non-empty
-    entries, stripped), and a number is an int or a float, as is each entry of a
-    float list; an empty path or number is None. A string is stripped, and
-    `none` is None when the field is optional.
+    entries, stripped), and a number is an int or a float written in ASCII
+    without underscores, as is each entry of a float list; an empty path or
+    number is None. A string is stripped, and `none` is None when the field is
+    optional.
     """
     kind = annotation.removesuffix(" | None")
     if kind == "Path":
@@ -391,10 +392,11 @@ def _read(key: str, annotation: str, raw: str, base: Path):
     if kind in ("int", "float"):
         if raw == "":
             return None
-        try:
-            return int(raw) if kind == "int" else float(raw)
-        except ValueError:
-            raise ConfigError(key, f"expected {'an integer' if kind == 'int' else 'a number'}, got {raw!r}") from None
+        # int() and float() would also take digit-group underscores and non-ASCII digits
+        if "_" not in raw and raw.isascii():
+            with suppress(ValueError):
+                return int(raw) if kind == "int" else float(raw)
+        raise ConfigError(key, f"expected {'an integer' if kind == 'int' else 'a number'}, got {raw!r}")
     text = raw.strip()
     return None if text == "none" and annotation == "str | None" else text
 

@@ -17,8 +17,9 @@ routing function, `importance` and `tree_shape` read.
 Routing gives each row's leaf id. A forest's prediction is the correctly
 rounded sum of its trees' leaf values, divided by the tree count: the sum
 runs over exact integer limbs, one tree at a time, and equals math.fsum, so
-it does not depend on tree order. `partial_dependence` routes the grid and
-every slice through the trees in one pass.
+it does not depend on tree order. `partial_dependence` routes no point: each
+leaf is a box, and a summed-area table of the leaves' limbs over the grid's
+cells gives every grid and slice point the same sum that routing would.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ def _grow(
     columns = [feature, threshold, right, gain, *(np.concatenate(c)[preorder] for c in zip(*created))]
     for c in columns:
         c.flags.writeable = False
-    return list(zip(*(np.split(c, root[1:]) for c in columns)))
+    bounds = [*root.tolist(), total]
+    return [tuple(c[a:b] for c in columns) for a, b in zip(bounds, bounds[1:])]
 
 
 def fit_tree(
@@ -361,43 +363,60 @@ def _tree_leaves(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np.ndarray:
-    """Per point, the correctly rounded sum over t of values[t][picks[t]].
+def _limbs(flat: np.ndarray, terms: int) -> tuple[np.ndarray, int, int] | None:
+    """Split values into exact int64 limbs that sums of `terms` of them keep exact.
 
-    Equal to math.fsum over each point's terms, and so invariant to their
-    order, without a (terms, points) matrix: every value is scaled by a common
-    power of two to an exact integer, split into signed int64 limbs of w bits
-    (Demmel & Hida 2003), and the limbs are summed term by term. Each point's
-    limbs are then joined as a Python int and rounded once by int division.
-    When the scaled values overflow a double, the terms are stacked and
-    summed by math.fsum instead. `picks` is consumed once, in order.
+    Every value is scaled by a common power of two, 2^-shift, to an exact
+    integer and split into signed limbs of w bits (Demmel & Hida 2003), low
+    limb first. Returns ((limbs, values) table, w, shift), or None when the
+    scaled values overflow a double.
     """
-    flat = np.concatenate(values)
-    offsets = np.cumsum([0] + [v.size for v in values[:-1]])
     nonzero = flat[flat != 0.0]
     lowest = int(np.frexp(nonzero)[1].min()) if nonzero.size else 53
     shift = min(lowest, 53) - 53  # 2^-shift * each value is an integer
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = np.ldexp(flat, -shift)
     if not np.all(np.isfinite(scaled)):
-        stacked = np.vstack([v[p] for v, p in zip(values, picks)])
-        return np.array([math.fsum(col) for col in stacked.T])
+        return None
     # w <= 53 keeps each low limb exact in a double; w + log2(terms) <= 62
-    # keeps every limb's sum inside an int64
-    w = min(53, 62 - len(values).bit_length())
+    # keeps every limb's sum over the terms inside an int64
+    w = min(53, 62 - terms.bit_length())
     bits = int(np.frexp(np.abs(scaled).max())[1])
     limbs = []
     for _ in range(max(1, -(-bits // w)) - 1):
         high = np.floor(np.ldexp(scaled, -w))
         limbs.append(scaled - np.ldexp(high, w))
         scaled = high
-    table = np.array(limbs + [scaled]).astype(np.int64)
-    acc = 0  # a (limbs, points) array from the first term on
-    for offset, pick in zip(offsets.tolist(), picks):
-        acc += table[:, offset + pick]
+    return np.array(limbs + [scaled]).astype(np.int64), w, shift
+
+
+def _join(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
+    """Each point's summed (limbs, points) limbs, joined as a Python int and rounded once."""
     scale = 1 << -shift
     totals = (sum(limb << (j * w) for j, limb in enumerate(point)) for point in acc.T.tolist())
     return np.array([total / scale for total in totals])
+
+
+def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np.ndarray:
+    """Per point, the correctly rounded sum over t of values[t][picks[t]].
+
+    Equal to math.fsum over each point's terms, and so invariant to their
+    order, without a (terms, points) matrix: the values' limbs (see `_limbs`)
+    are summed term by term and joined once per point. When the scaled values
+    overflow a double, the terms are stacked and summed by math.fsum instead.
+    `picks` is consumed once, in order.
+    """
+    flat = np.concatenate(values)
+    split = _limbs(flat, len(values))
+    if split is None:
+        stacked = np.vstack([v[p] for v, p in zip(values, picks)])
+        return np.array([math.fsum(col) for col in stacked.T])
+    table, w, shift = split
+    offsets = np.cumsum([0] + [v.size for v in values[:-1]])
+    acc = 0  # a (limbs, points) array from the first term on
+    for offset, pick in zip(offsets.tolist(), picks):
+        acc += table[:, offset + pick]
+    return _join(acc, w, shift)
 
 
 def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
@@ -534,6 +553,8 @@ class AxisSpec:
             raise TreeError(f"axis bounds must be finite, got [{self.minimum}, {self.maximum}]")
         if not (self.maximum > self.minimum):
             raise TreeError("axis maximum must exceed its minimum")
+        if not math.isfinite(self.maximum - self.minimum):
+            raise TreeError(f"axis span [{self.minimum}, {self.maximum}] overflows a double")
 
     def values(self) -> np.ndarray:
         return np.linspace(self.minimum, self.maximum, self.steps)
@@ -605,6 +626,67 @@ def _feature_index(model: ForestModel, feature: int | str) -> int:
     return int(feature)
 
 
+def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every leaf of the forest: its value, and its box's (leaves, features) lo and hi.
+
+    A leaf holds the points x with lo < x <= hi in every feature. One walk,
+    a depth level at a time, covers all trees' concatenated node arrays: a
+    left child (x <= threshold) takes hi = threshold, and a right child takes
+    lo = threshold.
+    """
+    trees = model.trees
+    sizes = [t.feature.size for t in trees]
+    node = np.cumsum([0] + sizes[:-1])  # the roots
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    right = np.concatenate([t.right for t in trees]) + np.repeat(node, sizes)
+    lo = np.full((node.size, model.n_features), -np.inf)
+    hi = np.full_like(lo, np.inf)
+    leaves = []
+    while node.size:
+        f = feature[node]
+        leaf, split = np.flatnonzero(f < 0), np.flatnonzero(f >= 0)  # index arrays take rows faster than masks
+        leaves.append((node[leaf], lo[leaf], hi[leaf]))
+        node, f, lo, hi = node[split], f[split], lo[split], hi[split]
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[np.arange(node.size), f] = right_lo[np.arange(node.size), f] = threshold[node]
+        node = np.concatenate([node + 1, right[node]])
+        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
+    node, lo, hi = (np.concatenate(c) for c in zip(*leaves))
+    return np.concatenate([t.prediction for t in trees])[node], lo, hi
+
+
+def _cell_sums(
+    model: ForestModel, idx: tuple[int, int], cuts: Sequence[np.ndarray], cells: Sequence[np.ndarray]
+) -> np.ndarray | None:
+    """Each point's exact sum over the trees, from a summed-area table of leaf boxes.
+
+    cuts[k] holds the sorted distinct values of feature idx[k], and cells[k]
+    each point's rank among them. A leaf's box covers a rectangle of ranks,
+    so its limbs (see `_limbs`) go to the rectangle's 4 corners of a
+    difference table, and two cumulative sums give every cell its trees'
+    total (Crow 1984). Returns None when the leaf values overflow `_limbs`.
+    """
+    values, lo, hi = _leaf_boxes(model)
+    split = _limbs(values, model.n_trees)
+    if split is None:
+        return None
+    table, w, shift = split
+    # a box (lo, hi] holds the ranks start <= r < end of its axis
+    (s0, e0), (s1, e1) = (
+        (np.searchsorted(c, lo[:, j], "right"), np.searchsorted(c, hi[:, j], "right")) for c, j in zip(cuts, idx)
+    )
+    width = cuts[1].size + 1
+    corners = np.concatenate([s0 * width + s1, e0 * width + e1, s0 * width + e1, e0 * width + s1])
+    diff = np.zeros((table.shape[0], (cuts[0].size + 1) * width), dtype=np.int64)
+    for limb, value in zip(diff, table):  # a 1-d np.add.at is many times faster than a 2-d one
+        np.add.at(limb, corners, np.concatenate([value, value, -value, -value]))
+    # int64 sums may wrap on the way, harmlessly: every cell's final sum adds
+    # one leaf per tree, which fits (see _limbs), and wrapping is modular
+    sat = diff.reshape(-1, cuts[0].size + 1, width).cumsum(axis=1).cumsum(axis=2)
+    return _join(sat[:, cells[0], cells[1]], w, shift)
+
+
 def partial_dependence(
     model: ForestModel,
     axes: tuple[AxisSpec, AxisSpec],
@@ -614,9 +696,12 @@ def partial_dependence(
 
     With exactly two predictors the surface is the direct prediction, no
     marginalization needed. Slice curves fix one feature and sweep the other
-    along its grid axis. Axes and slices outside the training range warn but
-    run. The grid and all slice points go through the trees in one
-    predict_many call.
+    along its grid axis. A non-finite slice value fails; axes and slices
+    outside the training range warn but run. No point is routed: each
+    axis's grid and slice values cut it into cells, and one summed-area
+    table of the trees' leaf boxes gives every cell's prediction, equal to
+    predict_many's at its points. Leaf values too far apart in magnitude for
+    exact int64 limbs go through predict_many instead.
     """
     if model.n_features != 2:
         raise DimensionMismatchError("partial dependence grids need a 2-feature model")
@@ -625,6 +710,10 @@ def partial_dependence(
         raise DimensionMismatchError("grid axes must cover both model features")
 
     names = _names(model)
+    fixed = [(_feature_index(model, feature), value) for feature, value in slices]
+    for j, value in fixed:
+        if not math.isfinite(value):
+            raise TreeError(f"slice at {names[j]!r} is {value}, not finite")
     for ax, j in zip(axes, idx):
         if ax.minimum < model.feature_min[j] or ax.maximum > model.feature_max[j]:
             warnings.warn(
@@ -632,39 +721,42 @@ def partial_dependence(
                 f"[{model.feature_min[j]:g}, {model.feature_max[j]:g}]",
                 stacklevel=2,
             )
-
-    vals0 = axes[0].values()
-    vals1 = axes[1].values()
-    grid = np.empty((vals0.size * vals1.size, 2))
-    a, b = np.meshgrid(vals0, vals1, indexing="ij")
-    grid[:, idx[0]] = a.ravel()
-    grid[:, idx[1]] = b.ravel()
-
-    # every slice's points follow the grid's, so the trees route them all at once
-    points, shown = [grid], []
-    for feature, value in slices:
-        j = _feature_index(model, feature)
+    for j, value in fixed:
         if not model.feature_min[j] <= value <= model.feature_max[j]:
             warnings.warn(
                 f"slice at {names[j]!r} = {value:g} lies beyond the training range "
                 f"[{model.feature_min[j]:g}, {model.feature_max[j]:g}]",
                 stacklevel=2,
             )
-        other = 1 - j
-        sweep = axes[idx.index(other)].values()
-        pts = np.empty((sweep.size, 2))
-        pts[:, j] = value
-        pts[:, other] = sweep
-        points.append(pts)
-        shown.append((names[j], float(value), names[other], sweep))
-    ends = np.cumsum([p.shape[0] for p in points])
-    predictions = np.split(predict_many(model, np.vstack(points)), ends[:-1])
-    surface = predictions[0].reshape(vals0.size, vals1.size)
+
+    vals = (axes[0].values(), axes[1].values())
+    # each axis's distinct grid and slice values, and every point's ranks among
+    # them: the grid's points first, then each slice's, along the other axis
+    cuts = [np.sort(np.concatenate([v, [value for j, value in fixed if j == f]])) for v, f in zip(vals, idx)]
+    cuts = [c[np.append(True, np.diff(c) > 0)] for c in cuts]  # np.unique's first call imports numpy.ma, 1.6 MiB
+    ranks = [np.searchsorted(c, v) for c, v in zip(cuts, vals)]
+    cells = [[np.repeat(ranks[0], vals[1].size)], [np.tile(ranks[1], vals[0].size)]]
+    shown = []
+    for j, value in fixed:
+        k = idx.index(j)
+        cells[k].append(np.full(vals[1 - k].size, np.searchsorted(cuts[k], value)))
+        cells[1 - k].append(ranks[1 - k])
+        shown.append((names[j], float(value), names[1 - j], vals[1 - k]))
+    cells = [np.concatenate(c) for c in cells]
+    sums = _cell_sums(model, idx, cuts, cells)
+    if sums is None:
+        points = np.empty((cells[0].size, 2))
+        points[:, idx[0]], points[:, idx[1]] = cuts[0][cells[0]], cuts[1][cells[1]]
+        predictions = predict_many(model, points)
+    else:
+        predictions = sums / model.n_trees
+    ends = np.cumsum([vals[0].size * vals[1].size] + [s[3].size for s in shown])
+    predictions = np.split(predictions, ends[:-1])
     curves = [SliceCurve(*s, predictions=p) for s, p in zip(shown, predictions[1:])]
     return PdGrid(
         axes=axes,
         axis_names=(names[idx[0]], names[idx[1]]),
-        axis_values=(vals0, vals1),
-        surface=surface,
+        axis_values=vals,
+        surface=predictions[0].reshape(vals[0].size, vals[1].size),
         slices=tuple(curves),
     )

@@ -297,6 +297,17 @@ def test_config_reads_int_and_float_keys_by_their_field_types(tmp_path):
     assert (p.seed, p.n_countries, cfg.min_obs, p.rho, cfg.forest.subsample) == (3, 7, 12, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("key, raw, expected", [
+    ("dgp.rho", "0_4", "a number"),  # float() reads 4.0
+    ("seed", "1_0", "an integer"),  # int() reads 10
+    ("seed", "٣", "an integer"),  # an Arabic-Indic three; int() reads 3
+])
+def test_config_numbers_are_ascii_without_underscores(tmp_path, key, raw, expected):
+    with pytest.raises(ConfigError) as err:
+        config_from_mapping({"output.dir": str(tmp_path), "data.synthetic": "true", key: raw})
+    assert (err.value.field_path, str(err.value)) == (key, f"{key}: expected {expected}, got {raw!r}")
+
+
 def test_config_round_trips_generator_settings(tmp_path):
     custom = DgpParams(n_countries=7, rho=0.3, sigma_eps=0.02, lambda_schedule=(0.25, 0.1), seed=3)
     mappings = []

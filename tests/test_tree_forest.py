@@ -575,6 +575,67 @@ def test_pd_routes_grid_and_slices_like_their_points_alone(seed, swap, slices, s
         assert curve.predictions.tobytes() == predict_many(forest, pts).tobytes()
 
 
+def assert_pd_is_routed_sum(forest, axes, slices=()):
+    """The surface and every slice, bit for bit, against predict_many on their points; axes[k] is feature k."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grid = partial_dependence(forest, axes, slices)
+    a, b = np.meshgrid(*grid.axis_values, indexing="ij")
+    assert grid.surface.ravel().tobytes() == predict_many(forest, np.column_stack([a.ravel(), b.ravel()])).tobytes()
+    for (j, value), curve in zip(slices, grid.slices):
+        pts = np.empty((curve.along_values.size, 2))
+        pts[:, j] = value
+        pts[:, 1 - j] = grid.axis_values[1 - j]
+        assert curve.predictions.tobytes() == predict_many(forest, pts).tobytes()
+
+
+def test_pd_points_on_split_thresholds_go_left():
+    # integer features split at half-integers, and the grid steps by halves
+    rng = np.random.default_rng(21)
+    x = rng.integers(0, 10, size=(60, 2)).astype(float)
+    forest = fit_forest(x, rng.normal(size=60), n_trees=9, seed=3, params=SplitParams(min_leaf=2))
+    axes = (AxisSpec(0, -0.5, 9.5, 21), AxisSpec(1, -0.5, 9.5, 21))
+    thresholds = {t for tree in forest.trees for t in tree.threshold[tree.feature >= 0].tolist()}
+    assert len(thresholds & set(axes[0].values().tolist())) > 5
+    # slices on thresholds, on a grid value, and repeated
+    assert_pd_is_routed_sum(forest, axes, [(0, 4.5), (1, 2.5), (0, 3.0), (0, 4.5), (1, 2.5), (1, 7.25)])
+
+
+@pytest.mark.parametrize("n_trees, response, several_limbs", [
+    (7, lambda y, rng: y + 1e8, False),
+    (7, lambda y, rng: y * 10.0 ** rng.integers(-6, 9, y.size), True),
+    (1000, lambda y, rng: y, True),  # a 1000-tree sum leaves w = 52 bits a limb
+], ids=["offset", "mixed-magnitudes", "1000-trees"])
+def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
+    rng = np.random.default_rng(22)
+    x = rng.uniform(size=(40, 2))
+    forest = fit_forest(x, response(rng.normal(size=40), rng), n_trees=n_trees, seed=4, params=SplitParams(min_leaf=2))
+    leaves = np.concatenate([t.prediction for t in forest.trees])
+    assert (tree_forest._limbs(leaves, n_trees)[0].shape[0] > 1) == several_limbs
+    assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, float(x[3, 1]))])
+
+
+def test_pd_routes_points_when_leaf_values_overflow_limbs():
+    rng = np.random.default_rng(23)
+    x = rng.uniform(size=(40, 2))
+    # leaves some 1,500 binades apart; 1e150 squares, as split gains need, without overflow
+    y = np.where(x[:, 0] > 0.5, 1e150, 1e-300) * rng.uniform(1.0, 2.0, size=40)
+    forest = fit_forest(x, y, n_trees=7, seed=5, params=SplitParams(min_leaf=2))
+    assert tree_forest._limbs(np.concatenate([t.prediction for t in forest.trees]), 7) is None
+    assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, 0.25)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_pd_rejects_a_non_finite_slice_by_name_before_any_warning(value):
+    rng = np.random.default_rng(24)
+    x = rng.uniform(size=(30, 2))
+    forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TreeError, match=rf"^slice at 'x1' is {value}, not finite$"):
+            partial_dependence(forest, grid_axes(x), [(0, 9.0), ("x1", value)])
+
+
 def test_pd_requires_two_feature_model():
     rng = np.random.default_rng(16)
     x = rng.uniform(size=(30, 3))
@@ -594,3 +655,9 @@ def test_axis_spec_validation():
 def test_axis_spec_rejects_non_finite_bounds(low, high):
     with pytest.raises(TreeError, match="axis bounds must be finite"):
         AxisSpec(0, low, high, 3)
+
+
+def test_axis_spec_rejects_a_span_that_overflows():
+    # linspace over a span past the largest double would make nan grid values
+    with pytest.raises(TreeError, match="overflows a double"):
+        AxisSpec(0, -1e308, 1e308, 3)
