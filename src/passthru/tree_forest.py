@@ -6,13 +6,18 @@ subsample two thirds of the rows without replacement per tree with seeds
 derived from (master seed, tree index).
 
 Growth is level-synchronous: each tree's rows are sorted once per feature
-(the presort scheme of CART), and every open node of every tree in a batch
-is scanned at once in zero-padded (nodes, features, rows) arrays. Trees and
-forests alike go through this one kernel; a forest's trees are grown in
-fixed-size batches in one thread. Identical data, settings and seed give
-identical models, whatever the batch a tree is grown in. A fitted tree is
-a set of flat node arrays in preorder (see `RegressionTree`), which one
-routing function, `importance` and `tree_shape` read.
+(the presort scheme of CART), and every splittable node of every tree in a
+batch is scanned at once in padded (nodes, features, rows) arrays. A float
+prefix-sum scan ranks the candidate splits, and the near-best ones are
+re-checked in one array pass over exact int64 limbs of the batch's responses
+and their squares, tabled once per batch. Split nodes' segments are
+partitioned by one stable radix sort. Each node's mean and mse are computed
+once a batch is grown, one mean per distinct node size. Trees and forests
+alike go through this one kernel; a forest's trees are grown in fixed-size
+batches in one thread. Identical data, settings and seed give identical
+models, whatever the batch a tree is grown in. A fitted tree is a set of
+flat node arrays in preorder (see `RegressionTree`), which one routing
+function, `importance` and `tree_shape` read.
 
 Routing gives each row's leaf id. A forest's prediction is the correctly
 rounded sum of its trees' leaf values, divided by the tree count: the sum
@@ -27,7 +32,8 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from numbers import Integral, Real
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,6 +62,11 @@ class NoSplitsError(TreeError):
     pass
 
 
+def _check_int(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise TreeError(f"{name} must be an int of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitParams:
     min_leaf: int = 5
@@ -63,12 +74,12 @@ class SplitParams:
     min_gain: float = 0.0
 
     def __post_init__(self):
-        if self.min_leaf < 1:
-            raise TreeError("min_leaf must be >= 1")
-        if self.min_gain < 0.0:
-            raise TreeError("min_gain must be >= 0")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise TreeError("max_depth must be >= 0")
+        _check_int("min_leaf", self.min_leaf, 1)
+        if self.max_depth is not None:
+            _check_int("max_depth", self.max_depth, 0)
+        gain = self.min_gain
+        if isinstance(gain, bool) or not isinstance(gain, Real) or not (math.isfinite(gain) and gain >= 0.0):
+            raise TreeError(f"min_gain must be a finite number of at least 0, got {gain!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,22 +129,57 @@ def _exact_sse(values: np.ndarray) -> float:
     return max(math.fsum((values * values).tolist()) - s * s / m, 0.0)
 
 
+def _sse(s: np.ndarray, q: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """`_exact_sse` from the exactly rounded sums s of the values and q of their squares."""
+    return np.maximum(q - s * s / count, 0.0)
+
+
+def _split_sse(
+    limbs: list[tuple[np.ndarray, int, int]], along: np.ndarray, b: np.ndarray, n: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact sse of each candidate's first b rows of `along` and of its next n - b.
+
+    `limbs` holds the (table, w, shift) of the responses and of their
+    squares (see `_limbs`). The candidates' rows are laid end to end, one
+    int64 reduceat sums each candidate's left and right rows, and every sum
+    is rounded once.
+    """
+    rows = along[np.arange(along.shape[-1]) < n[:, None]]
+    begin = np.cumsum(n) - n
+    cuts = np.column_stack([begin, begin + b]).ravel()
+    sums = []
+    for table, w, shift in limbs:
+        parts = np.add.reduceat(table[:, rows], cuts, axis=1)  # left, right, left, right, ...
+        sums += np.split(_round_sums(np.concatenate([parts[:, ::2], parts[:, 1::2]], axis=1), w, shift), 2)
+    s_left, s_right, q_left, q_right = sums
+    return _sse(s_left, q_left, b), _sse(s_right, q_right, n - b)
+
+
 def _scan(
     xs: np.ndarray,
-    ys: np.ndarray,
+    rows: np.ndarray,
+    y: np.ndarray,
+    limbs: list[tuple[np.ndarray, int, int]] | None,
     n: np.ndarray,
     node_sse: np.ndarray,
     params: SplitParams,
     features: np.ndarray,
-) -> list[tuple[float, int, float, int, float, float] | None]:
+) -> tuple[np.ndarray, ...]:
     """Best admissible split of each node, from its rows presorted per feature.
 
-    xs and ys are (nodes, features, rows) arrays holding node i's values of
-    each feature in ascending order and its responses in that order, zero
-    past row n[i]. The prefix sums run along the row axis, so they equal the
-    sums of a lone node. Returns, per node, None or (exact gain, feature,
-    threshold, left size, left sse, right sse).
+    rows is a (nodes, features, rows) array holding node i's rows in
+    ascending order of each feature, and xs those rows' values, both padded
+    past row n[i] with its last row. The float prefix sums run along the row
+    axis, so they equal the sums of a lone node; they rank every candidate,
+    and those within 1e-9 of their node's best are re-checked with exactly
+    rounded sums: in one array pass over the batch's `limbs` (see
+    `_split_sse`), or, when they are None, one math.fsum per sum. One
+    lexsort picks each node's highest exact gain, then lowest feature, then
+    lowest threshold. Returns arrays over the nodes whose best gain exceeds
+    min_gain: (node, exact gain, feature, left size, threshold, left sse,
+    right sse).
     """
+    ys = y[rows]
     boundary = np.arange(1, xs.shape[-1])  # left child = the first `boundary` rows
     valid = (
         (xs[..., 1:] > xs[..., :-1])
@@ -157,30 +203,38 @@ def _scan(
     # near-best candidates are re-evaluated with exactly rounded sums, so ties
     # (identical partitions reachable through different features) resolve to
     # the lowest feature index, then the lowest threshold
-    near = np.nonzero(gains >= band[node])[0]
-    node, feat, iv = node[near], feat[near], iv[near]
+    near = np.flatnonzero(gains >= band[node])
+    node, feat, iv, nv = node[near], feat[near], iv[near], nv[near]
     below, above = xs[node, feat, iv - 1], xs[node, feat, iv]
     thresholds = (below + above) / 2.0
     # adjacent doubles can round the midpoint up to the right value, which
     # would route the boundary row the wrong way; fall back to the left value
     thresholds = np.where(thresholds >= above, below, thresholds)
-    sizes, sses = n.tolist(), node_sse.tolist()
-    best: list[tuple | None] = [None] * n.shape[0]
-    for i, p, b, threshold in zip(node.tolist(), feat.tolist(), iv.tolist(), thresholds.tolist()):
-        row = ys[i, p, : sizes[i]]
-        sse_left, sse_right = _exact_sse(row[:b]), _exact_sse(row[b:])
-        exact = (sses[i] - sse_left - sse_right) / sizes[i]
-        j = int(features[p])
-        held = best[i]
-        if held is None or exact > held[0] or (exact == held[0] and (j, threshold) < (held[1], held[2])):
-            best[i] = (exact, j, threshold, b, sse_left, sse_right)
-    return [None if found is None or found[0] <= params.min_gain else found for found in best]
+    if limbs is None:
+        pairs = [(_exact_sse(v[:b]), _exact_sse(v[b:k])) for v, b, k in zip(ys[node, feat], iv.tolist(), nv.tolist())]
+        sse_left, sse_right = np.array(pairs).reshape(-1, 2).T
+    else:
+        sse_left, sse_right = _split_sse(limbs, rows[node, feat], iv, nv)
+    exact = (node_sse[node] - sse_left - sse_right) / nv
+    column = features[feat]
+    ranked = np.lexsort((thresholds, column, -exact, node))
+    won = ranked[np.diff(node[ranked], prepend=-1) != 0]
+    won = won[exact[won] > params.min_gain]
+    return node[won], exact[won], column[won], iv[won], thresholds[won], sse_left[won], sse_right[won]
 
 
 def _feature_columns(x: np.ndarray, features: Sequence[int] | None) -> np.ndarray:
+    """The columns to split on: all of x's, or `features`, distinct in-range indices."""
     if features is None:
         return np.arange(x.shape[1])
-    return np.asarray(features, dtype=np.intp).reshape(-1)
+    cols = np.asarray(features)
+    if cols.ndim != 1 or cols.size == 0 or cols.dtype.kind not in "iu":
+        raise TreeError(f"features must be a non-empty sequence of column indices, got {features!r}")
+    if cols.min() < 0 or cols.max() >= x.shape[1]:
+        raise TreeError(f"features must lie in [0, {x.shape[1]}), got {features!r}")
+    if len(set(cols.tolist())) < cols.size:
+        raise TreeError(f"features must be distinct, got {features!r}")
+    return cols.astype(np.intp)
 
 
 def best_split(
@@ -196,18 +250,12 @@ def best_split(
     A fast prefix-sum scan ranks candidates; near-best ones are re-evaluated
     with exactly rounded sums, so ties (identical partitions reachable through
     different features) resolve deterministically to the lowest feature index,
-    then the lowest threshold.
+    then the lowest threshold. This is the root split of a tree of depth 1.
     """
-    n = y.shape[0]
-    if n < 2 * params.min_leaf or float(y.min()) == float(y.max()):
-        return None
+    x, y = _validate_xy(x, y)
     cols = _feature_columns(x, features)
-    order = np.argsort(x[:, cols], axis=0, kind="stable").T
-    found = _scan(
-        x[order, cols[:, None]][None], y[order][None],
-        np.array([n]), np.array([_exact_sse(y)]), params, cols,
-    )[0]
-    return None if found is None else (found[1], found[2], found[0])
+    feature, threshold, _, gain, *_ = _grow(x, y, y.shape[0], replace(params, max_depth=1), cols)[0]
+    return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]), float(gain[0]))
 
 
 def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -232,17 +280,42 @@ def _feature_names(x: np.ndarray, feature_names: Sequence[str] | None) -> tuple[
     return tuple(feature_names) if feature_names is not None else None
 
 
+def _node_stats(y: np.ndarray, rows: np.ndarray, begin: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mse, prediction) of each node, whose rows are rows[begin:begin + size].
+
+    Each node's rows are sorted, so its responses are in row order, and the
+    nodes of one size are summed as one (nodes, size) block: a mean over
+    equal-length rows sums each row as np.mean does a lone array.
+    """
+    mse, prediction = np.empty(size.shape), np.empty(size.shape)
+    by_size = np.argsort(size, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(size[by_size])) + 1).tolist(), size.size]
+    for a, b in zip(bounds, bounds[1:]):
+        same = by_size[a:b]
+        block = y[np.sort(rows[begin[same, None] + np.arange(size[same[0]])], axis=1)]
+        prediction[same] = mean = block.mean(axis=1)
+        mse[same] = ((block - mean[:, None]) ** 2).mean(axis=1)
+    return mse, prediction
+
+
 def _grow(
     x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray
 ) -> list[tuple[np.ndarray, ...]]:
     """Grow one tree on each m-row block of (x, y); return each tree's node arrays.
 
-    Every open node of every tree is split at once, one depth level per pass.
-    Each tree's rows are sorted once per feature, stable by (value, row), and
-    each node owns one segment of every sorted order; a split partitions its
-    segments stably, so the children's segments stay sorted. The last order
-    is by row, and gives each node's responses in row order for its
-    prediction and mse.
+    Every splittable node of every tree is scanned at once, one depth level
+    per pass. Each tree's rows are sorted once per feature, stable by
+    (value, row), and each node owns one segment of every sorted order. The
+    split nodes' segments are partitioned by one stable argsort of
+    2 * (split node's ordinal) + goes_right, whose keys take the smallest
+    unsigned type that holds them, so numpy radix-sorts them, and the
+    children's segments stay sorted. A node's descendants share out its
+    segment, so once the batch is grown the segment still holds its rows,
+    for its prediction and mse (see `_node_stats`); a level computes only
+    each node's least and greatest response. The exact int64 limbs of the
+    responses and of their squares (see `_limbs`) are tabled once per batch,
+    for `_scan`'s exact sums; when a table overflows, `_scan` falls back to
+    math.fsum.
 
     Nodes are numbered as they are created, a level after their parents, and
     renumbered in preorder at the end: subtree sizes bottom-up, then
@@ -251,64 +324,59 @@ def _grow(
     f = features.shape[0]
     starts = np.arange(0, y.shape[0], m)
     order = np.argsort(x[:, features].T.reshape(f, starts.size, m), axis=-1, kind="stable") + starts[:, None]
-    order = np.concatenate([order.reshape(f, y.shape[0]), np.arange(y.shape[0])[None]])
+    order = order.reshape(f, y.shape[0])
     size = np.full(starts.shape, m)
-    sse = np.array([_exact_sse(y[s : s + m]) for s in starts])
+    limbs = [_limbs(v, m) for v in (y, y * y)]
+    if any(table is None for table in limbs):
+        limbs = None
+        sse = np.array([_exact_sse(y[s : s + m]) for s in starts])
+    else:
+        s, q = (_round_sums(t.reshape(t.shape[0], -1, m).sum(axis=-1), w, shift) for t, w, shift in limbs)
+        sse = _sse(s, q, m)
     trees = starts.size
-    # per level, by creation number: every node's (size, mse, prediction), and
-    # the split nodes' (node, left child, feature, threshold, gain); the right
-    # child follows the left one
-    created: list[tuple[np.ndarray, ...]] = []
+    created = []  # every level's nodes' (start, size), by creation number
+    # per level, the split nodes' (node, left child, feature, threshold,
+    # gain); the right child follows the left one
     levels: list[tuple[np.ndarray, ...]] = []
     total = 0  # nodes created so far
     while True:
         first, total = total, total + size.size
-        width = int(size.max())
-        inside = np.arange(width) < size[:, None]
-        rows = order[:, np.where(inside, starts[:, None] + np.arange(width), 0)].swapaxes(0, 1)
-        ys = np.where(inside[:, None], y[rows], 0.0)
-        in_row_order = ys[:, f]
-        prediction = np.empty(size.shape)
-        mse = np.empty(size.shape)
-        # a mean over equal-length rows sums each row as np.mean does a lone array
-        for s in set(size.tolist()):
-            same = size == s
-            block = np.ascontiguousarray(in_row_order[same, :s])
-            prediction[same] = mean = block.mean(axis=1)
-            mse[same] = ((block - mean[:, None]) ** 2).mean(axis=1)
-        created.append((size, mse, prediction))
-
-        lowest = np.where(inside, in_row_order, np.inf).min(axis=1)
-        highest = np.where(inside, in_row_order, -np.inf).max(axis=1)
-        splittable = (size >= 2 * params.min_leaf) & (lowest != highest)
+        created.append((starts, size))
         if params.max_depth is not None and len(levels) >= params.max_depth:
-            splittable[:] = False
-        nodes = np.nonzero(splittable)[0]
-        found = _scan(
-            x[rows[nodes, :f], features[:, None]], ys[nodes, :f], size[nodes], sse[nodes], params, features
-        ) if nodes.size else []
-        chosen = [(i, *r) for i, r in zip(nodes.tolist(), found) if r is not None]
-        if not chosen:
             break
-        node, gain, feature, threshold, n_left, sse_left, sse_right = (np.array(c) for c in zip(*chosen))
+        # [start, end) of each node, and the gaps between: reduceat's odd
+        # slots; one value past the last row serves an end there
+        cuts = np.column_stack([starts, starts + size]).ravel()
+        responses = np.append(y[order[0]], 0.0)
+        lowest = np.minimum.reduceat(responses, cuts)[::2]
+        highest = np.maximum.reduceat(responses, cuts)[::2]
+        nodes = np.flatnonzero((size >= 2 * params.min_leaf) & (lowest != highest))
+        if not nodes.size:
+            break
+        begin, n = starts[nodes], size[nodes]
+        at = np.minimum(begin[:, None] + np.arange(n.max()), (begin + n - 1)[:, None])
+        rows = order[:, at].swapaxes(0, 1)
+        node, gain, feature, n_left, threshold, sse_left, sse_right = _scan(
+            x[rows, features[:, None]], rows, y, limbs, n, sse[nodes], params, features
+        )
+        if not node.size:
+            break
+        node = nodes[node]
         levels.append((first + node, total + 2 * np.arange(node.size), feature, threshold, gain))
 
         # stable partition of each split node's segments: left rows first
-        part = rows[node]
-        held = np.broadcast_to(inside[node, None], part.shape)
-        goes_left = x[part, feature[:, None, None]] <= threshold[:, None, None]
-        begin = starts[node, None, None]
-        dest = np.where(
-            goes_left,
-            begin + np.cumsum(goes_left & held, axis=-1) - 1,
-            begin + n_left[:, None, None] + np.cumsum(~goes_left & held, axis=-1) - 1,
-        )
-        which = np.broadcast_to(np.arange(f + 1)[:, None], part.shape)
-        order[which[held], dest[held]] = part[held]
+        begin, n = starts[node], size[node]
+        pos = np.repeat(begin - np.cumsum(n) + n, n) + np.arange(n.sum())
+        part = order[:, pos]
+        goes_right = x[part, np.repeat(feature, n)] > np.repeat(threshold, n)
+        key = np.repeat(2 * np.arange(node.size), n).astype(np.min_scalar_type(2 * node.size - 1)) + goes_right
+        order[:, pos] = np.take_along_axis(part, np.argsort(key, axis=-1, kind="stable"), axis=-1)
 
-        starts = np.column_stack([starts[node], starts[node] + n_left]).ravel()
-        size = np.column_stack([n_left, size[node] - n_left]).ravel()
+        starts = np.column_stack([begin, begin + n_left]).ravel()
+        size = np.column_stack([n_left, n - n_left]).ravel()
         sse = np.column_stack([sse_left, sse_right]).ravel()
+    begin, size = (np.concatenate(c) for c in zip(*created))
+    mse, prediction = _node_stats(y, order[0], begin, size)
 
     subtree = np.ones(total, dtype=np.intp)
     for parent, left, *_ in reversed(levels):
@@ -325,7 +393,7 @@ def _grow(
         feature[at], threshold[at], gain[at] = split
         right[at] = slot[left + 1] - home[at]
     preorder = np.argsort(slot)  # the creation number of each slot
-    columns = [feature, threshold, right, gain, *(np.concatenate(c)[preorder] for c in zip(*created))]
+    columns = [feature, threshold, right, gain, size[preorder], mse[preorder], prediction[preorder]]
     for c in columns:
         c.flags.writeable = False
     bounds = [*root.tolist(), total]
@@ -397,12 +465,41 @@ def _join(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
     return np.array([total / scale for total in totals])
 
 
+def _round_sums(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
+    """Each point's summed (limbs, points) limbs, rounded once: math.fsum's value.
+
+    Carries bring every limb but the top one into [0, 2^w), and the upper
+    limbs fold into one, hi, so the sum is (hi * 2^w + lo) * 2^shift. While
+    |hi| <= 2^53, hi * 2^w and lo are exact doubles, and adding them rounds
+    the sum once. Scaling by 2^shift is exact: every double is a multiple of
+    2^-1074, so a sum in the subnormal range has at most 52 bits and was not
+    rounded. Points whose hi needs more bits, or whose sum overflows, go
+    through `_join`.
+    """
+    limbs = [*acc, np.zeros_like(acc[0])]  # a top limb for the carries
+    for j in range(len(limbs) - 1):
+        carry = limbs[j] >> w
+        limbs[j] = limbs[j] - (carry << w)
+        limbs[j + 1] = limbs[j + 1] + carry
+    hi, reach = limbs[-1], 1 << (53 - w)
+    wide = np.zeros(hi.shape, dtype=bool)
+    for limb in limbs[-2:0:-1]:
+        wide |= (hi < -reach) | (hi >= reach)  # beyond these, hi * 2^w + limb needs more than 53 bits
+        hi = (hi << w) + limb
+    with np.errstate(over="ignore"):
+        out = np.ldexp(np.ldexp(hi.astype(float), w) + limbs[0].astype(float), shift)
+    wide |= np.isinf(out)
+    if wide.any():
+        out[wide] = _join(np.array(limbs)[:, wide], w, shift)
+    return out
+
+
 def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np.ndarray:
     """Per point, the correctly rounded sum over t of values[t][picks[t]].
 
     Equal to math.fsum over each point's terms, and so invariant to their
     order, without a (terms, points) matrix: the values' limbs (see `_limbs`)
-    are summed term by term and joined once per point. When the scaled values
+    are summed term by term and rounded once per point (see `_round_sums`). When the scaled values
     overflow a double, the terms are stacked and summed by math.fsum instead.
     `picks` is consumed once, in order.
     """
@@ -416,7 +513,7 @@ def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np
     acc = 0  # a (limbs, points) array from the first term on
     for offset, pick in zip(offsets.tolist(), picks):
         acc += table[:, offset + pick]
-    return _join(acc, w, shift)
+    return _round_sums(acc, w, shift)
 
 
 def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
@@ -463,8 +560,7 @@ def fit_forest(
         raise EmptyInputError("bagging needs at least 3 rows")
     if not 0.0 < subsample <= 1.0:
         raise TreeError("subsample fraction must be in (0, 1]")
-    if n_trees < 1:
-        raise TreeError("need at least one tree")
+    _check_int("n_trees", n_trees, 1)
     m = math.ceil(subsample * n)
     cols = _feature_columns(x, features)
     row_indices = tuple(
@@ -525,18 +621,26 @@ def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> I
     )
 
 
+def _stacked(trees: Sequence[RegressionTree]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The trees' concatenated feature arrays, their roots, and each node's right child, in that numbering."""
+    sizes = [t.feature.size for t in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    right = np.concatenate([t.right for t in trees]) + np.repeat(roots, sizes)
+    return np.concatenate([t.feature for t in trees]), roots, right
+
+
 def tree_shape(model: RegressionTree | ForestModel) -> tuple[int, int]:
-    """Node count and greatest depth over the model's trees; a lone leaf has depth 0."""
-    trees = model.trees if isinstance(model, ForestModel) else (model,)
-    nodes = depth = 0
-    for tree in trees:
-        level = [0] * tree.feature.size  # a child's index exceeds its parent's
-        for i, (j, r) in enumerate(zip(tree.feature.tolist(), tree.right.tolist())):
-            if j >= 0:
-                level[i + 1] = level[r] = level[i] + 1
-        nodes += len(level)
-        depth = max(depth, max(level))
-    return nodes, depth
+    """Node count and greatest depth over the model's trees; a lone leaf has depth 0.
+
+    One walk, a depth level at a time, covers all trees' concatenated nodes.
+    """
+    feature, node, right = _stacked(model.trees if isinstance(model, ForestModel) else (model,))
+    depth = -1
+    while node.size:
+        depth += 1
+        node = node[feature[node] >= 0]
+        node = np.concatenate([node + 1, right[node]])
+    return feature.size, depth
 
 
 @dataclass(frozen=True)
@@ -635,11 +739,8 @@ def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     lo = threshold.
     """
     trees = model.trees
-    sizes = [t.feature.size for t in trees]
-    node = np.cumsum([0] + sizes[:-1])  # the roots
-    feature = np.concatenate([t.feature for t in trees])
+    feature, node, right = _stacked(trees)
     threshold = np.concatenate([t.threshold for t in trees])
-    right = np.concatenate([t.right for t in trees]) + np.repeat(node, sizes)
     lo = np.full((node.size, model.n_features), -np.inf)
     hi = np.full_like(lo, np.inf)
     leaves = []
@@ -684,7 +785,7 @@ def _cell_sums(
     # int64 sums may wrap on the way, harmlessly: every cell's final sum adds
     # one leaf per tree, which fits (see _limbs), and wrapping is modular
     sat = diff.reshape(-1, cuts[0].size + 1, width).cumsum(axis=1).cumsum(axis=2)
-    return _join(sat[:, cells[0], cells[1]], w, shift)
+    return _round_sums(sat[:, cells[0], cells[1]], w, shift)
 
 
 def partial_dependence(

@@ -65,7 +65,8 @@ def bf_best_split(x: np.ndarray, y: np.ndarray, min_leaf: int, min_gain: float):
 def bf_fit_tree(x: np.ndarray, y: np.ndarray, min_leaf: int, min_gain: float = 0.0, max_depth=None):
     """Recursive brute-force CART; nodes are plain dicts."""
     n = y.shape[0]
-    node = {"n": n, "prediction": float(y.mean())}
+    mean = y.mean()
+    node = {"n": n, "prediction": float(mean), "mse": float(((y - mean) ** 2).mean())}
     if max_depth is not None and max_depth <= 0:
         return node
     found = bf_best_split(x, y, min_leaf, min_gain)
@@ -97,18 +98,20 @@ def assert_same_tree(tree, ref, path="root", i=0):
 
     Walks the package's preorder node arrays from node i (the left child of a
     split is the next node) and returns the index just past that subtree; at
-    the root, every node must have been visited.
+    the root, every node must have been visited. Floats compare by repr, so
+    their bits must match.
     """
+    assert tree.n[i] == ref["n"], f"{path}: node sizes differ"
+    assert repr(float(tree.prediction[i])) == repr(ref["prediction"]), f"{path}: predictions differ"
+    assert repr(float(tree.mse[i])) == repr(ref["mse"]), f"{path}: mse differ"
     if "feature" not in ref:
         assert tree.feature[i] < 0, f"{path}: expected a leaf"
-        assert tree.n[i] == ref["n"], f"{path}: leaf sizes differ"
-        assert tree.prediction[i] == ref["prediction"], f"{path}: leaf predictions differ"
         end = i + 1
     else:
         assert tree.feature[i] >= 0, f"{path}: expected a split"
         assert tree.feature[i] == ref["feature"], f"{path}: split features differ"
-        assert tree.threshold[i] == ref["threshold"], f"{path}: thresholds differ"
-        assert tree.gain[i] == ref["gain"], f"{path}: gains differ"
+        assert repr(float(tree.threshold[i])) == repr(ref["threshold"]), f"{path}: thresholds differ"
+        assert repr(float(tree.gain[i])) == repr(ref["gain"]), f"{path}: gains differ"
         right = assert_same_tree(tree, ref["left"], path + ".L", i + 1)
         assert tree.right[i] == right, f"{path}: right child is not next after the left subtree"
         end = assert_same_tree(tree, ref["right"], path + ".R", right)

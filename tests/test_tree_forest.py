@@ -61,6 +61,43 @@ def test_best_split_tie_breaks_to_lowest_feature_then_threshold():
     assert found[0] == 0 and found[1] == 0.5
 
 
+# Responses for each way the exact sums are taken, with the limbs their
+# squares' table needs: one limb, two, more than two (rounded through
+# `_join`), and responses too far apart in magnitude for a table of their own
+# (one math.fsum per sum, in `_exact_sse`).
+EXACT_SUM_PATHS = {
+    "one-limb": (lambda rng, n: 1.0 + rng.uniform(0.0, 0.4, n), 1),  # y and y * y each in one binade
+    "two-limbs": (lambda rng, n: rng.normal(size=n), 2),
+    "many-limbs": (lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-30, 31, n), 9),
+    "overflow": (lambda rng, n: np.where(rng.random(n) < 0.5, 1e150, 1e-300) * rng.uniform(1.0, 2.0, n), None),
+}
+
+
+@pytest.mark.parametrize("kind", list(EXACT_SUM_PATHS))
+def test_exact_sum_paths_agree_with_brute_force(kind, monkeypatch):
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(40, 2))
+    response, limbs = EXACT_SUM_PATHS[kind]
+    y = response(rng, 40)
+    split = tree_forest._limbs(y, y.size)
+    assert (None if split is None else tree_forest._limbs(y * y, y.size)[0].shape[0]) == limbs
+    calls = {"_join": 0, "_exact_sse": 0}
+    for name in calls:
+        def counted(*args, _name=name, _f=getattr(tree_forest, name)):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(tree_forest, name, counted)
+    params = SplitParams(min_leaf=2)
+    found = best_split(x, y, params)
+    ref = bf_best_split(x, y, params.min_leaf, params.min_gain)
+    assert found is not None and repr(found) == repr(ref)
+    tree = fit_tree(x, y, params)
+    assert_same_tree(tree, bf_fit_tree(x, y, params.min_leaf))
+    assert tree.feature.size > 3
+    assert (calls["_join"] > 0) == (kind == "many-limbs")
+    assert (calls["_exact_sse"] > 0) == (kind == "overflow")
+
+
 # ---------------------------------------------------------------- fit_tree
 
 def test_single_row_tree():
@@ -406,6 +443,43 @@ def test_forest_needs_rows():
         fit_forest(np.ones((2, 1)), np.ones(2))
     with pytest.raises(TreeError):
         fit_forest(np.arange(9.0).reshape(-1, 1), np.arange(9.0), subsample=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("min_leaf", 1.5), ("min_leaf", 0), ("min_leaf", True),
+    ("max_depth", 1.5), ("max_depth", -1), ("max_depth", False),
+    ("min_gain", math.nan), ("min_gain", math.inf), ("min_gain", -0.5), ("min_gain", "0"),
+])
+def test_split_params_reject_bad_values_by_name(field, value):
+    with pytest.raises(TreeError, match=rf"^{field} must be "):
+        SplitParams(**{field: value})
+
+
+@pytest.mark.parametrize("n_trees", [2.5, True, 0, "3"])
+def test_forest_rejects_bad_tree_counts_by_name(n_trees):
+    x = np.arange(9.0).reshape(-1, 1)
+    with pytest.raises(TreeError, match=r"^n_trees must be an int of at least 1, got "):
+        fit_forest(x, x[:, 0], n_trees=n_trees)
+
+
+@pytest.mark.parametrize("features", [[-1], [5], [], [0, 0], [0.0], [True], [[0]]])
+@pytest.mark.parametrize("fit", [fit_tree, fit_forest, best_split], ids=["fit_tree", "fit_forest", "best_split"])
+def test_fits_reject_bad_feature_lists_by_name(fit, features):
+    x = np.arange(18.0).reshape(-1, 2)
+    with pytest.raises(TreeError, match=r"^features must "):
+        fit(x, x[:, 0], params=SplitParams(min_leaf=1), features=features)
+
+
+def test_forest_batches_of_many_rows_partition_like_lone_trees():
+    # a 128-tree batch of 534-row trees holds 68,352 positions, past what 16 bits index
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(800, 2))
+    y = np.sin(2 * x[:, 0]) + x[:, 1] + 0.3 * rng.normal(size=800)
+    forest = fit_forest(x, y, n_trees=tree_forest._BATCH_TREES + 2, seed=3)
+    assert tree_forest._BATCH_TREES * forest.row_indices[0].size > 1 << 16
+    for t in (0, tree_forest._BATCH_TREES - 1, tree_forest._BATCH_TREES, tree_forest._BATCH_TREES + 1):
+        rows = forest.row_indices[t]
+        assert _nodes(forest.trees[t]) == _nodes(fit_tree(x[rows], y[rows]))
 
 
 # ---------------------------------------------------------------- importance
