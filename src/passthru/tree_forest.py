@@ -10,7 +10,9 @@ Growth is level-synchronous: each tree's rows are sorted once per feature
 batch is scanned at once in padded (nodes, features, rows) arrays. A float
 prefix-sum scan ranks the candidate splits, and the near-best ones are
 re-checked in one array pass over exact int64 limbs of the batch's responses
-and their squares, tabled once per batch. Split nodes' segments are
+and their squares, tabled once per batch. The limbs are cut from each value's
+mantissa, so one exact accumulator covers every finite double; a response is
+bounded only so that its sums of squares stay finite. Split nodes' segments are
 partitioned by one stable radix sort. Each node's mean and mse are computed
 once a batch is grown, one mean per distinct node size. Trees and forests
 alike go through this one kernel; a forest's trees are grown in fixed-size
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
@@ -44,6 +47,10 @@ from passthru.errors import PassthruError
 # Trees that fit_forest grows together. A batch's per-level arrays grow with
 # its size, so this bounds peak memory near that of growing one tree at a time.
 _BATCH_TREES = 128
+
+# The square root of the largest double. A response whose rows * max|y| stays
+# within it keeps y^2, the sums of y^2 and the squares of sums of y finite.
+_RESPONSE_LIMIT = math.sqrt(sys.float_info.max)
 
 
 class TreeError(PassthruError):
@@ -67,6 +74,11 @@ def _check_int(name: str, value, least: int) -> None:
         raise TreeError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
+def _check_real(name: str, value, what: str, admits) -> None:
+    if isinstance(value, bool) or not isinstance(value, Real) or not admits(value):
+        raise TreeError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SplitParams:
     min_leaf: int = 5
@@ -77,9 +89,7 @@ class SplitParams:
         _check_int("min_leaf", self.min_leaf, 1)
         if self.max_depth is not None:
             _check_int("max_depth", self.max_depth, 0)
-        gain = self.min_gain
-        if isinstance(gain, bool) or not isinstance(gain, Real) or not (math.isfinite(gain) and gain >= 0.0):
-            raise TreeError(f"min_gain must be a finite number of at least 0, got {gain!r}")
+        _check_real("min_gain", self.min_gain, "a finite number of at least 0", lambda g: math.isfinite(g) and g >= 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +132,8 @@ class ForestModel:
         return len(self.trees)
 
 
-def _exact_sse(values: np.ndarray) -> float:
-    """Sum of squared deviations via exactly rounded sums (order-independent)."""
-    m = values.shape[0]
-    s = math.fsum(values.tolist())  # a list sums faster than numpy scalars, to the same value
-    return max(math.fsum((values * values).tolist()) - s * s / m, 0.0)
-
-
 def _sse(s: np.ndarray, q: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """`_exact_sse` from the exactly rounded sums s of the values and q of their squares."""
+    """Sum of squared deviations of count values from the exactly rounded sums s of them and q of their squares."""
     return np.maximum(q - s * s / count, 0.0)
 
 
@@ -159,7 +162,7 @@ def _scan(
     xs: np.ndarray,
     rows: np.ndarray,
     y: np.ndarray,
-    limbs: list[tuple[np.ndarray, int, int]] | None,
+    limbs: list[tuple[np.ndarray, int, int]],
     n: np.ndarray,
     node_sse: np.ndarray,
     params: SplitParams,
@@ -172,12 +175,11 @@ def _scan(
     past row n[i] with its last row. The float prefix sums run along the row
     axis, so they equal the sums of a lone node; they rank every candidate,
     and those within 1e-9 of their node's best are re-checked with exactly
-    rounded sums: in one array pass over the batch's `limbs` (see
-    `_split_sse`), or, when they are None, one math.fsum per sum. One
-    lexsort picks each node's highest exact gain, then lowest feature, then
-    lowest threshold. Returns arrays over the nodes whose best gain exceeds
-    min_gain: (node, exact gain, feature, left size, threshold, left sse,
-    right sse).
+    rounded sums, in one array pass over the batch's `limbs` (see
+    `_split_sse`). One lexsort picks each node's highest exact gain, then
+    lowest feature, then lowest threshold. Returns arrays over the nodes
+    whose best gain exceeds min_gain: (node, exact gain, feature, left size,
+    threshold, left sse, right sse).
     """
     ys = y[rows]
     boundary = np.arange(1, xs.shape[-1])  # left child = the first `boundary` rows
@@ -210,11 +212,7 @@ def _scan(
     # adjacent doubles can round the midpoint up to the right value, which
     # would route the boundary row the wrong way; fall back to the left value
     thresholds = np.where(thresholds >= above, below, thresholds)
-    if limbs is None:
-        pairs = [(_exact_sse(v[:b]), _exact_sse(v[b:k])) for v, b, k in zip(ys[node, feat], iv.tolist(), nv.tolist())]
-        sse_left, sse_right = np.array(pairs).reshape(-1, 2).T
-    else:
-        sse_left, sse_right = _split_sse(limbs, rows[node, feat], iv, nv)
+    sse_left, sse_right = _split_sse(limbs, rows[node, feat], iv, nv)
     exact = (node_sse[node] - sse_left - sse_right) / nv
     column = features[feat]
     ranked = np.lexsort((thresholds, column, -exact, node))
@@ -267,6 +265,12 @@ def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatchError(f"y has shape {y.shape}, expected ({x.shape[0]},)")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise TreeError("features and response must be finite")
+    scale = y.shape[0] * float(np.abs(y).max())
+    if scale > _RESPONSE_LIMIT:
+        raise TreeError(
+            f"response must have rows * max|y| of at most {_RESPONSE_LIMIT:.6g}, the square root of the "
+            f"largest double, so that its sums of squares stay finite, got {scale:.6g}"
+        )
     return x, y
 
 
@@ -314,8 +318,7 @@ def _grow(
     for its prediction and mse (see `_node_stats`); a level computes only
     each node's least and greatest response. The exact int64 limbs of the
     responses and of their squares (see `_limbs`) are tabled once per batch,
-    for `_scan`'s exact sums; when a table overflows, `_scan` falls back to
-    math.fsum.
+    for the roots' and `_scan`'s exact sums.
 
     Nodes are numbered as they are created, a level after their parents, and
     renumbered in preorder at the end: subtree sizes bottom-up, then
@@ -327,12 +330,8 @@ def _grow(
     order = order.reshape(f, y.shape[0])
     size = np.full(starts.shape, m)
     limbs = [_limbs(v, m) for v in (y, y * y)]
-    if any(table is None for table in limbs):
-        limbs = None
-        sse = np.array([_exact_sse(y[s : s + m]) for s in starts])
-    else:
-        s, q = (_round_sums(t.reshape(t.shape[0], -1, m).sum(axis=-1), w, shift) for t, w, shift in limbs)
-        sse = _sse(s, q, m)
+    s, q = (_round_sums(t.reshape(t.shape[0], -1, m).sum(axis=-1), w, shift) for t, w, shift in limbs)
+    sse = _sse(s, q, m)
     trees = starts.size
     created = []  # every level's nodes' (start, size), by creation number
     # per level, the split nodes' (node, left child, feature, threshold,
@@ -431,31 +430,35 @@ def _tree_leaves(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _limbs(flat: np.ndarray, terms: int) -> tuple[np.ndarray, int, int] | None:
-    """Split values into exact int64 limbs that sums of `terms` of them keep exact.
+def _limbs(flat: np.ndarray, terms: int) -> tuple[np.ndarray, int, int]:
+    """Split finite values into exact int64 limbs that sums of `terms` of them keep exact.
 
-    Every value is scaled by a common power of two, 2^-shift, to an exact
-    integer and split into signed limbs of w bits (Demmel & Hida 2003), low
-    limb first. Returns ((limbs, values) table, w, shift), or None when the
-    scaled values overflow a double.
+    Every value is an integer times a common power of two, 2^shift, and that
+    integer is split into signed limbs of w bits (Demmel & Hida 2003), low
+    limb first: every limb but the top one lies in [0, 2^w). The limbs are
+    cut out of each value's 53-bit mantissa by integer shifts, so no scaled
+    double is formed and any span of magnitudes fits (a long accumulator,
+    Kulisch & Miranker 1981). Returns the (limbs, values) table, w and shift.
     """
-    nonzero = flat[flat != 0.0]
-    lowest = int(np.frexp(nonzero)[1].min()) if nonzero.size else 53
+    mantissa, exponent = np.frexp(flat)
+    digits = np.ldexp(mantissa, 53).astype(np.int64)  # each value is digits * 2^(exponent - 53)
+    nonzero = exponent[flat != 0.0]
+    lowest, highest = (int(nonzero.min()), int(nonzero.max())) if nonzero.size else (53, 0)
     shift = min(lowest, 53) - 53  # 2^-shift * each value is an integer
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = np.ldexp(flat, -shift)
-    if not np.all(np.isfinite(scaled)):
-        return None
     # w <= 53 keeps each low limb exact in a double; w + log2(terms) <= 62
     # keeps every limb's sum over the terms inside an int64
     w = min(53, 62 - terms.bit_length())
-    bits = int(np.frexp(np.abs(scaled).max())[1])
-    limbs = []
-    for _ in range(max(1, -(-bits // w)) - 1):
-        high = np.floor(np.ldexp(scaled, -w))
-        limbs.append(scaled - np.ldexp(high, w))
-        scaled = high
-    return np.array(limbs + [scaled]).astype(np.int64), w, shift
+    count = max(1, -(-(highest - shift) // w))  # limbs that hold the largest value's bits
+    # limb j is floor(digits * 2^up) mod 2^w (the top limb unreduced), with
+    # up = exponent - 53 - shift - j * w. A left shift that wraps past bit 63
+    # loses only bits above the limb. Counts are clamped to [0, 63], as numpy
+    # leaves others undefined, and the limbs keep their bits: a left shift by
+    # w or more leaves none below 2^w, and as |digits| < 2^53, a right shift
+    # by 53 or more leaves only the sign.
+    up = exponent - 53 - shift - w * np.arange(count)[:, None]
+    table = (digits << up.clip(0, 63)) >> (-up).clip(0, 63)
+    table[:-1] &= (1 << w) - 1
+    return table, w, shift
 
 
 def _join(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
@@ -499,16 +502,10 @@ def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np
 
     Equal to math.fsum over each point's terms, and so invariant to their
     order, without a (terms, points) matrix: the values' limbs (see `_limbs`)
-    are summed term by term and rounded once per point (see `_round_sums`). When the scaled values
-    overflow a double, the terms are stacked and summed by math.fsum instead.
+    are summed term by term and rounded once per point (see `_round_sums`).
     `picks` is consumed once, in order.
     """
-    flat = np.concatenate(values)
-    split = _limbs(flat, len(values))
-    if split is None:
-        stacked = np.vstack([v[p] for v, p in zip(values, picks)])
-        return np.array([math.fsum(col) for col in stacked.T])
-    table, w, shift = split
+    table, w, shift = _limbs(np.concatenate(values), len(values))
     offsets = np.cumsum([0] + [v.size for v in values[:-1]])
     acc = 0  # a (limbs, points) array from the first term on
     for offset, pick in zip(offsets.tolist(), picks):
@@ -558,9 +555,9 @@ def fit_forest(
     n = x.shape[0]
     if n < 3:
         raise EmptyInputError("bagging needs at least 3 rows")
-    if not 0.0 < subsample <= 1.0:
-        raise TreeError("subsample fraction must be in (0, 1]")
+    _check_real("subsample", subsample, "a number in (0, 1]", lambda f: 0.0 < f <= 1.0)
     _check_int("n_trees", n_trees, 1)
+    _check_int("seed", seed, 0)
     m = math.ceil(subsample * n)
     cols = _feature_columns(x, features)
     row_indices = tuple(
@@ -651,8 +648,7 @@ class AxisSpec:
     steps: int
 
     def __post_init__(self):
-        if self.steps < 2:
-            raise TreeError("axis needs at least 2 steps")
+        _check_int("steps", self.steps, 2)
         if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
             raise TreeError(f"axis bounds must be finite, got [{self.minimum}, {self.maximum}]")
         if not (self.maximum > self.minimum):
@@ -759,20 +755,17 @@ def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _cell_sums(
     model: ForestModel, idx: tuple[int, int], cuts: Sequence[np.ndarray], cells: Sequence[np.ndarray]
-) -> np.ndarray | None:
+) -> np.ndarray:
     """Each point's exact sum over the trees, from a summed-area table of leaf boxes.
 
     cuts[k] holds the sorted distinct values of feature idx[k], and cells[k]
     each point's rank among them. A leaf's box covers a rectangle of ranks,
     so its limbs (see `_limbs`) go to the rectangle's 4 corners of a
     difference table, and two cumulative sums give every cell its trees'
-    total (Crow 1984). Returns None when the leaf values overflow `_limbs`.
+    total (Crow 1984).
     """
     values, lo, hi = _leaf_boxes(model)
-    split = _limbs(values, model.n_trees)
-    if split is None:
-        return None
-    table, w, shift = split
+    table, w, shift = _limbs(values, model.n_trees)
     # a box (lo, hi] holds the ranks start <= r < end of its axis
     (s0, e0), (s1, e1) = (
         (np.searchsorted(c, lo[:, j], "right"), np.searchsorted(c, hi[:, j], "right")) for c, j in zip(cuts, idx)
@@ -801,8 +794,7 @@ def partial_dependence(
     outside the training range warn but run. No point is routed: each
     axis's grid and slice values cut it into cells, and one summed-area
     table of the trees' leaf boxes gives every cell's prediction, equal to
-    predict_many's at its points. Leaf values too far apart in magnitude for
-    exact int64 limbs go through predict_many instead.
+    predict_many's at its points.
     """
     if model.n_features != 2:
         raise DimensionMismatchError("partial dependence grids need a 2-feature model")
@@ -844,13 +836,7 @@ def partial_dependence(
         cells[1 - k].append(ranks[1 - k])
         shown.append((names[j], float(value), names[1 - j], vals[1 - k]))
     cells = [np.concatenate(c) for c in cells]
-    sums = _cell_sums(model, idx, cuts, cells)
-    if sums is None:
-        points = np.empty((cells[0].size, 2))
-        points[:, idx[0]], points[:, idx[1]] = cuts[0][cells[0]], cuts[1][cells[1]]
-        predictions = predict_many(model, points)
-    else:
-        predictions = sums / model.n_trees
+    predictions = _cell_sums(model, idx, cuts, cells) / model.n_trees
     ends = np.cumsum([vals[0].size * vals[1].size] + [s[3].size for s in shown])
     predictions = np.split(predictions, ends[:-1])
     curves = [SliceCurve(*s, predictions=p) for s, p in zip(shown, predictions[1:])]

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -62,14 +64,14 @@ def test_best_split_tie_breaks_to_lowest_feature_then_threshold():
 
 
 # Responses for each way the exact sums are taken, with the limbs their
-# squares' table needs: one limb, two, more than two (rounded through
-# `_join`), and responses too far apart in magnitude for a table of their own
-# (one math.fsum per sum, in `_exact_sse`).
+# squares' table needs: one limb, two, and more than two (rounded through
+# `_join`), down to responses some 1,500 binades apart, whose squares span
+# the doubles from 0 to 1e300.
 EXACT_SUM_PATHS = {
     "one-limb": (lambda rng, n: 1.0 + rng.uniform(0.0, 0.4, n), 1),  # y and y * y each in one binade
     "two-limbs": (lambda rng, n: rng.normal(size=n), 2),
     "many-limbs": (lambda rng, n: rng.normal(size=n) * 10.0 ** rng.integers(-30, 31, n), 9),
-    "overflow": (lambda rng, n: np.where(rng.random(n) < 0.5, 1e150, 1e-300) * rng.uniform(1.0, 2.0, n), None),
+    "wide-span": (lambda rng, n: np.where(rng.random(n) < 0.5, 1e150, 1e-300) * rng.uniform(1.0, 2.0, n), 19),
 }
 
 
@@ -79,9 +81,8 @@ def test_exact_sum_paths_agree_with_brute_force(kind, monkeypatch):
     x = rng.normal(size=(40, 2))
     response, limbs = EXACT_SUM_PATHS[kind]
     y = response(rng, 40)
-    split = tree_forest._limbs(y, y.size)
-    assert (None if split is None else tree_forest._limbs(y * y, y.size)[0].shape[0]) == limbs
-    calls = {"_join": 0, "_exact_sse": 0}
+    assert tree_forest._limbs(y * y, y.size)[0].shape[0] == limbs
+    calls = {"_join": 0}
     for name in calls:
         def counted(*args, _name=name, _f=getattr(tree_forest, name)):
             calls[_name] += 1
@@ -94,8 +95,32 @@ def test_exact_sum_paths_agree_with_brute_force(kind, monkeypatch):
     tree = fit_tree(x, y, params)
     assert_same_tree(tree, bf_fit_tree(x, y, params.min_leaf))
     assert tree.feature.size > 3
-    assert (calls["_join"] > 0) == (kind == "many-limbs")
-    assert (calls["_exact_sse"] > 0) == (kind == "overflow")
+    assert (calls["_join"] > 0) == (kind in ("many-limbs", "wide-span"))
+
+
+BOUNDED_FITS = {
+    "fit_tree": lambda x, y: fit_tree(x, y, SplitParams(min_leaf=2)),
+    "fit_forest": lambda x, y: fit_forest(x, y, n_trees=5, seed=1, params=SplitParams(min_leaf=2)),
+    "best_split": lambda x, y: best_split(x, y, SplitParams(min_leaf=2)),
+}
+
+
+@pytest.mark.parametrize("fit", list(BOUNDED_FITS))
+def test_fits_reject_a_response_whose_sums_of_squares_overflow(fit):
+    # rows * max|y| may reach the square root of the largest double, and no further
+    rng = np.random.default_rng(43)
+    x = rng.normal(size=(40, 2))
+    y = rng.normal(size=40)
+    top = math.sqrt(sys.float_info.max) / 40 / np.abs(y).max()
+    found = BOUNDED_FITS[fit](x, y * (top * (1 - 2.0 ** -40)))
+    if fit == "best_split":
+        assert found is not None and 0.0 < found[2] < math.inf
+    else:
+        for tree in found.trees if fit == "fit_forest" else (found,):
+            assert tree.feature[0] >= 0
+            assert np.all(np.isfinite(tree.mse)) and np.all(np.isfinite(tree.gain))
+    with pytest.raises(TreeError, match=r"^response must have rows \* max\|y\| of at most 1\.34078e\+154, .* got 1\.34078e\+154$"):
+        BOUNDED_FITS[fit](x, y * (top * (1 + 2.0 ** -40)))
 
 
 # ---------------------------------------------------------------- fit_tree
@@ -330,9 +355,29 @@ def test_predict_dimension_mismatch():
         predict_many(tree, np.ones((3, 2)))
 
 
-# Atoms for the exact forest sum: signs, ties at half an ulp, subnormals, a
-# span past what the integer limbs cover (1e300 with 5e-324), and unrestricted
-# floats kept small enough that 1,100 of them cannot overflow.
+# Any finite double: both extremes, subnormals, and both zeros among them.
+LIMB_ATOMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LIMB_ATOMS, min_size=1, max_size=12), st.integers(1, 1100))
+def test_limbs_split_each_value_exactly_into_the_fewest_limbs(values, terms):
+    table, w, shift = tree_forest._limbs(np.array(values), terms)
+    assert table.dtype == np.int64 and table.shape[1] == len(values)
+    assert w == min(53, 62 - terms.bit_length())
+    assert shift == min([math.frexp(v)[1] for v in values if v] + [53]) - 53
+    joined = [sum(limb << (j * w) for j, limb in enumerate(column)) for column in table.T.tolist()]
+    assert [Fraction(total) * Fraction(2) ** shift for total in joined] == [Fraction(v) for v in values]
+    assert np.all((table[:-1] >= 0) & (table[:-1] < 1 << w))
+    assert table.shape[0] == max(1, -(-max(abs(total) for total in joined).bit_length() // w))
+
+
+# Atoms for the exact forest sum: signs, ties at half an ulp, subnormals, the
+# widest span of magnitudes (1e300 with 5e-324), and unrestricted floats kept
+# small enough that 1,100 of them cannot overflow.
 SUM_ATOMS = st.one_of(
     st.sampled_from([0.0, 1.0, 2.0 ** -53, 3 * 2.0 ** -54, 0.1, 0.3, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300]),
     st.floats(-1e3, 1e3),
@@ -460,6 +505,23 @@ def test_forest_rejects_bad_tree_counts_by_name(n_trees):
     x = np.arange(9.0).reshape(-1, 1)
     with pytest.raises(TreeError, match=r"^n_trees must be an int of at least 1, got "):
         fit_forest(x, x[:, 0], n_trees=n_trees)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("subsample", True), ("subsample", "0.5"), ("subsample", math.nan), ("subsample", 0.0), ("subsample", 1.5),
+    ("seed", -1), ("seed", True), ("seed", 1.0), ("seed", "3"),
+])
+def test_forest_rejects_bad_subsample_and_seed_by_name(field, value):
+    x = np.arange(9.0).reshape(-1, 1)
+    with pytest.raises(TreeError, match=rf"^{field} must be "):
+        fit_forest(x, x[:, 0], n_trees=2, **{field: value})
+
+
+def test_numpy_scalars_pass_the_argument_checks():
+    x = np.arange(9.0).reshape(-1, 1)
+    forest = fit_forest(x, x[:, 0], n_trees=np.int64(2), subsample=np.float64(0.5), seed=np.int64(3))
+    assert np.array_equal(forest.row_indices[1], fit_forest(x, x[:, 0], n_trees=2, subsample=0.5, seed=3).row_indices[1])
+    assert AxisSpec(0, 0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("features", [[-1], [5], [], [0, 0], [0.0], [True], [[0]]])
@@ -679,7 +741,9 @@ def test_pd_points_on_split_thresholds_go_left():
     (7, lambda y, rng: y + 1e8, False),
     (7, lambda y, rng: y * 10.0 ** rng.integers(-6, 9, y.size), True),
     (1000, lambda y, rng: y, True),  # a 1000-tree sum leaves w = 52 bits a limb
-], ids=["offset", "mixed-magnitudes", "1000-trees"])
+    # leaves some 1,500 binades apart; 1e150 squares, as split gains need, without overflow
+    (7, lambda y, rng: np.where(y > 0, 1e150, 1e-300) * rng.uniform(1.0, 2.0, y.size), True),
+], ids=["offset", "mixed-magnitudes", "1000-trees", "wide-span"])
 def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
     rng = np.random.default_rng(22)
     x = rng.uniform(size=(40, 2))
@@ -687,16 +751,6 @@ def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
     leaves = np.concatenate([t.prediction for t in forest.trees])
     assert (tree_forest._limbs(leaves, n_trees)[0].shape[0] > 1) == several_limbs
     assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, float(x[3, 1]))])
-
-
-def test_pd_routes_points_when_leaf_values_overflow_limbs():
-    rng = np.random.default_rng(23)
-    x = rng.uniform(size=(40, 2))
-    # leaves some 1,500 binades apart; 1e150 squares, as split gains need, without overflow
-    y = np.where(x[:, 0] > 0.5, 1e150, 1e-300) * rng.uniform(1.0, 2.0, size=40)
-    forest = fit_forest(x, y, n_trees=7, seed=5, params=SplitParams(min_leaf=2))
-    assert tree_forest._limbs(np.concatenate([t.prediction for t in forest.trees]), 7) is None
-    assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, 0.25)])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -716,6 +770,12 @@ def test_pd_requires_two_feature_model():
     forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=8)
     with pytest.raises(DimensionMismatchError):
         partial_dependence(forest, (AxisSpec(0, 0, 1, 4), AxisSpec(1, 0, 1, 4)))
+
+
+@pytest.mark.parametrize("steps", [2.5, 3.0, True, 1, "3"])
+def test_axis_spec_rejects_bad_steps_by_name(steps):
+    with pytest.raises(TreeError, match=r"^steps must be an int of at least 2, got "):
+        AxisSpec(0, 0.0, 1.0, steps)
 
 
 def test_axis_spec_validation():
