@@ -17,16 +17,18 @@ partitioned by one stable radix sort. Each node's mean and mse are computed
 once a batch is grown, one mean per distinct node size. Trees and forests
 alike go through this one kernel; a forest's trees are grown in fixed-size
 batches in one thread. Identical data, settings and seed give identical
-models, whatever the batch a tree is grown in. A fitted tree is a set of
-flat node arrays in preorder (see `RegressionTree`), which one routing
-function, `importance` and `tree_shape` read.
+models, whatever the batch a tree is grown in. A fitted tree or forest is one
+set of flat node arrays, each tree's nodes in preorder and the trees one after
+another (see `RegressionTree`); routing, `importance`, `tree_shape` and the
+leaf boxes of partial dependence all walk these arrays from the trees' roots.
 
-Routing gives each row's leaf id. A forest's prediction is the correctly
-rounded sum of its trees' leaf values, divided by the tree count: the sum
-runs over exact integer limbs, one tree at a time, and equals math.fsum, so
-it does not depend on tree order. `partial_dependence` routes no point: each
-leaf is a box, and a summed-area table of the leaves' limbs over the grid's
-cells gives every grid and slice point the same sum that routing would.
+Routing moves every (tree, row) pair down one level per step and gives each
+pair's leaf. A forest's prediction is the correctly rounded sum of its trees'
+leaf values, divided by the tree count: the sum runs over exact integer limbs,
+one batch of trees at a time, and equals math.fsum, so it does not depend on
+tree order. `partial_dependence` routes no point: each leaf is a box, and a
+summed-area table of the leaves' limbs over the grid's cells gives every grid
+and slice point the same sum that routing would.
 """
 
 from __future__ import annotations
@@ -37,15 +39,16 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from passthru.errors import PassthruError
 
 
-# Trees that fit_forest grows together. A batch's per-level arrays grow with
-# its size, so this bounds peak memory near that of growing one tree at a time.
+# Trees that fit_forest grows, and predict_many routes, together. A batch's
+# per-level arrays grow with its size, so this bounds peak memory near that of
+# growing or routing one tree at a time.
 _BATCH_TREES = 128
 
 # The square root of the largest double. A response whose rows * max|y| stays
@@ -74,7 +77,7 @@ def _check_int(name: str, value, least: int) -> None:
         raise TreeError(f"{name} must be an int of at least {least}, got {value!r}")
 
 
-def _check_real(name: str, value, what: str, admits) -> None:
+def _check_real(name: str, value, what: str, admits=lambda v: True) -> None:
     if isinstance(value, bool) or not isinstance(value, Real) or not admits(value):
         raise TreeError(f"{name} must be {what}, got {value!r}")
 
@@ -94,13 +97,15 @@ class SplitParams:
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """A fitted tree as seven equal-length, read-only node arrays, in preorder.
+    """Fitted trees as seven equal-length, read-only node arrays.
 
-    Node 0 is the root. A split node i sends the rows with
+    Tree t's nodes run in preorder from its root, roots[t], up to the next
+    tree's root; a lone tree has roots [0], and a forest holds its trees one
+    after another. A split node i sends the rows with
     x[feature[i]] <= threshold[i] to its left child, i + 1, and the others to
-    its right child, right[i]. A leaf has feature and right -1, threshold and
-    gain 0. Every node holds its training row count n, the mse of its rows
-    and their mean, prediction.
+    its right child, right[i], an index into the whole arrays. A leaf has
+    feature and right -1, threshold and gain 0. Every node holds its training
+    row count n, the mse of its rows and their mean, prediction.
     """
 
     feature: np.ndarray
@@ -110,14 +115,21 @@ class RegressionTree:
     n: np.ndarray
     mse: np.ndarray
     prediction: np.ndarray
+    roots: np.ndarray
     n_features: int
     params: SplitParams
     feature_names: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        for field in (self.feature, self.threshold, self.right, self.gain, self.n, self.mse, self.prediction, self.roots):
+            field.flags.writeable = False
+
 
 @dataclass(frozen=True, eq=False)
 class ForestModel:
-    trees: tuple[RegressionTree, ...]
+    """Bagged trees: `nodes` holds every tree's node arrays, tree t grown on row_indices[t]."""
+
+    nodes: RegressionTree
     row_indices: tuple[np.ndarray, ...]
     n_features: int
     subsample: float
@@ -129,7 +141,12 @@ class ForestModel:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.nodes.roots.size
+
+
+def _nodes(model: RegressionTree | ForestModel) -> RegressionTree:
+    """The node arrays of a tree, or of every tree of a forest."""
+    return model.nodes if isinstance(model, ForestModel) else model
 
 
 def _sse(s: np.ndarray, q: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -252,7 +269,7 @@ def best_split(
     """
     x, y = _validate_xy(x, y)
     cols = _feature_columns(x, features)
-    feature, threshold, _, gain, *_ = _grow(x, y, y.shape[0], replace(params, max_depth=1), cols)[0]
+    (feature, threshold, _, gain, *_), _ = _grow(x, y, y.shape[0], replace(params, max_depth=1), cols)
     return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]), float(gain[0]))
 
 
@@ -303,9 +320,9 @@ def _node_stats(y: np.ndarray, rows: np.ndarray, begin: np.ndarray, size: np.nda
 
 
 def _grow(
-    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray
-) -> list[tuple[np.ndarray, ...]]:
-    """Grow one tree on each m-row block of (x, y); return each tree's node arrays.
+    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray, offset: int = 0
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Grow one tree on each m-row block of (x, y); return their node arrays and roots, numbered from `offset`.
 
     Every splittable node of every tree is scanned at once, one depth level
     per pass. Each tree's rows are sorted once per feature, stable by
@@ -322,7 +339,8 @@ def _grow(
 
     Nodes are numbered as they are created, a level after their parents, and
     renumbered in preorder at the end: subtree sizes bottom-up, then
-    positions top-down. The arrays come back in `RegressionTree` field order.
+    positions top-down, the trees one after another. The arrays come back in
+    `RegressionTree` field order.
     """
     f = features.shape[0]
     starts = np.arange(0, y.shape[0], m)
@@ -381,7 +399,6 @@ def _grow(
     for parent, left, *_ in reversed(levels):
         subtree[parent] += subtree[left] + subtree[left + 1]
     root = np.cumsum(subtree[:trees]) - subtree[:trees]  # each tree's first slot
-    home = np.repeat(root, subtree[:trees])  # each slot's tree's first slot
     slot = np.empty(total, dtype=np.intp)  # each node's preorder position in the batch
     slot[:trees] = root
     feature, threshold, right, gain = np.full(total, -1), np.zeros(total), np.full(total, -1), np.zeros(total)
@@ -390,13 +407,9 @@ def _grow(
         slot[left] = at + 1
         slot[left + 1] = at + 1 + subtree[left]
         feature[at], threshold[at], gain[at] = split
-        right[at] = slot[left + 1] - home[at]
+        right[at] = offset + slot[left + 1]
     preorder = np.argsort(slot)  # the creation number of each slot
-    columns = [feature, threshold, right, gain, size[preorder], mse[preorder], prediction[preorder]]
-    for c in columns:
-        c.flags.writeable = False
-    bounds = [*root.tolist(), total]
-    return [tuple(c[a:b] for c in columns) for a, b in zip(bounds, bounds[1:])]
+    return [feature, threshold, right, gain, size[preorder], mse[preorder], prediction[preorder]], offset + root
 
 
 def fit_tree(
@@ -409,25 +422,31 @@ def fit_tree(
     """Grow a tree by best splits, level by level, until none is admissible."""
     x, y = _validate_xy(x, y)
     names = _feature_names(x, feature_names)
-    (nodes,) = _grow(x, y, x.shape[0], params, _feature_columns(x, features))
-    return RegressionTree(*nodes, n_features=x.shape[1], params=params, feature_names=names)
+    nodes, roots = _grow(x, y, x.shape[0], params, _feature_columns(x, features))
+    return RegressionTree(*nodes, roots, n_features=x.shape[1], params=params, feature_names=names)
 
 
-def _tree_leaves(tree: RegressionTree, x: np.ndarray) -> np.ndarray:
-    """Each row's leaf node index: node by node, the node's rows split by one mask."""
-    feature, threshold, right = tree.feature.tolist(), tree.threshold.tolist(), tree.right.tolist()
-    out = np.empty(x.shape[0], dtype=np.intp)
-    stack = [(0, np.arange(x.shape[0]))]
-    while stack:
-        i, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if feature[i] < 0:
-            out[idx] = i
-            continue
-        mask = x[idx, feature[i]] <= threshold[i]
-        stack += [(right[i], idx[~mask]), (i + 1, idx[mask])]
-    return out
+def _route(nodes: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
+    """The (trees, rows) leaves that the rows reach in each tree, a batch of trees at a time.
+
+    Every (tree, row) pair moves down one level per step until all are at
+    leaves. A leaf steps to itself: it acts as a split on feature 0 at +inf
+    whose children are both the leaf.
+    """
+    leaf = nodes.feature < 0
+    node = np.arange(leaf.size)
+    feature = np.where(leaf, 0, nodes.feature)
+    threshold = np.where(leaf, np.inf, nodes.threshold)
+    # child[2i + 1] is node i's left child, taken where x <= threshold, and child[2i] its right one
+    child = np.column_stack([np.where(leaf, node, nodes.right), np.where(leaf, node, node + 1)]).ravel()
+    values = x.ravel()
+    for first in range(0, nodes.roots.size, _BATCH_TREES):
+        roots = nodes.roots[first : first + _BATCH_TREES]
+        at = np.tile(np.arange(0, x.size, x.shape[1]), roots.size)  # each pair's row, as an offset into values
+        node = np.repeat(roots, x.shape[0])
+        while not leaf[node].all():
+            node = child[2 * node + (values[at + feature[node]] <= threshold[node])]
+        yield node.reshape(roots.size, x.shape[0])
 
 
 def _limbs(flat: np.ndarray, terms: int) -> tuple[np.ndarray, int, int]:
@@ -497,29 +516,13 @@ def _round_sums(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
     return out
 
 
-def _exact_sums(values: Sequence[np.ndarray], picks: Iterable[np.ndarray]) -> np.ndarray:
-    """Per point, the correctly rounded sum over t of values[t][picks[t]].
-
-    Equal to math.fsum over each point's terms, and so invariant to their
-    order, without a (terms, points) matrix: the values' limbs (see `_limbs`)
-    are summed term by term and rounded once per point (see `_round_sums`).
-    `picks` is consumed once, in order.
-    """
-    table, w, shift = _limbs(np.concatenate(values), len(values))
-    offsets = np.cumsum([0] + [v.size for v in values[:-1]])
-    acc = 0  # a (limbs, points) array from the first term on
-    for offset, pick in zip(offsets.tolist(), picks):
-        acc += table[:, offset + pick]
-    return _round_sums(acc, w, shift)
-
-
 def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
     """Single-point prediction: predict_many on one row, so forests average exactly too."""
     return float(predict_many(model, np.asarray(row, dtype=float)[None])[0])
 
 
 def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
-    """Each row's prediction; a forest's is the exactly summed mean over its trees."""
+    """Each row's prediction; a forest's is the exactly summed mean over its trees, routed a batch at a time."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DimensionMismatchError(f"expected (n, {model.n_features}) features")
@@ -527,10 +530,12 @@ def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
     if bad.size:
         r, j = bad[0].tolist()
         raise TreeError(f"row {r}: feature {_names(model)[j]!r} is {x[r, j]}, not finite")
-    if isinstance(model, RegressionTree):
-        return model.prediction[_tree_leaves(model, x)]
-    trees = model.trees
-    return _exact_sums([t.prediction for t in trees], (_tree_leaves(t, x) for t in trees)) / model.n_trees
+    nodes = _nodes(model)
+    batches = _route(nodes, x)
+    if nodes is model:  # a lone tree gives its leaf's own value, a -0.0 included
+        return nodes.prediction[next(batches)[0]]
+    table, w, shift = _limbs(nodes.prediction, model.n_trees)
+    return _round_sums(sum(table[:, leaves].sum(axis=1) for leaves in batches), w, shift) / model.n_trees
 
 
 def fit_forest(
@@ -564,12 +569,14 @@ def fit_forest(
         np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False))
         for t in range(n_trees)
     )
-    grown: list[tuple[np.ndarray, ...]] = []
+    batches, total = [], 0  # total: the nodes grown so far
     for first in range(0, n_trees, _BATCH_TREES):
         idx = np.concatenate(row_indices[first : first + _BATCH_TREES])
-        grown += _grow(x[idx], y[idx], m, params, cols)
+        batches.append(_grow(x[idx], y[idx], m, params, cols, total))
+        total += batches[-1][0][0].size
+    nodes, roots = zip(*batches)
     return ForestModel(
-        trees=tuple(RegressionTree(*nodes, x.shape[1], params, names) for nodes in grown),
+        nodes=RegressionTree(*map(np.concatenate, zip(*nodes)), np.concatenate(roots), x.shape[1], params, names),
         row_indices=row_indices,
         n_features=x.shape[1],
         subsample=subsample,
@@ -592,24 +599,17 @@ class ImportanceReport:
         return float(self.shares[self.feature_names.index(name)])
 
 
-def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> ImportanceReport:
-    """Per-feature average of node MSE gains, over every split in the model.
-
-    `weighted` switches to node-size weighting for sensitivity checks.
-    """
-    trees = model.trees if isinstance(model, ForestModel) else (model,)
-    k = model.n_features
-    feature = np.concatenate([t.feature for t in trees])
-    split = feature >= 0
-    feature = feature[split]
+def importance(model: RegressionTree | ForestModel) -> ImportanceReport:
+    """Per-feature average of node MSE gains, over every split in the model."""
+    nodes, k = _nodes(model), model.n_features
+    split = nodes.feature >= 0
+    feature = nodes.feature[split]
     # bincount adds in input order, so the gains sum in preorder, tree by tree
-    w = np.concatenate([t.n for t in trees])[split].astype(float) if weighted else np.ones(feature.size)
-    gain_sum = np.bincount(feature, w * np.concatenate([t.gain for t in trees])[split], minlength=k)
-    weight_sum = np.bincount(feature, w, minlength=k)
+    gain_sum = np.bincount(feature, nodes.gain[split], minlength=k)
     counts = np.bincount(feature, minlength=k)
     if counts.sum() == 0:
         raise NoSplitsError("model has no split nodes")
-    raw = np.where(weight_sum > 0, gain_sum / np.where(weight_sum > 0, weight_sum, 1.0), 0.0)
+    raw = np.where(counts > 0, gain_sum / np.maximum(counts, 1), 0.0)
     return ImportanceReport(
         feature_names=_names(model),
         raw=raw,
@@ -618,26 +618,18 @@ def importance(model: RegressionTree | ForestModel, weighted: bool = False) -> I
     )
 
 
-def _stacked(trees: Sequence[RegressionTree]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The trees' concatenated feature arrays, their roots, and each node's right child, in that numbering."""
-    sizes = [t.feature.size for t in trees]
-    roots = np.cumsum([0] + sizes[:-1])
-    right = np.concatenate([t.right for t in trees]) + np.repeat(roots, sizes)
-    return np.concatenate([t.feature for t in trees]), roots, right
-
-
 def tree_shape(model: RegressionTree | ForestModel) -> tuple[int, int]:
     """Node count and greatest depth over the model's trees; a lone leaf has depth 0.
 
-    One walk, a depth level at a time, covers all trees' concatenated nodes.
+    One walk, a depth level at a time, covers all trees' nodes.
     """
-    feature, node, right = _stacked(model.trees if isinstance(model, ForestModel) else (model,))
-    depth = -1
+    nodes = _nodes(model)
+    node, depth = nodes.roots, -1
     while node.size:
         depth += 1
-        node = node[feature[node] >= 0]
-        node = np.concatenate([node + 1, right[node]])
-    return feature.size, depth
+        node = node[nodes.feature[node] >= 0]
+        node = np.concatenate([node + 1, nodes.right[node]])
+    return nodes.feature.size, depth
 
 
 @dataclass(frozen=True)
@@ -648,6 +640,10 @@ class AxisSpec:
     steps: int
 
     def __post_init__(self):
+        if not isinstance(self.feature, str):
+            _check_int("feature", self.feature, 0)
+        _check_real("minimum", self.minimum, "a real number")
+        _check_real("maximum", self.maximum, "a real number")
         _check_int("steps", self.steps, 2)
         if not (math.isfinite(self.minimum) and math.isfinite(self.maximum)):
             raise TreeError(f"axis bounds must be finite, got [{self.minimum}, {self.maximum}]")
@@ -721,7 +717,8 @@ def _feature_index(model: ForestModel, feature: int | str) -> int:
         if feature not in names:
             raise DimensionMismatchError(f"unknown feature {feature!r}")
         return names.index(feature)
-    if not 0 <= feature < model.n_features:
+    _check_int("feature", feature, 0)
+    if feature >= model.n_features:
         raise DimensionMismatchError(f"feature index {feature} out of range")
     return int(feature)
 
@@ -730,13 +727,12 @@ def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Every leaf of the forest: its value, and its box's (leaves, features) lo and hi.
 
     A leaf holds the points x with lo < x <= hi in every feature. One walk,
-    a depth level at a time, covers all trees' concatenated node arrays: a
-    left child (x <= threshold) takes hi = threshold, and a right child takes
+    a depth level at a time, covers all trees' nodes: a left child
+    (x <= threshold) takes hi = threshold, and a right child takes
     lo = threshold.
     """
-    trees = model.trees
-    feature, node, right = _stacked(trees)
-    threshold = np.concatenate([t.threshold for t in trees])
+    nodes = model.nodes
+    feature, threshold, right, node = nodes.feature, nodes.threshold, nodes.right, nodes.roots
     lo = np.full((node.size, model.n_features), -np.inf)
     hi = np.full_like(lo, np.inf)
     leaves = []
@@ -750,7 +746,7 @@ def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         node = np.concatenate([node + 1, right[node]])
         lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
     node, lo, hi = (np.concatenate(c) for c in zip(*leaves))
-    return np.concatenate([t.prediction for t in trees])[node], lo, hi
+    return nodes.prediction[node], lo, hi
 
 
 def _cell_sums(
@@ -805,6 +801,7 @@ def partial_dependence(
     names = _names(model)
     fixed = [(_feature_index(model, feature), value) for feature, value in slices]
     for j, value in fixed:
+        _check_real(f"slice at {names[j]!r}", value, "a real number")
         if not math.isfinite(value):
             raise TreeError(f"slice at {names[j]!r} is {value}, not finite")
     for ax, j in zip(axes, idx):

@@ -7,6 +7,8 @@ package internals.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -118,6 +120,29 @@ def assert_same_tree(tree, ref, path="root", i=0):
     if i == 0:
         assert end == tree.feature.size, f"{path}: nodes outside the tree"
     return end
+
+
+def tree_at(nodes, t: int) -> SimpleNamespace:
+    """Tree t of flat node arrays (trees one after another from their `roots`), numbered from 0 on its own."""
+    bounds = [*nodes.roots.tolist(), nodes.feature.size]
+    a, b = bounds[t], bounds[t + 1]
+    right = nodes.right[a:b]
+    return SimpleNamespace(
+        feature=nodes.feature[a:b],
+        threshold=nodes.threshold[a:b],
+        right=np.where(right < 0, right, right - a),
+        gain=nodes.gain[a:b],
+        n=nodes.n[a:b],
+        mse=nodes.mse[a:b],
+        prediction=nodes.prediction[a:b],
+    )
+
+
+def route(nodes, row, node: int = 0) -> int:
+    """The leaf one row reaches from `node`, one comparison at a time: feature <= threshold goes left."""
+    while nodes.feature[node] >= 0:
+        node = node + 1 if row[nodes.feature[node]] <= nodes.threshold[node] else int(nodes.right[node])
+    return node
 
 
 def simulate_panel(p, seed):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict
+from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict, route, tree_at
 from passthru import tree_forest
 from passthru.tree_forest import (
     AxisSpec,
     DimensionMismatchError,
     EmptyInputError,
-    ForestModel,
     NoSplitsError,
     RegressionTree,
     SplitParams,
@@ -116,9 +116,9 @@ def test_fits_reject_a_response_whose_sums_of_squares_overflow(fit):
     if fit == "best_split":
         assert found is not None and 0.0 < found[2] < math.inf
     else:
-        for tree in found.trees if fit == "fit_forest" else (found,):
-            assert tree.feature[0] >= 0
-            assert np.all(np.isfinite(tree.mse)) and np.all(np.isfinite(tree.gain))
+        nodes = found.nodes if fit == "fit_forest" else found
+        assert np.all(nodes.feature[nodes.roots] >= 0)
+        assert np.all(np.isfinite(nodes.mse)) and np.all(np.isfinite(nodes.gain))
     with pytest.raises(TreeError, match=r"^response must have rows \* max\|y\| of at most 1\.34078e\+154, .* got 1\.34078e\+154$"):
         BOUNDED_FITS[fit](x, y * (top * (1 + 2.0 ** -40)))
 
@@ -284,9 +284,33 @@ def test_forest_tree_is_the_tree_of_its_rows(case, n_trees, seed):
     # a tree must not depend on which trees share its batch
     x, y, params, features = case
     forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
-    for tree, rows in zip(forest.trees, forest.row_indices):
+    for t, rows in enumerate(forest.row_indices):
         alone = fit_tree(x[rows], y[rows], params, features=features)
-        assert _nodes(tree) == _nodes(alone)
+        assert _nodes(tree_at(forest.nodes, t)) == _nodes(alone)
+
+
+def _subtree_end(nodes, i: int) -> int:
+    """One past the last node of node i's subtree, checking that each right child follows its left subtree."""
+    if nodes.feature[i] < 0:
+        return i + 1
+    assert nodes.right[i] == _subtree_end(nodes, i + 1)
+    return _subtree_end(nodes, int(nodes.right[i]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(tree_inputs(min_rows=3, max_rows=40), st.sampled_from([1, 6, tree_forest._BATCH_TREES + 3]), st.integers(0, 99))
+def test_forest_nodes_hold_the_trees_one_after_another(case, n_trees, seed):
+    x, y, params, features = case
+    nodes = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features).nodes
+    roots = nodes.roots.tolist()
+    assert len(roots) == n_trees and roots[0] == 0 and all(a < b for a, b in zip(roots, roots[1:]))
+    bounds = [*roots, nodes.feature.size]
+    for a, b in zip(bounds, bounds[1:]):
+        assert _subtree_end(nodes, a) == b  # the tree is its root's preorder subtree, and nothing more
+        split = np.flatnonzero(nodes.feature[a:b] >= 0) + a
+        assert np.all((nodes.right[split] > split + 1) & (nodes.right[split] < b))
+        assert np.all(nodes.right[a:b][nodes.feature[a:b] < 0] == -1)
+    assert fit_tree(x, y, params, features=features).roots.tolist() == [0]
 
 
 # ---------------------------------------------------------------- predict
@@ -347,6 +371,21 @@ def test_forest_routes_like_the_brute_force_trees(case, n_trees, seed):
     assert [predict(forest, row) for row in probe] == expected
 
 
+@settings(max_examples=20, deadline=None)
+@given(tree_inputs(min_rows=3, max_rows=30), st.data(), st.integers(0, 99))
+def test_forest_of_several_batches_predicts_the_fsum_of_routed_leaves(case, data, seed):
+    # responses of mixed magnitudes, so the leaf values need several limbs
+    x, y, params, features = case
+    y = y * 10.0 ** np.array(data.draw(st.lists(st.integers(-30, 30), min_size=y.size, max_size=y.size)))
+    n_trees = tree_forest._BATCH_TREES + 3
+    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
+    nodes = forest.nodes
+    probe = np.vstack([x, np.random.default_rng(seed).uniform(-3.0, 3.0, size=(10, x.shape[1]))])
+    expected = [math.fsum(nodes.prediction[route(nodes, row, root)] for root in nodes.roots.tolist()) / n_trees
+                for row in probe]
+    assert predict_many(forest, probe).tobytes() == np.array(expected).tobytes()
+
+
 def test_predict_dimension_mismatch():
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
     with pytest.raises(DimensionMismatchError):
@@ -385,6 +424,13 @@ SUM_ATOMS = st.one_of(
 )
 
 
+def _limb_sums(values: list[np.ndarray], picks: list[np.ndarray]) -> np.ndarray:
+    """Per point, the sum over t of values[t][picks[t]], as limbs of all the values, rounded once."""
+    table, w, shift = tree_forest._limbs(np.concatenate(values), len(values))
+    offsets = np.cumsum([0] + [v.size for v in values[:-1]])
+    return tree_forest._round_sums(sum(table[:, o + p] for o, p in zip(offsets, picks)), w, shift)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.one_of(st.integers(1, 12), st.just(1100)),
@@ -396,7 +442,7 @@ def test_exact_sums_equal_fsum_per_point(n_terms, n_points, atoms, seed):
     pool = np.array(atoms + [-a for a in atoms])  # cancellation down to exact zeros
     terms = pool[np.random.default_rng(seed).integers(pool.size, size=(n_terms, n_points))]
     # each term's values are a one-node-per-point "tree", every point picking its own node
-    got = tree_forest._exact_sums(list(terms), [np.arange(n_points)] * n_terms)
+    got = _limb_sums(list(terms), [np.arange(n_points)] * n_terms)
     assert got.tobytes() == np.array([math.fsum(col) for col in terms.T]).tobytes()
 
 
@@ -404,7 +450,7 @@ def test_exact_sums_of_shared_nodes():
     values = [np.array([0.1, -0.2, 1e-300]), np.array([0.7]), np.array([5e-324, -0.3])]
     picks = [np.array([0, 1, 2, 0]), np.array([0, 0, 0, 0]), np.array([1, 0, 0, 1])]
     expected = [math.fsum(v[p[i]] for v, p in zip(values, picks)) for i in range(4)]
-    assert tree_forest._exact_sums(values, picks).tolist() == expected
+    assert _limb_sums(values, picks).tolist() == expected
 
 
 def test_predict_rejects_non_finite_rows():
@@ -450,17 +496,16 @@ def test_forest_tree_order_permutation_invariance():
     x = rng.uniform(size=(30, 2))
     y = rng.normal(size=30)
     forest = fit_forest(x, y, n_trees=33, seed=5)
-    shuffled = ForestModel(
-        trees=tuple(reversed(forest.trees)),
+    trees = [tree_at(forest.nodes, t) for t in reversed(range(forest.n_trees))]
+    roots = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
+    right = np.concatenate([np.where(t.right < 0, t.right, t.right + r) for t, r in zip(trees, roots)])
+    columns = {f: np.concatenate([getattr(t, f) for t in trees]) for f in ("feature", "threshold", "gain", "n", "mse", "prediction")}
+    shuffled = replace(
+        forest,
+        nodes=replace(forest.nodes, **columns, right=right, roots=roots),
         row_indices=tuple(reversed(forest.row_indices)),
-        n_features=forest.n_features,
-        subsample=forest.subsample,
-        seed=forest.seed,
-        params=forest.params,
-        feature_names=forest.feature_names,
-        feature_min=forest.feature_min,
-        feature_max=forest.feature_max,
     )
+    assert _nodes(tree_at(shuffled.nodes, 0)) == _nodes(tree_at(forest.nodes, 32))
     probe = rng.uniform(size=(25, 2))
     assert np.array_equal(predict_many(forest, probe), predict_many(shuffled, probe))
 
@@ -522,6 +567,10 @@ def test_numpy_scalars_pass_the_argument_checks():
     forest = fit_forest(x, x[:, 0], n_trees=np.int64(2), subsample=np.float64(0.5), seed=np.int64(3))
     assert np.array_equal(forest.row_indices[1], fit_forest(x, x[:, 0], n_trees=2, subsample=0.5, seed=3).row_indices[1])
     assert AxisSpec(0, 0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
+    axes = (AxisSpec(np.int64(0), np.float64(0.0), np.int64(6), 3), AxisSpec(1, 1.0, 7.0, 3))
+    x = np.arange(8.0).reshape(-1, 2)
+    grid = partial_dependence(fit_forest(x, x[:, 0], n_trees=2), axes, [(np.int64(1), np.float64(3.0))])
+    assert grid.slices[0].fixed_feature == "x1" and grid.axis_values[0].tolist() == [0.0, 3.0, 6.0]
 
 
 @pytest.mark.parametrize("features", [[-1], [5], [], [0, 0], [0.0], [True], [[0]]])
@@ -541,7 +590,7 @@ def test_forest_batches_of_many_rows_partition_like_lone_trees():
     assert tree_forest._BATCH_TREES * forest.row_indices[0].size > 1 << 16
     for t in (0, tree_forest._BATCH_TREES - 1, tree_forest._BATCH_TREES, tree_forest._BATCH_TREES + 1):
         rows = forest.row_indices[t]
-        assert _nodes(forest.trees[t]) == _nodes(fit_tree(x[rows], y[rows]))
+        assert _nodes(tree_at(forest.nodes, t)) == _nodes(fit_tree(x[rows], y[rows]))
 
 
 # ---------------------------------------------------------------- importance
@@ -593,16 +642,14 @@ def test_importance_no_splits():
         importance(tree)
 
 
-def test_importance_raw_non_negative_and_weighted_variant():
+def test_importance_raw_non_negative():
     rng = np.random.default_rng(11)
     x = rng.uniform(size=(120, 2))
     y = np.where(x[:, 0] > 0.4, 1.0, 0.0) + 0.3 * rng.normal(size=120)
     forest = fit_forest(x, y, n_trees=50, seed=3)
-    unweighted = importance(forest)
-    weighted = importance(forest, weighted=True)
-    assert np.all(unweighted.raw >= 0.0) and np.all(weighted.raw >= 0.0)
-    assert unweighted.shares.sum() == pytest.approx(1.0)
-    assert weighted.shares.sum() == pytest.approx(1.0)
+    report = importance(forest)
+    assert np.all(report.raw >= 0.0)
+    assert report.shares.sum() == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------- partial dependence
@@ -731,7 +778,7 @@ def test_pd_points_on_split_thresholds_go_left():
     x = rng.integers(0, 10, size=(60, 2)).astype(float)
     forest = fit_forest(x, rng.normal(size=60), n_trees=9, seed=3, params=SplitParams(min_leaf=2))
     axes = (AxisSpec(0, -0.5, 9.5, 21), AxisSpec(1, -0.5, 9.5, 21))
-    thresholds = {t for tree in forest.trees for t in tree.threshold[tree.feature >= 0].tolist()}
+    thresholds = set(forest.nodes.threshold[forest.nodes.feature >= 0].tolist())
     assert len(thresholds & set(axes[0].values().tolist())) > 5
     # slices on thresholds, on a grid value, and repeated
     assert_pd_is_routed_sum(forest, axes, [(0, 4.5), (1, 2.5), (0, 3.0), (0, 4.5), (1, 2.5), (1, 7.25)])
@@ -748,8 +795,7 @@ def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
     rng = np.random.default_rng(22)
     x = rng.uniform(size=(40, 2))
     forest = fit_forest(x, response(rng.normal(size=40), rng), n_trees=n_trees, seed=4, params=SplitParams(min_leaf=2))
-    leaves = np.concatenate([t.prediction for t in forest.trees])
-    assert (tree_forest._limbs(leaves, n_trees)[0].shape[0] > 1) == several_limbs
+    assert (tree_forest._limbs(forest.nodes.prediction, n_trees)[0].shape[0] > 1) == several_limbs
     assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, float(x[3, 1]))])
 
 
@@ -776,6 +822,32 @@ def test_pd_requires_two_feature_model():
 def test_axis_spec_rejects_bad_steps_by_name(steps):
     with pytest.raises(TreeError, match=r"^steps must be an int of at least 2, got "):
         AxisSpec(0, 0.0, 1.0, steps)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, "0", 1.0, 3), r"^minimum must be a real number, got '0'$"),
+    ((0, True, 2.0, 3), r"^minimum must be a real number, got True$"),
+    ((0, 0.0, "1", 3), r"^maximum must be a real number, got '1'$"),
+    ((True, 0.0, 1.0, 3), r"^feature must be an int of at least 0, got True$"),
+    ((1.0, 0.0, 1.0, 3), r"^feature must be an int of at least 0, got 1\.0$"),
+    ((-1, 0.0, 1.0, 3), r"^feature must be an int of at least 0, got -1$"),
+])
+def test_axis_spec_rejects_bad_fields_by_name(args, message):
+    with pytest.raises(TreeError, match=message):
+        AxisSpec(*args)
+
+
+@pytest.mark.parametrize("fixed, message", [
+    ((0, "0.5"), r"^slice at 'x0' must be a real number, got '0\.5'$"),
+    ((True, 0.5), r"^feature must be an int of at least 0, got True$"),
+    ((1.0, 0.5), r"^feature must be an int of at least 0, got 1\.0$"),
+])
+def test_pd_rejects_bad_slices_by_name(fixed, message):
+    rng = np.random.default_rng(24)
+    x = rng.uniform(size=(30, 2))
+    forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=6)
+    with pytest.raises(TreeError, match=message):
+        partial_dependence(forest, grid_axes(x), [fixed])
 
 
 def test_axis_spec_validation():
