@@ -9,11 +9,13 @@ pass-through coefficients joined with decade covariates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from passthru.accumulator import exact_sums
 from passthru.errors import PassthruError
 from passthru.panel_data import (
     DECADE_SCHEMA,
@@ -21,7 +23,7 @@ from passthru.panel_data import (
     EmptyWindowError,
     PanelDataset,
     TransformSpec,
-    apply_transform,
+    apply_transforms,
     window,
 )
 from passthru.regression_core import (
@@ -169,13 +171,12 @@ def build_passthrough_spec(
 
 
 def materialize_design(ds: PanelDataset, spec: ModelSpec) -> PanelDataset:
-    """Add every series the spec needs; names already present are reused."""
-    out = ds
+    """Add every series the spec needs in one pass; names already present are reused."""
+    missing: dict[str, TransformSpec] = {}
     for term in (spec.dependent, *spec.auxiliaries, *spec.regressors):
-        if term.name in out.variables:
-            continue
-        out = apply_transform(out, term.transform, term.name)
-    return out
+        if term.name not in ds.variables:
+            missing.setdefault(term.name, term.transform)
+    return apply_transforms(ds, missing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,17 +197,29 @@ class CountryFit:
         return float(self.coefficients[self.columns.index(name)])
 
 
-def fit_countries(
-    ds: PanelDataset, spec: ModelSpec, countries: Sequence[str] | None = None
-) -> tuple[CountryFit, ...]:
-    """OLS on each country's complete rows, in the order of `countries` (default: all).
+class CountryArrays(NamedTuple):
+    """Per-country OLS results as arrays, one row per country.
+
+    `coefficients` rows of unusable countries hold NaN and their `dof` is 0.
+    `residuals` holds, per group of countries fitted together, their
+    positions and (countries, rows) residuals, those of singular fits included.
+    """
+
+    usable: np.ndarray
+    coefficients: np.ndarray
+    n_obs: np.ndarray
+    dof: np.ndarray
+    residuals: list[tuple[np.ndarray, np.ndarray]]
+
+
+def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) -> CountryArrays:
+    """OLS on each country's complete rows, in the order of `countries`.
 
     Countries with equal counts of complete rows are stacked and fitted together
     by `ols_stack`, whose slices do not depend on their stack: each fit is
     `ols_fit` on that country's design. Rows are never zero-padded, as padding
     changes the QR's rounding. Short or singular samples come back unusable.
     """
-    countries = ds.countries if countries is None else tuple(countries)
     try:
         pos = ds.country_positions(countries)
     except KeyError as exc:
@@ -214,27 +227,43 @@ def fit_countries(
     names = [spec.dependent.name] + [t.name for t in spec.regressors]
     values, complete = ds.complete_cells(names)
     values, complete = values[:, pos], complete[pos]
-    counts = complete.sum(axis=1)
-    columns = spec.design_columns
-    fits: list[CountryFit | None] = [None] * len(countries)
-    for n in sorted(set(counts.tolist())):
-        group = np.flatnonzero(counts == n)
+    n_obs = complete.sum(axis=1)
+    usable = np.zeros(len(pos), dtype=bool)
+    coefficients = np.full((len(pos), spec.k), np.nan)
+    residuals = []
+    for n in sorted(set(n_obs.tolist())):
         if n < spec.min_obs_effective:
-            for g in group:
-                fits[g] = CountryFit(countries[g], (), None, n, math.nan, math.nan, 0, False, "TooFewRows")
             continue
-        block = values[:, group][:, complete[group]].reshape(len(names), len(group), n)
+        in_group = n_obs == n
+        group = np.flatnonzero(in_group)
+        block = values[:, complete & in_group[:, None]].reshape(len(names), len(group), n)
         x = np.moveaxis(block[1:], 0, -1)
         if spec.include_constant:
             x = np.concatenate([np.ones((len(group), n, 1)), x], axis=2)
-        ok, coef, fitted, _ = ols_stack(np.ascontiguousarray(x), block[0])
-        dof = n - spec.k
-        for g, fine, b, e in zip(group, ok, coef, block[0] - fitted):
-            if not fine:
-                fits[g] = CountryFit(countries[g], (), None, n, math.nan, math.nan, 0, False, "SingularDesign")
-            else:
-                s = float(e @ e)  # dof >= 2: min_obs is at least k + 2
-                fits[g] = CountryFit(countries[g], columns, b, n, math.sqrt(s / dof), s, dof, True)
+        usable[group], coefficients[group], fitted, _ = ols_stack(np.ascontiguousarray(x), block[0])
+        residuals.append((group, block[0] - fitted))
+    # dof >= 2 where usable: min_obs is at least k + 2
+    return CountryArrays(usable, coefficients, n_obs, np.where(usable, n_obs - spec.k, 0), residuals)
+
+
+def fit_countries(
+    ds: PanelDataset, spec: ModelSpec, countries: Sequence[str] | None = None
+) -> tuple[CountryFit, ...]:
+    """`country_arrays` as one `CountryFit` per country, in the order of `countries` (default: all).
+
+    A usable fit's ssr is its residuals' dot product, and sigma is sqrt(ssr / dof).
+    """
+    countries = ds.countries if countries is None else tuple(countries)
+    usable, coefficients, n_obs, dof, residuals = country_arrays(ds, spec, countries)
+    ssr = {g: float(e @ e) for group, rows in residuals for g, e in zip(group.tolist(), rows) if usable[g]}
+    fits = []
+    for g, (country, n, d) in enumerate(zip(countries, n_obs.tolist(), dof.tolist())):
+        if g in ssr:
+            s = ssr[g]
+            fits.append(CountryFit(country, spec.design_columns, coefficients[g], n, math.sqrt(s / d), s, d, True))
+        else:
+            reason = "TooFewRows" if n < spec.min_obs_effective else "SingularDesign"
+            fits.append(CountryFit(country, (), None, n, math.nan, math.nan, 0, False, reason))
     return tuple(fits)
 
 
@@ -261,42 +290,70 @@ class MgResult:
         return float(self.se[self.columns.index(name)])
 
 
+def mean_group_moments(
+    coefficients: np.ndarray, usable: np.ndarray, columns: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-group coefficients (R, k) and covariances (R, k, k) of R stacked replications.
+
+    `coefficients` is (R, N, k): replication r's N country rows, of which the
+    rows marked in the (R, N) mask `usable` count; the others may hold
+    anything, NaN included. Over replication r's n usable rows theta_i,
+
+        theta = sum_i theta_i / n,
+        covariance = sum_i (theta_i - theta)(theta_i - theta)' / (n (n - 1)).
+
+    Every sum is exact (correctly rounded, as math.fsum), so neither the order
+    of the countries nor the other replications in the stack change a bit. A
+    replication needs two usable rows. A column whose usable coefficients are
+    not finite, or whose n * max (theta_i - theta)^2 passes the largest
+    double (so that its squared deviations may overflow their sum), fails by
+    name.
+    """
+    n = np.count_nonzero(usable, axis=1)
+    if (n < 2).any():
+        raise TooFewCountriesError(f"need >= 2 usable countries, have {n[n < 2][0]}")
+    keep = usable[:, :, None]
+    values = np.where(keep, coefficients, 0.0)
+    finite = np.isfinite(values).all(axis=(0, 1))
+    if not finite.all():
+        raise MgError(f"coefficients of {columns[np.argmin(finite)]!r} are not finite")
+    theta = exact_sums(values.swapaxes(0, 1)) / n[:, None]
+    dev = np.where(keep, coefficients - theta[:, None], 0.0)
+    with np.errstate(over="ignore"):
+        fits = (n[:, None] * (dev * dev).max(axis=1) <= sys.float_info.max).all(axis=0)
+    if not fits.all():
+        raise MgError(f"squared deviations of {columns[np.argmin(fits)]!r} overflow")
+    products = dev[:, :, :, None] * dev[:, :, None, :]
+    return theta, exact_sums(products.swapaxes(0, 1)) / (n * (n - 1))[:, None, None]
+
+
 def mean_group(fits: Iterable[CountryFit]) -> MgResult:
     """Average usable country fits; SEs from cross-country coefficient dispersion.
 
-    covariance = (1 / (N (N-1))) * sum_i (theta_i - mean)(theta_i - mean)'.
-    Pooled sigma stacks residual variation: sqrt(sum SSR_i / sum dof_i).
-    Sums are compensated, so reordering countries changes nothing, bit for bit.
+    The coefficients and covariance are `mean_group_moments` of one
+    replication. Pooled sigma stacks residual variation: sqrt(sum SSR_i /
+    sum dof_i). Sums are exact, so reordering countries changes nothing, bit
+    for bit.
     """
     fits = tuple(fits)
     usable = [f for f in fits if f.usable]
-    n = len(usable)
-    if n < 2:
-        raise TooFewCountriesError(f"need >= 2 usable countries, have {n}")
-    columns = usable[0].columns
+    columns = usable[0].columns if usable else ()
     if any(f.columns != columns for f in usable):
         raise MgError("usable fits disagree on design columns")
-
-    matrix = np.vstack([f.coefficients for f in usable])
-    k = matrix.shape[1]
-    theta = np.array([math.fsum(matrix[:, j]) for j in range(k)]) / n
-    dev = matrix - theta
-    cov = np.empty((k, k))
-    for a in range(k):
-        for b in range(a, k):
-            cov[a, b] = cov[b, a] = math.fsum(dev[:, a] * dev[:, b]) / (n * (n - 1))
+    n = len(usable)
+    stack = np.reshape([f.coefficients for f in usable], (1, n, len(columns)))
+    theta, cov = mean_group_moments(stack, np.ones((1, n), dtype=bool), columns)
+    ssr = np.array([f.ssr for f in usable])
+    total_ssr = float(exact_sums(ssr) if np.isfinite(ssr).all() else ssr.sum())  # inf or NaN has no exact sum
     total_dof = sum(f.dof for f in usable)
-    sigma_pooled = (
-        math.sqrt(math.fsum(f.ssr for f in usable) / total_dof) if total_dof > 0 else math.nan
-    )
     return MgResult(
         columns=columns,
-        coefficients=theta,
-        covariance=cov,
-        se=np.sqrt(np.diag(cov)),
+        coefficients=theta[0],
+        covariance=cov[0],
+        se=np.sqrt(np.diag(cov[0])),
         n_countries=n,
         total_obs=sum(f.n_obs for f in usable),
-        sigma_pooled=sigma_pooled,
+        sigma_pooled=math.sqrt(total_ssr / total_dof) if total_dof > 0 else math.nan,
         fits=fits,
     )
 

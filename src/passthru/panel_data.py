@@ -189,9 +189,9 @@ class PanelDataset:
         """Take checked axes and the arrays; check the names and the observed cells of layers `first`.."""
         if any(not name for name in variables) or len(set(variables)) != len(variables):
             raise PanelDataError("variable names must be unique and non-empty")
-        bad = np.argwhere(observed[first:] & ~np.isfinite(values[first:]))
-        if len(bad):
-            v, i, j = bad[0]
+        bad = observed[first:] & ~np.isfinite(values[first:])
+        if bad.any():  # argwhere only to name the first bad cell
+            v, i, j = np.argwhere(bad)[0]
             where = f"{variables[first + v]}: non-finite value at ({countries[i]}, {years[j]})"
             raise PanelDataError(f"{where}; leave missing cells absent")
         values.flags.writeable = observed.flags.writeable = False
@@ -237,11 +237,13 @@ class PanelDataset:
     def n_obs(self, var: str) -> int:
         return int(np.count_nonzero(self._layer(var)[1]))
 
-    def _with_layer(self, name: str, values: np.ndarray, observed: np.ndarray) -> "PanelDataset":
-        if name in self._row:
-            raise NameCollisionError(f"variable {name!r} already exists")
-        values, observed = np.concatenate([self._values, [values]]), np.concatenate([self._observed, [observed]])
-        return self._derive(self.years, self.variables + (name,), values, observed)
+    def _with_layers(self, layers: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> "PanelDataset":
+        """This dataset plus the named (values, observed) layers, in order; with none, this dataset."""
+        if not layers:
+            return self
+        values = np.concatenate([self._values, [v for v, _ in layers.values()]])
+        observed = np.concatenate([self._observed, [m for _, m in layers.values()]])
+        return self._derive(self.years, self.variables + tuple(layers), values, observed)
 
     def complete_cells(self, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """The variables' (variable, country, year) values, and the (country, year) mask where all are observed."""
@@ -366,33 +368,55 @@ def load_table_a2() -> PanelDataset:
 
 def apply_transform(ds: PanelDataset, t: TransformSpec, out_name: str) -> PanelDataset:
     """Add a derived series; source cells that are missing stay missing."""
-    if not out_name:
-        raise PanelDataError("transform output needs a name")
-    if out_name in ds.variables:
-        raise NameCollisionError(f"variable {out_name!r} already exists")
-    for operand in (t.source, t.other) if t.other else (t.source,):
-        if operand not in ds.variables:
-            raise PanelDataError(f"transform operand {operand!r} not in dataset")
+    return apply_transforms(ds, {out_name: t})
 
-    values, observed = ds._layer(t.source)
+
+def apply_transforms(ds: PanelDataset, transforms: Mapping[str, TransformSpec]) -> PanelDataset:
+    """Add derived series in one pass, as applying each in turn would.
+
+    A series' operands come from the dataset or from a series listed before
+    it. Errors are those of the one-by-one route, in its order: a non-finite
+    cell of an earlier series is reported before a later series' bad operand
+    or non-positive log cell.
+    """
+    layers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    try:
+        for name, t in transforms.items():
+            if not name:
+                raise PanelDataError("transform output needs a name")
+            if name in ds.variables:
+                raise NameCollisionError(f"variable {name!r} already exists")
+            layers[name] = _transform_layer(ds, t, layers)
+    except PanelDataError:
+        ds._with_layers(layers)  # raises for an earlier series' non-finite cell
+        raise
+    return ds._with_layers(layers)
+
+
+def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, tuple[np.ndarray, np.ndarray]]):
+    """The (values, observed) layer `t` derives, its operands taken from `layers` or else from `ds`."""
+    for operand in (t.source, t.other) if t.other else (t.source,):
+        if operand not in layers and operand not in ds.variables:
+            raise PanelDataError(f"transform operand {operand!r} not in dataset")
+    values, observed = layers.get(t.source) or ds._layer(t.source)
     if t.kind == "identity":
-        return ds._with_layer(out_name, values, observed)
+        return values, observed
     if t.kind == "lag":
-        return ds._with_layer(out_name, *_lag(ds, values, observed, t.periods))
+        return _lag(ds, values, observed, t.periods)
     if t.kind == "product":
-        other, other_observed = ds._layer(t.other)
+        other, other_observed = layers.get(t.other) or ds._layer(t.other)
         with np.errstate(over="ignore"):  # an overflow is reported as a non-finite cell
-            return ds._with_layer(out_name, values * other, observed & other_observed)
-    bad = np.argwhere(observed & (values <= 0.0))
-    if len(bad):
-        i, j = bad[0]
+            return values * other, observed & other_observed
+    bad = observed & (values <= 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
         raise NonPositiveForLogError(ds.countries[i], ds.years[j], float(values[i, j]))
     # math.log, cell by cell: np.log differs from it in the last bit of some cells
     logs = np.full(values.shape, np.nan)
     cells = values[observed]
     logs[observed] = np.fromiter(map(math.log, cells.tolist()), float, len(cells))
     prev, prev_observed = _lag(ds, logs, observed, 1)
-    return ds._with_layer(out_name, logs - prev, observed & prev_observed)
+    return logs - prev, observed & prev_observed
 
 
 def _lag(ds: PanelDataset, values: np.ndarray, observed: np.ndarray, periods: int):

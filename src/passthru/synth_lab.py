@@ -24,9 +24,9 @@ import numpy as np
 from passthru.errors import PassthruError
 from passthru.mg_panel import (
     ModelSpec,
-    fit_countries,
+    country_arrays,
     materialize_design,
-    mean_group,
+    mean_group_moments,
     pooled_fixed_effects,
 )
 from passthru.panel_data import PanelDataset, country_span
@@ -261,16 +261,24 @@ def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str
     """Replications `reps` as one stacked panel: each one's (estimate, standard error) of every slot.
 
     Replication r is drawn from the generator seeded (p.seed, r), as
-    `generate_panel(p, seed=(p.seed, r))` draws it; the design and the country
-    fits run once over the block, and each replication's estimate comes from
-    its own slice of countries.
+    `generate_panel(p, seed=(p.seed, r))` draws it, and its countries are the
+    block's next p.n_countries. The design is built and every country fitted
+    once for the whole block. For "mg", `mean_group_moments` takes the
+    block's coefficients as one (replications, countries, k) stack, so each
+    estimate equals `mean_group` over that replication's fits alone; for
+    "pooled_fe", each replication's slice of countries is fitted on its own.
     """
     ds = materialize_design(_simulate(p, {f"R{rep}:": (p.seed, rep) for rep in reps})[0], spec)
     n = p.n_countries
     if estimator == "mg":
-        fits = fit_countries(ds, spec)
-        results = [mean_group(fits[b * n:(b + 1) * n]) for b in range(len(reps))]
-        return [{name: (r.coef(name), r.se_of(name)) for name in slots} for r in results]
+        found = country_arrays(ds, spec, ds.countries)
+        columns = spec.design_columns
+        theta, cov = mean_group_moments(
+            found.coefficients.reshape(len(reps), n, -1), found.usable.reshape(len(reps), n), columns
+        )
+        idx = [columns.index(name) for name in slots]
+        estimates, ses = theta[:, idx].tolist(), np.sqrt(cov[:, idx, idx]).tolist()
+        return [dict(zip(slots, zip(e, s))) for e, s in zip(estimates, ses)]
     pooled = [pooled_fixed_effects(country_span(ds, b * n, (b + 1) * n), spec) for b in range(len(reps))]
     return [{name: (f.coef(name), f.se_classical(name)) for name in slots} for f in pooled]
 
@@ -321,7 +329,9 @@ def monte_carlo(
     order-independent.
 
     reps is an integer >= 2 (any Integral but a bool, as in the int fields of
-    DgpParams), and every slot of `truths` must be a design column.
+    DgpParams), and every slot of `truths` must be a design column whose
+    value is a finite real number (not a bool); all are checked before any
+    replication runs.
     n_jobs, an integer >= 1, caps the worker processes: blocks run on
     min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
     when that is 1. Workers fork from a forkserver that has imported this module
@@ -351,9 +361,11 @@ def monte_carlo(
         truths.pop("const", None)  # absorbed by the within transform
     if not truths:
         raise InvalidParamsError("no slots with known true values")
-    for slot in truths:
+    for slot, truth in truths.items():
         if slot not in spec.design_columns:
             raise InvalidParamsError(f"truths: unknown slot {slot!r}, the design has {spec.design_columns}")
+        if isinstance(truth, bool) or not isinstance(truth, Real) or not math.isfinite(truth):
+            raise InvalidParamsError(f"truths[{slot!r}] must be a finite real number, got {truth!r}")
 
     run = partial(_block, p, spec, tuple(truths), estimator)
     count = -(-reps // BLOCK_REPS)

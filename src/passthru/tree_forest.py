@@ -24,9 +24,9 @@ leaf boxes of partial dependence all walk these arrays from the trees' roots.
 
 Routing moves every (tree, row) pair down one level per step and gives each
 pair's leaf. A forest's prediction is the correctly rounded sum of its trees'
-leaf values, divided by the tree count: the sum runs over exact integer limbs,
-one batch of trees at a time, and equals math.fsum, so it does not depend on
-tree order. `partial_dependence` routes no point: each leaf is a box, and a
+leaf values, divided by the tree count: the sum runs over exact integer limbs
+(`passthru.accumulator`), one batch of (tree, row) pairs at a time, and equals
+math.fsum, so it does not depend on tree order. `partial_dependence` routes no point: each leaf is a box, and a
 summed-area table of the leaves' limbs over the grid's cells gives every grid
 and slice point the same sum that routing would.
 """
@@ -43,13 +43,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from passthru.accumulator import _limbs, _round_sums
 from passthru.errors import PassthruError
 
 
-# Trees that fit_forest grows, and predict_many routes, together. A batch's
-# per-level arrays grow with its size, so this bounds peak memory near that of
-# growing or routing one tree at a time.
+# Trees that fit_forest grows together. A batch's per-level arrays grow with
+# its size, so this bounds peak memory near that of growing one tree at a time.
 _BATCH_TREES = 128
+# (tree, row) pairs that _route moves together. Each step holds a few int64
+# arrays of this many pairs, so routing memory stays bounded for any row count.
+_ROUTE_PAIRS = 1 << 16
 
 # The square root of the largest double. A response whose rows * max|y| stays
 # within it keeps y^2, the sums of y^2 and the squares of sums of y finite.
@@ -429,9 +432,10 @@ def fit_tree(
 def _route(nodes: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
     """The (trees, rows) leaves that the rows reach in each tree, a batch of trees at a time.
 
-    Every (tree, row) pair moves down one level per step until all are at
-    leaves. A leaf steps to itself: it acts as a split on feature 0 at +inf
-    whose children are both the leaf.
+    A batch holds as many trees as keep its (tree, row) pairs within
+    _ROUTE_PAIRS, and at least one. Every (tree, row) pair moves down one
+    level per step until all are at leaves. A leaf steps to itself: it acts
+    as a split on feature 0 at +inf whose children are both the leaf.
     """
     leaf = nodes.feature < 0
     node = np.arange(leaf.size)
@@ -440,80 +444,14 @@ def _route(nodes: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
     # child[2i + 1] is node i's left child, taken where x <= threshold, and child[2i] its right one
     child = np.column_stack([np.where(leaf, node, nodes.right), np.where(leaf, node, node + 1)]).ravel()
     values = x.ravel()
-    for first in range(0, nodes.roots.size, _BATCH_TREES):
-        roots = nodes.roots[first : first + _BATCH_TREES]
+    trees = max(1, _ROUTE_PAIRS // x.shape[0])
+    for first in range(0, nodes.roots.size, trees):
+        roots = nodes.roots[first : first + trees]
         at = np.tile(np.arange(0, x.size, x.shape[1]), roots.size)  # each pair's row, as an offset into values
         node = np.repeat(roots, x.shape[0])
         while not leaf[node].all():
             node = child[2 * node + (values[at + feature[node]] <= threshold[node])]
         yield node.reshape(roots.size, x.shape[0])
-
-
-def _limbs(flat: np.ndarray, terms: int) -> tuple[np.ndarray, int, int]:
-    """Split finite values into exact int64 limbs that sums of `terms` of them keep exact.
-
-    Every value is an integer times a common power of two, 2^shift, and that
-    integer is split into signed limbs of w bits (Demmel & Hida 2003), low
-    limb first: every limb but the top one lies in [0, 2^w). The limbs are
-    cut out of each value's 53-bit mantissa by integer shifts, so no scaled
-    double is formed and any span of magnitudes fits (a long accumulator,
-    Kulisch & Miranker 1981). Returns the (limbs, values) table, w and shift.
-    """
-    mantissa, exponent = np.frexp(flat)
-    digits = np.ldexp(mantissa, 53).astype(np.int64)  # each value is digits * 2^(exponent - 53)
-    nonzero = exponent[flat != 0.0]
-    lowest, highest = (int(nonzero.min()), int(nonzero.max())) if nonzero.size else (53, 0)
-    shift = min(lowest, 53) - 53  # 2^-shift * each value is an integer
-    # w <= 53 keeps each low limb exact in a double; w + log2(terms) <= 62
-    # keeps every limb's sum over the terms inside an int64
-    w = min(53, 62 - terms.bit_length())
-    count = max(1, -(-(highest - shift) // w))  # limbs that hold the largest value's bits
-    # limb j is floor(digits * 2^up) mod 2^w (the top limb unreduced), with
-    # up = exponent - 53 - shift - j * w. A left shift that wraps past bit 63
-    # loses only bits above the limb. Counts are clamped to [0, 63], as numpy
-    # leaves others undefined, and the limbs keep their bits: a left shift by
-    # w or more leaves none below 2^w, and as |digits| < 2^53, a right shift
-    # by 53 or more leaves only the sign.
-    up = exponent - 53 - shift - w * np.arange(count)[:, None]
-    table = (digits << up.clip(0, 63)) >> (-up).clip(0, 63)
-    table[:-1] &= (1 << w) - 1
-    return table, w, shift
-
-
-def _join(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
-    """Each point's summed (limbs, points) limbs, joined as a Python int and rounded once."""
-    scale = 1 << -shift
-    totals = (sum(limb << (j * w) for j, limb in enumerate(point)) for point in acc.T.tolist())
-    return np.array([total / scale for total in totals])
-
-
-def _round_sums(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
-    """Each point's summed (limbs, points) limbs, rounded once: math.fsum's value.
-
-    Carries bring every limb but the top one into [0, 2^w), and the upper
-    limbs fold into one, hi, so the sum is (hi * 2^w + lo) * 2^shift. While
-    |hi| <= 2^53, hi * 2^w and lo are exact doubles, and adding them rounds
-    the sum once. Scaling by 2^shift is exact: every double is a multiple of
-    2^-1074, so a sum in the subnormal range has at most 52 bits and was not
-    rounded. Points whose hi needs more bits, or whose sum overflows, go
-    through `_join`.
-    """
-    limbs = [*acc, np.zeros_like(acc[0])]  # a top limb for the carries
-    for j in range(len(limbs) - 1):
-        carry = limbs[j] >> w
-        limbs[j] = limbs[j] - (carry << w)
-        limbs[j + 1] = limbs[j + 1] + carry
-    hi, reach = limbs[-1], 1 << (53 - w)
-    wide = np.zeros(hi.shape, dtype=bool)
-    for limb in limbs[-2:0:-1]:
-        wide |= (hi < -reach) | (hi >= reach)  # beyond these, hi * 2^w + limb needs more than 53 bits
-        hi = (hi << w) + limb
-    with np.errstate(over="ignore"):
-        out = np.ldexp(np.ldexp(hi.astype(float), w) + limbs[0].astype(float), shift)
-    wide |= np.isinf(out)
-    if wide.any():
-        out[wide] = _join(np.array(limbs)[:, wide], w, shift)
-    return out
 
 
 def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:

@@ -26,6 +26,20 @@ def fe_dummy_ols(x: np.ndarray, y: np.ndarray, groups) -> np.ndarray:
     return beta[: x.shape[1]]
 
 
+def mg_fsum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean-group coefficients and covariance of (n, k) country rows, one math.fsum per entry.
+
+    theta_j = fsum(column j) / n and cov_ab = fsum(dev_a * dev_b) / (n (n - 1)).
+    """
+    import math
+
+    n, k = matrix.shape
+    theta = np.array([math.fsum(matrix[:, j]) for j in range(k)]) / n
+    dev = matrix - theta
+    cov = np.array([[math.fsum(dev[:, a] * dev[:, b]) for b in range(k)] for a in range(k)]) / (n * (n - 1))
+    return theta, cov
+
+
 def _sse(values: np.ndarray) -> float:
     """Sum of squared deviations from the mean, by exactly rounded sums."""
     import math

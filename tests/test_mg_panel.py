@@ -26,10 +26,21 @@ from passthru.mg_panel import (
     long_run_effect,
     materialize_design,
     mean_group,
+    mean_group_moments,
     pooled_fixed_effects,
     wald_joint,
 )
-from passthru.panel_data import DECADE_SCHEMA, DecadeWindow, PanelDataset, TransformSpec, load_table_a2
+from oracles import mg_fsum
+from passthru.panel_data import (
+    DECADE_SCHEMA,
+    DecadeWindow,
+    NonPositiveForLogError,
+    PanelDataError,
+    PanelDataset,
+    TransformSpec,
+    apply_transform,
+    load_table_a2,
+)
 from passthru.regression_core import DesignMatrix, SingularDesignError, ols_fit
 from passthru.synth_lab import DgpParams, generate_panel
 
@@ -288,6 +299,124 @@ def test_pooled_sigma():
     r = mean_group([f1, f2])
     assert r.sigma_pooled == pytest.approx(math.sqrt((0.9 + 0.5) / 14))
     assert r.total_obs == 16
+
+
+# Coefficients from 1e-30 to 1e30 of both signs, zeros among them, so the sums need several limbs.
+WIDE = st.one_of(st.just(0.0), st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-30, 30)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_stacked_mean_group_moments_equal_the_fsum_formulas(data):
+    reps, n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 8)), data.draw(st.integers(1, 4))
+    coefficients = np.array(data.draw(st.lists(WIDE, min_size=reps * n * k, max_size=reps * n * k)))
+    coefficients = coefficients.reshape(reps, n, k)
+    usable = np.zeros((reps, n), dtype=bool)
+    for r in range(reps):
+        usable[r, data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, n))]] = True
+    coefficients[~usable] = data.draw(st.sampled_from([math.nan, math.inf, 1e300]))  # masked rows count for nothing
+    columns = tuple(f"c{j}" for j in range(k))
+    theta, cov = mean_group_moments(coefficients, usable, columns)
+    assert theta.shape == (reps, k) and cov.shape == (reps, k, k)
+    for r in range(reps):
+        want_theta, want_cov = mg_fsum(coefficients[r][usable[r]])
+        assert theta[r].tobytes() == want_theta.tobytes()
+        assert cov[r].tobytes() == want_cov.tobytes()
+        # a replication's moments do not depend on the replications stacked with it
+        alone_theta, alone_cov = mean_group_moments(coefficients[r : r + 1], usable[r : r + 1], columns)
+        assert alone_theta.tobytes() == theta[r : r + 1].tobytes()
+        assert alone_cov.tobytes() == cov[r : r + 1].tobytes()
+
+
+def test_stacked_mean_group_needs_two_usable_countries_in_every_replication():
+    coefficients = np.arange(12.0).reshape(2, 3, 2)
+    usable = np.array([[True, True, True], [False, True, False]])
+    with pytest.raises(TooFewCountriesError, match="have 1"):
+        mean_group_moments(coefficients, usable, ("const", "b0"))
+
+
+@pytest.mark.parametrize("matrix, column", [
+    ([[0.0, 1e200], [0.0, -1e200], [0.0, 0.0]], "b0"),  # a square overflows
+    ([[1e154 * (-1) ** i, 0.1] for i in range(21)], "const"),  # each square fits, their sum does not
+])
+def test_mean_group_names_a_column_whose_squared_deviations_overflow(matrix, column):
+    with pytest.raises(MgError, match=f"squared deviations of '{column}' overflow"):
+        mg_from_matrix(matrix)
+
+
+def test_mean_group_names_a_column_with_non_finite_coefficients():
+    with pytest.raises(MgError, match="coefficients of 'b0' are not finite"):
+        mg_from_matrix([[0.0, 0.1], [0.0, math.inf], [0.0, 0.2]])
+
+
+# ---------------------------------------------------------------- one-pass design
+
+def sequential_design(ds: PanelDataset, spec: ModelSpec) -> PanelDataset:
+    """The design added one series at a time through apply_transform, skipping names already present."""
+    for term in (spec.dependent, *spec.auxiliaries, *spec.regressors):
+        if term.name not in ds.variables:
+            ds = apply_transform(ds, term.transform, term.name)
+    return ds
+
+
+FULL_SPEC = build_passthrough_spec("cpi", "ulc", controls=("output_gap",), with_globalisation=True,
+                                   with_lagged_inflation=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), hole_rate=st.sampled_from((0.0, 0.1, 0.3)), given_dln=st.booleans())
+def test_one_pass_design_equals_the_sequential_transforms(seed, hole_rate, given_dln):
+    rng = np.random.default_rng(seed)
+    countries, years = ["AA", "BB", "CC"], range(1990, 2002)
+    names = ("cpi", "ulc", "kof", "output_gap")
+    series = {
+        name: {(c, y): float(rng.uniform(0.5, 2.0)) for c in countries for y in years if rng.random() >= hole_rate}
+        for name in names
+    }
+    ds = PanelDataset(countries, years, series)
+    if given_dln:  # a design series already present is reused, and later ones build on it
+        ds = apply_transform(ds, TransformSpec.log_diff("cpi"), "dln_cpi")
+    one, seq = materialize_design(ds, FULL_SPEC), sequential_design(ds, FULL_SPEC)
+    assert one.variables == seq.variables and one == seq
+    for name in one.variables:
+        assert dict(one.cells(name)) == dict(seq.cells(name))
+
+
+def _error(build, ds, spec):
+    with pytest.raises(PanelDataError) as info:
+        build(ds, spec)
+    return type(info.value), str(info.value)
+
+
+def error_spec(log_source: str) -> ModelSpec:
+    """A product among the auxiliaries, then a log difference of `log_source` among the regressors."""
+    return ModelSpec(
+        dependent=Term("y", TransformSpec.identity("y")),
+        auxiliaries=(Term("ab", TransformSpec.product("a", "b")),),
+        regressors=(Term("dl", TransformSpec.log_diff(log_source), role="cost"),),
+    )
+
+
+@pytest.mark.parametrize("cells, log_source, kind", [
+    ({"level": -1.0}, "level", NonPositiveForLogError),  # a non-positive log cell
+    ({"a": 1e200, "b": 1e200}, "level", PanelDataError),  # an overflowing product
+    ({}, "absent", PanelDataError),  # an unknown operand
+    # the earlier series' non-finite cell is reported first
+    ({"a": 1e200, "b": 1e200, "level": -1.0}, "level", PanelDataError),
+    ({"a": 1e200, "b": 1e200}, "absent", PanelDataError),
+])
+def test_one_pass_design_fails_as_the_sequential_transforms_do(cells, log_source, kind):
+    countries, years = ["AA", "BB"], range(1990, 1996)
+    series = {name: {(c, y): 1.0 + 0.1 * (y - 1990) for c in countries for y in years}
+              for name in ("y", "a", "b", "level")}
+    for name, value in cells.items():
+        series[name][("BB", 1993)] = value
+    ds, spec = PanelDataset(countries, years, series), error_spec(log_source)
+    got = _error(materialize_design, ds, spec)
+    assert got == _error(sequential_design, ds, spec)
+    assert got[0] is kind
+    if "a" in cells:
+        assert got[1].startswith("ab: non-finite value at (BB, 1993)")
 
 
 # ---------------------------------------------------------------- long-run effect

@@ -349,6 +349,19 @@ def test_monte_carlo_names_an_unknown_truths_slot_before_any_block(inline_pool, 
     assert _InlinePool.sizes == []
 
 
+@pytest.mark.parametrize("truth", [math.nan, math.inf, True, "0.25"])
+def test_monte_carlo_checks_every_truth_before_any_block(inline_pool, truth):
+    with pytest.raises(InvalidParamsError, match=r"truths\['dln_ulc'\] must be a finite real number"):
+        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_cpi_lag1": 0.4, "dln_ulc": truth}, n_jobs=2)
+    assert _InlinePool.sizes == [] and _InlinePool.tasks == []
+
+
+def test_monte_carlo_takes_numpy_float_truths():
+    want = monte_carlo(P_POOL, SPEC, reps=3, truths={"dln_ulc": 0.25})
+    got = monte_carlo(P_POOL, SPEC, reps=3, truths={"dln_ulc": np.float64(0.25)})
+    assert json.dumps(got.to_json_dict(), sort_keys=True) == json.dumps(want.to_json_dict(), sort_keys=True)
+
+
 @st.composite
 def small_dgps(draw) -> DgpParams:
     floats = lambda lo, hi: st.floats(lo, hi, allow_nan=False)  # noqa: E731

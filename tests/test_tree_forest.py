@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict, route, tree_at
-from passthru import tree_forest
+from passthru import accumulator, tree_forest
 from passthru.tree_forest import (
     AxisSpec,
     DimensionMismatchError,
@@ -81,13 +81,13 @@ def test_exact_sum_paths_agree_with_brute_force(kind, monkeypatch):
     x = rng.normal(size=(40, 2))
     response, limbs = EXACT_SUM_PATHS[kind]
     y = response(rng, 40)
-    assert tree_forest._limbs(y * y, y.size)[0].shape[0] == limbs
+    assert accumulator._limbs(y * y, y.size)[0].shape[0] == limbs
     calls = {"_join": 0}
     for name in calls:
-        def counted(*args, _name=name, _f=getattr(tree_forest, name)):
+        def counted(*args, _name=name, _f=getattr(accumulator, name)):
             calls[_name] += 1
             return _f(*args)
-        monkeypatch.setattr(tree_forest, name, counted)
+        monkeypatch.setattr(accumulator, name, counted)
     params = SplitParams(min_leaf=2)
     found = best_split(x, y, params)
     ref = bf_best_split(x, y, params.min_leaf, params.min_gain)
@@ -386,6 +386,22 @@ def test_forest_of_several_batches_predicts_the_fsum_of_routed_leaves(case, data
     assert predict_many(forest, probe).tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.parametrize("budget, per_batch", [(1, 1), (16, 1), (17, 1), (35, 2), (17 * 11 - 1, 10), (10**6, 11)])
+def test_routing_batches_hold_the_pair_budget_and_predict_the_same_bits(monkeypatch, budget, per_batch):
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 2))
+    y = rng.normal(size=40) * 10.0 ** rng.integers(-20, 21, 40)  # leaf values need several limbs
+    forest = fit_forest(x, y, n_trees=11, seed=4, params=SplitParams(min_leaf=2))
+    probe = rng.normal(size=(17, 2))
+    nodes = forest.nodes
+    expected = [math.fsum(nodes.prediction[route(nodes, row, root)] for root in nodes.roots.tolist()) / 11
+                for row in probe]
+    monkeypatch.setattr(tree_forest, "_ROUTE_PAIRS", budget)
+    sizes = [leaves.shape for leaves in tree_forest._route(nodes, probe)]
+    assert sizes == [(min(per_batch, 11 - first), 17) for first in range(0, 11, per_batch)]
+    assert predict_many(forest, probe).tobytes() == np.array(expected).tobytes()
+
+
 def test_predict_dimension_mismatch():
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
     with pytest.raises(DimensionMismatchError):
@@ -404,7 +420,7 @@ LIMB_ATOMS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(st.lists(LIMB_ATOMS, min_size=1, max_size=12), st.integers(1, 1100))
 def test_limbs_split_each_value_exactly_into_the_fewest_limbs(values, terms):
-    table, w, shift = tree_forest._limbs(np.array(values), terms)
+    table, w, shift = accumulator._limbs(np.array(values), terms)
     assert table.dtype == np.int64 and table.shape[1] == len(values)
     assert w == min(53, 62 - terms.bit_length())
     assert shift == min([math.frexp(v)[1] for v in values if v] + [53]) - 53
@@ -426,9 +442,9 @@ SUM_ATOMS = st.one_of(
 
 def _limb_sums(values: list[np.ndarray], picks: list[np.ndarray]) -> np.ndarray:
     """Per point, the sum over t of values[t][picks[t]], as limbs of all the values, rounded once."""
-    table, w, shift = tree_forest._limbs(np.concatenate(values), len(values))
+    table, w, shift = accumulator._limbs(np.concatenate(values), len(values))
     offsets = np.cumsum([0] + [v.size for v in values[:-1]])
-    return tree_forest._round_sums(sum(table[:, o + p] for o, p in zip(offsets, picks)), w, shift)
+    return accumulator._round_sums(sum(table[:, o + p] for o, p in zip(offsets, picks)), w, shift)
 
 
 @settings(max_examples=150, deadline=None)
@@ -795,7 +811,7 @@ def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
     rng = np.random.default_rng(22)
     x = rng.uniform(size=(40, 2))
     forest = fit_forest(x, response(rng.normal(size=40), rng), n_trees=n_trees, seed=4, params=SplitParams(min_leaf=2))
-    assert (tree_forest._limbs(forest.nodes.prediction, n_trees)[0].shape[0] > 1) == several_limbs
+    assert (accumulator._limbs(forest.nodes.prediction, n_trees)[0].shape[0] > 1) == several_limbs
     assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, float(x[3, 1]))])
 
 
