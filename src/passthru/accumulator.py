@@ -3,8 +3,8 @@
 Each value is cut into int64 limbs that sums of a known number of terms keep
 exact; the limbs are summed as integers and each sum is rounded once. The
 result equals math.fsum's correctly rounded sum, so it does not depend on the
-order of the terms. Tree growth, forest predictions, partial dependence and
-mean-group moments all sum through it.
+order of the terms. Tree growth, forest predictions, partial dependence,
+mean-group moments and Monte Carlo reports all sum through it.
 """
 
 from __future__ import annotations

@@ -178,9 +178,13 @@ class PanelDataset:
         cls, countries: Iterable[str], years: Iterable[int], variables: Iterable[str], values: np.ndarray
     ) -> "PanelDataset":
         """Build from a dense (variable, country, year) array in which every cell is observed."""
+        return cls._adopt(countries, years, variables, np.array(values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, countries, years, variables, values: np.ndarray) -> "PanelDataset":
+        """`from_arrays` on a float64 array that no one else holds: kept uncopied, and made read-only."""
         countries, years = _check_axes(countries, years)
         variables = tuple(str(v) for v in variables)
-        values = np.array(values, dtype=float)
         if values.shape != (len(variables), len(countries), len(years)):
             raise PanelDataError(f"array of shape {values.shape} does not fit the grid")
         return cls.__new__(cls)._set(countries, years, variables, values, np.ones(values.shape, dtype=bool))

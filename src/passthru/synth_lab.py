@@ -21,6 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from passthru.accumulator import exact_sums
 from passthru.errors import PassthruError
 from passthru.mg_panel import (
     ModelSpec,
@@ -29,15 +30,18 @@ from passthru.mg_panel import (
     mean_group_moments,
     pooled_fixed_effects,
 )
-from passthru.panel_data import PanelDataset, country_span
+from passthru.panel_data import PANEL_SCHEMA, PanelDataset, country_span
 
 Z90 = 1.6448536269514722  # standard normal 95th percentile: two-sided 90% band
 
 _STATIONARY_BOUND = 0.95
 _REDRAW_LIMIT = 1000
-# At most BLOCK_REPS replications are stacked into one panel by monte_carlo: time
-# per replication is flat from 10 upward, and memory grows with the block.
-BLOCK_REPS = 10
+# At most BLOCK_REPS replications are stacked into one panel by monte_carlo. In one
+# process a replication of the 21 x 40 headline run takes 0.72-0.82 ms of CPU in
+# blocks of 10 to 100, so a larger cap only saves pool round trips (50 replications
+# on 2 workers are 2 tasks of 25, not 6 of 8 or 9); a block's traced peak grows by
+# 0.18 MiB per replication, to 4.5 MiB at 25.
+BLOCK_REPS = 25
 
 # The worker pool monte_carlo keeps between calls, as (creating pid, workers, pool),
 # and the lock a call holds while it finds, uses or discards the pool.
@@ -161,13 +165,17 @@ def _draw_countries(p: DgpParams, rng: np.random.Generator, z_cols: int):
     return rho, mu2, alpha, z[:, len(sds):]
 
 
-def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], include_growth: bool = False):
+def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], names: Sequence[str] = PANEL_SCHEMA):
     """One panel per seed, stacked on the country axis, and each country's drawn rho_i, mu2_i and alpha_i.
 
     Seed `tag`'s countries are `tag + "C00"`, `tag + "C01"`, ... Each seed's
     generator draws all its countries in one call (see `_draw_countries`); the
     arithmetic then runs on all rows at once and is element-wise per row, so a
-    panel's cells do not depend on the panels stacked with it.
+    panel's cells do not depend on the panels stacked with it. The panel holds
+    the series `names`, in that order, from PANEL_SCHEMA, cpi_growth and
+    ulc_growth. Only they are built, each written into one (series, countries,
+    years) array that the dataset keeps uncopied; the draws do not depend on
+    which series are built.
     """
     total = p.burn_in + p.n_years
     # a country's series draws, in order: cost and price shocks over burn-in plus
@@ -176,29 +184,33 @@ def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], include_gr
     draws = [_draw_countries(p, np.random.default_rng(seed), z_cols) for seed in seeds.values()]
     rho, mu2, alpha, z = (np.concatenate(parts) for parts in zip(*draws))
     cuts = np.cumsum([0, total, total] + [p.n_years] * 4)
-    cost_innov, eps, output_gap, unemp_gap, kof_noise, em6_noise = (
-        0.0 + sd * z[:, a:b] for sd, a, b in zip((p.cost_sd, p.sigma_eps, 0.01, 0.01, 0.005, 0.05), cuts, cuts[1:])
-    )
+    sds = (p.cost_sd, p.sigma_eps, 0.01, 0.01, 0.005, 0.05)
+    shock = lambda k: 0.0 + sds[k] * z[:, cuts[k]:cuts[k + 1]]  # noqa: E731
 
-    dc = _ar1(cost_innov, p.cost_ar)
-    dp = _ar1((_lambda_base(p, total) + mu2[:, None]) * dc + alpha[:, None] + eps, rho)
+    dc = _ar1(shock(0), p.cost_ar)
+    dp = _ar1((_lambda_base(p, total) + mu2[:, None]) * dc + alpha[:, None] + shock(1), rho)
     dp_keep = dp[:, p.burn_in:]
     dc_keep = dc[:, p.burn_in:]
-    cpi = 100.0 * np.exp(np.cumsum(dp_keep, axis=1))
-    ulc = 100.0 * np.exp(np.cumsum(dc_keep, axis=1))
     ramp = np.linspace(0.0, 1.0, p.n_years)
-    kof = 0.65 + 0.2 * ramp + kof_noise
-    em6 = 0.004 * np.exp(2.0 * ramp) * np.exp(em6_noise)
-    em10 = 1.4 * em6
-
-    names = ("cpi", "core_cpi", "ulc", "earnings_h", "output_gap", "unemp_gap", "kof", "em6", "em10")
-    layers = [cpi, cpi, ulc, ulc, output_gap, unemp_gap, kof, em6, em10]
-    if include_growth:
-        names += ("cpi_growth", "ulc_growth")
-        layers += [dp_keep, dc_keep]
+    em6 = lambda: 0.004 * np.exp(2.0 * ramp) * np.exp(shock(5))  # noqa: E731
+    recipes = {
+        "cpi": lambda: 100.0 * np.exp(np.cumsum(dp_keep, axis=1)),
+        "ulc": lambda: 100.0 * np.exp(np.cumsum(dc_keep, axis=1)),
+        "output_gap": lambda: shock(2),
+        "unemp_gap": lambda: shock(3),
+        "kof": lambda: 0.65 + 0.2 * ramp + shock(4),
+        "em6": em6,
+        "em10": lambda: 1.4 * em6(),
+        "cpi_growth": lambda: dp_keep,
+        "ulc_growth": lambda: dc_keep,
+    }
+    recipes["core_cpi"], recipes["earnings_h"] = recipes["cpi"], recipes["ulc"]
+    values = np.empty((len(names), len(rho), p.n_years))
+    for v, name in enumerate(names):
+        values[v] = recipes[name]()
     countries = [f"{tag}C{j:02d}" for tag in seeds for j in range(p.n_countries)]
     years = range(p.start_year, p.start_year + p.n_years)
-    return PanelDataset.from_arrays(countries, years, names, np.stack(layers)), rho, mu2, alpha
+    return PanelDataset._adopt(countries, years, names, values), rho, mu2, alpha
 
 
 def generate_panel(
@@ -217,7 +229,8 @@ def generate_panel(
     returned next to the dataset. This is the one-panel case of the simulator
     `monte_carlo` stacks its replications with.
     """
-    ds, rho, mu2, alpha = _simulate(p, {"": p.seed if seed is None else seed}, include_growth)
+    names = PANEL_SCHEMA + (("cpi_growth", "ulc_growth") if include_growth else ())
+    ds, rho, mu2, alpha = _simulate(p, {"": p.seed if seed is None else seed}, names)
     if not return_truth:
         return ds
     drawn = zip(ds.countries, rho.tolist(), mu2.tolist(), alpha.tolist())
@@ -262,13 +275,19 @@ def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str
 
     Replication r is drawn from the generator seeded (p.seed, r), as
     `generate_panel(p, seed=(p.seed, r))` draws it, and its countries are the
-    block's next p.n_countries. The design is built and every country fitted
-    once for the whole block. For "mg", `mean_group_moments` takes the
-    block's coefficients as one (replications, countries, k) stack, so each
-    estimate equals `mean_group` over that replication's fits alone; for
-    "pooled_fe", each replication's slice of countries is fitted on its own.
+    block's next p.n_countries. The panel holds only the simulated series that
+    the spec's terms name, as a term or an operand, so `materialize_design`
+    reuses and reads the same series as on the full panel. The design is built
+    and every country fitted once for the whole block. For "mg",
+    `mean_group_moments` takes the block's coefficients as one (replications,
+    countries, k) stack, so each estimate equals `mean_group` over that
+    replication's fits alone; for "pooled_fe", each replication's slice of
+    countries is fitted on its own.
     """
-    ds = materialize_design(_simulate(p, {f"R{rep}:": (p.seed, rep) for rep in reps})[0], spec)
+    terms = (spec.dependent, *spec.auxiliaries, *spec.regressors)
+    read = {name for t in terms for name in (t.name, t.transform.source, t.transform.other)}
+    names = tuple(name for name in PANEL_SCHEMA if name in read)
+    ds = materialize_design(_simulate(p, {f"R{rep}:": (p.seed, rep) for rep in reps}, names)[0], spec)
     n = p.n_countries
     if estimator == "mg":
         found = country_arrays(ds, spec, ds.countries)
@@ -325,7 +344,7 @@ def monte_carlo(
     Replication r uses the derived seed (p.seed, r), and stacking leaves every
     replication's estimate bit for bit as a fit of
     `generate_panel(p, seed=(p.seed, r))` alone, so a longer run extends a
-    shorter one rep for rep. Aggregation uses compensated summation, making it
+    shorter one rep for rep. Aggregation uses exactly rounded sums, making it
     order-independent.
 
     reps is an integer >= 2 (any Integral but a bool, as in the int fields of
@@ -383,22 +402,16 @@ def monte_carlo(
                 raise
     else:
         done = [run(block) for block in blocks]
-    results = [replication for block in done for replication in block]
-
-    slots: dict[str, SlotStats] = {}
-    for name, truth in truths.items():
-        estimates = [results[r][name][0] for r in range(reps)]
-        ses = [results[r][name][1] for r in range(reps)]
-        errors = [e - truth for e in estimates]
-        bias = math.fsum(errors) / reps
-        rmse = math.sqrt(math.fsum(e * e for e in errors) / reps)
-        covered = sum(1 for e, s in zip(estimates, ses) if abs(e - truth) <= Z90 * s)
-        slots[name] = SlotStats(
-            truth=truth,
-            mean_estimate=math.fsum(estimates) / reps,
-            bias=bias,
-            rmse=rmse,
-            coverage=covered / reps,
-        )
+    found = np.array([[replication[name] for name in truths] for block in done for replication in block])
+    estimates, ses = found[:, :, 0], found[:, :, 1]  # (reps, slots)
+    errors = estimates - np.array(list(truths.values()), dtype=float)
+    moments = np.stack([estimates, errors, errors * errors], axis=1)
+    finite = np.isfinite(moments).all(axis=0)  # NaN or inf has no exact sum; their plain sum keeps it
+    sums = np.where(finite, exact_sums(np.where(finite, moments, 0.0)), moments.sum(axis=0)) / reps
+    covered = np.count_nonzero(np.abs(errors) <= Z90 * ses, axis=0)
+    slots = {
+        name: SlotStats(truth=truth, mean_estimate=mean, bias=bias, rmse=math.sqrt(mse), coverage=c / reps)
+        for (name, truth), (mean, bias, mse), c in zip(truths.items(), sums.T.tolist(), covered.tolist())
+    }
     return McReport(reps=reps, estimator=estimator, slots=slots)
 

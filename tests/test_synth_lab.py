@@ -255,7 +255,9 @@ def test_monte_carlo_pool_has_one_worker_per_block_at_most(inline_pool, reps, n_
     assert report == monte_carlo(P_POOL, SPEC, reps=reps)
 
 
-@pytest.mark.parametrize(("reps", "n_jobs"), [(50, 2), (25, 2), (11, 8), (100, 3), (2 * BLOCK_REPS + 1, 2), (97, 4)])
+@pytest.mark.parametrize(("reps", "n_jobs"), [
+    (50, 2), (5 * BLOCK_REPS // 2, 2), (BLOCK_REPS + 1, 8), (100, 3), (2 * BLOCK_REPS + 1, 2), (97, 4),
+])
 def test_monte_carlo_gives_each_worker_an_equal_share_of_blocks(inline_pool, reps, n_jobs):
     monte_carlo(P_POOL, SPEC, reps=reps, n_jobs=n_jobs)
     [blocks] = _InlinePool.tasks
@@ -265,6 +267,37 @@ def test_monte_carlo_gives_each_worker_an_equal_share_of_blocks(inline_pool, rep
     assert len(blocks) % workers == 0
     assert max(sizes) - min(sizes) <= 1
     assert max(sizes) <= BLOCK_REPS
+
+
+@pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
+@pytest.mark.parametrize("reps", [40, 97])
+def test_monte_carlo_reports_do_not_depend_on_the_block_size(monkeypatch, reps, estimator):
+    reports = set()
+    for cap in (1, 7, BLOCK_REPS, 50):
+        monkeypatch.setattr(synth_lab, "BLOCK_REPS", cap)
+        report = monte_carlo(P_POOL, SPEC, reps=reps, estimator=estimator)
+        reports.add(json.dumps(report.to_json_dict(), sort_keys=True))
+    assert len(reports) == 1
+
+
+def test_monte_carlo_aggregates_as_fsum_and_keeps_nan_and_inf_estimates(monkeypatch):
+    truths = {"dln_ulc": 0.25, "dln_cpi_lag1": 0.4, "const": 0.01}
+    found = {  # cancelling terms that a plain sum rounds; an infinite estimate; a NaN one
+        "dln_ulc": [1e16, 0.25, -1e16, 0.5, 3.0, 1e-17],
+        "dln_cpi_lag1": [0.4, math.inf, 0.1, 0.2, 0.3, 0.5],
+        "const": [math.nan, 0.0, 0.01, 0.02, 0.0, 0.03],
+    }
+    ses = [0.1, 0.2, 1e16, 0.1, 0.1, 0.3]
+    fake = lambda p, spec, slots, estimator, reps: [{s: (found[s][r], ses[r]) for s in slots} for r in reps]  # noqa: E731
+    monkeypatch.setattr(synth_lab, "_block", fake)
+    report = monte_carlo(P_POOL, SPEC, reps=6, truths=truths)
+    for name, truth in truths.items():
+        errors = [e - truth for e in found[name]]
+        covered = sum(1 for e, s in zip(errors, ses) if abs(e) <= Z90 * s)
+        want = (math.fsum(found[name]) / 6, math.fsum(errors) / 6, math.sqrt(math.fsum(e * e for e in errors) / 6), covered / 6)
+        got = report.slots[name]
+        assert repr((got.mean_estimate, got.bias, got.rmse, got.coverage)) == repr(want)
+    assert math.fsum(found["dln_ulc"]) / 6 != sum(found["dln_ulc"]) / 6
 
 
 def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
@@ -427,6 +460,38 @@ def test_any_split_into_blocks_gives_each_replication_its_own_fit(p, reps, data)
             else:
                 alone = pooled_fixed_effects(ds, SPEC)
                 assert got == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
+
+
+@pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
+@pytest.mark.parametrize(("p", "redraws"), [
+    # rho 0.9 with sigma_mu1 0.3: some replications redraw a rho_i outside the stationary bound
+    (DgpParams(n_countries=4, n_years=12, rho=0.9, sigma_mu1=0.3, burn_in=5, seed=3), True),
+    (DgpParams(n_countries=4, n_years=30, lambda_schedule=(0.3, 0.2, 0.1), seed=4), False),
+])
+def test_a_block_builds_the_cells_and_design_of_each_full_panel(monkeypatch, p, redraws, estimator):
+    built = []
+    monkeypatch.setattr(synth_lab, "materialize_design", lambda ds, spec: built.append(materialize_design(ds, spec)) or built[-1])
+    reps, m, slots = 6, p.n_countries, ("dln_cpi_lag1", "dln_ulc")
+    width = 2 + 2 * (p.burn_in + p.n_years) + 4 * p.n_years  # rho_i and mu2_i, then the series draws
+    first = [np.random.default_rng((p.seed, r)).standard_normal(m * width)[::width] for r in range(reps)]
+    assert any(np.any(np.abs(p.rho + p.sigma_mu1 * z) >= 0.95) for z in first) == redraws
+    got = _block(p, SPEC, slots, estimator, range(reps))
+    [ds] = built
+    layers = ("cpi", "ulc", "dln_cpi", "dln_cpi_lag1", "dln_ulc")
+    assert ds.variables == layers  # only the series the spec reads, then its design
+    for r in range(reps):
+        full = materialize_design(generate_panel(p, seed=(p.seed, r)), SPEC)
+        for name in layers:
+            values, observed = ds.complete_cells([name])
+            want_values, want_observed = full.complete_cells([name])
+            assert np.array_equal(values[:, r * m:(r + 1) * m], want_values, equal_nan=True)
+            assert np.array_equal(observed[r * m:(r + 1) * m], want_observed)
+        if estimator == "mg":
+            alone = mean_group(fit_countries(full, SPEC))
+            assert got[r] == {name: (alone.coef(name), alone.se_of(name)) for name in slots}
+        else:
+            alone = pooled_fixed_effects(full, SPEC)
+            assert got[r] == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
 
 
 def test_monte_carlo_doubling_reps_self_consistency():
