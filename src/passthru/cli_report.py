@@ -36,8 +36,8 @@ from passthru.mg_panel import (
     PassThroughPanel,
     SingularCovarianceError,
     build_passthrough_spec,
+    country_arrays,
     estimate_decade_passthroughs,
-    fit_countries,
     long_run_effect,
     materialize_design,
     mean_group,
@@ -528,9 +528,9 @@ def _log_usable(where: str, usable: int, reasons: Sequence[str]) -> None:
 
 def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> MgResult:
     sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
-    fits = fit_countries(sub, spec)
-    _log_usable(f"mg_table {label}", sum(f.usable for f in fits), [f.reason for f in fits if not f.usable])
-    return mean_group(fits)
+    found = country_arrays(sub, spec, sub.countries)
+    _log_usable(f"mg_table {label}", np.count_nonzero(found.usable), found.reason[~found.usable].tolist())
+    return mean_group(found, spec.design_columns)
 
 
 def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:

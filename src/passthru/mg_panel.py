@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -179,37 +179,20 @@ def materialize_design(ds: PanelDataset, spec: ModelSpec) -> PanelDataset:
     return apply_transforms(ds, missing)
 
 
-@dataclass(frozen=True, eq=False)
-class CountryFit:
-    country: str
-    columns: tuple[str, ...]
-    coefficients: np.ndarray | None
-    n_obs: int
-    sigma: float
-    ssr: float
-    dof: int
-    usable: bool
-    reason: str | None = None
-
-    def coef(self, name: str) -> float:
-        if self.coefficients is None:
-            raise MgError(f"{self.country}: no coefficients ({self.reason})")
-        return float(self.coefficients[self.columns.index(name)])
-
-
 class CountryArrays(NamedTuple):
     """Per-country OLS results as arrays, one row per country.
 
-    `coefficients` rows of unusable countries hold NaN and their `dof` is 0.
-    `residuals` holds, per group of countries fitted together, their
-    positions and (countries, rows) residuals, those of singular fits included.
+    Unusable countries have NaN `coefficients` and `ssr`, `dof` 0, and a
+    `reason`: "TooFewRows" below the spec's `min_obs_effective` complete rows,
+    else "SingularDesign". A usable country's `reason` is None.
     """
 
     usable: np.ndarray
     coefficients: np.ndarray
     n_obs: np.ndarray
     dof: np.ndarray
-    residuals: list[tuple[np.ndarray, np.ndarray]]
+    ssr: np.ndarray
+    reason: np.ndarray
 
 
 def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) -> CountryArrays:
@@ -217,8 +200,9 @@ def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) 
 
     Countries with equal counts of complete rows are stacked and fitted together
     by `ols_stack`, whose slices do not depend on their stack: each fit is
-    `ols_fit` on that country's design. Rows are never zero-padded, as padding
-    changes the QR's rounding. Short or singular samples come back unusable.
+    `ols_fit` on that country's design, its ssr included. Rows are never
+    zero-padded, as padding changes the QR's rounding. Short or singular
+    samples come back unusable.
     """
     try:
         pos = ds.country_positions(countries)
@@ -230,7 +214,7 @@ def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) 
     n_obs = complete.sum(axis=1)
     usable = np.zeros(len(pos), dtype=bool)
     coefficients = np.full((len(pos), spec.k), np.nan)
-    residuals = []
+    ssr = np.full(len(pos), np.nan)
     for n in sorted(set(n_obs.tolist())):
         if n < spec.min_obs_effective:
             continue
@@ -241,35 +225,16 @@ def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) 
         if spec.include_constant:
             x = np.concatenate([np.ones((len(group), n, 1)), x], axis=2)
         usable[group], coefficients[group], fitted, _ = ols_stack(np.ascontiguousarray(x), block[0])
-        residuals.append((group, block[0] - fitted))
+        e = block[0] - fitted  # NaN on singular fits
+        ssr[group] = np.vecdot(e, e)  # each row's bits are ols_fit's e @ e
+    reason = np.where(usable, None, np.where(n_obs < spec.min_obs_effective, "TooFewRows", "SingularDesign"))
     # dof >= 2 where usable: min_obs is at least k + 2
-    return CountryArrays(usable, coefficients, n_obs, np.where(usable, n_obs - spec.k, 0), residuals)
+    return CountryArrays(usable, coefficients, n_obs, np.where(usable, n_obs - spec.k, 0), ssr, reason)
 
 
-def fit_countries(
-    ds: PanelDataset, spec: ModelSpec, countries: Sequence[str] | None = None
-) -> tuple[CountryFit, ...]:
-    """`country_arrays` as one `CountryFit` per country, in the order of `countries` (default: all).
-
-    A usable fit's ssr is its residuals' dot product, and sigma is sqrt(ssr / dof).
-    """
-    countries = ds.countries if countries is None else tuple(countries)
-    usable, coefficients, n_obs, dof, residuals = country_arrays(ds, spec, countries)
-    ssr = {g: float(e @ e) for group, rows in residuals for g, e in zip(group.tolist(), rows) if usable[g]}
-    fits = []
-    for g, (country, n, d) in enumerate(zip(countries, n_obs.tolist(), dof.tolist())):
-        if g in ssr:
-            s = ssr[g]
-            fits.append(CountryFit(country, spec.design_columns, coefficients[g], n, math.sqrt(s / d), s, d, True))
-        else:
-            reason = "TooFewRows" if n < spec.min_obs_effective else "SingularDesign"
-            fits.append(CountryFit(country, (), None, n, math.nan, math.nan, 0, False, reason))
-    return tuple(fits)
-
-
-def fit_country(ds: PanelDataset, spec: ModelSpec, country: str) -> CountryFit:
-    """OLS on one country's complete rows: `fit_countries` on that country alone."""
-    return fit_countries(ds, spec, (country,))[0]
+def fit_country(ds: PanelDataset, spec: ModelSpec, country: str) -> CountryArrays:
+    """OLS on one country's complete rows: its row of `country_arrays`, with scalar fields."""
+    return CountryArrays._make(a[0] for a in country_arrays(ds, spec, (country,)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,13 +246,9 @@ class MgResult:
     n_countries: int
     total_obs: int
     sigma_pooled: float
-    fits: tuple[CountryFit, ...] = ()
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.columns.index(name)])
-
-    def se_of(self, name: str) -> float:
-        return float(self.se[self.columns.index(name)])
 
 
 def mean_group_moments(
@@ -327,34 +288,27 @@ def mean_group_moments(
     return theta, exact_sums(products.swapaxes(0, 1)) / (n * (n - 1))[:, None, None]
 
 
-def mean_group(fits: Iterable[CountryFit]) -> MgResult:
-    """Average usable country fits; SEs from cross-country coefficient dispersion.
+def mean_group(found: CountryArrays, columns: Sequence[str]) -> MgResult:
+    """Average the usable countries' fits; SEs from cross-country coefficient dispersion.
 
     The coefficients and covariance are `mean_group_moments` of one
-    replication. Pooled sigma stacks residual variation: sqrt(sum SSR_i /
-    sum dof_i). Sums are exact, so reordering countries changes nothing, bit
-    for bit.
+    replication, named by the design `columns`. Pooled sigma stacks residual
+    variation: sqrt(sum SSR_i / sum dof_i). Sums are exact, so reordering
+    countries changes nothing, bit for bit.
     """
-    fits = tuple(fits)
-    usable = [f for f in fits if f.usable]
-    columns = usable[0].columns if usable else ()
-    if any(f.columns != columns for f in usable):
-        raise MgError("usable fits disagree on design columns")
-    n = len(usable)
-    stack = np.reshape([f.coefficients for f in usable], (1, n, len(columns)))
-    theta, cov = mean_group_moments(stack, np.ones((1, n), dtype=bool), columns)
-    ssr = np.array([f.ssr for f in usable])
+    columns = tuple(columns)
+    theta, cov = mean_group_moments(found.coefficients[None], found.usable[None], columns)
+    ssr = found.ssr[found.usable]
     total_ssr = float(exact_sums(ssr) if np.isfinite(ssr).all() else ssr.sum())  # inf or NaN has no exact sum
-    total_dof = sum(f.dof for f in usable)
+    total_dof = int(found.dof.sum())  # unusable countries have dof 0
     return MgResult(
         columns=columns,
         coefficients=theta[0],
         covariance=cov[0],
         se=np.sqrt(np.diag(cov[0])),
-        n_countries=n,
-        total_obs=sum(f.n_obs for f in usable),
+        n_countries=int(np.count_nonzero(found.usable)),
+        total_obs=int(found.n_obs[found.usable].sum()),
         sigma_pooled=math.sqrt(total_ssr / total_dof) if total_dof > 0 else math.nan,
-        fits=fits,
     )
 
 
@@ -484,6 +438,7 @@ def estimate_decade_passthroughs(
     cost = spec.slot("cost")
     if cost is None:
         raise MgError("spec has no cost slot to extract a pass-through from")
+    cost_column = spec.design_columns.index(cost)
     materialized = materialize_design(ds, spec)
     excluded = set(exclude)
     annual_names = [v for v in DECADE_SCHEMA if v in materialized.variables] + [spec.dependent.name]
@@ -496,15 +451,16 @@ def estimate_decade_passthroughs(
         except EmptyWindowError:
             exclusions.append(Exclusion("*", w.label, "EmptyWindow"))
             continue
-        fits = iter(fit_countries(sub, spec, [c for c in sub.countries if c not in excluded]))
+        found = country_arrays(sub, spec, [c for c in sub.countries if c not in excluded])
+        fits = zip(found.usable.tolist(), found.reason.tolist(), found.coefficients[:, cost_column].tolist())
         annual = _window_means(sub, annual_names)
         for i, country in enumerate(materialized.countries):
             if country in excluded:
                 exclusions.append(Exclusion(country, w.label, "ExcludedByConfig"))
                 continue
-            fit = next(fits)
-            if not fit.usable:
-                exclusions.append(Exclusion(country, w.label, fit.reason or "unusable"))
+            usable, reason, passthrough = next(fits)
+            if not usable:
+                exclusions.append(Exclusion(country, w.label, reason))
                 continue
             values: dict[str, float | None] = {}
             for var in DECADE_SCHEMA:
@@ -518,7 +474,7 @@ def estimate_decade_passthroughs(
                 PassThroughRow(
                     country=country,
                     decade=w.label,
-                    passthrough=fit.coef(cost),
+                    passthrough=passthrough,
                     kof=values["kof"],
                     em6=values["em6"],
                     em10=values["em10"],

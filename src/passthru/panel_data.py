@@ -267,7 +267,7 @@ class PanelDataset:
         return list(zip(np.asarray(self.years)[complete[i]].tolist(), values[:, i, complete[i]].T.tolist()))
 
 
-def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]):
+def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]) -> PanelDataset:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -318,7 +318,7 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
             raise EmptyFileError(f"{path}: header but no data rows")
 
     countries = dict.fromkeys(c for c, _ in keys)
-    return PanelDataset(countries, sorted({y for _, y in keys}), cells), key_col
+    return PanelDataset(countries, sorted({y for _, y in keys}), cells)
 
 
 def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA) -> PanelDataset:
@@ -327,15 +327,15 @@ def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA
     Header is `country,year,<var>,...`; empty cells are missing observations.
     Pass schema=None to accept arbitrary variable columns.
     """
-    return _load_keyed_csv(path, schema, ("year", "decade"))[0]
+    return _load_keyed_csv(path, schema, ("year", "decade"))
 
 
 def load_decade_csv(path: str | Path, schema: Iterable[str] | None = DECADE_SCHEMA) -> PanelDataset:
     """Read a decade-keyed CSV (`country,decade,...`); the year axis holds decade starts."""
-    ds, key_col = _load_keyed_csv(path, schema, ("decade",))
+    ds = _load_keyed_csv(path, schema, ("decade",))
     bad = [y for y in ds.years if y % 10 != 0]
     if bad:
-        raise MalformedNumberError(0, key_col, f"decades must be multiples of 10, got {bad}")
+        raise PanelDataError(f"{path}: decades must be multiples of 10, got {bad}")
     return ds
 
 
@@ -364,10 +364,6 @@ def write_panel_csv(ds: PanelDataset, path: str | Path, key_name: str = "year") 
 def table_a2_path() -> Path:
     """Location of the bundled decade covariate fixture."""
     return Path(str(resources.files("passthru").joinpath("fixtures/table_a2.csv")))
-
-
-def load_table_a2() -> PanelDataset:
-    return load_decade_csv(table_a2_path())
 
 
 def apply_transform(ds: PanelDataset, t: TransformSpec, out_name: str) -> PanelDataset:

@@ -349,8 +349,9 @@ def monte_carlo(
 
     reps is an integer >= 2 (any Integral but a bool, as in the int fields of
     DgpParams), and every slot of `truths` must be a design column whose
-    value is a finite real number (not a bool); all are checked before any
-    replication runs.
+    value is a finite real number (not a bool), other than "const" for
+    "pooled_fe", whose within transform absorbs the constant (the default
+    truths leave it out there); all are checked before any replication runs.
     n_jobs, an integer >= 1, caps the worker processes: blocks run on
     min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
     when that is 1. Workers fork from a forkserver that has imported this module
@@ -375,9 +376,11 @@ def monte_carlo(
     reps, n_jobs = int(reps), int(n_jobs)
     if estimator not in ("mg", "pooled_fe"):
         raise InvalidParamsError(f"unknown estimator {estimator!r}")
+    if estimator == "pooled_fe" and "const" in (truths or {}):
+        raise InvalidParamsError("truths: 'const' has no pooled_fe estimate; the within transform absorbs it")
     truths = dict(truths) if truths is not None else default_truths(p, spec)
     if estimator == "pooled_fe":
-        truths.pop("const", None)  # absorbed by the within transform
+        truths.pop("const", None)  # the default truths' constant
     if not truths:
         raise InvalidParamsError("no slots with known true values")
     for slot, truth in truths.items():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passthru.mg_panel import (
-    CountryFit,
+    CountryArrays,
     Exclusion,
     MgError,
     MgResult,
@@ -20,8 +20,8 @@ from passthru.mg_panel import (
     UnknownCountryError,
     _chi2_sf,
     build_passthrough_spec,
+    country_arrays,
     estimate_decade_passthroughs,
-    fit_countries,
     fit_country,
     long_run_effect,
     materialize_design,
@@ -39,20 +39,28 @@ from passthru.panel_data import (
     PanelDataset,
     TransformSpec,
     apply_transform,
-    load_table_a2,
+    load_decade_csv,
+    table_a2_path,
 )
 from passthru.regression_core import DesignMatrix, SingularDesignError, ols_fit
 from passthru.synth_lab import DgpParams, generate_panel
 
 
-def make_fit(country: str, coefs, n_obs: int = 20) -> CountryFit:
-    coefs = np.asarray(coefs, float)
-    names = tuple(["const"] + [f"b{j}" for j in range(len(coefs) - 1)])
-    return CountryFit(country, names, coefs, n_obs, 0.01, 0.001, n_obs - len(coefs), True)
+def make_fit(matrix, n_obs: int = 20) -> CountryArrays:
+    """Usable fits, one per coefficient row, each of n_obs rows with ssr 0.001."""
+    coefs = np.asarray(matrix, float)
+    n = len(coefs)
+    return CountryArrays(np.ones(n, bool), coefs, np.full(n, n_obs), np.full(n, n_obs - coefs.shape[1]),
+                         np.full(n, 0.001), np.full(n, None))
 
 
 def mg_from_matrix(matrix) -> MgResult:
-    return mean_group([make_fit(f"C{i}", row) for i, row in enumerate(matrix)])
+    fits = make_fit(matrix)
+    return mean_group(fits, ("const", *(f"b{j}" for j in range(fits.coefficients.shape[1] - 1))))
+
+
+def mg_of(ds: PanelDataset, spec: ModelSpec) -> MgResult:
+    return mean_group(country_arrays(ds, spec, ds.countries), spec.design_columns)
 
 
 # ---------------------------------------------------------------- spec building
@@ -111,12 +119,13 @@ def test_fit_country_noise_free_recovery():
                   sigma_mu1=0, sigma_mu2=0, sigma_eps=0, alpha_mean=0.01, seed=2)
     spec = build_passthrough_spec("cpi", "ulc")
     mat = materialize_design(generate_panel(p), spec)
+    cols = spec.design_columns
     for country in ("C00", "C01"):
         fit = fit_country(mat, spec, country)
         assert fit.usable
-        assert fit.coef("dln_cpi_lag1") == pytest.approx(0.4, abs=1e-6)
-        assert fit.coef("dln_ulc") == pytest.approx(0.3, abs=1e-6)
-        assert fit.coef("const") == pytest.approx(0.01, abs=1e-6)
+        assert fit.coefficients[cols.index("dln_cpi_lag1")] == pytest.approx(0.4, abs=1e-6)
+        assert fit.coefficients[cols.index("dln_ulc")] == pytest.approx(0.3, abs=1e-6)
+        assert fit.coefficients[cols.index("const")] == pytest.approx(0.01, abs=1e-6)
 
 
 def test_fit_country_constant_cost_is_singular():
@@ -178,10 +187,6 @@ def holey_panels(draw) -> PanelDataset:
     return PanelDataset(countries, years, series)
 
 
-def bits(a: np.ndarray | None) -> bytes | None:
-    return None if a is None else a.tobytes()
-
-
 def ols_reference(ds: PanelDataset, spec: ModelSpec, country: str):
     """Row count and ols_fit on one country's complete rows; the fit is a reason when there is none."""
     rows = ds.complete_rows([spec.dependent.name] + [t.name for t in spec.regressors], country)
@@ -197,19 +202,21 @@ def ols_reference(ds: PanelDataset, spec: ModelSpec, country: str):
 @settings(max_examples=150, deadline=None)
 @given(ds=holey_panels())
 def test_batched_fits_equal_per_country_ols_bit_for_bit(ds):
-    fits = fit_countries(ds, IDENTITY_SPEC)
-    assert [f.country for f in fits] == list(ds.countries)
-    for fit in fits:
-        n, ref = ols_reference(ds, IDENTITY_SPEC, fit.country)
-        assert fit.n_obs == n
+    found = country_arrays(ds, IDENTITY_SPEC, ds.countries)
+    assert all(len(field) == len(ds.countries) for field in found)
+    for g, country in enumerate(ds.countries):
+        n, ref = ols_reference(ds, IDENTITY_SPEC, country)
+        assert found.n_obs[g] == n
         if isinstance(ref, str):
-            assert (fit.usable, fit.reason, fit.coefficients, fit.dof) == (False, ref, None, 0)
+            assert (found.usable[g], found.reason[g], found.dof[g]) == (False, ref, 0)
+            assert np.isnan(found.coefficients[g]).all() and np.isnan(found.ssr[g])
         else:
-            assert fit.usable and fit.reason is None
-            assert bits(fit.coefficients) == bits(ref.coefficients)
-            assert (fit.ssr, fit.sigma, fit.dof) == (ref.ssr, ref.sigma, ref.dof)
-        alone = fit_country(ds, IDENTITY_SPEC, fit.country)
-        assert (alone.reason, bits(alone.coefficients)) == (fit.reason, bits(fit.coefficients))
+            assert found.usable[g] and found.reason[g] is None
+            assert found.coefficients[g].tobytes() == ref.coefficients.tobytes()
+            assert (found.ssr[g], found.dof[g]) == (ref.ssr, ref.dof)
+            assert math.sqrt(found.ssr[g] / found.dof[g]) == ref.sigma
+        alone = fit_country(ds, IDENTITY_SPEC, country)
+        assert (alone.reason, alone.coefficients.tobytes()) == (found.reason[g], found.coefficients[g].tobytes())
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,26 +225,51 @@ def test_reordering_countries_leaves_mean_group_bit_identical(data, ds):
     order = data.draw(st.permutations(ds.countries))
     shuffled = PanelDataset(order, ds.years, {v: ds.cells(v) for v in ds.variables})
     try:
-        r = mean_group(fit_countries(ds, IDENTITY_SPEC))
+        r = mg_of(ds, IDENTITY_SPEC)
     except TooFewCountriesError:
         with pytest.raises(TooFewCountriesError):
-            mean_group(fit_countries(shuffled, IDENTITY_SPEC))
+            mg_of(shuffled, IDENTITY_SPEC)
         return
-    again = mean_group(fit_countries(shuffled, IDENTITY_SPEC))
+    again = mg_of(shuffled, IDENTITY_SPEC)
     assert again.coefficients.tobytes() == r.coefficients.tobytes()
     assert again.covariance.tobytes() == r.covariance.tobytes()
     assert np.float64(again.sigma_pooled).tobytes() == np.float64(r.sigma_pooled).tobytes()
     assert (again.n_countries, again.total_obs) == (r.n_countries, r.total_obs)
 
 
-def test_fit_countries_keeps_the_requested_order():
+def test_country_arrays_keeps_the_requested_order():
     ds = materialize_design(generate_panel(DgpParams(n_countries=4, n_years=20, seed=3)), build_passthrough_spec())
     spec = build_passthrough_spec()
-    fits = fit_countries(ds, spec, ("C02", "C00"))
-    assert [f.country for f in fits] == ["C02", "C00"]
-    assert fits[0].coefficients.tobytes() == fit_country(ds, spec, "C02").coefficients.tobytes()
+    found = country_arrays(ds, spec, ("C02", "C00"))
+    assert [fit_country(ds, spec, c).coefficients.tobytes() for c in ("C02", "C00")] == [
+        row.tobytes() for row in found.coefficients
+    ]
     with pytest.raises(UnknownCountryError):
-        fit_countries(ds, spec, ("C00", "ZZ"))
+        country_arrays(ds, spec, ("C00", "ZZ"))
+
+
+def test_fit_country_returns_scalar_fields():
+    # the tracer's fit_country probe counts usable fits with int(fit.usable)
+    years = range(1990, 2005)
+    rng = np.random.default_rng(7)
+    series = {
+        var: {
+            (c, yr): 0.02 if var == "x_cost" and c == "CC" else float(rng.normal())
+            for c in ("AA", "BB", "CC")
+            for yr in years
+            if c != "BB" or yr < 1994
+        }
+        for var in ("y", "x_cost", "x_ctrl")
+    }
+    ds = PanelDataset(["AA", "BB", "CC"], years, series)
+    for country, usable, reason in (("AA", 1, None), ("BB", 0, "TooFewRows"), ("CC", 0, "SingularDesign")):
+        fit = fit_country(ds, IDENTITY_SPEC, country)
+        assert (int(fit.usable), fit.reason) == (usable, reason)
+        assert [np.ndim(v) for v in fit] == [0, 1, 0, 0, 0, 0]
+        assert fit.coefficients.shape == (IDENTITY_SPEC.k,)
+        assert int(fit.n_obs) == (4 if country == "BB" else 15)
+        assert int(fit.dof) == (15 - IDENTITY_SPEC.k if usable else 0)
+        assert np.isnan(fit.ssr) != bool(usable)
 
 
 # ---------------------------------------------------------------- mean_group
@@ -246,7 +278,7 @@ def test_mean_group_two_country_hand_values():
     r = mg_from_matrix([[0.0, 0.2], [0.0, 0.4]])
     assert r.coef("b0") == pytest.approx(0.3, abs=1e-15)
     # (1/(2*1)) * (0.01 + 0.01) = 0.01 -> SE 0.1
-    assert r.se_of("b0") == pytest.approx(0.1, abs=1e-15)
+    assert r.se[r.columns.index("b0")] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_mean_group_zero_dispersion():
@@ -255,10 +287,11 @@ def test_mean_group_zero_dispersion():
 
 
 def test_mean_group_needs_two_usable():
-    lone = make_fit("AA", [0.0, 0.1])
-    dud = CountryFit("BB", (), None, 3, math.nan, math.nan, 0, False, "TooFewRows")
+    lone = make_fit([[0.0, 0.1]])
+    dud = CountryArrays(np.array([False]), np.full((1, 2), np.nan), np.array([3]), np.array([0]),
+                        np.array([math.nan]), np.array(["TooFewRows"], object))
     with pytest.raises(TooFewCountriesError):
-        mean_group([lone, dud])
+        mean_group(CountryArrays(*map(np.concatenate, zip(lone, dud))), ("const", "b0"))
 
 
 def test_mean_group_exact_mean_identity_and_permutation():
@@ -294,9 +327,9 @@ def test_mean_group_drop_one_recomputation():
 
 
 def test_pooled_sigma():
-    f1 = CountryFit("A", ("const",), np.array([0.1]), 10, 0.0, 0.9, 9, True)
-    f2 = CountryFit("B", ("const",), np.array([0.3]), 6, 0.0, 0.5, 5, True)
-    r = mean_group([f1, f2])
+    f1_f2 = CountryArrays(np.array([True, True]), np.array([[0.1], [0.3]]), np.array([10, 6]), np.array([9, 5]),
+                          np.array([0.9, 0.5]), np.array([None, None]))
+    r = mean_group(f1_f2, ("const",))
     assert r.sigma_pooled == pytest.approx(math.sqrt((0.9 + 0.5) / 14))
     assert r.total_obs == 16
 
@@ -493,9 +526,8 @@ def test_wald_all_zero_subset():
 def test_wald_single_slot_matches_tabulated_quantile():
     # engineered so (theta/se)^2 = 3.841, the 95th percentile of chi2(1)
     target = math.sqrt(3.841)
-    fits = [make_fit("A", [0.0, target - 1.0]), make_fit("B", [0.0, target + 1.0])]
-    r = mean_group(fits)
-    assert r.se_of("b0") == pytest.approx(1.0, abs=1e-12)
+    r = mg_from_matrix([[0.0, target - 1.0], [0.0, target + 1.0]])
+    assert r.se[r.columns.index("b0")] == pytest.approx(1.0, abs=1e-12)
     stat, dof, p = wald_joint(r, ["b0"])
     assert stat == pytest.approx(3.841, rel=1e-12)
     assert dof == 1
@@ -575,7 +607,7 @@ def test_decade_passthroughs_exclusion_and_covariate_join():
     spec = build_passthrough_spec("cpi", "ulc")
     windows = [DecadeWindow.from_label(lbl) for lbl in ("1980s", "1990s", "2000s", "2010s")]
     panel = estimate_decade_passthroughs(
-        ds, spec, windows, decade_data=load_table_a2(), exclude=("C02",),
+        ds, spec, windows, decade_data=load_decade_csv(table_a2_path()), exclude=("C02",),
     )
     assert all(r.country != "C02" for r in panel.rows)
     assert Exclusion("C02", "1980s", "ExcludedByConfig") in panel.exclusions
@@ -690,7 +722,7 @@ def test_mg_matches_pooled_ols_under_pooled_dgp():
     for rep in range(200):
         ds = generate_panel(p, seed=(p.seed, rep))
         mat = materialize_design(ds, spec)
-        mg = mean_group([fit_country(mat, spec, c) for c in mat.countries])
+        mg = mg_of(mat, spec)
         pooled = pooled_fixed_effects(mat, spec)
         diffs.append(abs(mg.coef("dln_ulc") - pooled.coef("dln_ulc")))
     assert float(np.mean(diffs)) < 0.01

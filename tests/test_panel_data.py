@@ -23,9 +23,9 @@ from passthru.panel_data import (
     apply_transform,
     load_decade_csv,
     load_panel_csv,
-    load_table_a2,
     median_by_window,
     panel_csv_text,
+    table_a2_path,
     window,
     write_panel_csv,
 )
@@ -39,7 +39,7 @@ def one_country(values: dict[int, float], var: str = "x") -> PanelDataset:
 # ---------------------------------------------------------------- ingestion
 
 def test_table_a2_fixture_values():
-    ds = load_table_a2()
+    ds = load_decade_csv(table_a2_path())
     assert ds.value("em10", "US", 2010) == 0.0506
     assert ds.value("kof", "AT", 1980) == 0.744
     assert len(ds.countries) == 16
@@ -166,8 +166,17 @@ def test_product_overflow_is_rejected():
 def test_decade_loader_requires_decade_multiples(tmp_path):
     p = tmp_path / "dec.csv"
     p.write_text("country,decade,kof\nAT,1985,0.7\n")
-    with pytest.raises(MalformedNumberError):
+    with pytest.raises(PanelDataError, match=r"decades must be multiples of 10, got \[1985\]$") as err:
         load_decade_csv(p, schema=("kof",))
+    assert not isinstance(err.value, MalformedNumberError)  # every number parsed
+
+
+def test_decade_loader_names_the_file_and_every_bad_decade(tmp_path):
+    p = tmp_path / "decades.csv"
+    p.write_text("country,decade,em6\nAT,1985,0.1\nAT,1990,0.2\nBE,2003,0.3\n")
+    with pytest.raises(PanelDataError) as err:
+        load_decade_csv(p)
+    assert str(err.value) == f"{p}: decades must be multiples of 10, got [1985, 2003]"
 
 
 def test_dataset_rejects_nan_cells():
@@ -273,7 +282,7 @@ def test_decade_window_validation():
 # ---------------------------------------------------------------- medians
 
 def test_median_matches_decade_fixture():
-    ds = load_table_a2()
+    ds = load_decade_csv(table_a2_path())
     assert median_by_window(ds, "em6", DecadeWindow.from_start(1980)) == pytest.approx(0.0041, abs=1e-12)
     assert median_by_window(ds, "em10", DecadeWindow.from_start(2010)) == pytest.approx(0.0442, abs=1e-12)
 

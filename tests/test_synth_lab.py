@@ -20,7 +20,7 @@ from oracles import simulate_panel
 from passthru import synth_lab
 from passthru.mg_panel import (
     build_passthrough_spec,
-    fit_countries,
+    country_arrays,
     fit_country,
     materialize_design,
     mean_group,
@@ -40,6 +40,10 @@ from passthru.synth_lab import (
 )
 
 SPEC = build_passthrough_spec("cpi", "ulc")
+
+
+def mg_of(ds):
+    return mean_group(country_arrays(ds, SPEC, ds.countries), SPEC.design_columns)
 
 
 def test_params_validation():
@@ -90,10 +94,11 @@ def test_noise_free_homogeneous_panel():
     ds, truths = generate_panel(p, return_truth=True)
     assert all(t.rho_i == 0.4 and t.lam_i == 0.3 for t in truths)
     mat = materialize_design(ds, SPEC)
+    cols = SPEC.design_columns
     for country in ds.countries:
         fit = fit_country(mat, SPEC, country)
-        assert fit.coef("dln_cpi_lag1") == pytest.approx(0.4, abs=1e-8)
-        assert fit.coef("dln_ulc") == pytest.approx(0.3, abs=1e-8)
+        assert fit.coefficients[cols.index("dln_cpi_lag1")] == pytest.approx(0.4, abs=1e-8)
+        assert fit.coefficients[cols.index("dln_ulc")] == pytest.approx(0.3, abs=1e-8)
 
 
 def test_determinism_same_seed():
@@ -133,7 +138,7 @@ def test_schedule_changes_lambda_by_decade():
     for (start, _), expected in zip(windows, sched):
         sub = window(mat, DecadeWindow.from_start(start))
         fit = fit_country(sub, SPEC, "C00")
-        assert fit.coef("dln_ulc") == pytest.approx(expected, abs=1e-6)
+        assert fit.coefficients[SPEC.design_columns.index("dln_ulc")] == pytest.approx(expected, abs=1e-6)
 
 
 def test_monte_carlo_report_shape_and_serialization():
@@ -382,6 +387,16 @@ def test_monte_carlo_names_an_unknown_truths_slot_before_any_block(inline_pool, 
     assert _InlinePool.sizes == []
 
 
+def test_monte_carlo_rejects_a_pooled_fe_constant_truth_before_any_block(inline_pool):
+    with pytest.raises(InvalidParamsError, match="truths: 'const' .* within transform absorbs it"):
+        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_ulc": 0.25, "const": 0.01},
+                    estimator="pooled_fe", n_jobs=2)
+    assert _InlinePool.sizes == [] and _InlinePool.tasks == []
+    # the default truths leave the constant out, and mg estimates it
+    assert "const" not in monte_carlo(P_POOL, SPEC, reps=2, estimator="pooled_fe").slots
+    assert "const" in monte_carlo(P_POOL, SPEC, reps=2, truths={"const": 0.01}).slots
+
+
 @pytest.mark.parametrize("truth", [math.nan, math.inf, True, "0.25"])
 def test_monte_carlo_checks_every_truth_before_any_block(inline_pool, truth):
     with pytest.raises(InvalidParamsError, match=r"truths\['dln_ulc'\] must be a finite real number"):
@@ -455,8 +470,8 @@ def test_any_split_into_blocks_gives_each_replication_its_own_fit(p, reps, data)
         for rep, got in enumerate(stacked):
             ds = materialize_design(generate_panel(p, seed=(p.seed, rep)), SPEC)
             if estimator == "mg":
-                alone = mean_group(fit_countries(ds, SPEC))
-                assert got == {name: (alone.coef(name), alone.se_of(name)) for name in slots}
+                alone = mg_of(ds)
+                assert got == {name: (alone.coef(name), alone.se[alone.columns.index(name)]) for name in slots}
             else:
                 alone = pooled_fixed_effects(ds, SPEC)
                 assert got == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
@@ -487,8 +502,8 @@ def test_a_block_builds_the_cells_and_design_of_each_full_panel(monkeypatch, p, 
             assert np.array_equal(values[:, r * m:(r + 1) * m], want_values, equal_nan=True)
             assert np.array_equal(observed[r * m:(r + 1) * m], want_observed)
         if estimator == "mg":
-            alone = mean_group(fit_countries(full, SPEC))
-            assert got[r] == {name: (alone.coef(name), alone.se_of(name)) for name in slots}
+            alone = mg_of(full)
+            assert got[r] == {name: (alone.coef(name), alone.se[alone.columns.index(name)]) for name in slots}
         else:
             alone = pooled_fixed_effects(full, SPEC)
             assert got[r] == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
@@ -510,15 +525,13 @@ def test_mg_estimates_within_two_se_of_truth_in_most_reps():
     # roughly 19 out of 20 replications
     p = DgpParams(n_countries=21, n_years=40, rho=0.4, lam=0.25,
                   sigma_mu1=0.1, sigma_mu2=0.1, sigma_eps=0.01, seed=20)
-    from passthru.mg_panel import mean_group
-
     reps = 150
     hits = 0
     for rep in range(reps):
         ds = generate_panel(p, seed=(p.seed, rep))
         mat = materialize_design(ds, SPEC)
-        r = mean_group([fit_country(mat, SPEC, c) for c in mat.countries])
-        hits += abs(r.coef("dln_ulc") - 0.25) < 2.0 * r.se_of("dln_ulc")
+        r = mg_of(mat)
+        hits += abs(r.coef("dln_ulc") - 0.25) < 2.0 * r.se[r.columns.index("dln_ulc")]
     assert 0.90 <= hits / reps <= 0.99
 
 
