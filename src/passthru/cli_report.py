@@ -20,6 +20,7 @@ import time
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -56,6 +57,8 @@ from passthru.panel_data import (
 from passthru.second_stage import COVARIATE_LABELS, SecondStageResult, table5_results
 from passthru.synth_lab import DgpParams, InvalidParamsError, generate_panel
 from passthru.tree_forest import (
+    FOREST_SUBSAMPLE,
+    FOREST_TREES,
     AxisSpec,
     SplitParams,
     fit_forest,
@@ -281,23 +284,20 @@ def _render_json(t: RenderedTable) -> str:
 
 @dataclass(frozen=True)
 class ForestConfig:
-    trees: int = 1000
-    subsample: float = 2.0 / 3.0
-    min_leaf: int = 5
+    trees: int = FOREST_TREES
+    subsample: float = FOREST_SUBSAMPLE
+    min_leaf: int = SplitParams.min_leaf
     max_depth: int | None = None
     steps: int = 50
 
     def __post_init__(self):
-        if self.trees < 1:
-            raise ConfigError("forest.trees", f"need at least 1 tree, got {self.trees}")
-        if self.min_leaf < 1:
-            raise ConfigError("forest.min_leaf", f"must be at least 1, got {self.min_leaf}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ConfigError("forest.max_depth", f"must be at least 0, got {self.max_depth}")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ConfigError("forest.subsample", f"must lie in (0, 1], got {self.subsample}")
-        if self.steps < 2:
-            raise ConfigError("forest.steps", f"need at least 2 grid steps, got {self.steps}")
+        ints = {"trees": 1, "min_leaf": 1, "steps": 2} | ({} if self.max_depth is None else {"max_depth": 0})
+        for name, least in ints.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ConfigError(f"forest.{name}", f"must be an int of at least {least}, got {value!r}")
+        if isinstance(self.subsample, bool) or not isinstance(self.subsample, Real) or not 0.0 < self.subsample <= 1.0:
+            raise ConfigError("forest.subsample", f"must be a number in (0, 1], got {self.subsample!r}")
 
 
 @dataclass(frozen=True)
@@ -421,11 +421,13 @@ def config_from_mapping(mapping: Mapping[str, str], base_dir: Path | None = None
     """Validate flat config entries into a RunConfig; paths resolve against base_dir."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     raw_synthetic = mapping.get("data.synthetic", "")
-    synthetic = _SWITCHES.get(raw_synthetic.strip().lower())
+    synthetic = _SWITCHES.get(str(raw_synthetic).strip().lower())  # a value that is not text fails below
     if synthetic is None:
         raise ConfigError("data.synthetic", f"expected true/false, yes/no or 1/0, got {raw_synthetic!r}")
     known = {*_RUN_KEYS, *_FOREST_KEYS, *_DGP_KEYS, "data.synthetic"}
-    for key in mapping:
+    for key, raw in mapping.items():
+        if not isinstance(raw, str):
+            raise ConfigError(key, f"expected text, got {raw!r}")
         if key.startswith("dgp.") and not synthetic:
             raise ConfigError(key, "generator settings need data.synthetic = true")
         if key not in known:
@@ -493,7 +495,7 @@ def _input_digests(cfg: RunConfig) -> dict[str, str]:
 def config_from_manifest(path: str | Path) -> RunConfig:
     """The config of an earlier run; its input files must still hold what that run read."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or "config" not in payload:
+    if not isinstance(payload, dict) or not isinstance(payload.get("config"), dict):
         raise ConfigError("manifest", f"{path} is not a run manifest")
     cfg = config_from_mapping(payload["config"], base_dir=Path(path).resolve().parent)
     digests = _input_digests(cfg)
@@ -870,14 +872,12 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
 
 def _load_run_config(path: Path) -> RunConfig:
     text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return config_from_manifest(path)
     return config_from_mapping(parse_kv_text(text), base_dir=path.resolve().parent)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("PASSTHRU_LOG", "WARNING").upper())
     parser = argparse.ArgumentParser(prog="passthru", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -893,6 +893,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        level = os.environ.get("PASSTHRU_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):  # a known name gives its number
+            raise ConfigError("PASSTHRU_LOG", f"unknown level {level!r}; use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level)
         if args.command == "run":
             if not args.config.is_file():
                 raise ConfigError("config", f"file not found: {args.config}")

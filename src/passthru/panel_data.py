@@ -269,7 +269,7 @@ class PanelDataset:
 
 def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]) -> PanelDataset:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from numbers import Integral, Real
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -257,49 +257,46 @@ class McReport:
 
 
 def default_truths(p: DgpParams, spec: ModelSpec) -> dict[str, float]:
-    """Map design slots to their generating-process values."""
-    truths: dict[str, float] = {}
-    lag_dep = spec.slot("lag_dep")
-    cost = spec.slot("cost")
-    if lag_dep:
-        truths[lag_dep] = p.rho
-    if cost:
-        truths[cost] = p.lam
-    if spec.include_constant:
-        truths["const"] = p.alpha_mean
-    return truths
+    """Map design slots to their generating-process values: persistence, cost pass-through and the constant."""
+    slots = (spec.slot("lag_dep"), spec.slot("cost"), "const" if spec.include_constant else None)
+    return {slot: truth for slot, truth in zip(slots, (p.rho, p.lam, p.alpha_mean)) if slot}
 
 
-def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], estimator: str, reps: range) -> list[dict]:
-    """Replications `reps` as one stacked panel: each one's (estimate, standard error) of every slot.
+def _mean_group_fit(ds: PanelDataset, spec: ModelSpec, n: int, slots: tuple[str, ...]):
+    """Mean group of each replication's n countries, each bit for bit `mean_group` of its countries alone."""
+    found, columns = country_arrays(ds, spec, ds.countries), spec.design_columns
+    theta, cov = mean_group_moments(found.coefficients.reshape(-1, n, spec.k), found.usable.reshape(-1, n), columns)
+    idx = [columns.index(name) for name in slots]
+    return theta[:, idx], np.sqrt(cov[:, idx, idx])
 
-    Replication r is drawn from the generator seeded (p.seed, r), as
-    `generate_panel(p, seed=(p.seed, r))` draws it, and its countries are the
-    block's next p.n_countries. The panel holds only the simulated series that
-    the spec's terms name, as a term or an operand, so `materialize_design`
-    reuses and reads the same series as on the full panel. The design is built
-    and every country fitted once for the whole block. For "mg",
-    `mean_group_moments` takes the block's coefficients as one (replications,
-    countries, k) stack, so each estimate equals `mean_group` over that
-    replication's fits alone; for "pooled_fe", each replication's slice of
-    countries is fitted on its own.
+
+def _pooled_fe_fit(ds: PanelDataset, spec: ModelSpec, n: int, slots: tuple[str, ...]):
+    """Within OLS of each replication's n countries on their own, with classical standard errors."""
+    fits = [pooled_fixed_effects(country_span(ds, b, b + n), spec) for b in range(0, len(ds.countries), n)]
+    return np.moveaxis(np.array([[(f.coef(name), f.se_classical(name)) for name in slots] for f in fits]), 2, 0)
+
+
+# Monte Carlo estimators: name -> (block fit, {design column it does not estimate: why}). A block fit
+# maps a block's design, spec, countries per replication and slots to (replications, slots) estimates and SEs.
+ESTIMATORS: dict[str, tuple[Callable, dict[str, str]]] = {
+    "mg": (_mean_group_fit, {}),
+    "pooled_fe": (_pooled_fe_fit, {"const": "the within transform absorbs it"}),
+}
+
+
+def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], fit: Callable, reps: range):
+    """`fit`'s (replications, slots) estimates and standard errors of replications `reps`, as one stacked panel.
+
+    Replication r is `generate_panel(p, seed=(p.seed, r))`, the block's next
+    p.n_countries countries, less the simulated series that the spec's terms
+    do not name (as a term or an operand), so `materialize_design` reads the
+    same series as on the full panel. The design is built once for the block.
     """
     terms = (spec.dependent, *spec.auxiliaries, *spec.regressors)
     read = {name for t in terms for name in (t.name, t.transform.source, t.transform.other)}
     names = tuple(name for name in PANEL_SCHEMA if name in read)
     ds = materialize_design(_simulate(p, {f"R{rep}:": (p.seed, rep) for rep in reps}, names)[0], spec)
-    n = p.n_countries
-    if estimator == "mg":
-        found = country_arrays(ds, spec, ds.countries)
-        columns = spec.design_columns
-        theta, cov = mean_group_moments(
-            found.coefficients.reshape(len(reps), n, -1), found.usable.reshape(len(reps), n), columns
-        )
-        idx = [columns.index(name) for name in slots]
-        estimates, ses = theta[:, idx].tolist(), np.sqrt(cov[:, idx, idx]).tolist()
-        return [dict(zip(slots, zip(e, s))) for e, s in zip(estimates, ses)]
-    pooled = [pooled_fixed_effects(country_span(ds, b * n, (b + 1) * n), spec) for b in range(len(reps))]
-    return [{name: (f.coef(name), f.se_classical(name)) for name in slots} for f in pooled]
+    return fit(ds, spec, p.n_countries, slots)
 
 
 def _worker_pool(workers: int) -> ProcessPoolExecutor:
@@ -347,11 +344,11 @@ def monte_carlo(
     shorter one rep for rep. Aggregation uses exactly rounded sums, making it
     order-independent.
 
-    reps is an integer >= 2 (any Integral but a bool, as in the int fields of
-    DgpParams), and every slot of `truths` must be a design column whose
-    value is a finite real number (not a bool), other than "const" for
-    "pooled_fe", whose within transform absorbs the constant (the default
-    truths leave it out there); all are checked before any replication runs.
+    `estimator` names an entry of ESTIMATORS. reps is an integer >= 2 (any
+    Integral but a bool, as in the int fields of DgpParams), and every slot of
+    `truths` must be a design column whose value is a finite real number (not
+    a bool), other than a column the estimator does not estimate (the default
+    truths leave those out); all are checked before any replication runs.
     n_jobs, an integer >= 1, caps the worker processes: blocks run on
     min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
     when that is 1. Workers fork from a forkserver that has imported this module
@@ -374,22 +371,21 @@ def monte_carlo(
         if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
             raise InvalidParamsError(f"{name} must be an int of at least {least}, got {value!r}")
     reps, n_jobs = int(reps), int(n_jobs)
-    if estimator not in ("mg", "pooled_fe"):
+    if not isinstance(estimator, str) or estimator not in ESTIMATORS:
         raise InvalidParamsError(f"unknown estimator {estimator!r}")
-    if estimator == "pooled_fe" and "const" in (truths or {}):
-        raise InvalidParamsError("truths: 'const' has no pooled_fe estimate; the within transform absorbs it")
-    truths = dict(truths) if truths is not None else default_truths(p, spec)
-    if estimator == "pooled_fe":
-        truths.pop("const", None)  # the default truths' constant
+    fit, absent = ESTIMATORS[estimator]
+    truths = {s: t for s, t in default_truths(p, spec).items() if s not in absent} if truths is None else truths
     if not truths:
         raise InvalidParamsError("no slots with known true values")
     for slot, truth in truths.items():
+        if slot in absent:
+            raise InvalidParamsError(f"truths: {slot!r} has no {estimator} estimate; {absent[slot]}")
         if slot not in spec.design_columns:
             raise InvalidParamsError(f"truths: unknown slot {slot!r}, the design has {spec.design_columns}")
         if isinstance(truth, bool) or not isinstance(truth, Real) or not math.isfinite(truth):
             raise InvalidParamsError(f"truths[{slot!r}] must be a finite real number, got {truth!r}")
 
-    run = partial(_block, p, spec, tuple(truths), estimator)
+    run = partial(_block, p, spec, tuple(truths), fit)
     count = -(-reps // BLOCK_REPS)
     workers = min(n_jobs, count)
     count = -(-count // workers) * workers
@@ -405,8 +401,7 @@ def monte_carlo(
                 raise
     else:
         done = [run(block) for block in blocks]
-    found = np.array([[replication[name] for name in truths] for block in done for replication in block])
-    estimates, ses = found[:, :, 0], found[:, :, 1]  # (reps, slots)
+    estimates, ses = np.concatenate(done, axis=1)  # (reps, slots) each
     errors = estimates - np.array(list(truths.values()), dtype=float)
     moments = np.stack([estimates, errors, errors * errors], axis=1)
     finite = np.isfinite(moments).all(axis=0)  # NaN or inf has no exact sum; their plain sum keeps it

@@ -47,6 +47,7 @@ from passthru.accumulator import _limbs, _round_sums
 from passthru.errors import PassthruError
 
 
+FOREST_TREES, FOREST_SUBSAMPLE = 1000, 2.0 / 3.0  # fit_forest's defaults: trees, and each one's share of rows
 # Trees that fit_forest grows together. A batch's per-level arrays grow with
 # its size, so this bounds peak memory near that of growing one tree at a time.
 _BATCH_TREES = 128
@@ -479,8 +480,8 @@ def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
 def fit_forest(
     x,
     y,
-    n_trees: int = 1000,
-    subsample: float = 2.0 / 3.0,
+    n_trees: int = FOREST_TREES,
+    subsample: float = FOREST_SUBSAMPLE,
     seed: int = 0,
     params: SplitParams = SplitParams(),
     feature_names: Sequence[str] | None = None,

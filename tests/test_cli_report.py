@@ -594,6 +594,50 @@ def test_manifest_rerun_rejects_an_input_that_changed(tmp_path, data_dir, capsys
     assert str(panel.resolve()) in capsys.readouterr().err
 
 
+def test_a_manifest_whose_config_is_not_an_object_is_a_config_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": [["output.dir", str(tmp_path / "out")]]}))
+    assert main(["run", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"config error: manifest: {manifest} is not a run manifest\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_a_manifest_value_that_is_not_text_is_a_config_error(tmp_path, capsys):
+    assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 0
+    payload = json.loads((tmp_path / "fig2" / "manifest.json").read_text())
+    payload["config"] |= {"seed": 42, "output.dir": str(tmp_path / "out")}  # as a hand edit writes it
+    manifest = tmp_path / "edited.json"
+    manifest.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["run", str(manifest)]) == 2
+    assert capsys.readouterr().err == "config error: seed: expected text, got 42\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unknown_log_level_is_a_config_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("PASSTHRU_LOG", "verbose")
+    assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: PASSTHRU_LOG: unknown level 'VERBOSE'; use DEBUG, INFO, WARNING, ERROR or CRITICAL\n"
+    )
+    assert not (tmp_path / "fig2").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trees", 2.5), ("steps", 2.5), ("min_leaf", True), ("max_depth", 1.5), ("trees", "10"), ("subsample", True),
+])
+def test_a_bad_code_built_forest_config_writes_nothing(tmp_path, data_dir, field, value):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(RunConfig(
+            out_dir=out, panel_path=data_dir / "panel.csv", decades=("1990s", "2000s"),
+            outputs=("passthrough_panel", "importance", "pd_grid"), seed=1, forest=ForestConfig(**{field: value}),
+        ))
+    assert err.value.field_path == f"forest.{field}"
+    assert str(err.value).endswith(f", got {value!r}")
+    assert not out.exists()
+
+
 def test_fig2_manifest_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "fig2"
     assert main(["preset", "fig2", "--out", str(out)]) == 0

@@ -140,6 +140,15 @@ def test_panel_with_holes_survives_csv_round_trip_bit_for_bit(ds, tmp_path):
                     assert cell is None and back is None
 
 
+def test_loaders_read_a_file_saved_with_a_byte_order_mark(tmp_path):
+    bom = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as Excel saves CSV
+    panel = write_panel_csv(one_country({1990: 1.5, 1991: 2.5}), tmp_path / "panel.csv")
+    (tmp_path / "bom.csv").write_bytes(bom + panel.read_bytes())
+    assert load_panel_csv(tmp_path / "bom.csv", schema=None) == load_panel_csv(panel, schema=None)
+    (tmp_path / "decades.csv").write_bytes(bom + table_a2_path().read_bytes())
+    assert load_decade_csv(tmp_path / "decades.csv") == load_decade_csv(table_a2_path())
+
+
 def test_array_constructor_copies_and_checks_its_array():
     values = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])
     ds = PanelDataset.from_arrays(["AA"], [1990, 1991, 1992], ["x", "y"], values)

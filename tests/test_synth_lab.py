@@ -29,6 +29,7 @@ from passthru.mg_panel import (
 from passthru.panel_data import TransformSpec, apply_transform, panel_csv_text
 from passthru.synth_lab import (
     BLOCK_REPS,
+    ESTIMATORS,
     DgpParams,
     Z90,
     InvalidParamsError,
@@ -293,7 +294,10 @@ def test_monte_carlo_aggregates_as_fsum_and_keeps_nan_and_inf_estimates(monkeypa
         "const": [math.nan, 0.0, 0.01, 0.02, 0.0, 0.03],
     }
     ses = [0.1, 0.2, 1e16, 0.1, 0.1, 0.3]
-    fake = lambda p, spec, slots, estimator, reps: [{s: (found[s][r], ses[r]) for s in slots} for r in reps]  # noqa: E731
+
+    def fake(p, spec, slots, fit, reps):
+        return [[found[s][r] for s in slots] for r in reps], [[ses[r]] * len(slots) for r in reps]
+
     monkeypatch.setattr(synth_lab, "_block", fake)
     report = monte_carlo(P_POOL, SPEC, reps=6, truths=truths)
     for name, truth in truths.items():
@@ -303,6 +307,33 @@ def test_monte_carlo_aggregates_as_fsum_and_keeps_nan_and_inf_estimates(monkeypa
         got = report.slots[name]
         assert repr((got.mean_estimate, got.bias, got.rmse, got.coverage)) == repr(want)
     assert math.fsum(found["dln_ulc"]) / 6 != sum(found["dln_ulc"]) / 6
+
+
+def _median_fit(ds, spec, n, slots):
+    """A toy block fit: each slot's median over each replication's countries, with no standard error."""
+    found = country_arrays(ds, spec, ds.countries)
+    idx = [spec.design_columns.index(name) for name in slots]
+    medians = np.median(found.coefficients[:, idx].reshape(-1, n, len(slots)), axis=1)
+    return medians, np.full(medians.shape, math.nan)
+
+
+def test_an_estimator_added_to_the_table_gets_a_report(monkeypatch):
+    monkeypatch.setitem(synth_lab.ESTIMATORS, "median", (_median_fit, {"const": "a toy leaves it out"}))
+    reps = BLOCK_REPS + 3  # two blocks
+    report = monte_carlo(P_POOL, SPEC, reps=reps, estimator="median", n_jobs=1)
+    assert report.estimator == "median"
+    assert set(report.slots) == {"dln_cpi_lag1", "dln_ulc"}  # the default truths less the toy's "const"
+    alone = []  # each replication's country coefficients, fitted on its own panel
+    for r in range(reps):
+        ds = materialize_design(generate_panel(P_POOL, seed=(P_POOL.seed, r)), SPEC)
+        alone.append(country_arrays(ds, SPEC, ds.countries).coefficients)
+    for name, stats in report.slots.items():
+        medians = [float(np.median(c[:, SPEC.design_columns.index(name)])) for c in alone]
+        assert stats.mean_estimate == math.fsum(medians) / reps
+        assert stats.truth == default_truths(P_POOL, SPEC)[name]
+        assert stats.coverage == 0.0  # a NaN standard error covers nothing
+    with pytest.raises(InvalidParamsError, match="truths: 'const' has no median estimate; a toy leaves it out"):
+        monte_carlo(P_POOL, SPEC, reps=2, truths={"const": 0.01}, estimator="median")
 
 
 def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
@@ -377,6 +408,13 @@ def test_monte_carlo_calls_from_threads_take_turns_on_the_pool(inline_pool):
     finally:
         sys.setswitchinterval(interval)
     assert all(report == serial for report in reports)
+
+
+@pytest.mark.parametrize("estimator", ["ols", "MG", "", ["mg"]])
+def test_monte_carlo_names_an_unknown_estimator_before_any_block(inline_pool, estimator):
+    with pytest.raises(InvalidParamsError, match=f"^unknown estimator {re.escape(repr(estimator))}$"):
+        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, estimator=estimator, n_jobs=2)
+    assert _InlinePool.sizes == [] and _InlinePool.tasks == []
 
 
 @pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
@@ -466,15 +504,19 @@ def test_any_split_into_blocks_gives_each_replication_its_own_fit(p, reps, data)
     blocks = [range(a, b) for a, b in zip([0, *cuts], [*cuts, reps])]
     slots = ("dln_cpi_lag1", "dln_ulc")
     for estimator in ("mg", "pooled_fe"):
-        stacked = [r for block in blocks for r in _block(p, SPEC, slots, estimator, block)]
-        for rep, got in enumerate(stacked):
+        found = [_block(p, SPEC, slots, ESTIMATORS[estimator][0], block) for block in blocks]
+        estimates, ses = (np.concatenate(parts) for parts in zip(*found))
+        assert estimates.shape == ses.shape == (reps, len(slots))
+        for rep in range(reps):
             ds = materialize_design(generate_panel(p, seed=(p.seed, rep)), SPEC)
             if estimator == "mg":
                 alone = mg_of(ds)
-                assert got == {name: (alone.coef(name), alone.se[alone.columns.index(name)]) for name in slots}
+                assert estimates[rep].tolist() == [alone.coef(name) for name in slots]
+                assert ses[rep].tolist() == [alone.se[alone.columns.index(name)] for name in slots]
             else:
                 alone = pooled_fixed_effects(ds, SPEC)
-                assert got == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
+                assert estimates[rep].tolist() == [alone.coef(name) for name in slots]
+                assert ses[rep].tolist() == [alone.se_classical(name) for name in slots]
 
 
 @pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
@@ -490,7 +532,8 @@ def test_a_block_builds_the_cells_and_design_of_each_full_panel(monkeypatch, p, 
     width = 2 + 2 * (p.burn_in + p.n_years) + 4 * p.n_years  # rho_i and mu2_i, then the series draws
     first = [np.random.default_rng((p.seed, r)).standard_normal(m * width)[::width] for r in range(reps)]
     assert any(np.any(np.abs(p.rho + p.sigma_mu1 * z) >= 0.95) for z in first) == redraws
-    got = _block(p, SPEC, slots, estimator, range(reps))
+    estimates, ses = _block(p, SPEC, slots, ESTIMATORS[estimator][0], range(reps))
+    assert estimates.shape == ses.shape == (reps, len(slots))
     [ds] = built
     layers = ("cpi", "ulc", "dln_cpi", "dln_cpi_lag1", "dln_ulc")
     assert ds.variables == layers  # only the series the spec reads, then its design
@@ -503,10 +546,12 @@ def test_a_block_builds_the_cells_and_design_of_each_full_panel(monkeypatch, p, 
             assert np.array_equal(observed[r * m:(r + 1) * m], want_observed)
         if estimator == "mg":
             alone = mg_of(full)
-            assert got[r] == {name: (alone.coef(name), alone.se[alone.columns.index(name)]) for name in slots}
+            assert estimates[r].tolist() == [alone.coef(name) for name in slots]
+            assert ses[r].tolist() == [alone.se[alone.columns.index(name)] for name in slots]
         else:
             alone = pooled_fixed_effects(full, SPEC)
-            assert got[r] == {name: (alone.coef(name), alone.se_classical(name)) for name in slots}
+            assert estimates[r].tolist() == [alone.coef(name) for name in slots]
+            assert ses[r].tolist() == [alone.se_classical(name) for name in slots]
 
 
 def test_monte_carlo_doubling_reps_self_consistency():
