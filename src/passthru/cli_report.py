@@ -282,6 +282,11 @@ def _render_json(t: RenderedTable) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _check_int(key: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ConfigError(key, f"must be an int of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ForestConfig:
     trees: int = FOREST_TREES
@@ -293,9 +298,7 @@ class ForestConfig:
     def __post_init__(self):
         ints = {"trees": 1, "min_leaf": 1, "steps": 2} | ({} if self.max_depth is None else {"max_depth": 0})
         for name, least in ints.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ConfigError(f"forest.{name}", f"must be an int of at least {least}, got {value!r}")
+            _check_int(f"forest.{name}", getattr(self, name), least)
         if isinstance(self.subsample, bool) or not isinstance(self.subsample, Real) or not 0.0 < self.subsample <= 1.0:
             raise ConfigError("forest.subsample", f"must be a number in (0, 1], got {self.subsample!r}")
 
@@ -337,8 +340,8 @@ class RunConfig:
                     DecadeWindow.from_label(label)
                 except PassthruError as exc:
                     raise ConfigError("decades", str(exc)) from exc
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError("seed", f"must be at least 0, got {self.seed}")
+        if self.seed is not None:
+            _check_int("seed", self.seed, 0)
         if self.seed is None and "pd_grid" in self.outputs:
             raise ConfigError("seed", "a seed is required whenever the forest runs")
         # one mg_table column per decade, unless the columns are variants
@@ -494,8 +497,15 @@ def _input_digests(cfg: RunConfig) -> dict[str, str]:
 
 def config_from_manifest(path: str | Path) -> RunConfig:
     """The config of an earlier run; its input files must still hold what that run read."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(payload, dict) or not isinstance(payload.get("config"), dict):
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError("manifest", f"{path} is not valid JSON: {exc}") from exc
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("config"), dict)
+        and isinstance(payload.get("input_sha256", {}), dict)
+    ):
         raise ConfigError("manifest", f"{path} is not a run manifest")
     cfg = config_from_mapping(payload["config"], base_dir=Path(path).resolve().parent)
     digests = _input_digests(cfg)
@@ -871,7 +881,7 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
 
 
 def _load_run_config(path: Path) -> RunConfig:
-    text = path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8-sig")
     if text.lstrip().startswith("{"):
         return config_from_manifest(path)
     return config_from_mapping(parse_kv_text(text), base_dir=path.resolve().parent)

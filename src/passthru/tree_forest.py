@@ -90,13 +90,11 @@ def _check_real(name: str, value, what: str, admits=lambda v: True) -> None:
 class SplitParams:
     min_leaf: int = 5
     max_depth: int | None = None
-    min_gain: float = 0.0
 
     def __post_init__(self):
         _check_int("min_leaf", self.min_leaf, 1)
         if self.max_depth is not None:
             _check_int("max_depth", self.max_depth, 0)
-        _check_real("min_gain", self.min_gain, "a finite number of at least 0", lambda g: math.isfinite(g) and g >= 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +185,6 @@ def _scan(
     n: np.ndarray,
     node_sse: np.ndarray,
     params: SplitParams,
-    features: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Best admissible split of each node, from its rows presorted per feature.
 
@@ -199,7 +196,7 @@ def _scan(
     rounded sums, in one array pass over the batch's `limbs` (see
     `_split_sse`). One lexsort picks each node's highest exact gain, then
     lowest feature, then lowest threshold. Returns arrays over the nodes
-    whose best gain exceeds min_gain: (node, exact gain, feature, left size,
+    whose best gain is positive: (node, exact gain, feature, left size,
     threshold, left sse, right sse).
     """
     ys = y[rows]
@@ -235,45 +232,24 @@ def _scan(
     thresholds = np.where(thresholds >= above, below, thresholds)
     sse_left, sse_right = _split_sse(limbs, rows[node, feat], iv, nv)
     exact = (node_sse[node] - sse_left - sse_right) / nv
-    column = features[feat]
-    ranked = np.lexsort((thresholds, column, -exact, node))
+    ranked = np.lexsort((thresholds, feat, -exact, node))
     won = ranked[np.diff(node[ranked], prepend=-1) != 0]
-    won = won[exact[won] > params.min_gain]
-    return node[won], exact[won], column[won], iv[won], thresholds[won], sse_left[won], sse_right[won]
+    won = won[exact[won] > 0.0]
+    return node[won], exact[won], feat[won], iv[won], thresholds[won], sse_left[won], sse_right[won]
 
 
-def _feature_columns(x: np.ndarray, features: Sequence[int] | None) -> np.ndarray:
-    """The columns to split on: all of x's, or `features`, distinct in-range indices."""
-    if features is None:
-        return np.arange(x.shape[1])
-    cols = np.asarray(features)
-    if cols.ndim != 1 or cols.size == 0 or cols.dtype.kind not in "iu":
-        raise TreeError(f"features must be a non-empty sequence of column indices, got {features!r}")
-    if cols.min() < 0 or cols.max() >= x.shape[1]:
-        raise TreeError(f"features must lie in [0, {x.shape[1]}), got {features!r}")
-    if len(set(cols.tolist())) < cols.size:
-        raise TreeError(f"features must be distinct, got {features!r}")
-    return cols.astype(np.intp)
-
-
-def best_split(
-    x: np.ndarray,
-    y: np.ndarray,
-    params: SplitParams,
-    features: Sequence[int] | None = None,
-) -> tuple[int, float, float] | None:
+def best_split(x: np.ndarray, y: np.ndarray, params: SplitParams) -> tuple[int, float, float] | None:
     """Max-gain (feature, threshold, gain) over all candidate midpoints, or None.
 
     gain = mse(node) - (n_L mse_L + n_R mse_R) / n; candidates leaving a child
-    below min_leaf are skipped; the best gain must strictly exceed min_gain.
+    below min_leaf are skipped; the best gain must be positive.
     A fast prefix-sum scan ranks candidates; near-best ones are re-evaluated
     with exactly rounded sums, so ties (identical partitions reachable through
     different features) resolve deterministically to the lowest feature index,
     then the lowest threshold. This is the root split of a tree of depth 1.
     """
     x, y = _validate_xy(x, y)
-    cols = _feature_columns(x, features)
-    (feature, threshold, _, gain, *_), _ = _grow(x, y, y.shape[0], replace(params, max_depth=1), cols)
+    (feature, threshold, _, gain, *_), _ = _grow(x, y, y.shape[0], replace(params, max_depth=1))
     return None if feature[0] < 0 else (int(feature[0]), float(threshold[0]), float(gain[0]))
 
 
@@ -324,7 +300,7 @@ def _node_stats(y: np.ndarray, rows: np.ndarray, begin: np.ndarray, size: np.nda
 
 
 def _grow(
-    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, features: np.ndarray, offset: int = 0
+    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, offset: int = 0
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Grow one tree on each m-row block of (x, y); return their node arrays and roots, numbered from `offset`.
 
@@ -346,9 +322,9 @@ def _grow(
     positions top-down, the trees one after another. The arrays come back in
     `RegressionTree` field order.
     """
-    f = features.shape[0]
+    f = x.shape[1]
     starts = np.arange(0, y.shape[0], m)
-    order = np.argsort(x[:, features].T.reshape(f, starts.size, m), axis=-1, kind="stable") + starts[:, None]
+    order = np.argsort(x.T.reshape(f, starts.size, m), axis=-1, kind="stable") + starts[:, None]
     order = order.reshape(f, y.shape[0])
     size = np.full(starts.shape, m)
     limbs = [_limbs(v, m) for v in (y, y * y)]
@@ -378,7 +354,7 @@ def _grow(
         at = np.minimum(begin[:, None] + np.arange(n.max()), (begin + n - 1)[:, None])
         rows = order[:, at].swapaxes(0, 1)
         node, gain, feature, n_left, threshold, sse_left, sse_right = _scan(
-            x[rows, features[:, None]], rows, y, limbs, n, sse[nodes], params, features
+            x[rows, np.arange(f)[:, None]], rows, y, limbs, n, sse[nodes], params
         )
         if not node.size:
             break
@@ -417,16 +393,12 @@ def _grow(
 
 
 def fit_tree(
-    x,
-    y,
-    params: SplitParams = SplitParams(),
-    feature_names: Sequence[str] | None = None,
-    features: Sequence[int] | None = None,
+    x, y, params: SplitParams = SplitParams(), feature_names: Sequence[str] | None = None
 ) -> RegressionTree:
     """Grow a tree by best splits, level by level, until none is admissible."""
     x, y = _validate_xy(x, y)
     names = _feature_names(x, feature_names)
-    nodes, roots = _grow(x, y, x.shape[0], params, _feature_columns(x, features))
+    nodes, roots = _grow(x, y, x.shape[0], params)
     return RegressionTree(*nodes, roots, n_features=x.shape[1], params=params, feature_names=names)
 
 
@@ -485,7 +457,6 @@ def fit_forest(
     seed: int = 0,
     params: SplitParams = SplitParams(),
     feature_names: Sequence[str] | None = None,
-    features: Sequence[int] | None = None,
 ) -> ForestModel:
     """Bag `n_trees` trees, each on ceil(subsample * n) distinct rows.
 
@@ -503,7 +474,6 @@ def fit_forest(
     _check_int("n_trees", n_trees, 1)
     _check_int("seed", seed, 0)
     m = math.ceil(subsample * n)
-    cols = _feature_columns(x, features)
     row_indices = tuple(
         np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False))
         for t in range(n_trees)
@@ -511,7 +481,7 @@ def fit_forest(
     batches, total = [], 0  # total: the nodes grown so far
     for first in range(0, n_trees, _BATCH_TREES):
         idx = np.concatenate(row_indices[first : first + _BATCH_TREES])
-        batches.append(_grow(x[idx], y[idx], m, params, cols, total))
+        batches.append(_grow(x[idx], y[idx], m, params, total))
         total += batches[-1][0][0].size
     nodes, roots = zip(*batches)
     return ForestModel(

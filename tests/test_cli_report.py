@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import hashlib
 import json
 import logging
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import passthru
 
 from passthru import cli_report
+from passthru.kvconfig import format_kv
 from passthru.cli_report import (
     CONTROLS,
     FORMATS,
@@ -614,6 +616,47 @@ def test_a_manifest_value_that_is_not_text_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_manifest_that_is_not_json_is_a_config_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"config": {"output.dir": ')  # cut short by a hand edit
+    assert main(["run", str(manifest)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: manifest: {manifest} is not valid JSON: Expecting value")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+def test_a_manifest_whose_input_digests_are_not_an_object_is_a_config_error(tmp_path, capsys):
+    assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 0
+    payload = json.loads((tmp_path / "fig2" / "manifest.json").read_text())
+    payload["config"]["output.dir"] = str(tmp_path / "out")
+    payload["input_sha256"] = list(payload["input_sha256"].items())
+    manifest = tmp_path / "edited.json"
+    manifest.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["run", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"config error: manifest: {manifest} is not a run manifest\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["key = value", "manifest"])
+def test_a_config_file_with_a_byte_order_mark_runs(tmp_path, kind):
+    first = tmp_path / "fig2"
+    assert main(["preset", "fig2", "--out", str(first)]) == 0
+    manifest = first / "manifest.json"
+    out = tmp_path / "out"
+    if kind == "manifest":
+        payload = json.loads(manifest.read_text())
+        payload["config"]["output.dir"] = str(out)
+        text = json.dumps(payload)
+    else:
+        text = format_kv(config_to_mapping(config_from_manifest(manifest)) | {"output.dir": str(out)})
+    cfg = tmp_path / "saved-with-bom.cfg"
+    cfg.write_bytes(codecs.BOM_UTF8 + text.encode())
+    assert main(["run", str(cfg)]) == 0
+    for path in first.iterdir():
+        if path.name != "manifest.json":
+            assert (out / path.name).read_bytes() == path.read_bytes()
+
+
 def test_an_unknown_log_level_is_a_config_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PASSTHRU_LOG", "verbose")
     assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 2
@@ -635,6 +678,18 @@ def test_a_bad_code_built_forest_config_writes_nothing(tmp_path, data_dir, field
         ))
     assert err.value.field_path == f"forest.{field}"
     assert str(err.value).endswith(f", got {value!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "1", -1])
+def test_a_bad_code_built_seed_writes_nothing(tmp_path, data_dir, seed):
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError) as err:
+        run_pipeline(RunConfig(
+            out_dir=out, panel_path=data_dir / "panel.csv", decades=("1990s", "2000s"),
+            outputs=("passthrough_panel", "pd_grid"), seed=seed,
+        ))
+    assert str(err.value) == f"seed: must be an int of at least 0, got {seed!r}"
     assert not out.exists()
 
 

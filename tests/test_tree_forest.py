@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 import warnings
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict, route, tree_at
-from passthru import accumulator, tree_forest
+from passthru import accumulator, cli_report, tree_forest
+from passthru.panel_data import write_panel_csv
+from passthru.synth_lab import DgpParams, generate_panel
 from passthru.tree_forest import (
     AxisSpec,
     DimensionMismatchError,
@@ -90,7 +93,7 @@ def test_exact_sum_paths_agree_with_brute_force(kind, monkeypatch):
         monkeypatch.setattr(accumulator, name, counted)
     params = SplitParams(min_leaf=2)
     found = best_split(x, y, params)
-    ref = bf_best_split(x, y, params.min_leaf, params.min_gain)
+    ref = bf_best_split(x, y, params.min_leaf, 0.0)
     assert found is not None and repr(found) == repr(ref)
     tree = fit_tree(x, y, params)
     assert_same_tree(tree, bf_fit_tree(x, y, params.min_leaf))
@@ -176,7 +179,7 @@ def test_split_admissibility_postorder():
         if tree.feature[i] < 0:
             assert tree.n[i] >= params.min_leaf
             return
-        assert tree.gain[i] > params.min_gain
+        assert tree.gain[i] > 0.0
         left, right = i + 1, tree.right[i]
         combined = (tree.n[left] * tree.mse[left] + tree.n[right] * tree.mse[right]) / tree.n[i]
         assert tree.mse[i] - combined == pytest.approx(tree.gain[i], rel=1e-9, abs=1e-12)
@@ -236,21 +239,8 @@ def tree_inputs(draw, min_rows: int = 1, max_rows: int = 24):
     k = draw(st.integers(1, 3))
     x = np.array(draw(st.lists(st.lists(FEATURE_VALUES, min_size=k, max_size=k), min_size=n, max_size=n)))
     y = np.array(draw(st.lists(RESPONSE_VALUES, min_size=n, max_size=n)))
-    params = SplitParams(
-        min_leaf=draw(st.integers(1, 5)),
-        max_depth=draw(st.one_of(st.none(), st.integers(0, 4))),
-        min_gain=draw(st.sampled_from([0.0, 0.01, 0.25])),
-    )
-    features = draw(st.one_of(st.none(), st.sets(st.integers(0, k - 1), min_size=1).map(sorted)))
-    return x, y, params, features
-
-
-def _on_columns(ref: dict, cols: list[int]) -> dict:
-    """A brute-force tree grown on x[:, cols], with features renumbered to x's columns."""
-    if "feature" not in ref:
-        return ref
-    return dict(ref, feature=cols[ref["feature"]],
-                left=_on_columns(ref["left"], cols), right=_on_columns(ref["right"], cols))
+    params = SplitParams(min_leaf=draw(st.integers(1, 5)), max_depth=draw(st.one_of(st.none(), st.integers(0, 4))))
+    return x, y, params
 
 
 def _nodes(tree) -> list[tuple]:
@@ -262,30 +252,25 @@ def _nodes(tree) -> list[tuple]:
 @settings(max_examples=150, deadline=None)
 @given(tree_inputs(max_rows=30))
 def test_best_split_agrees_with_brute_force(case):
-    x, y, params, features = case
-    cols = list(range(x.shape[1])) if features is None else features
-    ref = bf_best_split(x[:, cols], y, params.min_leaf, params.min_gain)
-    expected = None if ref is None else (cols[ref[0]], ref[1], ref[2])
-    assert best_split(x, y, params, features) == expected
+    x, y, params = case
+    assert best_split(x, y, params) == bf_best_split(x, y, params.min_leaf, 0.0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(tree_inputs())
 def test_fit_tree_agrees_with_brute_force(case):
-    x, y, params, features = case
-    cols = list(range(x.shape[1])) if features is None else features
-    ref = bf_fit_tree(x[:, cols], y, params.min_leaf, params.min_gain, params.max_depth)
-    assert_same_tree(fit_tree(x, y, params, features=features), _on_columns(ref, cols))
+    x, y, params = case
+    assert_same_tree(fit_tree(x, y, params), bf_fit_tree(x, y, params.min_leaf, 0.0, params.max_depth))
 
 
 @settings(max_examples=25, deadline=None)
 @given(tree_inputs(min_rows=3, max_rows=40), st.sampled_from([1, 6, tree_forest._BATCH_TREES + 3]), st.integers(0, 99))
 def test_forest_tree_is_the_tree_of_its_rows(case, n_trees, seed):
     # a tree must not depend on which trees share its batch
-    x, y, params, features = case
-    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
+    x, y, params = case
+    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params)
     for t, rows in enumerate(forest.row_indices):
-        alone = fit_tree(x[rows], y[rows], params, features=features)
+        alone = fit_tree(x[rows], y[rows], params)
         assert _nodes(tree_at(forest.nodes, t)) == _nodes(alone)
 
 
@@ -300,8 +285,8 @@ def _subtree_end(nodes, i: int) -> int:
 @settings(max_examples=25, deadline=None)
 @given(tree_inputs(min_rows=3, max_rows=40), st.sampled_from([1, 6, tree_forest._BATCH_TREES + 3]), st.integers(0, 99))
 def test_forest_nodes_hold_the_trees_one_after_another(case, n_trees, seed):
-    x, y, params, features = case
-    nodes = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features).nodes
+    x, y, params = case
+    nodes = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params).nodes
     roots = nodes.roots.tolist()
     assert len(roots) == n_trees and roots[0] == 0 and all(a < b for a, b in zip(roots, roots[1:]))
     bounds = [*roots, nodes.feature.size]
@@ -310,7 +295,7 @@ def test_forest_nodes_hold_the_trees_one_after_another(case, n_trees, seed):
         split = np.flatnonzero(nodes.feature[a:b] >= 0) + a
         assert np.all((nodes.right[split] > split + 1) & (nodes.right[split] < b))
         assert np.all(nodes.right[a:b][nodes.feature[a:b] < 0] == -1)
-    assert fit_tree(x, y, params, features=features).roots.tolist() == [0]
+    assert fit_tree(x, y, params).roots.tolist() == [0]
 
 
 # ---------------------------------------------------------------- predict
@@ -343,13 +328,12 @@ def _probes(x: np.ndarray, refs: list[dict], extra: list) -> np.ndarray:
 @settings(max_examples=80, deadline=None)
 @given(tree_inputs(), st.data())
 def test_tree_routes_like_the_brute_force_tree(case, data):
-    x, y, params, features = case
-    cols = list(range(x.shape[1])) if features is None else features
-    ref = _on_columns(bf_fit_tree(x[:, cols], y, params.min_leaf, params.min_gain, params.max_depth), cols)
+    x, y, params = case
+    ref = bf_fit_tree(x, y, params.min_leaf, 0.0, params.max_depth)
     extra = data.draw(st.lists(FEATURE_VALUES, max_size=6 * x.shape[1]).map(
         lambda v: v[: len(v) - len(v) % x.shape[1]]))
     probe = _probes(x, [ref], extra)
-    tree = fit_tree(x, y, params, features=features)
+    tree = fit_tree(x, y, params)
     expected = [bf_predict(ref, row) for row in probe]
     assert predict_many(tree, probe).tolist() == expected
     assert [predict(tree, row) for row in probe] == expected
@@ -358,13 +342,9 @@ def test_tree_routes_like_the_brute_force_tree(case, data):
 @settings(max_examples=40, deadline=None)
 @given(tree_inputs(min_rows=3), st.integers(1, 5), st.integers(0, 99))
 def test_forest_routes_like_the_brute_force_trees(case, n_trees, seed):
-    x, y, params, features = case
-    cols = list(range(x.shape[1])) if features is None else features
-    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
-    refs = [
-        _on_columns(bf_fit_tree(x[rows][:, cols], y[rows], params.min_leaf, params.min_gain, params.max_depth), cols)
-        for rows in forest.row_indices
-    ]
+    x, y, params = case
+    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params)
+    refs = [bf_fit_tree(x[rows], y[rows], params.min_leaf, 0.0, params.max_depth) for rows in forest.row_indices]
     probe = _probes(x, refs, [])
     expected = [math.fsum(bf_predict(ref, row) for ref in refs) / n_trees for row in probe]
     assert predict_many(forest, probe).tolist() == expected
@@ -375,10 +355,10 @@ def test_forest_routes_like_the_brute_force_trees(case, n_trees, seed):
 @given(tree_inputs(min_rows=3, max_rows=30), st.data(), st.integers(0, 99))
 def test_forest_of_several_batches_predicts_the_fsum_of_routed_leaves(case, data, seed):
     # responses of mixed magnitudes, so the leaf values need several limbs
-    x, y, params, features = case
+    x, y, params = case
     y = y * 10.0 ** np.array(data.draw(st.lists(st.integers(-30, 30), min_size=y.size, max_size=y.size)))
     n_trees = tree_forest._BATCH_TREES + 3
-    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params, features=features)
+    forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params)
     nodes = forest.nodes
     probe = np.vstack([x, np.random.default_rng(seed).uniform(-3.0, 3.0, size=(10, x.shape[1]))])
     expected = [math.fsum(nodes.prediction[route(nodes, row, root)] for root in nodes.roots.tolist()) / n_trees
@@ -554,7 +534,6 @@ def test_forest_needs_rows():
 @pytest.mark.parametrize("field, value", [
     ("min_leaf", 1.5), ("min_leaf", 0), ("min_leaf", True),
     ("max_depth", 1.5), ("max_depth", -1), ("max_depth", False),
-    ("min_gain", math.nan), ("min_gain", math.inf), ("min_gain", -0.5), ("min_gain", "0"),
 ])
 def test_split_params_reject_bad_values_by_name(field, value):
     with pytest.raises(TreeError, match=rf"^{field} must be "):
@@ -589,12 +568,45 @@ def test_numpy_scalars_pass_the_argument_checks():
     assert grid.slices[0].fixed_feature == "x1" and grid.axis_values[0].tolist() == [0.0, 3.0, 6.0]
 
 
-@pytest.mark.parametrize("features", [[-1], [5], [], [0, 0], [0.0], [True], [[0]]])
-@pytest.mark.parametrize("fit", [fit_tree, fit_forest, best_split], ids=["fit_tree", "fit_forest", "best_split"])
-def test_fits_reject_bad_feature_lists_by_name(fit, features):
-    x = np.arange(18.0).reshape(-1, 2)
-    with pytest.raises(TreeError, match=r"^features must "):
-        fit(x, x[:, 0], params=SplitParams(min_leaf=1), features=features)
+def _model_digest(model) -> str:
+    """SHA-256 of the dtype and bytes of every node array, the roots and, for a forest, each tree's rows."""
+    nodes = getattr(model, "nodes", model)
+    arrays = [getattr(nodes, f) for f in ("feature", "threshold", "right", "gain", "n", "mse", "prediction", "roots")]
+    h = hashlib.sha256()
+    for a in arrays + list(getattr(model, "row_indices", ())):
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+# Every bit of two models. A kernel change meant to keep each tree the same must keep these.
+PINNED_MODELS = {
+    "fig5 forest": "faaec9e78750f6666a1ab1c5c4ba0c14d94e3357d3eca026fd8653c3ecd7c797",
+    "tie-heavy tree": "ae7c8af8a05f45616a5dfa888b805c628c4d72da2a8e44428e09c71c051fbc2b",
+}
+
+
+def test_fig5_forest_and_a_tie_heavy_tree_keep_their_bits(tmp_path, monkeypatch):
+    # the forest `preset fig5 --seed 1` fits on a 21 x 40 synthetic panel
+    data = tmp_path / "data"
+    data.mkdir()
+    write_panel_csv(generate_panel(DgpParams(n_countries=21, n_years=40, seed=1)), data / "panel.csv")
+    forests = []
+
+    def kept(*args, **kwargs):
+        forests.append(fit_forest(*args, **kwargs))
+        return forests[-1]
+
+    monkeypatch.setattr(cli_report, "fit_forest", kept)
+    assert cli_report.main(["preset", "fig5", "--data", str(data), "--out", str(tmp_path / "fig5"), "--seed", "1"]) == 0
+    assert len(forests) == 1 and forests[0].n_trees == 1000 and forests[0].seed == 1
+    # a depth-3 tree on coarse features, one column repeated, so many candidates tie
+    rng = np.random.default_rng(17)
+    x = rng.integers(0, 4, size=(60, 3)).astype(float)
+    x[:, 2] = x[:, 0]
+    y = rng.integers(-2, 3, size=60) / 4
+    tree = fit_tree(x, y, SplitParams(min_leaf=2, max_depth=3))
+    assert {"fig5 forest": _model_digest(forests[0]), "tie-heavy tree": _model_digest(tree)} == PINNED_MODELS
 
 
 def test_forest_batches_of_many_rows_partition_like_lone_trees():
@@ -634,10 +646,11 @@ def test_importance_symmetric_dgp():
 
 
 def test_importance_removed_feature_has_zero_share():
+    # a column with one value offers no split, as if it were removed
     rng = np.random.default_rng(10)
-    x = rng.uniform(size=(100, 2))
-    y = x[:, 0] + x[:, 1] + 0.05 * rng.normal(size=100)
-    tree = fit_tree(x, y, SplitParams(min_leaf=5), features=[0])
+    x = np.column_stack([rng.uniform(size=100), np.full(100, 0.5)])
+    y = x[:, 0] + 0.05 * rng.normal(size=100)
+    tree = fit_tree(x, y, SplitParams(min_leaf=5))
     report = importance(tree)
     assert report.shares[1] == 0.0
     assert report.shares[0] == 1.0
