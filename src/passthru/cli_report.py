@@ -86,6 +86,8 @@ _PANEL_OUTPUTS = frozenset({"passthrough_panel", "second_stage", "importance", "
 FORMATS = ("text", "csv", "json")
 EXTENSIONS = {"text": "txt", "csv": "csv", "json": "json"}
 
+DECADES = ("1980s", "1990s", "2000s", "2010s")  # the paper's four decades
+
 OPENNESS_SLICES = (0.005, 0.045)
 INFLATION_SLICES = (0.01, 0.02, 0.04)
 
@@ -312,7 +314,7 @@ class RunConfig:
     variants: tuple[str, ...] = ("headline",)
     control: str | None = None
     interactions: str = "none"
-    decades: tuple[str, ...] = ("full", "1980s", "1990s", "2000s", "2010s")
+    decades: tuple[str, ...] = ("full", *DECADES)
     exclude: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ("mg_table",)
     forest: ForestConfig = field(default_factory=ForestConfig)
@@ -499,6 +501,8 @@ def config_from_manifest(path: str | Path) -> RunConfig:
     """The config of an earlier run; its input files must still hold what that run read."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8-sig"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError("manifest", f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("manifest", f"{path} is not valid JSON: {exc}") from exc
     if not (
@@ -546,12 +550,10 @@ def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> MgResult:
 
 
 def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
-    offset = 1 if spec.include_constant else 0
-    cells: dict[str, Cell] = {}
+    # design column 0 is the constant, and regressor j is column j + 1
+    cells = {"const": Cell.coef(float(result.coefficients[0]), float(result.se[0]))}
     for j in range(len(spec.regressors)):
-        cells[f"reg{j}"] = Cell.coef(float(result.coefficients[offset + j]), float(result.se[offset + j]))
-    if spec.include_constant:
-        cells["const"] = Cell.coef(float(result.coefficients[0]), float(result.se[0]))
+        cells[f"reg{j}"] = Cell.coef(float(result.coefficients[j + 1]), float(result.se[j + 1]))
     cost, lag_dep = spec.slot("cost"), spec.slot("lag_dep")
     if cost and lag_dep:
         try:
@@ -584,8 +586,7 @@ def mg_rendered_table(
 
     for j, term in enumerate(first_spec.regressors):
         add(term.name, f"reg{j}")
-    if first_spec.include_constant:
-        add("constant", "const")
+    add("constant", "const")
     if first_spec.slot("cost") and first_spec.slot("lag_dep"):
         add(f"LT effect: {first_spec.slot('cost')}", "lt")
     add("observations", "obs")
@@ -624,8 +625,8 @@ def second_stage_table(results: Sequence[SecondStageResult]) -> RenderedTable:
     )
 
 
-def medians_table(decade_data: PanelDataset, variables: Sequence[str] = ("em6", "em10")) -> RenderedTable:
-    present = [v for v in variables if v in decade_data.variables]
+def medians_table(decade_data: PanelDataset) -> RenderedTable:
+    present = [v for v in ("em6", "em10") if v in decade_data.variables]
     rows = []
     for start in decade_data.years:
         w = DecadeWindow.from_start(start)
@@ -677,11 +678,15 @@ def _tree_rows(panel: PassThroughPanel, openness: str) -> tuple:
 def run_pipeline(cfg: RunConfig) -> list[Path]:
     """Execute the configured stages and write their files plus a manifest.
 
-    A missing data source fails, naming its config key, before anything is written.
+    A missing data source, or an output directory that cannot be made, fails,
+    naming its config key, before anything is written.
     """
     specs = _build_specs(cfg)
     _check_data_sources(cfg)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output.dir", f"cannot create the output directory: {exc}") from exc
     ext = EXTENSIONS[cfg.fmt]
     written: list[Path] = []
 
@@ -820,41 +825,23 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
     return written
 
 
+# the sample of the presets built on the per-country-per-decade pass-through panel
+_DECADE_PANEL = {"variants": ("headline",), "decades": DECADES, "exclude": ("CZ", "EE", "LU", "KR")}
+
 # preset name -> the RunConfig fields it sets; the CLI's preset choices come from here
 PRESETS: dict[str, dict] = {
     "table1": {"variants": ("headline",)},
     "table2": {"variants": ("core",)},
-    "table3": {
-        "variants": ("core",), "control": "output_gap",
-        "decades": ("full", "1990s", "2000s", "2010s"),
-    },
+    "table3": {"variants": ("core",), "control": "output_gap", "decades": ("full", *DECADES[1:])},
     "table4": {"variants": ("earnings",)},
-    "table5": {
-        "variants": ("headline",),
-        "decades": ("1980s", "1990s", "2000s", "2010s"),
-        "outputs": ("passthrough_panel", "second_stage"),
-        "exclude": ("CZ", "EE", "LU", "KR"),
-    },
+    "table5": {**_DECADE_PANEL, "outputs": ("passthrough_panel", "second_stage")},
     "table6": {"variants": ("headline", "core"), "interactions": "globalisation", "decades": ("full",)},
     "table7": {"variants": ("headline", "core"), "interactions": "lagged_inflation", "decades": ("full",)},
     "table8": {"variants": ("headline", "core"), "interactions": "both", "decades": ("full",)},
-    "a1": {
-        "variants": ("core",), "control": "unemp_gap",
-        "decades": ("full", "1990s", "2000s", "2010s"),
-    },
+    "a1": {"variants": ("core",), "control": "unemp_gap", "decades": ("full", *DECADES[1:])},
     "fig2": {"outputs": ("medians",), "decades": ()},
-    "fig4": {
-        "variants": ("headline",),
-        "decades": ("1980s", "1990s", "2000s", "2010s"),
-        "outputs": ("passthrough_panel", "importance"),
-        "exclude": ("CZ", "EE", "LU", "KR"),
-    },
-    "fig5": {
-        "variants": ("headline",),
-        "decades": ("1980s", "1990s", "2000s", "2010s"),
-        "outputs": ("passthrough_panel", "pd_grid"),
-        "exclude": ("CZ", "EE", "LU", "KR"),
-    },
+    "fig4": {**_DECADE_PANEL, "outputs": ("passthrough_panel", "importance")},
+    "fig5": {**_DECADE_PANEL, "outputs": ("passthrough_panel", "pd_grid")},
 }
 
 
@@ -881,7 +868,10 @@ def _preset_config(name: str, data_dir: Path | None, out_dir: Path, seed: int | 
 
 
 def _load_run_config(path: Path) -> RunConfig:
-    text = path.read_text(encoding="utf-8-sig")
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8 text: {exc}") from exc
     if text.lstrip().startswith("{"):
         return config_from_manifest(path)
     return config_from_mapping(parse_kv_text(text), base_dir=path.resolve().parent)

@@ -76,6 +76,7 @@ class Term:
 class ModelSpec:
     """A per-country regression recipe.
 
+    The design's first column is a constant, `const`, then the regressors.
     Auxiliaries are materialized (so interactions can reference them) but are
     not regressors themselves. min_obs defaults to k + 3, leaving at least
     three residual degrees of freedom inside a decade window.
@@ -84,7 +85,6 @@ class ModelSpec:
     dependent: Term
     regressors: tuple[Term, ...]
     auxiliaries: tuple[Term, ...] = ()
-    include_constant: bool = True
     min_obs: int | None = None
 
     def __post_init__(self):
@@ -98,7 +98,7 @@ class ModelSpec:
 
     @property
     def k(self) -> int:
-        return len(self.regressors) + (1 if self.include_constant else 0)
+        return len(self.regressors) + 1
 
     @property
     def min_obs_effective(self) -> int:
@@ -113,8 +113,7 @@ class ModelSpec:
 
     @property
     def design_columns(self) -> tuple[str, ...]:
-        names = tuple(t.name for t in self.regressors)
-        return ("const", *names) if self.include_constant else names
+        return ("const", *(t.name for t in self.regressors))
 
 
 def build_passthrough_spec(
@@ -123,16 +122,14 @@ def build_passthrough_spec(
     controls: Sequence[str] = (),
     with_globalisation: bool = False,
     with_lagged_inflation: bool = False,
-    globalisation_var: str = "kof",
-    include_constant: bool = True,
     min_obs: int | None = None,
 ) -> ModelSpec:
     """Dynamic pass-through design: inflation on its own lag and cost growth.
 
-    Optional pieces add the globalisation level plus its interaction with cost
-    growth, and/or the interaction of cost growth with inflation lagged twice
-    (the lag reduces endogeneity). Interaction inputs are built on the full
-    series, before any decade windowing.
+    Optional pieces add the globalisation level, kof, plus its interaction
+    with cost growth, and/or the interaction of cost growth with inflation
+    lagged twice (the lag reduces endogeneity). Interaction inputs are built
+    on the full series, before any decade windowing.
     """
     dep = Term(f"dln_{price_var}", TransformSpec.log_diff(price_var))
     regs: list[Term] = [
@@ -143,11 +140,11 @@ def build_passthrough_spec(
     for ctrl in controls:
         regs.append(Term(ctrl, TransformSpec.identity(ctrl), role="control"))
     if with_globalisation:
-        regs.append(Term(globalisation_var, TransformSpec.identity(globalisation_var), role="level"))
+        regs.append(Term("kof", TransformSpec.identity("kof"), role="level"))
         regs.append(
             Term(
-                f"dln_{cost_var}_x_{globalisation_var}",
-                TransformSpec.product(f"dln_{cost_var}", globalisation_var),
+                f"dln_{cost_var}_x_kof",
+                TransformSpec.product(f"dln_{cost_var}", "kof"),
                 role="interaction",
             )
         )
@@ -165,7 +162,6 @@ def build_passthrough_spec(
         dependent=dep,
         regressors=tuple(regs),
         auxiliaries=tuple(aux),
-        include_constant=include_constant,
         min_obs=min_obs,
     )
 
@@ -221,9 +217,7 @@ def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) 
         in_group = n_obs == n
         group = np.flatnonzero(in_group)
         block = values[:, complete & in_group[:, None]].reshape(len(names), len(group), n)
-        x = np.moveaxis(block[1:], 0, -1)
-        if spec.include_constant:
-            x = np.concatenate([np.ones((len(group), n, 1)), x], axis=2)
+        x = np.concatenate([np.ones((len(group), n, 1)), np.moveaxis(block[1:], 0, -1)], axis=2)
         usable[group], coefficients[group], fitted, _ = ols_stack(np.ascontiguousarray(x), block[0])
         e = block[0] - fitted  # NaN on singular fits
         ssr[group] = np.vecdot(e, e)  # each row's bits are ols_fit's e @ e

@@ -269,53 +269,57 @@ class PanelDataset:
 
 def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]) -> PanelDataset:
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptyFileError(f"{path}: no header row")
-        header = [h.strip() for h in header]
-        if len(header) < 2 or header[0] != "country" or header[1] not in key_names:
-            raise UnknownColumnError(
-                f"{path}: header must start with 'country,{ ' or '.join(key_names)}', got {header[:2]}"
-            )
-        key_col, var_names = header[1], header[2:]
-        if len(set(var_names)) != len(var_names) or any(not v for v in var_names):
-            raise UnknownColumnError(f"{path}: variable columns must be unique and non-empty")
-        unknown = [] if schema is None else [v for v in var_names if v not in tuple(schema)]
-        if unknown:
-            raise UnknownColumnError(f"{path}: unknown columns {unknown} (schema rejects them)")
+    # decoded whole, so a byte that is not UTF-8 fails here, naming the file
+    try:
+        text = path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise PanelDataError(f"{path}: not UTF-8 text: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise EmptyFileError(f"{path}: no header row")
+    header = [h.strip() for h in header]
+    if len(header) < 2 or header[0] != "country" or header[1] not in key_names:
+        raise UnknownColumnError(
+            f"{path}: header must start with 'country,{ ' or '.join(key_names)}', got {header[:2]}"
+        )
+    key_col, var_names = header[1], header[2:]
+    if len(set(var_names)) != len(var_names) or any(not v for v in var_names):
+        raise UnknownColumnError(f"{path}: variable columns must be unique and non-empty")
+    unknown = [] if schema is None else [v for v in var_names if v not in tuple(schema)]
+    if unknown:
+        raise UnknownColumnError(f"{path}: unknown columns {unknown} (schema rejects them)")
 
-        keys: dict[tuple[str, int], None] = {}  # in order of appearance
-        cells: dict[str, dict[tuple[str, int], float]] = {v: {} for v in var_names}
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+    keys: dict[tuple[str, int], None] = {}  # in order of appearance
+    cells: dict[str, dict[tuple[str, int], float]] = {v: {} for v in var_names}
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise MalformedNumberError(row_no, "<row>", ",".join(row))
+        country = row[0].strip()
+        if not country:
+            raise MalformedNumberError(row_no, "country", row[0])
+        try:
+            year = int(row[1].strip())
+        except ValueError:
+            raise MalformedNumberError(row_no, key_col, row[1]) from None
+        if (country, year) in keys:
+            raise DuplicateKeyError(country, year)
+        keys[(country, year)] = None
+        for name, raw in zip(var_names, row[2:]):
+            raw = raw.strip()
+            if not raw:
                 continue
-            if len(row) != len(header):
-                raise MalformedNumberError(row_no, "<row>", ",".join(row))
-            country = row[0].strip()
-            if not country:
-                raise MalformedNumberError(row_no, "country", row[0])
             try:
-                year = int(row[1].strip())
+                value = float(raw)
             except ValueError:
-                raise MalformedNumberError(row_no, key_col, row[1]) from None
-            if (country, year) in keys:
-                raise DuplicateKeyError(country, year)
-            keys[(country, year)] = None
-            for name, raw in zip(var_names, row[2:]):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise MalformedNumberError(row_no, name, raw) from None
-                if not math.isfinite(value):
-                    raise MalformedNumberError(row_no, name, raw)
-                cells[name][(country, year)] = value
-        if not keys:
-            raise EmptyFileError(f"{path}: header but no data rows")
+                raise MalformedNumberError(row_no, name, raw) from None
+            if not math.isfinite(value):
+                raise MalformedNumberError(row_no, name, raw)
+            cells[name][(country, year)] = value
+    if not keys:
+        raise EmptyFileError(f"{path}: header but no data rows")
 
     countries = dict.fromkeys(c for c, _ in keys)
     return PanelDataset(countries, sorted({y for _, y in keys}), cells)
@@ -339,14 +343,14 @@ def load_decade_csv(path: str | Path, schema: Iterable[str] | None = DECADE_SCHE
     return ds
 
 
-def panel_csv_text(ds: PanelDataset, key_name: str = "year") -> str:
+def panel_csv_text(ds: PanelDataset) -> str:
     """The dataset in the same wide format the loader reads.
 
     Floats are written with repr so a load round-trips every cell bit-exactly.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["country", key_name, *ds.variables])
+    writer.writerow(["country", "year", *ds.variables])
     for i, country in enumerate(ds.countries):
         for j, year in enumerate(ds.years):
             if ds._observed[:, i, j].any():
@@ -355,9 +359,9 @@ def panel_csv_text(ds: PanelDataset, key_name: str = "year") -> str:
     return buf.getvalue()
 
 
-def write_panel_csv(ds: PanelDataset, path: str | Path, key_name: str = "year") -> Path:
+def write_panel_csv(ds: PanelDataset, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(panel_csv_text(ds, key_name), encoding="utf-8", newline="")
+    path.write_text(panel_csv_text(ds), encoding="utf-8", newline="")
     return path
 
 

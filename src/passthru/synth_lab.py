@@ -258,7 +258,7 @@ class McReport:
 
 def default_truths(p: DgpParams, spec: ModelSpec) -> dict[str, float]:
     """Map design slots to their generating-process values: persistence, cost pass-through and the constant."""
-    slots = (spec.slot("lag_dep"), spec.slot("cost"), "const" if spec.include_constant else None)
+    slots = (spec.slot("lag_dep"), spec.slot("cost"), "const")
     return {slot: truth for slot, truth in zip(slots, (p.rho, p.lam, p.alpha_mean)) if slot}
 
 

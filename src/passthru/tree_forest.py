@@ -23,10 +23,11 @@ another (see `RegressionTree`); routing, `importance`, `tree_shape` and the
 leaf boxes of partial dependence all walk these arrays from the trees' roots.
 
 Routing moves every (tree, row) pair down one level per step and gives each
-pair's leaf. A forest's prediction is the correctly rounded sum of its trees'
-leaf values, divided by the tree count: the sum runs over exact integer limbs
-(`passthru.accumulator`), one batch of (tree, row) pairs at a time, and equals
-math.fsum, so it does not depend on tree order. `partial_dependence` routes no point: each leaf is a box, and a
+pair's leaf. A prediction is the correctly rounded sum of the trees' leaf
+values, divided by the tree count, for a lone tree as for a forest: the sum
+runs over exact integer limbs (`passthru.accumulator`), one batch of
+(tree, row) pairs at a time, and equals math.fsum, so it does not depend on
+tree order. `partial_dependence` routes no point: each leaf is a box, and a
 summed-area table of the leaves' limbs over the grid's cells gives every grid
 and slice point the same sum that routing would.
 """
@@ -99,7 +100,7 @@ class SplitParams:
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """Fitted trees as seven equal-length, read-only node arrays.
+    """A fitted tree or forest: seven equal-length, read-only node arrays.
 
     Tree t's nodes run in preorder from its root, roots[t], up to the next
     tree's root; a lone tree has roots [0], and a forest holds its trees one
@@ -107,7 +108,9 @@ class RegressionTree:
     x[feature[i]] <= threshold[i] to its left child, i + 1, and the others to
     its right child, right[i], an index into the whole arrays. A leaf has
     feature and right -1, threshold and gain 0. Every node holds its training
-    row count n, the mse of its rows and their mean, prediction.
+    row count n, the mse of its rows and their mean, prediction. The model
+    also keeps its features' names and training bounds, and the rows each
+    bagged tree t drew, row_indices[t]; a tree grown on every row has none.
     """
 
     feature: np.ndarray
@@ -118,37 +121,22 @@ class RegressionTree:
     mse: np.ndarray
     prediction: np.ndarray
     roots: np.ndarray
-    n_features: int
-    params: SplitParams
-    feature_names: tuple[str, ...] | None = None
+    feature_names: tuple[str, ...]
+    feature_min: np.ndarray
+    feature_max: np.ndarray
+    row_indices: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         for field in (self.feature, self.threshold, self.right, self.gain, self.n, self.mse, self.prediction, self.roots):
             field.flags.writeable = False
 
-
-@dataclass(frozen=True, eq=False)
-class ForestModel:
-    """Bagged trees: `nodes` holds every tree's node arrays, tree t grown on row_indices[t]."""
-
-    nodes: RegressionTree
-    row_indices: tuple[np.ndarray, ...]
-    n_features: int
-    subsample: float
-    seed: int
-    params: SplitParams
-    feature_names: tuple[str, ...] | None
-    feature_min: np.ndarray
-    feature_max: np.ndarray
-
     @property
     def n_trees(self) -> int:
-        return self.nodes.roots.size
+        return self.roots.size
 
-
-def _nodes(model: RegressionTree | ForestModel) -> RegressionTree:
-    """The node arrays of a tree, or of every tree of a forest."""
-    return model.nodes if isinstance(model, ForestModel) else model
+    @property
+    def n_features(self) -> int:
+        return len(self.feature_names)
 
 
 def _sse(s: np.ndarray, q: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -271,14 +259,13 @@ def _validate_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _names(model: RegressionTree | ForestModel) -> tuple[str, ...]:
-    return model.feature_names or tuple(f"x{j}" for j in range(model.n_features))
-
-
-def _feature_names(x: np.ndarray, feature_names: Sequence[str] | None) -> tuple[str, ...] | None:
-    if feature_names is not None and len(feature_names) != x.shape[1]:
+def _name_columns(x: np.ndarray, feature_names: Sequence[str] | None) -> tuple[str, ...]:
+    """The given names, one per column of x, or x0, x1, ... when none are given."""
+    if feature_names is None:
+        return tuple(f"x{j}" for j in range(x.shape[1]))
+    if len(feature_names) != x.shape[1]:
         raise DimensionMismatchError("one name per feature column")
-    return tuple(feature_names) if feature_names is not None else None
+    return tuple(feature_names)
 
 
 def _node_stats(y: np.ndarray, rows: np.ndarray, begin: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -397,12 +384,12 @@ def fit_tree(
 ) -> RegressionTree:
     """Grow a tree by best splits, level by level, until none is admissible."""
     x, y = _validate_xy(x, y)
-    names = _feature_names(x, feature_names)
+    names = _name_columns(x, feature_names)
     nodes, roots = _grow(x, y, x.shape[0], params)
-    return RegressionTree(*nodes, roots, n_features=x.shape[1], params=params, feature_names=names)
+    return RegressionTree(*nodes, roots, names, x.min(axis=0), x.max(axis=0))
 
 
-def _route(nodes: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
+def _route(model: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
     """The (trees, rows) leaves that the rows reach in each tree, a batch of trees at a time.
 
     A batch holds as many trees as keep its (tree, row) pairs within
@@ -410,16 +397,16 @@ def _route(nodes: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
     level per step until all are at leaves. A leaf steps to itself: it acts
     as a split on feature 0 at +inf whose children are both the leaf.
     """
-    leaf = nodes.feature < 0
+    leaf = model.feature < 0
     node = np.arange(leaf.size)
-    feature = np.where(leaf, 0, nodes.feature)
-    threshold = np.where(leaf, np.inf, nodes.threshold)
+    feature = np.where(leaf, 0, model.feature)
+    threshold = np.where(leaf, np.inf, model.threshold)
     # child[2i + 1] is node i's left child, taken where x <= threshold, and child[2i] its right one
-    child = np.column_stack([np.where(leaf, node, nodes.right), np.where(leaf, node, node + 1)]).ravel()
+    child = np.column_stack([np.where(leaf, node, model.right), np.where(leaf, node, node + 1)]).ravel()
     values = x.ravel()
     trees = max(1, _ROUTE_PAIRS // x.shape[0])
-    for first in range(0, nodes.roots.size, trees):
-        roots = nodes.roots[first : first + trees]
+    for first in range(0, model.n_trees, trees):
+        roots = model.roots[first : first + trees]
         at = np.tile(np.arange(0, x.size, x.shape[1]), roots.size)  # each pair's row, as an offset into values
         node = np.repeat(roots, x.shape[0])
         while not leaf[node].all():
@@ -427,26 +414,17 @@ def _route(nodes: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
         yield node.reshape(roots.size, x.shape[0])
 
 
-def predict(model: RegressionTree | ForestModel, row: Sequence[float]) -> float:
-    """Single-point prediction: predict_many on one row, so forests average exactly too."""
-    return float(predict_many(model, np.asarray(row, dtype=float)[None])[0])
-
-
-def predict_many(model: RegressionTree | ForestModel, x) -> np.ndarray:
-    """Each row's prediction; a forest's is the exactly summed mean over its trees, routed a batch at a time."""
+def predict_many(model: RegressionTree, x) -> np.ndarray:
+    """Each row's prediction: the exactly summed mean of its leaves over the model's trees, routed a batch at a time."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise DimensionMismatchError(f"expected (n, {model.n_features}) features")
     bad = np.argwhere(~np.isfinite(x))
     if bad.size:
         r, j = bad[0].tolist()
-        raise TreeError(f"row {r}: feature {_names(model)[j]!r} is {x[r, j]}, not finite")
-    nodes = _nodes(model)
-    batches = _route(nodes, x)
-    if nodes is model:  # a lone tree gives its leaf's own value, a -0.0 included
-        return nodes.prediction[next(batches)[0]]
-    table, w, shift = _limbs(nodes.prediction, model.n_trees)
-    return _round_sums(sum(table[:, leaves].sum(axis=1) for leaves in batches), w, shift) / model.n_trees
+        raise TreeError(f"row {r}: feature {model.feature_names[j]!r} is {x[r, j]}, not finite")
+    table, w, shift = _limbs(model.prediction, model.n_trees)
+    return _round_sums(sum(table[:, leaves].sum(axis=1) for leaves in _route(model, x)), w, shift) / model.n_trees
 
 
 def fit_forest(
@@ -457,7 +435,7 @@ def fit_forest(
     seed: int = 0,
     params: SplitParams = SplitParams(),
     feature_names: Sequence[str] | None = None,
-) -> ForestModel:
+) -> RegressionTree:
     """Bag `n_trees` trees, each on ceil(subsample * n) distinct rows.
 
     Tree t draws its rows from a generator seeded by (seed, t), and trees are
@@ -466,7 +444,7 @@ def fit_forest(
     one thread.
     """
     x, y = _validate_xy(x, y)
-    names = _feature_names(x, feature_names)
+    names = _name_columns(x, feature_names)
     n = x.shape[0]
     if n < 3:
         raise EmptyInputError("bagging needs at least 3 rows")
@@ -484,16 +462,8 @@ def fit_forest(
         batches.append(_grow(x[idx], y[idx], m, params, total))
         total += batches[-1][0][0].size
     nodes, roots = zip(*batches)
-    return ForestModel(
-        nodes=RegressionTree(*map(np.concatenate, zip(*nodes)), np.concatenate(roots), x.shape[1], params, names),
-        row_indices=row_indices,
-        n_features=x.shape[1],
-        subsample=subsample,
-        seed=seed,
-        params=params,
-        feature_names=names,
-        feature_min=x.min(axis=0),
-        feature_max=x.max(axis=0),
+    return RegressionTree(
+        *map(np.concatenate, zip(*nodes)), np.concatenate(roots), names, x.min(axis=0), x.max(axis=0), row_indices
     )
 
 
@@ -508,37 +478,36 @@ class ImportanceReport:
         return float(self.shares[self.feature_names.index(name)])
 
 
-def importance(model: RegressionTree | ForestModel) -> ImportanceReport:
+def importance(model: RegressionTree) -> ImportanceReport:
     """Per-feature average of node MSE gains, over every split in the model."""
-    nodes, k = _nodes(model), model.n_features
-    split = nodes.feature >= 0
-    feature = nodes.feature[split]
+    k = model.n_features
+    split = model.feature >= 0
+    feature = model.feature[split]
     # bincount adds in input order, so the gains sum in preorder, tree by tree
-    gain_sum = np.bincount(feature, nodes.gain[split], minlength=k)
+    gain_sum = np.bincount(feature, model.gain[split], minlength=k)
     counts = np.bincount(feature, minlength=k)
     if counts.sum() == 0:
         raise NoSplitsError("model has no split nodes")
     raw = np.where(counts > 0, gain_sum / np.maximum(counts, 1), 0.0)
     return ImportanceReport(
-        feature_names=_names(model),
+        feature_names=model.feature_names,
         raw=raw,
         shares=raw / raw.sum(),
         n_splits=tuple(int(c) for c in counts),
     )
 
 
-def tree_shape(model: RegressionTree | ForestModel) -> tuple[int, int]:
+def tree_shape(model: RegressionTree) -> tuple[int, int]:
     """Node count and greatest depth over the model's trees; a lone leaf has depth 0.
 
     One walk, a depth level at a time, covers all trees' nodes.
     """
-    nodes = _nodes(model)
-    node, depth = nodes.roots, -1
+    node, depth = model.roots, -1
     while node.size:
         depth += 1
-        node = node[nodes.feature[node] >= 0]
-        node = np.concatenate([node + 1, nodes.right[node]])
-    return nodes.feature.size, depth
+        node = node[model.feature[node] >= 0]
+        node = np.concatenate([node + 1, model.right[node]])
+    return model.feature.size, depth
 
 
 @dataclass(frozen=True)
@@ -620,28 +589,26 @@ class PdGrid:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _feature_index(model: ForestModel, feature: int | str) -> int:
+def _feature_index(model: RegressionTree, feature: int | str) -> int:
     if isinstance(feature, str):
-        names = _names(model)
-        if feature not in names:
+        if feature not in model.feature_names:
             raise DimensionMismatchError(f"unknown feature {feature!r}")
-        return names.index(feature)
+        return model.feature_names.index(feature)
     _check_int("feature", feature, 0)
     if feature >= model.n_features:
         raise DimensionMismatchError(f"feature index {feature} out of range")
     return int(feature)
 
 
-def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every leaf of the forest: its value, and its box's (leaves, features) lo and hi.
+def _leaf_boxes(model: RegressionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every leaf of the model: its value, and its box's (leaves, features) lo and hi.
 
     A leaf holds the points x with lo < x <= hi in every feature. One walk,
     a depth level at a time, covers all trees' nodes: a left child
     (x <= threshold) takes hi = threshold, and a right child takes
     lo = threshold.
     """
-    nodes = model.nodes
-    feature, threshold, right, node = nodes.feature, nodes.threshold, nodes.right, nodes.roots
+    feature, threshold, right, node = model.feature, model.threshold, model.right, model.roots
     lo = np.full((node.size, model.n_features), -np.inf)
     hi = np.full_like(lo, np.inf)
     leaves = []
@@ -655,11 +622,11 @@ def _leaf_boxes(model: ForestModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         node = np.concatenate([node + 1, right[node]])
         lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
     node, lo, hi = (np.concatenate(c) for c in zip(*leaves))
-    return nodes.prediction[node], lo, hi
+    return model.prediction[node], lo, hi
 
 
 def _cell_sums(
-    model: ForestModel, idx: tuple[int, int], cuts: Sequence[np.ndarray], cells: Sequence[np.ndarray]
+    model: RegressionTree, idx: tuple[int, int], cuts: Sequence[np.ndarray], cells: Sequence[np.ndarray]
 ) -> np.ndarray:
     """Each point's exact sum over the trees, from a summed-area table of leaf boxes.
 
@@ -687,11 +654,11 @@ def _cell_sums(
 
 
 def partial_dependence(
-    model: ForestModel,
+    model: RegressionTree,
     axes: tuple[AxisSpec, AxisSpec],
     slices: Sequence[tuple[int | str, float]] = (),
 ) -> PdGrid:
-    """Forest predictions over a Cartesian grid of the model's two features.
+    """Predictions over a Cartesian grid of the model's two features.
 
     With exactly two predictors the surface is the direct prediction, no
     marginalization needed. Slice curves fix one feature and sweep the other
@@ -707,7 +674,7 @@ def partial_dependence(
     if set(idx) != {0, 1}:
         raise DimensionMismatchError("grid axes must cover both model features")
 
-    names = _names(model)
+    names = model.feature_names
     fixed = [(_feature_index(model, feature), value) for feature, value in slices]
     for j, value in fixed:
         _check_real(f"slice at {names[j]!r}", value, "a real number")

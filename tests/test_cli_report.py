@@ -43,7 +43,7 @@ from passthru.cli_report import (
     stars_for,
 )
 from passthru.mg_panel import build_passthrough_spec
-from passthru.panel_data import PanelDataset, table_a2_path, write_panel_csv
+from passthru.panel_data import PanelDataset, panel_csv_text, table_a2_path, write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 
 
@@ -655,6 +655,55 @@ def test_a_config_file_with_a_byte_order_mark_runs(tmp_path, kind):
     for path in first.iterdir():
         if path.name != "manifest.json":
             assert (out / path.name).read_bytes() == path.read_bytes()
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"# caf\xe9\n" + f"outputs = medians\noutput.dir = {tmp_path / 'out'}\n".encode())
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"config error: config: {cfg} is not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_manifest_saved_as_utf16_is_a_config_error(tmp_path, capsys):
+    assert main(["preset", "fig2", "--out", str(tmp_path / "fig2")]) == 0
+    manifest = tmp_path / "utf16.json"
+    manifest.write_text((tmp_path / "fig2" / "manifest.json").read_text(), encoding="utf-16")
+    with pytest.raises(ConfigError, match=r"^manifest: .* is not UTF-8 text: 'utf-8' codec can't decode byte 0xff") as raised:
+        config_from_manifest(manifest)
+    assert raised.value.field_path == "manifest"
+    capsys.readouterr()
+    assert main(["run", str(manifest)]) == 2  # read as a config file first
+    assert capsys.readouterr().err.startswith(f"config error: config: {manifest} is not UTF-8 text: ")
+
+
+def test_a_panel_file_that_is_not_utf8_fails_in_ingest_naming_it(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    panel = data / "panel.csv"
+    panel.write_bytes(panel_csv_text(generate_panel(DgpParams(n_countries=3, seed=5))).encode() + b"caf\xe9,2001\n")
+    assert main(["preset", "table1", "--data", str(data), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: stage 'ingest' failed: {panel}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9"
+    )
+
+
+@pytest.mark.parametrize("command", ["preset", "run"])
+def test_an_output_dir_that_cannot_be_made_is_a_config_error(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    if command == "preset":
+        argv = ["preset", "fig2", "--out", str(taken)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"outputs = medians\ndata.decade_path = {table_a2_path()}\noutput.dir = {taken}\n")
+        argv = ["run", str(cfg)]
+    assert main(argv) == 2
+    assert re.match(r"config error: output\.dir: cannot create the output directory: .*File exists", capsys.readouterr().err)
+    assert taken.read_text() == "a file\n"
+    assert {p.name for p in tmp_path.iterdir()} == {"taken"} | ({"run.cfg"} if command == "run" else set())
 
 
 def test_an_unknown_log_level_is_a_config_error(tmp_path, monkeypatch, capsys):

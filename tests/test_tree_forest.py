@@ -29,13 +29,16 @@ from passthru.tree_forest import (
     fit_tree,
     importance,
     partial_dependence,
-    predict,
     predict_many,
     tree_shape,
 )
 
 STEP_X = np.array([[1.0], [2.0], [3.0], [4.0]])
 STEP_Y = np.array([0.0, 0.0, 10.0, 10.0])
+
+
+def predict_one(model, row) -> float:
+    return float(predict_many(model, [row])[0])
 
 
 # ---------------------------------------------------------------- best_split
@@ -119,9 +122,8 @@ def test_fits_reject_a_response_whose_sums_of_squares_overflow(fit):
     if fit == "best_split":
         assert found is not None and 0.0 < found[2] < math.inf
     else:
-        nodes = found.nodes if fit == "fit_forest" else found
-        assert np.all(nodes.feature[nodes.roots] >= 0)
-        assert np.all(np.isfinite(nodes.mse)) and np.all(np.isfinite(nodes.gain))
+        assert np.all(found.feature[found.roots] >= 0)
+        assert np.all(np.isfinite(found.mse)) and np.all(np.isfinite(found.gain))
     with pytest.raises(TreeError, match=r"^response must have rows \* max\|y\| of at most 1\.34078e\+154, .* got 1\.34078e\+154$"):
         BOUNDED_FITS[fit](x, y * (top * (1 + 2.0 ** -40)))
 
@@ -131,7 +133,20 @@ def test_fits_reject_a_response_whose_sums_of_squares_overflow(fit):
 def test_single_row_tree():
     tree = fit_tree(np.array([[3.0]]), np.array([7.5]), SplitParams(min_leaf=1))
     assert tree.feature.tolist() == [-1]
-    assert predict(tree, [99.0]) == 7.5
+    assert predict_one(tree, [99.0]) == 7.5
+
+
+def test_a_tree_and_a_forest_are_one_model_type():
+    x = np.array([[1.0, -2.0], [4.0, 0.5], [2.0, 3.0], [3.0, -1.0]])
+    tree = fit_tree(x, STEP_Y, SplitParams(min_leaf=1))
+    assert type(tree) is RegressionTree and tree.n_trees == 1 and tree.row_indices == ()
+    assert tree.feature_names == ("x0", "x1") and tree.n_features == 2
+    assert tree.feature_min.tolist() == [1.0, -2.0] and tree.feature_max.tolist() == [4.0, 3.0]
+    assert fit_tree(x, STEP_Y, feature_names=["a", "b"]).feature_names == ("a", "b")
+    forest = fit_forest(x, STEP_Y, n_trees=3, seed=2, feature_names=("a", "b"))
+    assert type(forest) is RegressionTree and forest.n_trees == 3 and len(forest.row_indices) == 3
+    assert forest.feature_names == ("a", "b")
+    assert forest.feature_min.tolist() == [1.0, -2.0] and forest.feature_max.tolist() == [4.0, 3.0]
 
 
 def test_min_leaf_one_purifies_training_data():
@@ -243,7 +258,7 @@ def tree_inputs(draw, min_rows: int = 1, max_rows: int = 24):
     return x, y, params
 
 
-def _nodes(tree) -> list[tuple]:
+def _node_fields(tree) -> list[tuple]:
     """Every field of every node, array by array, in preorder; repr keeps -0.0 apart from 0.0."""
     floats = [list(map(repr, a.tolist())) for a in (tree.threshold, tree.gain, tree.mse, tree.prediction)]
     return list(zip(tree.feature.tolist(), tree.right.tolist(), tree.n.tolist(), *floats))
@@ -271,7 +286,7 @@ def test_forest_tree_is_the_tree_of_its_rows(case, n_trees, seed):
     forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params)
     for t, rows in enumerate(forest.row_indices):
         alone = fit_tree(x[rows], y[rows], params)
-        assert _nodes(tree_at(forest.nodes, t)) == _nodes(alone)
+        assert _node_fields(tree_at(forest, t)) == _node_fields(alone)
 
 
 def _subtree_end(nodes, i: int) -> int:
@@ -286,7 +301,7 @@ def _subtree_end(nodes, i: int) -> int:
 @given(tree_inputs(min_rows=3, max_rows=40), st.sampled_from([1, 6, tree_forest._BATCH_TREES + 3]), st.integers(0, 99))
 def test_forest_nodes_hold_the_trees_one_after_another(case, n_trees, seed):
     x, y, params = case
-    nodes = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params).nodes
+    nodes = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params)
     roots = nodes.roots.tolist()
     assert len(roots) == n_trees and roots[0] == 0 and all(a < b for a, b in zip(roots, roots[1:]))
     bounds = [*roots, nodes.feature.size]
@@ -302,8 +317,8 @@ def test_forest_nodes_hold_the_trees_one_after_another(case, n_trees, seed):
 
 def test_two_leaf_routing():
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
-    assert predict(tree, [2.4]) == 0.0
-    assert predict(tree, [2.6]) == 10.0
+    assert predict_one(tree, [2.4]) == 0.0
+    assert predict_one(tree, [2.6]) == 10.0
     assert np.array_equal(predict_many(tree, [[2.4], [2.6]]), [0.0, 10.0])
 
 
@@ -336,7 +351,7 @@ def test_tree_routes_like_the_brute_force_tree(case, data):
     tree = fit_tree(x, y, params)
     expected = [bf_predict(ref, row) for row in probe]
     assert predict_many(tree, probe).tolist() == expected
-    assert [predict(tree, row) for row in probe] == expected
+    assert [predict_one(tree, row) for row in probe] == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,7 +363,7 @@ def test_forest_routes_like_the_brute_force_trees(case, n_trees, seed):
     probe = _probes(x, refs, [])
     expected = [math.fsum(bf_predict(ref, row) for ref in refs) / n_trees for row in probe]
     assert predict_many(forest, probe).tolist() == expected
-    assert [predict(forest, row) for row in probe] == expected
+    assert [predict_one(forest, row) for row in probe] == expected
 
 
 @settings(max_examples=20, deadline=None)
@@ -359,9 +374,8 @@ def test_forest_of_several_batches_predicts_the_fsum_of_routed_leaves(case, data
     y = y * 10.0 ** np.array(data.draw(st.lists(st.integers(-30, 30), min_size=y.size, max_size=y.size)))
     n_trees = tree_forest._BATCH_TREES + 3
     forest = fit_forest(x, y, n_trees=n_trees, seed=seed, params=params)
-    nodes = forest.nodes
     probe = np.vstack([x, np.random.default_rng(seed).uniform(-3.0, 3.0, size=(10, x.shape[1]))])
-    expected = [math.fsum(nodes.prediction[route(nodes, row, root)] for root in nodes.roots.tolist()) / n_trees
+    expected = [math.fsum(forest.prediction[route(forest, row, root)] for root in forest.roots.tolist()) / n_trees
                 for row in probe]
     assert predict_many(forest, probe).tobytes() == np.array(expected).tobytes()
 
@@ -373,11 +387,10 @@ def test_routing_batches_hold_the_pair_budget_and_predict_the_same_bits(monkeypa
     y = rng.normal(size=40) * 10.0 ** rng.integers(-20, 21, 40)  # leaf values need several limbs
     forest = fit_forest(x, y, n_trees=11, seed=4, params=SplitParams(min_leaf=2))
     probe = rng.normal(size=(17, 2))
-    nodes = forest.nodes
-    expected = [math.fsum(nodes.prediction[route(nodes, row, root)] for root in nodes.roots.tolist()) / 11
+    expected = [math.fsum(forest.prediction[route(forest, row, root)] for root in forest.roots.tolist()) / 11
                 for row in probe]
     monkeypatch.setattr(tree_forest, "_ROUTE_PAIRS", budget)
-    sizes = [leaves.shape for leaves in tree_forest._route(nodes, probe)]
+    sizes = [leaves.shape for leaves in tree_forest._route(forest, probe)]
     assert sizes == [(min(per_batch, 11 - first), 17) for first in range(0, 11, per_batch)]
     assert predict_many(forest, probe).tobytes() == np.array(expected).tobytes()
 
@@ -385,7 +398,7 @@ def test_routing_batches_hold_the_pair_budget_and_predict_the_same_bits(monkeypa
 def test_predict_dimension_mismatch():
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
     with pytest.raises(DimensionMismatchError):
-        predict(tree, [1.0, 2.0])
+        predict_one(tree, [1.0, 2.0])
     with pytest.raises(DimensionMismatchError):
         predict_many(tree, np.ones((3, 2)))
 
@@ -459,7 +472,7 @@ def test_predict_rejects_non_finite_rows():
     with pytest.raises(TreeError, match=r"row 0: feature 'em10' is nan"):
         predict_many(forest, [[math.nan, 0.0], [math.inf, 0.0]])
     with pytest.raises(TreeError, match=r"row 0: feature 'avg_inflation' is -inf"):
-        predict(forest, [0.5, -math.inf])
+        predict_one(forest, [0.5, -math.inf])
 
 
 def test_forest_of_identical_trees_equals_tree():
@@ -467,7 +480,7 @@ def test_forest_of_identical_trees_equals_tree():
                         seed=1, params=SplitParams(min_leaf=1))
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
     for probe in ([1.1], [2.5], [3.9]):
-        assert predict(forest, probe) == predict(tree, probe)
+        assert predict_one(forest, probe) == predict_one(tree, probe)
 
 
 # ---------------------------------------------------------------- fit_forest
@@ -492,16 +505,12 @@ def test_forest_tree_order_permutation_invariance():
     x = rng.uniform(size=(30, 2))
     y = rng.normal(size=30)
     forest = fit_forest(x, y, n_trees=33, seed=5)
-    trees = [tree_at(forest.nodes, t) for t in reversed(range(forest.n_trees))]
+    trees = [tree_at(forest, t) for t in reversed(range(forest.n_trees))]
     roots = np.cumsum([0] + [t.feature.size for t in trees[:-1]])
     right = np.concatenate([np.where(t.right < 0, t.right, t.right + r) for t, r in zip(trees, roots)])
     columns = {f: np.concatenate([getattr(t, f) for t in trees]) for f in ("feature", "threshold", "gain", "n", "mse", "prediction")}
-    shuffled = replace(
-        forest,
-        nodes=replace(forest.nodes, **columns, right=right, roots=roots),
-        row_indices=tuple(reversed(forest.row_indices)),
-    )
-    assert _nodes(tree_at(shuffled.nodes, 0)) == _nodes(tree_at(forest.nodes, 32))
+    shuffled = replace(forest, **columns, right=right, roots=roots, row_indices=tuple(reversed(forest.row_indices)))
+    assert _node_fields(tree_at(shuffled, 0)) == _node_fields(tree_at(forest, 32))
     probe = rng.uniform(size=(25, 2))
     assert np.array_equal(predict_many(forest, probe), predict_many(shuffled, probe))
 
@@ -512,7 +521,7 @@ def test_forest_global_mean_degenerate_case():
     y = rng.normal(size=12)
     forest = fit_forest(x, y, n_trees=10, subsample=1.0, seed=2,
                         params=SplitParams(min_leaf=12))
-    assert predict(forest, [0.5]) == pytest.approx(float(y.mean()), abs=1e-15)
+    assert predict_one(forest, [0.5]) == pytest.approx(float(y.mean()), abs=1e-15)
 
 
 def test_forest_recovers_step_function():
@@ -520,8 +529,8 @@ def test_forest_recovers_step_function():
     x = rng.uniform(size=(500, 2))
     y = 10.0 * (x[:, 0] > 0.5) + rng.normal(0, 0.5, 500)
     forest = fit_forest(x, y, n_trees=300, seed=8)
-    assert predict(forest, [0.9, 0.5]) == pytest.approx(10.0, abs=1.5)
-    assert predict(forest, [0.1, 0.5]) == pytest.approx(0.0, abs=1.5)
+    assert predict_one(forest, [0.9, 0.5]) == pytest.approx(10.0, abs=1.5)
+    assert predict_one(forest, [0.1, 0.5]) == pytest.approx(0.0, abs=1.5)
 
 
 def test_forest_needs_rows():
@@ -570,10 +579,9 @@ def test_numpy_scalars_pass_the_argument_checks():
 
 def _model_digest(model) -> str:
     """SHA-256 of the dtype and bytes of every node array, the roots and, for a forest, each tree's rows."""
-    nodes = getattr(model, "nodes", model)
-    arrays = [getattr(nodes, f) for f in ("feature", "threshold", "right", "gain", "n", "mse", "prediction", "roots")]
+    arrays = [getattr(model, f) for f in ("feature", "threshold", "right", "gain", "n", "mse", "prediction", "roots")]
     h = hashlib.sha256()
-    for a in arrays + list(getattr(model, "row_indices", ())):
+    for a in arrays + list(model.row_indices):
         h.update(a.dtype.str.encode())
         h.update(a.tobytes())
     return h.hexdigest()
@@ -591,15 +599,16 @@ def test_fig5_forest_and_a_tie_heavy_tree_keep_their_bits(tmp_path, monkeypatch)
     data = tmp_path / "data"
     data.mkdir()
     write_panel_csv(generate_panel(DgpParams(n_countries=21, n_years=40, seed=1)), data / "panel.csv")
-    forests = []
+    forests, seeds = [], []
 
     def kept(*args, **kwargs):
         forests.append(fit_forest(*args, **kwargs))
+        seeds.append(kwargs.get("seed"))
         return forests[-1]
 
     monkeypatch.setattr(cli_report, "fit_forest", kept)
     assert cli_report.main(["preset", "fig5", "--data", str(data), "--out", str(tmp_path / "fig5"), "--seed", "1"]) == 0
-    assert len(forests) == 1 and forests[0].n_trees == 1000 and forests[0].seed == 1
+    assert len(forests) == 1 and forests[0].n_trees == 1000 and seeds == [1]
     # a depth-3 tree on coarse features, one column repeated, so many candidates tie
     rng = np.random.default_rng(17)
     x = rng.integers(0, 4, size=(60, 3)).astype(float)
@@ -618,7 +627,7 @@ def test_forest_batches_of_many_rows_partition_like_lone_trees():
     assert tree_forest._BATCH_TREES * forest.row_indices[0].size > 1 << 16
     for t in (0, tree_forest._BATCH_TREES - 1, tree_forest._BATCH_TREES, tree_forest._BATCH_TREES + 1):
         rows = forest.row_indices[t]
-        assert _nodes(tree_at(forest.nodes, t)) == _nodes(fit_tree(x[rows], y[rows]))
+        assert _node_fields(tree_at(forest, t)) == _node_fields(fit_tree(x[rows], y[rows]))
 
 
 # ---------------------------------------------------------------- importance
@@ -807,7 +816,7 @@ def test_pd_points_on_split_thresholds_go_left():
     x = rng.integers(0, 10, size=(60, 2)).astype(float)
     forest = fit_forest(x, rng.normal(size=60), n_trees=9, seed=3, params=SplitParams(min_leaf=2))
     axes = (AxisSpec(0, -0.5, 9.5, 21), AxisSpec(1, -0.5, 9.5, 21))
-    thresholds = set(forest.nodes.threshold[forest.nodes.feature >= 0].tolist())
+    thresholds = set(forest.threshold[forest.feature >= 0].tolist())
     assert len(thresholds & set(axes[0].values().tolist())) > 5
     # slices on thresholds, on a grid value, and repeated
     assert_pd_is_routed_sum(forest, axes, [(0, 4.5), (1, 2.5), (0, 3.0), (0, 4.5), (1, 2.5), (1, 7.25)])
@@ -824,8 +833,20 @@ def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
     rng = np.random.default_rng(22)
     x = rng.uniform(size=(40, 2))
     forest = fit_forest(x, response(rng.normal(size=40), rng), n_trees=n_trees, seed=4, params=SplitParams(min_leaf=2))
-    assert (accumulator._limbs(forest.nodes.prediction, n_trees)[0].shape[0] > 1) == several_limbs
+    assert (accumulator._limbs(forest.prediction, n_trees)[0].shape[0] > 1) == several_limbs
     assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, float(x[3, 1]))])
+
+
+def test_pd_of_a_lone_tree_is_its_routed_prediction():
+    # past x0 = 0.5, a third of the rows hold -5e-324 and the rest 0.0, so a leaf
+    # there has mean -0.0; like predict_many, the grid gives +0.0 at its points
+    rng = np.random.default_rng(25)
+    x = rng.uniform(size=(40, 2))
+    y = np.where(x[:, 0] > 0.5, np.where(np.arange(40) % 3 == 0, -5e-324, 0.0), rng.normal(size=40))
+    tree = fit_tree(x, y, SplitParams(min_leaf=2))
+    assert tree.n_trees == 1 and np.signbit(tree.prediction[route(tree, [0.75, 0.5])])
+    assert predict_many(tree, [[0.75, 0.5]]).tobytes() == np.array([0.0]).tobytes()
+    assert_pd_is_routed_sum(tree, grid_axes(x, steps=12), [(0, 0.75), (1, float(x[3, 1]))])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
