@@ -30,12 +30,14 @@ from passthru import __version__
 from passthru.errors import PassthruError
 from passthru.kvconfig import format_kv, parse_kv_text
 from passthru.mg_panel import (
+    Exclusion,
     MgError,
     MgResult,
     ModelSpec,
     NearUnitRootError,
     PassThroughPanel,
     SingularCovarianceError,
+    TooFewCountriesError,
     build_passthrough_spec,
     country_arrays,
     estimate_decade_passthroughs,
@@ -336,20 +338,24 @@ class RunConfig:
         for key, values in (("model.variants", self.variants), ("outputs", self.outputs)):
             if not values:
                 raise ConfigError(key, "must name at least one")
-        for label in self.decades:
-            if label != "full":
-                try:
-                    DecadeWindow.from_label(label)
-                except PassthruError as exc:
-                    raise ConfigError("decades", str(exc)) from exc
+        try:  # a label names its decade's window, so '1980s' and '01980s' repeat each other
+            decades = tuple(DecadeWindow.from_label(d).label if d != "full" else d for d in self.decades)
+        except PassthruError as exc:
+            raise ConfigError("decades", str(exc)) from exc
+        for key, values in (("model.variants", self.variants), ("decades", decades), ("outputs", self.outputs)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigError(key, f"repeats {', '.join(repeated)}")
         if self.seed is not None:
             _check_int("seed", self.seed, 0)
         if self.seed is None and "pd_grid" in self.outputs:
             raise ConfigError("seed", "a seed is required whenever the forest runs")
         # one mg_table column per decade, unless the columns are variants
-        needing = set(self.outputs) & (_PANEL_OUTPUTS | ({"mg_table"} if len(self.variants) == 1 else set()))
-        if not self.decades and needing:
-            raise ConfigError("decades", f"{', '.join(sorted(needing))} need at least one decade")
+        if not self.decades and "mg_table" in self.outputs and len(self.variants) == 1:
+            raise ConfigError("decades", "mg_table needs at least one decade")
+        panel_outputs = sorted(set(self.outputs) & _PANEL_OUTPUTS)
+        if panel_outputs and set(decades) <= {"full"}:
+            raise ConfigError("decades", f"{', '.join(panel_outputs)} need at least one decade other than full")
         _build_specs(self)  # a model.min_obs below k + 2 fails here
 
 
@@ -542,11 +548,17 @@ def _log_usable(where: str, usable: int, reasons: Sequence[str]) -> None:
     log.info("%s: %d usable countries; unusable: %s", where, usable, counts or "none")
 
 
-def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> MgResult:
+def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> dict[str, Cell]:
+    """One mg_table column's cells; with too few usable countries, every cell but `countries` is marked."""
     sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
     found = country_arrays(sub, spec, sub.countries)
-    _log_usable(f"mg_table {label}", np.count_nonzero(found.usable), found.reason[~found.usable].tolist())
-    return mean_group(found, spec.design_columns)
+    usable = np.count_nonzero(found.usable)
+    _log_usable(f"mg_table {label}", usable, found.reason[~found.usable].tolist())
+    try:
+        return _mg_cells(mean_group(found, spec.design_columns), spec)
+    except TooFewCountriesError:
+        keys = [f"reg{j}" for j in range(len(spec.regressors))] + ["const", "lt", "obs", "rmse", "chi2", "wald_p"]
+        return dict.fromkeys(keys, Cell.plain("n/a (too few countries)")) | {"countries": Cell.plain(str(usable))}
 
 
 def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
@@ -573,22 +585,18 @@ def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
     return cells
 
 
-def mg_rendered_table(
-    columns: Sequence[tuple[str, MgResult, ModelSpec]], title: str
-) -> RenderedTable:
-    """Decade-column (or variant-column) table around a shared regression shape."""
-    first_spec = columns[0][2]
-    per_column = [(_mg_cells(result, spec)) for _, result, spec in columns]
+def mg_rendered_table(columns: Sequence[tuple[str, dict[str, Cell]]], spec: ModelSpec, title: str) -> RenderedTable:
+    """Decade-column (or variant-column) table of `_mg_column` cells, its row labels from `spec`."""
     rows: list[TableRow] = []
 
     def add(label: str, key: str) -> None:
-        rows.append(TableRow(label, tuple(cells.get(key, Cell.blank()) for cells in per_column)))
+        rows.append(TableRow(label, tuple(cells.get(key, Cell.blank()) for _, cells in columns)))
 
-    for j, term in enumerate(first_spec.regressors):
+    for j, term in enumerate(spec.regressors):
         add(term.name, f"reg{j}")
     add("constant", "const")
-    if first_spec.slot("cost") and first_spec.slot("lag_dep"):
-        add(f"LT effect: {first_spec.slot('cost')}", "lt")
+    if spec.slot("cost") and spec.slot("lag_dep"):
+        add(f"LT effect: {spec.slot('cost')}", "lt")
     add("observations", "obs")
     add("countries", "countries")
     add("RMSE (sigma)", "rmse")
@@ -596,7 +604,7 @@ def mg_rendered_table(
     add("Wald p", "wald_p")
     return RenderedTable(
         title=title,
-        columns=tuple(label for label, _, _ in columns),
+        columns=tuple(label for label, _ in columns),
         rows=tuple(rows),
     )
 
@@ -642,37 +650,30 @@ def medians_table(decade_data: PanelDataset) -> RenderedTable:
 
 
 def passthrough_csv(panel: PassThroughPanel) -> str:
+    """One row per (country, decade); a missing (NaN) covariate is an empty cell."""
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["country", "decade", "passthrough", "kof", "em6", "em10", "avg_inflation"])
-    for r in panel.rows:
-        writer.writerow([
-            r.country, r.decade, fmt6(r.passthrough),
-            "" if r.kof is None else fmt6(r.kof),
-            "" if r.em6 is None else fmt6(r.em6),
-            "" if r.em10 is None else fmt6(r.em10),
-            "" if r.avg_inflation is None else fmt6(r.avg_inflation),
-        ])
+    writer.writerow(["country", "decade", "passthrough", *panel.covariates])
+    columns = (panel.passthrough, *panel.covariates.values())
+    rows = zip(panel.country, panel.decade, *(column.tolist() for column in columns))
+    for country, decade, passthrough, *covariates in rows:
+        writer.writerow([country, decade, fmt6(passthrough), *("" if v != v else fmt6(v) for v in covariates)])
     return buf.getvalue()
 
 
 def exclusions_csv(panel: PassThroughPanel) -> str:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(["country", "decade", "reason"])
-    for e in panel.exclusions:
-        writer.writerow([e.country, e.decade, e.reason])
+    writer.writerow(Exclusion._fields)
+    writer.writerows(panel.exclusions)
     return buf.getvalue()
 
 
-def _tree_rows(panel: PassThroughPanel, openness: str) -> tuple:
-    rows = [
-        r for r in panel.rows
-        if r.covariate(openness) is not None and r.avg_inflation is not None
-    ]
-    x = np.array([[r.covariate(openness), r.avg_inflation] for r in rows])
-    y = np.array([r.passthrough for r in rows])
-    return x, y
+def _tree_rows(panel: PassThroughPanel, openness: str) -> tuple[np.ndarray, np.ndarray]:
+    """Features (openness, avg_inflation) and pass-through of the rows with both features observed."""
+    x = np.column_stack([panel.covariates[openness], panel.covariates["avg_inflation"]])
+    observed = ~np.isnan(x).any(axis=1)
+    return x[observed], panel.passthrough[observed]
 
 
 def run_pipeline(cfg: RunConfig) -> list[Path]:
@@ -723,19 +724,15 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
 
     if "mg_table" in cfg.outputs:
         with stage("mg_table"):
+            spec = specs[cfg.variants[0]]
             if len(cfg.variants) > 1:
-                columns = []
-                for variant in cfg.variants:
-                    spec = specs[variant]
-                    mat = materialize_design(panel, spec)
-                    columns.append((variant, _mg_column(mat, spec, "full"), spec))
+                columns = [(v, _mg_column(materialize_design(panel, specs[v]), specs[v], "full")) for v in cfg.variants]
                 title = "Pass-through estimates by inflation measure"
             else:
-                spec = specs[cfg.variants[0]]
                 mat = materialize_design(panel, spec)
-                columns = [(label, _mg_column(mat, spec, label), spec) for label in cfg.decades]
+                columns = [(label, _mg_column(mat, spec, label)) for label in cfg.decades]
                 title = f"Pass-through estimates ({cfg.variants[0]})"
-            emit(f"mg_table.{ext}", render_table(mg_rendered_table(columns, title), cfg.fmt))
+            emit(f"mg_table.{ext}", render_table(mg_rendered_table(columns, spec, title), cfg.fmt))
 
     if "medians" in cfg.outputs:
         with stage("medians"):
@@ -752,7 +749,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
             for w in windows:
                 _log_usable(
                     f"passthroughs {w.label}",
-                    sum(r.decade == w.label for r in pass_panel.rows),
+                    pass_panel.decade.count(w.label),
                     [e.reason for e in pass_panel.exclusions if e.decade == w.label],
                 )
             if "passthrough_panel" in cfg.outputs:

@@ -25,6 +25,7 @@ from passthru.panel_data import (
     TransformSpec,
     apply_transforms,
     window,
+    window_means,
 )
 from passthru.regression_core import (
     DesignMatrix,
@@ -367,53 +368,25 @@ def wald_joint(r: MgResult, slots: Sequence[str] | None = None) -> tuple[float, 
     return stat, dof, _chi2_sf(stat, dof)
 
 
-@dataclass(frozen=True)
-class PassThroughRow:
-    country: str
-    decade: str
-    passthrough: float
-    kof: float | None
-    em6: float | None
-    em10: float | None
-    avg_inflation: float | None
-
-    def covariate(self, name: str) -> float | None:
-        return getattr(self, name)
-
-
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     country: str
     decade: str
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PassThroughPanel:
-    """Estimated pass-through per (country, decade) with decade covariates."""
+    """Estimated pass-through per (country, decade) as equal-length columns.
 
-    rows: tuple[PassThroughRow, ...]
-    exclusions: tuple[Exclusion, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-def _window_means(sub: PanelDataset, names: Sequence[str]) -> dict[str, list[float | None]]:
-    """Each variable's per-country mean over the observed years of `sub`, or None with none observed.
-
-    The sum runs year by year as Python's sum() adds, so each mean equals
-    sum(obs) / len(obs) bit for bit (np.mean sums pairwise).
+    `covariates` holds the kof, em6, em10 and avg_inflation arrays, NaN where
+    a value is missing.
     """
-    values, _ = sub.complete_cells(names)
-    observed = ~np.isnan(values)  # missing cells hold NaN
-    # + 0.0 turns a sum of -0.0 cells into 0.0, as sum() starting from 0 does
-    sums = (np.cumsum(np.where(observed, values, 0.0), axis=2)[:, :, -1] + 0.0).tolist()
-    counts = np.count_nonzero(observed, axis=2).tolist()
-    return {
-        name: [total / count if count else None for total, count in zip(var_sums, var_counts)]
-        for name, var_sums, var_counts in zip(names, sums, counts)
-    }
+
+    country: tuple[str, ...]
+    decade: tuple[str, ...]
+    passthrough: np.ndarray
+    covariates: dict[str, np.ndarray]
+    exclusions: tuple[Exclusion, ...] = ()
 
 
 def estimate_decade_passthroughs(
@@ -434,9 +407,13 @@ def estimate_decade_passthroughs(
         raise MgError("spec has no cost slot to extract a pass-through from")
     cost_column = spec.design_columns.index(cost)
     materialized = materialize_design(ds, spec)
-    excluded = set(exclude)
-    annual_names = [v for v in DECADE_SCHEMA if v in materialized.variables] + [spec.dependent.name]
-    rows: list[PassThroughRow] = []
+    excluded = np.array([c in exclude for c in materialized.countries])
+    kept = [c for c, out in zip(materialized.countries, excluded.tolist()) if not out]
+    annual = [v for v in DECADE_SCHEMA if v in materialized.variables]
+    filed = [v for v in DECADE_SCHEMA if decade_data is not None and v in decade_data.variables]
+    countries: list[str] = []
+    decades: list[str] = []
+    columns: dict[str, list[float]] = {name: [] for name in ("passthrough", *DECADE_SCHEMA, "avg_inflation")}
     exclusions: list[Exclusion] = []
 
     for w in windows:
@@ -445,37 +422,23 @@ def estimate_decade_passthroughs(
         except EmptyWindowError:
             exclusions.append(Exclusion("*", w.label, "EmptyWindow"))
             continue
-        found = country_arrays(sub, spec, [c for c in sub.countries if c not in excluded])
-        fits = zip(found.usable.tolist(), found.reason.tolist(), found.coefficients[:, cost_column].tolist())
-        annual = _window_means(sub, annual_names)
-        for i, country in enumerate(materialized.countries):
-            if country in excluded:
-                exclusions.append(Exclusion(country, w.label, "ExcludedByConfig"))
-                continue
-            usable, reason, passthrough = next(fits)
-            if not usable:
-                exclusions.append(Exclusion(country, w.label, reason))
-                continue
-            values: dict[str, float | None] = {}
-            for var in DECADE_SCHEMA:
-                val = None
-                if decade_data is not None and var in decade_data.variables:
-                    val = decade_data.value(var, country, w.start_year)
-                if val is None and var in annual:
-                    val = annual[var][i]
-                values[var] = val
-            rows.append(
-                PassThroughRow(
-                    country=country,
-                    decade=w.label,
-                    passthrough=passthrough,
-                    kof=values["kof"],
-                    em6=values["em6"],
-                    em10=values["em10"],
-                    avg_inflation=annual[spec.dependent.name][i],
-                )
-            )
-    return PassThroughPanel(tuple(rows), tuple(exclusions))
+        found = country_arrays(sub, spec, kept)
+        reasons = np.full(len(excluded), "ExcludedByConfig", dtype=object)
+        reasons[~excluded] = found.reason
+        exclusions += [Exclusion(c, w.label, r) for c, r in zip(materialized.countries, reasons.tolist()) if r]
+        used = [c for c, usable in zip(kept, found.usable.tolist()) if usable]
+        countries += used
+        decades += [w.label] * len(used)
+        columns["passthrough"] += found.coefficients[found.usable, cost_column].tolist()
+        means = window_means(sub, [*annual, spec.dependent.name])[:, ~excluded][:, found.usable]
+        means = dict(zip([*annual, "avg_inflation"], means))
+        for var in DECADE_SCHEMA:
+            # None, for a cell the decade file lacks, reads as NaN
+            given = np.array([decade_data.value(var, c, w.start_year) if var in filed else None for c in used], float)
+            columns[var] += np.where(np.isnan(given), means.get(var, np.nan), given).tolist()
+        columns["avg_inflation"] += means["avg_inflation"].tolist()
+    arrays = {name: np.array(values, dtype=float) for name, values in columns.items()}
+    return PassThroughPanel(tuple(countries), tuple(decades), arrays.pop("passthrough"), arrays, tuple(exclusions))
 
 
 def pooled_fixed_effects(ds: PanelDataset, spec: ModelSpec) -> OlsFit:

@@ -4,7 +4,7 @@ The dataset is a grid of named numeric series indexed by (country, year), stored
 as one dense (variable, country, year) array with a mask of observed cells.
 Transforms are array operations, a decade window is a slice of the year axis,
 and every operation is a pure function returning a new dataset. A missing
-observation reads as None, never as NaN or a sentinel value.
+cell reads as None from `value` and as NaN in an array, never as a sentinel.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import io
 import math
 import statistics
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -447,13 +448,26 @@ def country_span(ds: PanelDataset, start: int, stop: int) -> PanelDataset:
     )
 
 
+def window_means(ds: PanelDataset, names: Iterable[str]) -> np.ndarray:
+    """Each variable's per-country mean over the observed years of `ds`, as (variable, country); NaN if none.
+
+    The sum runs year by year as Python's sum() adds, so each mean equals
+    sum(obs) / len(obs) bit for bit (np.mean sums pairwise).
+    """
+    values, _ = ds.complete_cells(names)
+    observed = ~np.isnan(values)  # missing cells hold NaN
+    # + 0.0 turns a sum of -0.0 cells into 0.0, as sum() starting from 0 does
+    sums = np.cumsum(np.where(observed, values, 0.0), axis=2)[:, :, -1] + 0.0
+    with np.errstate(invalid="ignore"):  # 0 / 0 is NaN
+        return sums / np.count_nonzero(observed, axis=2)
+
+
 def median_by_window(ds: PanelDataset, var: str, w: DecadeWindow) -> float:
-    """Cross-country median of per-country mean values inside the window."""
+    """Cross-country median of the per-country means inside the window, over the countries observed there."""
     if var not in ds.variables:
         raise PanelDataError(f"unknown variable {var!r}")
-    values, observed = ds._layer(var)
-    observed = observed & np.array([w.start_year <= y <= w.end_year for y in ds.years])
-    per_country = [sum(v) / len(v) for v in (row[m].tolist() for row, m in zip(values, observed)) if v]
-    if not per_country:
-        raise NoDataError(f"{var}: no observations in {w.label}")
-    return float(statistics.median(per_country))
+    with suppress(EmptyWindowError):
+        means = window_means(window(ds, w), [var])[0]
+        if not np.isnan(means).all():
+            return float(statistics.median(means[~np.isnan(means)].tolist()))
+    raise NoDataError(f"{var}: no observations in {w.label}")

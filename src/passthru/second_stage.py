@@ -64,25 +64,23 @@ class SecondStageResult:
 def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) -> SecondStageResult:
     """Regress pass-through estimates on the log of one openness covariate.
 
-    Rows missing the covariate are dropped first; remaining values must be
-    strictly positive. Robust (HC1) standard error on the slope.
+    Rows whose covariate is NaN (missing) are dropped first; remaining values
+    must be strictly positive. Robust (HC1) standard error on the slope.
     """
     if covariate not in COVARIATE_LABELS:
         raise SecondStageError(f"unknown covariate {covariate!r}")
-    rows = [r for r in panel.rows if r.covariate(covariate) is not None]
-    n = len(rows)
+    at = np.flatnonzero(~np.isnan(panel.covariates[covariate]))
+    n = at.size
     if n < 3:
         raise TooFewRowsError(f"{covariate}: only {n} rows with the covariate observed")
-    raw = np.array([r.covariate(covariate) for r in rows])
+    raw = panel.covariates[covariate][at]
     bad = np.nonzero(raw <= 0.0)[0]
     if bad.size:
-        r0 = rows[int(bad[0])]
-        raise NonPositiveCovariateError(
-            f"{covariate}: non-positive value for ({r0.country}, {r0.decade})"
-        )
+        i = at[bad[0]]
+        raise NonPositiveCovariateError(f"{covariate}: non-positive value for ({panel.country[i]}, {panel.decade[i]})")
     x = np.log(raw)
-    y = np.array([r.passthrough for r in rows])
-    countries = [r.country for r in rows]
+    y = panel.passthrough[at]
+    countries = [panel.country[i] for i in at.tolist()]
     idx, counts = entity_index(countries)
     n_countries = len(counts)
     col = f"ln_{covariate}"

@@ -404,7 +404,7 @@ def _route(model: RegressionTree, x: np.ndarray) -> Iterator[np.ndarray]:
     # child[2i + 1] is node i's left child, taken where x <= threshold, and child[2i] its right one
     child = np.column_stack([np.where(leaf, node, model.right), np.where(leaf, node, node + 1)]).ravel()
     values = x.ravel()
-    trees = max(1, _ROUTE_PAIRS // x.shape[0])
+    trees = max(1, _ROUTE_PAIRS // max(1, x.shape[0]))  # no rows: every tree in one empty batch
     for first in range(0, model.n_trees, trees):
         roots = model.roots[first : first + trees]
         at = np.tile(np.arange(0, x.size, x.shape[1]), roots.size)  # each pair's row, as an offset into values

@@ -20,7 +20,6 @@ from passthru.cli_report import main, render_table, second_stage_table
 from passthru.mg_panel import (
     MgResult,
     PassThroughPanel,
-    PassThroughRow,
     build_passthrough_spec,
     estimate_decade_passthroughs,
     long_run_effect,
@@ -137,7 +136,7 @@ def test_criterion_4_decade_decline_shape():
         ds = generate_panel(params, seed=(params.seed, rep))
         panel = estimate_decade_passthroughs(ds, spec, windows)
         for j, w in enumerate(windows):
-            sums[j] += float(np.mean([r.passthrough for r in panel.rows if r.decade == w.label]))
+            sums[j] += float(np.mean(panel.passthrough[np.array(panel.decade) == w.label]))
     means = sums / reps
     errors = means - np.array(schedule)
     assert np.all(np.abs(errors) < 0.03), means
@@ -266,13 +265,13 @@ def test_criterion_9_second_stage_contract():
     for i, country in enumerate(countries):
         for d, decade in enumerate(("1980s", "1990s", "2000s", "2010s")):
             em6 = 0.004 * (1 + i) * 1.7**d
-            rows.append(PassThroughRow(
-                country=country, decade=decade,
-                passthrough=offsets[i] - 0.15 * math.log(em6),
-                kof=0.6 + 0.01 * i + 0.05 * d, em6=em6, em10=1.4 * em6,
-                avg_inflation=0.05 - 0.01 * d,
+            rows.append((
+                country, decade, offsets[i] - 0.15 * math.log(em6),
+                0.6 + 0.01 * i + 0.05 * d, em6, 1.4 * em6, 0.05 - 0.01 * d,
             ))
-    panel = PassThroughPanel(tuple(rows))
+    country, decade, passthrough, *covariates = zip(*rows)
+    names = ("kof", "em6", "em10", "avg_inflation")
+    panel = PassThroughPanel(country, decade, np.array(passthrough), dict(zip(names, map(np.array, covariates))))
     fe = second_stage_fit(panel, "em6", fe=True)
     assert fe.coefficient == pytest.approx(-0.15, abs=1e-8)
 

@@ -571,6 +571,91 @@ def test_fig4_fig5_outputs_match_golden_digests(tmp_path):
     assert digests == GOLDEN_DIGESTS
 
 
+# cells left out of the seed-3 panel: (variable, country, years)
+PANEL_GAPS = (
+    ("cpi", "C01", range(1990, 1997)),  # too few rows in the 1990s
+    ("core_cpi", "C02", range(2000, 2006)),
+    ("output_gap", "C07", range(1985, 1988)),
+    ("kof", "C03", range(2010, 2020)),  # no decades.csv row for 2010: kof missing
+    ("kof", "C04", range(1980, 1985)),
+    ("em6", "C05", range(1990, 2000)),  # blank in decades.csv too: em6 missing
+    ("em10", "C06", range(2000, 2010)),  # no em10 column in decades.csv: em10 missing
+)
+DECADE_FILE = "country,decade,kof,em6\n" + "".join(
+    f"{country},{decade},{'' if (country, decade) == ('C00', 2000) else 0.5 + 0.01 * i + 0.002 * (decade - 1980)},"
+    f"{'' if (country, decade) == ('C05', 1990) else 0.004 + 0.0005 * i + 0.0001 * (decade - 1980)}\n"
+    for i, country in enumerate(("C00", "C01", "C02", "C03", "C04", "C05", "C06", "C07", "ZZ"))
+    for decade in (1980, 1990, 2000)
+)
+
+# SHA-256 of every output but manifest.json of each preset, in text format with --seed 7,
+# on generate_panel(DgpParams(seed=1)) ("complete") and on generate_panel(DgpParams(seed=3))
+# less the PANEL_GAPS cells, next to DECADE_FILE as decades.csv ("gappy")
+PRESET_DIGESTS = {
+    "complete/table1/mg_table.txt": "2d500c8f2910b15727e9d21e75a4d6ea6bf1ae0e41a64d8710814cea00c535ef",
+    "complete/table2/mg_table.txt": "4e0d827f6c9fd582ed8d5951a50ed3e77b3d516e034852f7086d944032575a01",
+    "complete/table3/mg_table.txt": "5040009c3fe96367a8bea44505ca0361b021f0c4f96756a9f366d27d71ac34a0",
+    "complete/table4/mg_table.txt": "02a9ddaf2be023269833475dbb0dd13c2a38b891b5b3fd0bde97a2d8b2cc79eb",
+    "complete/table5/exclusions.csv": "7ce0e117d557c3a19d11423126d6af72767f710b964af64d14b2dea85f506f5f",
+    "complete/table5/passthrough_panel.csv": "25c81b1910f050bc99f1a7320b562c0dfa0640d80e9d23b92a3f193a2b1c387e",
+    "complete/table5/second_stage.txt": "ffe51be0c6f1c3d21f89723fc1d5c755aae4ea2aea052f48df4ea121f746452b",
+    "complete/table6/mg_table.txt": "3b11b7fef78f82832ce610c80f629e5882ef0f4f8ea4ca9e3916fa2759c4e375",
+    "complete/table7/mg_table.txt": "7c930898af4ecdbaad5742b54b18dc325c2f3e75c356b705d949484f3082d183",
+    "complete/table8/mg_table.txt": "13f896cd0680268b00e79d5b781c2fecd53346b1c0e5ac5a7656ae148b7ed243",
+    "complete/a1/mg_table.txt": "a4f64dd187504f3eb892d328d5335eb32207a3ef7942217542f6a761ac4b693b",
+    "complete/fig2/medians.txt": "0da7fe2d33a5044db895bd63d29e8c081ea42ad5d8495b985b6fb5f0bcab94f0",
+    "complete/fig4/exclusions.csv": "7ce0e117d557c3a19d11423126d6af72767f710b964af64d14b2dea85f506f5f",
+    "complete/fig4/importance.txt": "82907f43a4d5b2c7585292d187814a3b3381a86f83200b6a732f534e611a2dfc",
+    "complete/fig4/passthrough_panel.csv": "25c81b1910f050bc99f1a7320b562c0dfa0640d80e9d23b92a3f193a2b1c387e",
+    "complete/fig5/exclusions.csv": "7ce0e117d557c3a19d11423126d6af72767f710b964af64d14b2dea85f506f5f",
+    "complete/fig5/passthrough_panel.csv": "25c81b1910f050bc99f1a7320b562c0dfa0640d80e9d23b92a3f193a2b1c387e",
+    "complete/fig5/pd_grid.csv": "d81682abe28c867cc043a0f48efce0a80b2258d8607c28999d089ecfe4f13f80",
+    "complete/fig5/pd_grid.json": "48807112bb9b44ec219e75b0e98c3aa4dc49fa5edeb52a5eb04eb8eed0eb6bee",
+    "complete/fig5/pd_slices.csv": "93228d532418c6c7a4cc339cf1c6e66f9ffe7886bf8ff18ecb7ca02b8f859178",
+    "gappy/table1/mg_table.txt": "90e8ddf639db83a9b44cdabe437f9a3b069832d468e16c54881c7cbfa8080742",
+    "gappy/table2/mg_table.txt": "faaa74729e8b18f51c3cbd86af75d67358d3e87803b599acd6aa25000093954d",
+    "gappy/table3/mg_table.txt": "8841410dfd3335068004e0c2046b511b5526d1b83bc94d387eb3e09f9011e150",
+    "gappy/table4/mg_table.txt": "e836d7f59e196b4c9e7bcbb81cfcecde2a8319bfebff1c199f6e985182b7c328",
+    "gappy/table5/exclusions.csv": "c2059ba93168d5fc168504a3607ca0d092465192bb099f0c97ac6fd59c8b63cd",
+    "gappy/table5/passthrough_panel.csv": "438c275c3e7c10f50191e83cc568d3628dd284577fcdfeb85ecad310fa781bc3",
+    "gappy/table5/second_stage.txt": "465d839d14216463758c8d94a9a08f93201bd029a90279c0c63fc3f738f25eb3",
+    "gappy/table6/mg_table.txt": "935e91754206b1b723670d6dc4edc4f6484edf8f7429f4c2bbc2befab7def960",
+    "gappy/table7/mg_table.txt": "4ebda225c5645289368363cd8b96134ea83d107889ba9e8483fa97f2373eb4f0",
+    "gappy/table8/mg_table.txt": "3725fbd2e22909ee000a46a20a65a77c867cf7a6e853ed27abdea12d487a0f5e",
+    "gappy/a1/mg_table.txt": "de6b1e6600d1a1f4e5680335fb5695a23d2d37541e174ddaaf96a2f68d9e10cb",
+    "gappy/fig2/medians.txt": "42d9695214fda19b26b582523240427ba8d5be53e8fd0f8037c86eab694f827c",
+    "gappy/fig4/exclusions.csv": "c2059ba93168d5fc168504a3607ca0d092465192bb099f0c97ac6fd59c8b63cd",
+    "gappy/fig4/importance.txt": "efc903c8a77c7cf056354ec66786a958c6f403b5a8ce8322b3db5900e0270a42",
+    "gappy/fig4/passthrough_panel.csv": "438c275c3e7c10f50191e83cc568d3628dd284577fcdfeb85ecad310fa781bc3",
+    "gappy/fig5/exclusions.csv": "c2059ba93168d5fc168504a3607ca0d092465192bb099f0c97ac6fd59c8b63cd",
+    "gappy/fig5/passthrough_panel.csv": "438c275c3e7c10f50191e83cc568d3628dd284577fcdfeb85ecad310fa781bc3",
+    "gappy/fig5/pd_grid.csv": "f262ddac187197641af15edbf55479548a4270328754f4b3c0702b6041770a69",
+    "gappy/fig5/pd_grid.json": "4ea1f33ce51593a1df76c1fd42274caead70981f6bea946a71920ede20190509",
+    "gappy/fig5/pd_slices.csv": "ec4eb6bf481bf5d3fffe967b469c6c9b778789a16114dc2160ecc7dcc7937522",
+}
+
+
+def test_every_preset_output_matches_its_pinned_digest(tmp_path):
+    complete, gappy = tmp_path / "complete", tmp_path / "gappy"
+    complete.mkdir()
+    gappy.mkdir()
+    write_panel_csv(generate_panel(DgpParams(seed=1)), complete / "panel.csv")
+    ds = generate_panel(DgpParams(seed=3))
+    gaps = {(var, country, year) for var, country, years in PANEL_GAPS for year in years}
+    cells = {var: {(c, y): v for (c, y), v in ds.cells(var).items() if (var, c, y) not in gaps} for var in ds.variables}
+    write_panel_csv(PanelDataset(ds.countries, ds.years, cells), gappy / "panel.csv")
+    (gappy / "decades.csv").write_text(DECADE_FILE)
+    digests = {}
+    for data in (complete, gappy):
+        for name in cli_report.PRESETS:
+            out = tmp_path / "out" / data.name / name
+            assert main(["preset", name, "--data", str(data), "--out", str(out), "--seed", "7"]) == 0
+            for path in sorted(out.iterdir()):
+                if path.name != "manifest.json":
+                    digests[f"{data.name}/{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PRESET_DIGESTS
+
+
 def test_manifest_rerun_rejects_an_input_that_changed(tmp_path, data_dir, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -763,17 +848,62 @@ def test_config_decades_empty_or_absent(tmp_path, data_dir):
         assert err.value.field_path == "decades"
 
 
+@pytest.mark.parametrize("lines, field", [
+    (("decades = 1980s,1980s", "outputs = passthrough_panel"), "decades"),
+    (("decades = 1980s,01980s", "outputs = passthrough_panel"), "decades"),
+    (("decades = full,1980s,1980s",), "decades"),
+    (("model.variants = headline,headline", "decades = full"), "model.variants"),
+    (("outputs = mg_table,mg_table",), "outputs"),
+    (("decades = full", "outputs = second_stage"), "decades"),
+    (("decades = full", "outputs = pd_grid", "seed = 1"), "decades"),
+])
+def test_repeated_entries_and_a_decade_list_without_a_window_fail_before_any_output(
+    tmp_path, data_dir, capsys, lines, field
+):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join([f"data.panel_path = {data_dir / 'panel.csv'}", f"output.dir = {out}", *lines]) + "\n")
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
+def test_a_column_with_too_few_countries_is_marked(tmp_path):
+    # the panel starts in 1987: its three 1980s years leave no country enough rows
+    data = tmp_path / "data"
+    data.mkdir()
+    write_panel_csv(generate_panel(DgpParams(seed=1, start_year=1987, n_years=33)), data / "panel.csv")
+    assert main(["preset", "table1", "--data", str(data), "--out", str(tmp_path / "t1"), "--format", "json"]) == 0
+    marked = json.loads((tmp_path / "t1" / "mg_table.json").read_text())
+    mapping = {
+        "data.panel_path": str(data / "panel.csv"),
+        "output.dir": str(tmp_path / "rest"),
+        "decades": "full,1990s,2000s,2010s",
+        "output.format": "json",
+    }
+    run_pipeline(config_from_mapping(mapping))
+    rest = json.loads((tmp_path / "rest" / "mg_table.json").read_text())
+    assert marked["columns"] == ["full", "1980s", "1990s", "2000s", "2010s"]
+    for marked_row, rest_row in zip(marked["rows"], rest["rows"], strict=True):
+        cells = marked_row["cells"]
+        assert [cells[0], *cells[2:]] == rest_row["cells"]
+        want = "0" if marked_row["label"] == "countries" else "n/a (too few countries)"
+        assert cells[1] == {"estimate": None, "se": None, "stars": None, "text": want, "degenerate_se": False}
+
+
 DECADE_LABELS = ("full", "1970s", "1980s", "1990s", "2000s", "2010s")
 CONFIG_FLOATS = st.floats(-0.9, 0.9, allow_nan=False)
 
 
 @st.composite
 def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> RunConfig:
-    outputs = tuple(draw(st.lists(st.sampled_from(OUTPUTS), min_size=1, max_size=3)))
-    variants = tuple(draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=2)))
+    outputs = tuple(draw(st.lists(st.sampled_from(OUTPUTS), min_size=1, max_size=3, unique=True)))
+    variants = tuple(draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=2, unique=True)))
     panel_based = set(outputs) & {"passthrough_panel", "second_stage", "importance", "pd_grid"}
     needs_decades = panel_based or ("mg_table" in outputs and len(variants) == 1)
-    decade_lists = st.lists(st.sampled_from(DECADE_LABELS), min_size=1, max_size=4).map(tuple)
+    decade_lists = st.lists(st.sampled_from(DECADE_LABELS), min_size=1, max_size=4, unique=True).map(tuple)
+    if panel_based:  # the panel outputs need a decade window
+        decade_lists = decade_lists.filter(lambda labels: labels != ("full",))
     dgp = draw(st.one_of(st.none(), st.builds(
         DgpParams,
         n_countries=st.integers(1, 40),

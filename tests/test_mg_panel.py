@@ -609,15 +609,15 @@ def test_decade_passthroughs_exclusion_and_covariate_join():
     panel = estimate_decade_passthroughs(
         ds, spec, windows, decade_data=load_decade_csv(table_a2_path()), exclude=("C02",),
     )
-    assert all(r.country != "C02" for r in panel.rows)
+    assert all(c != "C02" for c in panel.country)
     assert Exclusion("C02", "1980s", "ExcludedByConfig") in panel.exclusions
-    us_2010 = [r for r in panel.rows if r.country == "US" and r.decade == "2010s"]
+    us_2010 = [i for i, key in enumerate(zip(panel.country, panel.decade)) if key == ("US", "2010s")]
     assert len(us_2010) == 1
-    assert us_2010[0].em10 == 0.0506  # verbatim from the decade file
+    assert panel.covariates["em10"][us_2010[0]] == 0.0506  # verbatim from the decade file
     # non-fixture countries fall back to decade averages of their annual series
-    c01 = [r for r in panel.rows if r.country == "C01"]
-    assert all(r.em6 is not None for r in c01)
-    assert all(r.avg_inflation is not None for r in panel.rows)
+    c01 = [i for i, c in enumerate(panel.country) if c == "C01"]
+    assert not np.isnan(panel.covariates["em6"][c01]).any()
+    assert not np.isnan(panel.covariates["avg_inflation"]).any()
 
 
 def _decade_reference(ds, spec, windows, decade_data):
@@ -635,17 +635,17 @@ def _decade_reference(ds, spec, windows, decade_data):
                 if val is None and var in mat.variables:
                     obs = [v for y in years if (v := mat.value(var, country, y)) is not None]
                     val = sum(obs) / len(obs) if obs else None
-                row[var] = val
+                row[var] = math.nan if val is None else val
             dep = [v for y in years if (v := mat.value(spec.dependent.name, country, y)) is not None]
-            row["avg_inflation"] = sum(dep) / len(dep) if dep else None
+            row["avg_inflation"] = sum(dep) / len(dep) if dep else math.nan
             expected[(country, w.label)] = row
     return expected
 
 
 def _same_float(a, b) -> bool:
-    """Both None, or equal floats with the same sign, so -0.0 differs from 0.0."""
-    if a is None or b is None:
-        return a is b
+    """Both NaN, or equal floats with the same sign, so -0.0 differs from 0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
     return type(a) is float and a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
@@ -672,16 +672,20 @@ def test_decade_passthroughs_match_a_cell_by_cell_reference():
     for decade_data in (None, PanelDataset(in_file, decades, decade_cells)):
         panel = estimate_decade_passthroughs(ds, spec, windows, decade_data=decade_data, exclude=("C03",))
         expected = _decade_reference(ds, spec, windows, decade_data)
-        assert {r.country for r in panel.rows} == {"C00", "C01", "C02", "C04", "C05"}
+        assert set(panel.country) == {"C00", "C01", "C02", "C04", "C05"}
         assert Exclusion("C03", "1980s", "ExcludedByConfig") in panel.exclusions
-        assert len(panel.rows) + len(panel.exclusions) == 6 * len(windows)
-        for row in panel.rows:
-            want = expected[(row.country, row.decade)]
+        assert len(panel.country) + len(panel.exclusions) == 6 * len(windows)
+        covariates = {name: values.tolist() for name, values in panel.covariates.items()}
+        got = {
+            key: {name: values[i] for name, values in covariates.items()}
+            for i, key in enumerate(zip(panel.country, panel.decade))
+        }
+        for (country, decade), row in got.items():
+            want = expected[(country, decade)]
             for name in ("kof", "em6", "em10", "avg_inflation"):
-                assert _same_float(getattr(row, name), want[name]), (row.country, row.decade, name)
-        got = {(r.country, r.decade): r for r in panel.rows}
-        assert got[("C01", "1990s")].kof is None  # no kof cell in the decade file or the annual panel
-        assert _same_float(got[("C04", "2000s")].em10, 0.0)
+                assert _same_float(row[name], want[name]), (country, decade, name)
+        assert math.isnan(got[("C01", "1990s")]["kof"])  # no kof cell in the decade file or the annual panel
+        assert _same_float(got[("C04", "2000s")]["em10"], 0.0)
         assert sum(decade == "1980s" for _, decade in got) >= 3  # fitted on the nine panel years of the 1980s
 
 
@@ -705,7 +709,7 @@ def test_decade_passthroughs_schedule_recovery_smoke():
         ds = generate_panel(p, seed=(p.seed, rep))
         panel = estimate_decade_passthroughs(ds, spec, windows)
         for j, w in enumerate(windows):
-            values = [r.passthrough for r in panel.rows if r.decade == w.label]
+            values = panel.passthrough[np.array(panel.decade) == w.label]
             assert len(values) == 21
             sums[j] += np.mean(values)
     means = sums / reps

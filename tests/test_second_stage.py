@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import fe_dummy_ols
-from passthru.mg_panel import PassThroughPanel, PassThroughRow
+from passthru.mg_panel import PassThroughPanel
 from passthru.regression_core import DegenerateVarianceError, TooFewRowsError
 from passthru.second_stage import (
     NonPositiveCovariateError,
@@ -19,20 +20,21 @@ COUNTRIES = ("AT", "US", "JP", "SE", "FR")
 DECADES = ("1980s", "1990s", "2000s", "2010s")
 
 
+def panel_of(rows) -> PassThroughPanel:
+    """The column panel of (country, decade, passthrough, kof, em6, em10, avg_inflation) rows."""
+    country, decade, passthrough, *covariates = zip(*rows)
+    names = ("kof", "em6", "em10", "avg_inflation")
+    return PassThroughPanel(country, decade, np.array(passthrough), dict(zip(names, map(np.array, covariates))))
+
+
 def build_panel(rule, em6_rule=None) -> PassThroughPanel:
     """Panel with one row per (country, decade); `rule(i, em6) -> passthrough`."""
     rows = []
     for i, country in enumerate(COUNTRIES):
         for d, decade in enumerate(DECADES):
             em6 = (em6_rule or (lambda i, d: 0.004 * (1 + i) * 1.8**d))(i, d)
-            rows.append(
-                PassThroughRow(
-                    country=country, decade=decade, passthrough=rule(i, em6),
-                    kof=0.6 + 0.02 * i + 0.05 * d, em6=em6, em10=1.4 * em6,
-                    avg_inflation=0.05 - 0.01 * d,
-                )
-            )
-    return PassThroughPanel(tuple(rows))
+            rows.append((country, decade, rule(i, em6), 0.6 + 0.02 * i + 0.05 * d, em6, 1.4 * em6, 0.05 - 0.01 * d))
+    return panel_of(rows)
 
 
 def test_exact_log_linear_rule_pooled():
@@ -61,9 +63,9 @@ def test_fe_matches_dummy_variable_oracle():
     noise = iter(rng.normal(0, 0.05, 100))
     panel = build_panel(lambda i, em6: 0.2 * i - 0.1 * math.log(em6) + next(noise))
     r = second_stage_fit(panel, "em6", fe=True)
-    x = np.log([[row.em6] for row in panel.rows])
-    y = np.array([row.passthrough for row in panel.rows])
-    groups = [row.country for row in panel.rows]
+    x = np.log(panel.covariates["em6"][:, None])
+    y = panel.passthrough
+    groups = list(panel.country)
     expected = fe_dummy_ols(x, y, groups)[0]
     assert r.coefficient == pytest.approx(expected, abs=1e-10)
 
@@ -71,12 +73,8 @@ def test_fe_matches_dummy_variable_oracle():
 def test_fe_invariant_to_per_country_shifts():
     panel = build_panel(lambda i, em6: -0.1 - 0.15 * math.log(em6))
     base = second_stage_fit(panel, "em6", fe=True)
-    shifted_rows = tuple(
-        PassThroughRow(r.country, r.decade, r.passthrough + 0.7 * COUNTRIES.index(r.country),
-                       r.kof, r.em6, r.em10, r.avg_inflation)
-        for r in panel.rows
-    )
-    shifted = second_stage_fit(PassThroughPanel(shifted_rows), "em6", fe=True)
+    offsets = np.array([0.7 * COUNTRIES.index(c) for c in panel.country])
+    shifted = second_stage_fit(replace(panel, passthrough=panel.passthrough + offsets), "em6", fe=True)
     assert shifted.coefficient == pytest.approx(base.coefficient, abs=1e-10)
 
 
@@ -84,11 +82,8 @@ def test_sign_stability_under_covariate_rescaling():
     panel = build_panel(lambda i, em6: -0.1 - 0.15 * math.log(em6))
     base = second_stage_fit(panel, "em6", fe=False)
     for c in (3.0, 0.2):
-        scaled_rows = tuple(
-            PassThroughRow(r.country, r.decade, r.passthrough, r.kof, c * r.em6, r.em10, r.avg_inflation)
-            for r in panel.rows
-        )
-        scaled = second_stage_fit(PassThroughPanel(scaled_rows), "em6", fe=False)
+        scaled_covariates = panel.covariates | {"em6": c * panel.covariates["em6"]}
+        scaled = second_stage_fit(replace(panel, covariates=scaled_covariates), "em6", fe=False)
         assert scaled.coefficient == pytest.approx(base.coefficient, rel=1e-12)
         assert scaled.constant == pytest.approx(base.constant - base.coefficient * math.log(c), rel=1e-10)
 
@@ -101,29 +96,28 @@ def test_non_positive_covariate():
 
 def test_too_few_rows():
     rows = (
-        PassThroughRow("AT", "1980s", 0.1, None, 0.01, None, None),
-        PassThroughRow("US", "1980s", 0.2, None, 0.02, None, None),
+        ("AT", "1980s", 0.1, math.nan, 0.01, math.nan, math.nan),
+        ("US", "1980s", 0.2, math.nan, 0.02, math.nan, math.nan),
     )
     with pytest.raises(TooFewRowsError):
-        second_stage_fit(PassThroughPanel(rows), "em6", fe=False)
+        second_stage_fit(panel_of(rows), "em6", fe=False)
 
 
 def test_missing_covariate_rows_are_dropped():
     panel = build_panel(lambda i, em6: -0.1 - 0.15 * math.log(em6))
-    rows = list(panel.rows)
-    rows[0] = PassThroughRow(rows[0].country, rows[0].decade, rows[0].passthrough,
-                             rows[0].kof, None, rows[0].em10, rows[0].avg_inflation)
-    r = second_stage_fit(PassThroughPanel(tuple(rows)), "em6", fe=False)
+    em6 = panel.covariates["em6"].copy()
+    em6[0] = math.nan
+    r = second_stage_fit(replace(panel, covariates=panel.covariates | {"em6": em6}), "em6", fe=False)
     assert r.n == 19
 
 
 def test_one_row_per_country_is_degenerate():
     rows = tuple(
-        PassThroughRow(c, "2010s", 0.1 * i, None, 0.01 * (1 + i), None, None)
+        (c, "2010s", 0.1 * i, math.nan, 0.01 * (1 + i), math.nan, math.nan)
         for i, c in enumerate(COUNTRIES)
     )
     with pytest.raises(DegenerateVarianceError):
-        second_stage_fit(PassThroughPanel(rows), "em6", fe=True)
+        second_stage_fit(panel_of(rows), "em6", fe=True)
 
 
 def test_unknown_covariate():

@@ -403,6 +403,15 @@ def test_predict_dimension_mismatch():
         predict_many(tree, np.ones((3, 2)))
 
 
+def test_predict_many_of_no_rows_is_empty():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(30, 2))
+    y = x[:, 0] + 0.1 * rng.normal(size=30)
+    for model in (fit_tree(x, y), fit_forest(x, y, n_trees=7, seed=2)):
+        got = predict_many(model, np.empty((0, 2)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+
 # Any finite double: both extremes, subnormals, and both zeros among them.
 LIMB_ATOMS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max]),
