@@ -548,6 +548,17 @@ def _log_usable(where: str, usable: int, reasons: Sequence[str]) -> None:
     log.info("%s: %d usable countries; unusable: %s", where, usable, counts or "none")
 
 
+def _warn_exclude(exclude: Sequence[str], countries: Sequence[str]) -> None:
+    """One warning naming `exclude` entries that match no country of the panel or repeat; both change nothing."""
+    unmatched = [c for c in dict.fromkeys(exclude) if c not in countries]
+    repeated = [c for c, n in Counter(exclude).items() if n > 1]
+    if unmatched or repeated:
+        log.warning(
+            "exclude: no country of the panel matches %s; repeated: %s",
+            ", ".join(unmatched) or "none", ", ".join(repeated) or "none",
+        )
+
+
 def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> dict[str, Cell]:
     """One mg_table column's cells; with too few usable countries, every cell but `countries` is marked."""
     sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
@@ -743,6 +754,7 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
         with stage("passthroughs"):
             spec = specs[cfg.variants[0]]
             windows = [DecadeWindow.from_label(lbl) for lbl in cfg.decades if lbl != "full"]
+            _warn_exclude(cfg.exclude, panel.countries)
             pass_panel = estimate_decade_passthroughs(
                 panel, spec, windows, decade_data=decade_data, exclude=cfg.exclude
             )

@@ -410,7 +410,7 @@ def estimate_decade_passthroughs(
     excluded = np.array([c in exclude for c in materialized.countries])
     kept = [c for c, out in zip(materialized.countries, excluded.tolist()) if not out]
     annual = [v for v in DECADE_SCHEMA if v in materialized.variables]
-    filed = [v for v in DECADE_SCHEMA if decade_data is not None and v in decade_data.variables]
+    filed, decade_at = _decade_file_cells(decade_data, kept)
     countries: list[str] = []
     decades: list[str] = []
     columns: dict[str, list[float]] = {name: [] for name in ("passthrough", *DECADE_SCHEMA, "avg_inflation")}
@@ -432,13 +432,28 @@ def estimate_decade_passthroughs(
         columns["passthrough"] += found.coefficients[found.usable, cost_column].tolist()
         means = window_means(sub, [*annual, spec.dependent.name])[:, ~excluded][:, found.usable]
         means = dict(zip([*annual, "avg_inflation"], means))
-        for var in DECADE_SCHEMA:
-            # None, for a cell the decade file lacks, reads as NaN
-            given = np.array([decade_data.value(var, c, w.start_year) if var in filed else None for c in used], float)
-            columns[var] += np.where(np.isnan(given), means.get(var, np.nan), given).tolist()
+        given = filed[:, found.usable, decade_at.get(w.start_year, -1)]
+        for var, cells in zip(DECADE_SCHEMA, given):
+            columns[var] += np.where(np.isnan(cells), means.get(var, np.nan), cells).tolist()
         columns["avg_inflation"] += means["avg_inflation"].tolist()
     arrays = {name: np.array(values, dtype=float) for name, values in columns.items()}
     return PassThroughPanel(tuple(countries), tuple(decades), arrays.pop("passthrough"), arrays, tuple(exclusions))
+
+
+def _decade_file_cells(decade_data: PanelDataset | None, countries: Sequence[str]) -> tuple[np.ndarray, dict[int, int]]:
+    """The decade file's DECADE_SCHEMA cells of `countries`, and each decade start's position on the last axis.
+
+    The array is (variable, country, decade), NaN wherever the file lacks a
+    cell; position -1 is a decade of NaN, for a decade start it lacks.
+    """
+    if decade_data is None:
+        return np.full((len(DECADE_SCHEMA), len(countries), 1), np.nan), {}
+    filed = [v for v in DECADE_SCHEMA if v in decade_data.variables]
+    # one more country and one more decade, all NaN, stand for those the file lacks
+    cells = np.full((len(DECADE_SCHEMA), len(decade_data.countries) + 1, len(decade_data.years) + 1), np.nan)
+    cells[[DECADE_SCHEMA.index(v) for v in filed], :-1, :-1] = decade_data.complete_cells(filed)[0]
+    at = {c: i for i, c in enumerate(decade_data.countries)}
+    return cells[:, [at.get(c, -1) for c in countries]], {y: j for j, y in enumerate(decade_data.years)}
 
 
 def pooled_fixed_effects(ds: PanelDataset, spec: ModelSpec) -> OlsFit:

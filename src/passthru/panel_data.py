@@ -1,10 +1,10 @@
 """Country-year panel container, CSV ingestion, transforms, and decade windows.
 
 The dataset is a grid of named numeric series indexed by (country, year), stored
-as one dense (variable, country, year) array with a mask of observed cells.
-Transforms are array operations, a decade window is a slice of the year axis,
-and every operation is a pure function returning a new dataset. A missing
-cell reads as None from `value` and as NaN in an array, never as a sentinel.
+as one dense (variable, country, year) array in which NaN marks a missing cell
+and every other cell is finite. Transforms are array operations, a decade
+window is a slice of the year axis, and every operation is a pure function
+returning a new dataset. A missing cell reads as None from `value`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass
@@ -151,12 +150,12 @@ class PanelDataset:
     """Immutable country x year grid of named numeric series.
 
     One read-only float64 array of shape (variable, country, year) holds the
-    values, and a boolean array of the same shape marks the observed cells.
-    Observed cells are finite and missing cells hold NaN, so two datasets are
-    equal when their grids and value arrays are, NaN for NaN.
+    values. NaN is the only mark of a missing cell and observed cells are
+    finite, so two datasets are equal when their grids and value arrays are,
+    NaN for NaN.
     """
 
-    __slots__ = ("countries", "years", "variables", "_values", "_observed", "_row", "_country", "_year")
+    __slots__ = ("countries", "years", "variables", "_values", "_row", "_country", "_year")
 
     def __init__(
         self, countries: Iterable[str], years: Iterable[int], series: Mapping[str, Mapping[tuple[str, int], float]]
@@ -165,14 +164,15 @@ class PanelDataset:
         countries, years = _check_axes(countries, years)
         country_pos, year_pos = {c: i for i, c in enumerate(countries)}, {y: j for j, y in enumerate(years)}
         values = np.full((len(series), len(countries), len(years)), np.nan)
-        observed = np.zeros(values.shape, dtype=bool)
+        bad = np.zeros(values.shape, dtype=bool)  # given cells that are not finite
         for v, (name, obs) in enumerate(series.items()):
             for (country, year), value in obs.items():
                 i, j = country_pos.get(country), year_pos.get(year)
                 if i is None or j is None:
                     raise PanelDataError(f"{name}: cell ({country}, {year}) outside the declared grid")
-                values[v, i, j], observed[v, i, j] = float(value), True
-        self._set(countries, years, tuple(str(name) for name in series), values, observed)
+                values[v, i, j] = value = float(value)
+                bad[v, i, j] = not math.isfinite(value)
+        self._set(countries, years, tuple(str(name) for name in series), values, bad)
 
     @classmethod
     def from_arrays(
@@ -188,30 +188,23 @@ class PanelDataset:
         variables = tuple(str(v) for v in variables)
         if values.shape != (len(variables), len(countries), len(years)):
             raise PanelDataError(f"array of shape {values.shape} does not fit the grid")
-        return cls.__new__(cls)._set(countries, years, variables, values, np.ones(values.shape, dtype=bool))
+        return _dataset(countries, years, variables, values, ~np.isfinite(values))
 
-    def _set(self, countries, years, variables, values, observed, first: int = 0) -> "PanelDataset":
-        """Take checked axes and the arrays; check the names and the observed cells of layers `first`.."""
+    def _set(self, countries, years, variables, values, bad: np.ndarray | None = None) -> "PanelDataset":
+        """Take checked axes and the array, made read-only; a cell `bad` marks is named and rejected."""
         if any(not name for name in variables) or len(set(variables)) != len(variables):
             raise PanelDataError("variable names must be unique and non-empty")
-        bad = observed[first:] & ~np.isfinite(values[first:])
-        if bad.any():  # argwhere only to name the first bad cell
+        if bad is not None and bad.any():  # argwhere only to name the first bad cell
             v, i, j = np.argwhere(bad)[0]
-            where = f"{variables[first + v]}: non-finite value at ({countries[i]}, {years[j]})"
+            where = f"{variables[v]}: non-finite value at ({countries[i]}, {years[j]})"
             raise PanelDataError(f"{where}; leave missing cells absent")
-        values.flags.writeable = observed.flags.writeable = False
+        values.flags.writeable = False
         self.countries, self.years, self.variables = countries, years, variables
-        self._values, self._observed = values, observed
+        self._values = values
         self._row = {name: r for r, name in enumerate(variables)}
         self._country = {c: i for i, c in enumerate(countries)}
         self._year = {y: j for j, y in enumerate(years)}
         return self
-
-    def _derive(self, years, variables, values, observed) -> "PanelDataset":
-        """A dataset on the same countries; only the layers this one lacks are checked."""
-        return PanelDataset.__new__(PanelDataset)._set(
-            self.countries, years, variables, values, observed, first=len(self.variables)
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset):
@@ -223,37 +216,38 @@ class PanelDataset:
         years = f"{self.years[0]}..{self.years[-1]}"
         return f"PanelDataset({len(self.countries)} countries, years {years}, {len(self.variables)} variables)"
 
-    def _layer(self, var: str) -> tuple[np.ndarray, np.ndarray]:
-        return self._values[self._row[var]], self._observed[self._row[var]]
+    def _layer(self, var: str) -> np.ndarray:
+        return self._values[self._row[var]]
 
     def value(self, var: str, country: str, year: int) -> float | None:
         """Cell value, or None when the observation is missing."""
         r, i, j = self._row[var], self._country.get(country), self._year.get(year)
-        if i is None or j is None or not self._observed[r, i, j]:
+        if i is None or j is None or math.isnan(self._values[r, i, j]):
             return None
         return float(self._values[r, i, j])
 
     def cells(self, var: str) -> Mapping[tuple[str, int], float]:
         """Read-only view of one variable's observed cells."""
-        values, observed = self._layer(var)
+        values = self._layer(var)
+        observed = ~np.isnan(values)
         keys = [(self.countries[i], self.years[j]) for i, j in np.argwhere(observed).tolist()]
         return MappingProxyType(dict(zip(keys, values[observed].tolist())))
 
     def n_obs(self, var: str) -> int:
-        return int(np.count_nonzero(self._layer(var)[1]))
+        return int(np.count_nonzero(~np.isnan(self._layer(var))))
 
-    def _with_layers(self, layers: Mapping[str, tuple[np.ndarray, np.ndarray]]) -> "PanelDataset":
-        """This dataset plus the named (values, observed) layers, in order; with none, this dataset."""
+    def _with_layers(self, layers: Mapping[str, np.ndarray]) -> "PanelDataset":
+        """This dataset plus the named layers, in order; with none, this dataset."""
         if not layers:
             return self
-        values = np.concatenate([self._values, [v for v, _ in layers.values()]])
-        observed = np.concatenate([self._observed, [m for _, m in layers.values()]])
-        return self._derive(self.years, self.variables + tuple(layers), values, observed)
+        values = np.concatenate([self._values, list(layers.values())])
+        # no dataset holds an inf, and a NaN made of one follows it: the first inf is the first bad cell
+        return _dataset(self.countries, self.years, self.variables + tuple(layers), values, np.isinf(values))
 
     def complete_cells(self, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """The variables' (variable, country, year) values, and the (country, year) mask where all are observed."""
-        rows = [self._row[v] for v in variables]
-        return self._values[rows], self._observed[rows].all(axis=0)
+        values = self._values[[self._row[v] for v in variables]]
+        return values, ~np.isnan(values).any(axis=0)
 
     def country_positions(self, countries: Iterable[str]) -> list[int]:
         """Index of each country on the country axis; an unknown country raises KeyError naming it."""
@@ -266,6 +260,11 @@ class PanelDataset:
             return []
         i = self._country[country]
         return list(zip(np.asarray(self.years)[complete[i]].tolist(), values[:, i, complete[i]].T.tolist()))
+
+
+def _dataset(countries, years, variables, values, bad: np.ndarray | None = None) -> PanelDataset:
+    """A dataset on checked axes that takes `values` uncopied."""
+    return PanelDataset.__new__(PanelDataset)._set(countries, years, variables, values, bad)
 
 
 def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]) -> PanelDataset:
@@ -291,8 +290,7 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
     if unknown:
         raise UnknownColumnError(f"{path}: unknown columns {unknown} (schema rejects them)")
 
-    keys: dict[tuple[str, int], None] = {}  # in order of appearance
-    cells: dict[str, dict[tuple[str, int], float]] = {v: {} for v in var_names}
+    rows: dict[tuple[str, int], list[float]] = {}  # in order of appearance; NaN for an empty cell
     for row_no, row in enumerate(reader, start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -305,25 +303,26 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
             year = int(row[1].strip())
         except ValueError:
             raise MalformedNumberError(row_no, key_col, row[1]) from None
-        if (country, year) in keys:
+        if (country, year) in rows:
             raise DuplicateKeyError(country, year)
-        keys[(country, year)] = None
+        cells = rows[(country, year)] = []
         for name, raw in zip(var_names, row[2:]):
             raw = raw.strip()
-            if not raw:
-                continue
             try:
-                value = float(raw)
+                value = float(raw or "nan")
             except ValueError:
                 raise MalformedNumberError(row_no, name, raw) from None
-            if not math.isfinite(value):
+            if raw and not math.isfinite(value):
                 raise MalformedNumberError(row_no, name, raw)
-            cells[name][(country, year)] = value
-    if not keys:
+            cells.append(value)
+    if not rows:
         raise EmptyFileError(f"{path}: header but no data rows")
 
-    countries = dict.fromkeys(c for c, _ in keys)
-    return PanelDataset(countries, sorted({y for _, y in keys}), cells)
+    country_at = {c: i for i, c in enumerate(dict.fromkeys(c for c, _ in rows))}
+    year_at = {y: j for j, y in enumerate(sorted({y for _, y in rows}))}
+    values = np.full((len(var_names), len(country_at), len(year_at)), np.nan)
+    values[:, [country_at[c] for c, _ in rows], [year_at[y] for _, y in rows]] = np.array(list(rows.values())).T
+    return _dataset(tuple(country_at), tuple(year_at), tuple(var_names), values)
 
 
 def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA) -> PanelDataset:
@@ -352,11 +351,9 @@ def panel_csv_text(ds: PanelDataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["country", "year", *ds.variables])
-    for i, country in enumerate(ds.countries):
-        for j, year in enumerate(ds.years):
-            if ds._observed[:, i, j].any():
-                cells = zip(ds._values[:, i, j].tolist(), ds._observed[:, i, j].tolist())
-                writer.writerow([country, year] + [repr(v) if seen else "" for v, seen in cells])
+    for i, j in np.argwhere((~np.isnan(ds._values)).any(axis=0)).tolist():  # rows with an observed cell
+        cells = ds._values[:, i, j].tolist()
+        writer.writerow([ds.countries[i], ds.years[j]] + ["" if math.isnan(v) else repr(v) for v in cells])
     return buf.getvalue()
 
 
@@ -384,7 +381,7 @@ def apply_transforms(ds: PanelDataset, transforms: Mapping[str, TransformSpec]) 
     cell of an earlier series is reported before a later series' bad operand
     or non-positive log cell.
     """
-    layers: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    layers: dict[str, np.ndarray] = {}
     try:
         for name, t in transforms.items():
             if not name:
@@ -398,36 +395,35 @@ def apply_transforms(ds: PanelDataset, transforms: Mapping[str, TransformSpec]) 
     return ds._with_layers(layers)
 
 
-def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, tuple[np.ndarray, np.ndarray]]):
-    """The (values, observed) layer `t` derives, its operands taken from `layers` or else from `ds`."""
-    for operand in (t.source, t.other) if t.other else (t.source,):
-        if operand not in layers and operand not in ds.variables:
-            raise PanelDataError(f"transform operand {operand!r} not in dataset")
-    values, observed = layers.get(t.source) or ds._layer(t.source)
+def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, np.ndarray]) -> np.ndarray:
+    """The (country, year) layer `t` derives, its operands taken from `layers` or else from `ds`; NaN stays NaN."""
+    try:
+        values, *other = [layers[name] if name in layers else ds._layer(name) for name in (t.source, t.other) if name]
+    except KeyError as exc:  # _layer's, for a name the dataset lacks
+        raise PanelDataError(f"transform operand {exc.args[0]!r} not in dataset") from None
     if t.kind == "identity":
-        return values, observed
+        return values
     if t.kind == "lag":
-        return _lag(ds, values, observed, t.periods)
+        return _lag(ds, values, t.periods)
     if t.kind == "product":
-        other, other_observed = layers.get(t.other) or ds._layer(t.other)
         with np.errstate(over="ignore"):  # an overflow is reported as a non-finite cell
-            return values * other, observed & other_observed
-    bad = observed & (values <= 0.0)
+            return values * other[0]
+    bad = values <= 0.0
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonPositiveForLogError(ds.countries[i], ds.years[j], float(values[i, j]))
     # math.log, cell by cell: np.log differs from it in the last bit of some cells
     logs = np.full(values.shape, np.nan)
+    observed = ~np.isnan(values)
     cells = values[observed]
     logs[observed] = np.fromiter(map(math.log, cells.tolist()), float, len(cells))
-    prev, prev_observed = _lag(ds, logs, observed, 1)
-    return logs - prev, observed & prev_observed
+    return logs - _lag(ds, logs, 1)
 
 
-def _lag(ds: PanelDataset, values: np.ndarray, observed: np.ndarray, periods: int):
-    """Calendar lag of a (country, year) layer: year y takes the cell of year y - periods."""
+def _lag(ds: PanelDataset, values: np.ndarray, periods: int) -> np.ndarray:
+    """Calendar lag of a (country, year) layer: year y takes the cell of year y - periods, NaN if none."""
     src = np.array([ds._year.get(y - periods, -1) for y in ds.years])
-    return np.where(src >= 0, values[:, src], np.nan), (src >= 0) & observed[:, src]
+    return np.where(src >= 0, values[:, src], np.nan)
 
 
 def window(ds: PanelDataset, w: DecadeWindow) -> PanelDataset:
@@ -435,7 +431,7 @@ def window(ds: PanelDataset, w: DecadeWindow) -> PanelDataset:
     span = slice(bisect_left(ds.years, w.start_year), bisect_right(ds.years, w.end_year))
     if span.start == span.stop:
         raise EmptyWindowError(f"{w.label}: no dataset years in [{w.start_year}, {w.end_year}]")
-    return ds._derive(ds.years[span], ds.variables, ds._values[:, :, span], ds._observed[:, :, span])
+    return _dataset(ds.countries, ds.years[span], ds.variables, ds._values[:, :, span])
 
 
 def country_span(ds: PanelDataset, start: int, stop: int) -> PanelDataset:
@@ -443,9 +439,7 @@ def country_span(ds: PanelDataset, start: int, stop: int) -> PanelDataset:
     span = slice(start, stop)
     if not ds.countries[span]:
         raise PanelDataError(f"no countries in positions [{start}, {stop})")
-    return PanelDataset.__new__(PanelDataset)._set(
-        ds.countries[span], ds.years, ds.variables, ds._values[:, span], ds._observed[:, span], first=len(ds.variables)
-    )
+    return _dataset(ds.countries[span], ds.years, ds.variables, ds._values[:, span])
 
 
 def window_means(ds: PanelDataset, names: Iterable[str]) -> np.ndarray:
@@ -469,5 +463,8 @@ def median_by_window(ds: PanelDataset, var: str, w: DecadeWindow) -> float:
     with suppress(EmptyWindowError):
         means = window_means(window(ds, w), [var])[0]
         if not np.isnan(means).all():
-            return float(statistics.median(means[~np.isnan(means)].tolist()))
+            # statistics.median's rule; np.median would turn a middle -0.0 into 0.0
+            seen = sorted(means[~np.isnan(means)].tolist())
+            mid = len(seen) // 2
+            return seen[mid] if len(seen) % 2 else (seen[mid - 1] + seen[mid]) / 2
     raise NoDataError(f"{var}: no observations in {w.label}")

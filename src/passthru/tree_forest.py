@@ -452,8 +452,8 @@ def fit_forest(
     _check_int("n_trees", n_trees, 1)
     _check_int("seed", seed, 0)
     m = math.ceil(subsample * n)
-    row_indices = tuple(
-        np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False))
+    row_indices = tuple(  # sorted, so the draw need not be shuffled
+        np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False, shuffle=False))
         for t in range(n_trees)
     )
     batches, total = [], 0  # total: the nodes grown so far

@@ -1013,6 +1013,28 @@ def test_usable_countries_by_reason_go_to_the_log_only(tmp_path, caplog):
     ]
 
 
+def test_unmatched_and_repeated_exclude_entries_are_warned_about_once(tmp_path, caplog):
+    base = {
+        "output.dir": str(tmp_path / "plain"),
+        "data.synthetic": "true",
+        "dgp.countries": "6",
+        "decades": "1990s,2000s",
+        "outputs": "passthrough_panel",
+        "exclude": "C01",
+    }
+    with caplog.at_level(logging.INFO, logger="passthru"):
+        run_pipeline(config_from_mapping(base))
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    caplog.clear()
+    noisy = base | {"output.dir": str(tmp_path / "noisy"), "exclude": "CZ,C01,KR,C01,CZ"}
+    with caplog.at_level(logging.INFO, logger="passthru"):
+        run_pipeline(config_from_mapping(noisy))
+    warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert warned == ["exclude: no country of the panel matches CZ, KR; repeated: CZ, C01"]
+    for name in ("passthrough_panel.csv", "exclusions.csv"):
+        assert (tmp_path / "noisy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
     bad = tmp_path / "bad.cfg"

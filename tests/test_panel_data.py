@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import statistics
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from passthru.panel_data import (
@@ -21,12 +23,15 @@ from passthru.panel_data import (
     TransformSpec,
     UnknownColumnError,
     apply_transform,
+    apply_transforms,
+    country_span,
     load_decade_csv,
     load_panel_csv,
     median_by_window,
     panel_csv_text,
     table_a2_path,
     window,
+    window_means,
     write_panel_csv,
 )
 
@@ -140,6 +145,71 @@ def test_panel_with_holes_survives_csv_round_trip_bit_for_bit(ds, tmp_path):
                     assert cell is None and back is None
 
 
+def assert_nan_marks_the_missing_cells(ds: PanelDataset) -> None:
+    """n_obs, cells, value and complete_cells all read a cell as missing exactly where it is NaN."""
+    values, complete = ds.complete_cells(ds.variables)
+    observed = ~np.isnan(values)
+    assert np.array_equal(complete, observed.all(axis=0))
+    for v, var in enumerate(ds.variables):
+        assert ds.n_obs(var) == np.count_nonzero(observed[v])
+        keys = [(ds.countries[i], ds.years[j]) for i, j in np.argwhere(observed[v]).tolist()]
+        assert dict(ds.cells(var)) == dict(zip(keys, values[v][observed[v]].tolist()))
+        assert np.array_equal(ds.complete_cells([var])[1], observed[v])
+        for i, country in enumerate(ds.countries):
+            for j, year in enumerate(ds.years):
+                cell = ds.value(var, country, year)
+                assert (cell is None) == (not observed[v, i, j])
+                assert cell is None or cell == values[v, i, j]
+
+
+@st.composite
+def gappy_positive_panels(draw) -> PanelDataset:
+    """Two-variable panels on consecutive and broken year axes, any cell missing, values fit for a log."""
+    countries = [f"C{i}" for i in range(draw(st.integers(1, 4)))]
+    years = sorted(draw(st.sets(st.integers(1978, 2003), min_size=1, max_size=12)))
+    level = st.floats(min_value=1e-3, max_value=1e3)
+    series = {
+        var: {(c, y): draw(level) for c in countries for y in years if draw(st.booleans())} for var in ("x", "z")
+    }
+    return PanelDataset(countries, years, series)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(ds=gappy_positive_panels(), dense=st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+def test_nan_is_the_only_missing_cell_marker_on_every_path(ds, dense, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        made = [ds, PanelDataset.from_arrays(["AA", "BB"], [1990, 1991, 1993], ["d"], np.reshape(dense, (1, 2, 3)))]
+        if not np.isnan(ds.complete_cells(ds.variables)[0]).all():  # else the CSV would list no row
+            made.append(load_panel_csv(write_panel_csv(ds, tmp_path / "gappy.csv"), schema=None))
+        derived = apply_transforms(ds, {
+            "x_lag2": TransformSpec.lag("x", 2),
+            "dx": TransformSpec.log_diff("x"),
+            "xz": TransformSpec.product("x", "z"),
+            "dx_z": TransformSpec.product("dx", "z"),
+            "same": TransformSpec.identity("dx"),
+        })
+        decade = DecadeWindow.from_start(ds.years[0] // 10 * 10)
+        made += [derived, window(derived, decade), country_span(derived, 0, 1)]
+        for each in made:
+            assert_nan_marks_the_missing_cells(each)
+
+
+def test_an_overflowed_product_is_reported_before_a_later_series_fault():
+    ds = PanelDataset(["AA", "BB"], [1990, 1991], {
+        "x": {("AA", 1990): 1e200, ("AA", 1991): 2.0, ("BB", 1991): -1.0},
+        "zero": {("AA", 1990): 0.0, ("BB", 1990): 1.0},
+    })
+    later_faults = (
+        TransformSpec.lag("absent"),  # an unknown operand
+        TransformSpec.log_diff("x"),  # a non-positive log cell
+        TransformSpec.product("xx", "zero"),  # inf * 0: NaN at the overflowed cell
+    )
+    for later in later_faults:
+        with pytest.raises(PanelDataError, match=r"^xx: non-finite value at \(AA, 1990\); leave missing cells absent$"):
+            apply_transforms(ds, {"xx": TransformSpec.product("x", "x"), "later": later})
+
+
 def test_loaders_read_a_file_saved_with_a_byte_order_mark(tmp_path):
     bom = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as Excel saves CSV
     panel = write_panel_csv(one_country({1990: 1.5, 1991: 2.5}), tmp_path / "panel.csv")
@@ -191,6 +261,18 @@ def test_decade_loader_names_the_file_and_every_bad_decade(tmp_path):
 def test_dataset_rejects_nan_cells():
     with pytest.raises(PanelDataError):
         PanelDataset(["AA"], [1990], {"x": {("AA", 1990): float("nan")}})
+
+
+def test_constructors_name_the_first_non_finite_cell_in_grid_order():
+    countries, years = ["AA", "BB"], [1990, 1991]
+    given = {("BB", 1991): math.nan, ("BB", 1990): 1.0, ("AA", 1991): -math.inf, ("AA", 1990): 2.0}
+    first = r"^y: non-finite value at \(AA, 1991\); leave missing cells absent$"
+    with pytest.raises(PanelDataError, match=first):
+        PanelDataset(countries, years, {"x": {("AA", 1990): 1.0}, "y": given})
+    values = np.ones((2, 2, 2))
+    values[1] = [[2.0, -math.inf], [1.0, math.nan]]
+    with pytest.raises(PanelDataError, match=first):
+        PanelDataset.from_arrays(countries, years, ["x", "y"], values)
 
 
 # ---------------------------------------------------------------- transforms
@@ -322,6 +404,25 @@ def test_median_ordering_and_scale_invariance(values, scale):
     assert median_by_window(shuffled, "x", w) == m
     scaled = PanelDataset(countries, [1990], {"x": {k: scale * v for k, v in base["x"].items()}})
     assert median_by_window(scaled, "x", w) == pytest.approx(scale * m, rel=1e-12, abs=1e-12)
+
+
+TINY_OR_SIGNED_ZERO = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0)) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.none() | TINY_OR_SIGNED_ZERO, min_size=3, max_size=3), min_size=1, max_size=11))
+@example(rows=[[-5e-324, 0.0, 0.0], [1.0, None, None], [-1.0, None, None]])  # a mean underflows to -0.0
+def test_median_by_window_is_statistics_median_bit_for_bit(rows):
+    countries = [f"C{i:02d}" for i in range(len(rows))]
+    cells = {(c, 1990 + j): v for c, row in zip(countries, rows) for j, v in enumerate(row) if v is not None}
+    ds = PanelDataset(countries, [1990, 1991, 1992], {"x": cells})
+    means = [m for m in window_means(ds, ["x"])[0].tolist() if not math.isnan(m)]
+    w = DecadeWindow.from_start(1990)
+    if not means:
+        with pytest.raises(NoDataError):
+            median_by_window(ds, "x", w)
+    else:
+        assert median_by_window(ds, "x", w).hex() == statistics.median(means).hex()
 
 
 def test_transform_spec_validation():
