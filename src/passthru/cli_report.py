@@ -65,6 +65,7 @@ from passthru.tree_forest import (
     SplitParams,
     fit_forest,
     fit_tree,
+    forest_workers,
     importance,
     partial_dependence,
     tree_shape,
@@ -809,7 +810,8 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
             )
             if log.isEnabledFor(logging.INFO):
                 nodes, depth = tree_shape(forest)
-                log.info("forest: %d trees, %d nodes, max depth %d", forest.n_trees, nodes, depth)
+                workers = forest_workers(forest.n_trees)
+                log.info("forest: %d trees, %d nodes, max depth %d, workers %d", forest.n_trees, nodes, depth, workers)
             axes = (
                 AxisSpec("em10", float(forest.feature_min[0]), float(forest.feature_max[0]), cfg.forest.steps),
                 AxisSpec("avg_inflation", float(forest.feature_min[1]), float(forest.feature_max[1]), cfg.forest.steps),

@@ -406,7 +406,8 @@ def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, np
     if t.kind == "lag":
         return _lag(ds, values, t.periods)
     if t.kind == "product":
-        with np.errstate(over="ignore"):  # an overflow is reported as a non-finite cell
+        # an overflow is reported as a non-finite cell; inf * 0 is NaN only past an earlier series' reported overflow
+        with np.errstate(over="ignore", invalid="ignore"):
             return values * other[0]
     bad = values <= 0.0
     if bad.any():
@@ -417,7 +418,8 @@ def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, np
     observed = ~np.isnan(values)
     cells = values[observed]
     logs[observed] = np.fromiter(map(math.log, cells.tolist()), float, len(cells))
-    return logs - _lag(ds, logs, 1)
+    with np.errstate(invalid="ignore"):  # inf - inf: both infs come from an overflow that is reported
+        return logs - _lag(ds, logs, 1)
 
 
 def _lag(ds: PanelDataset, values: np.ndarray, periods: int) -> np.ndarray:

@@ -10,10 +10,6 @@ simulated rates exactly.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from numbers import Integral, Real
@@ -31,6 +27,7 @@ from passthru.mg_panel import (
     pooled_fixed_effects,
 )
 from passthru.panel_data import PANEL_SCHEMA, PanelDataset, country_span
+from passthru.pools import map_tasks
 
 Z90 = 1.6448536269514722  # standard normal 95th percentile: two-sided 90% band
 
@@ -42,15 +39,6 @@ _REDRAW_LIMIT = 1000
 # on 2 workers are 2 tasks of 25, not 6 of 8 or 9); a block's traced peak grows by
 # 0.18 MiB per replication, to 4.5 MiB at 25.
 BLOCK_REPS = 25
-
-# The worker pool monte_carlo keeps between calls, as (creating pid, workers, pool),
-# and the lock a call holds while it finds, uses or discards the pool.
-_pool: tuple[int, int, ProcessPoolExecutor] | None = None
-_pool_lock = threading.Lock()
-# The pid of the process whose first pool started the forkserver. multiprocessing
-# keeps that server for the process and its forks alike, and only the process that
-# started it can start workers from it.
-_server_pid: int | None = None
 
 
 class InvalidParamsError(PassthruError):
@@ -299,31 +287,6 @@ def _block(p: DgpParams, spec: ModelSpec, slots: tuple[str, ...], fit: Callable,
     return fit(ds, spec, p.n_countries, slots)
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
-    """The kept forkserver pool of `workers` processes, started or resized as needed."""
-    global _pool, _server_pid
-    if _pool is not None and _pool[:2] == (os.getpid(), workers):
-        return _pool[2]
-    _discard_pool()
-    _server_pid = _server_pid or os.getpid()
-    context = multiprocessing.get_context("forkserver")
-    context.set_forkserver_preload(["passthru.synth_lab"])
-    _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=context))
-    return _pool[2]
-
-
-def _discard_pool() -> None:
-    """Forget the kept pool, shutting it down if this process started it.
-
-    A pool inherited through os.fork belongs to the parent, which still uses
-    its queues and workers, so a child only drops its copy.
-    """
-    global _pool
-    kept, _pool = _pool, None
-    if kept is not None and kept[0] == os.getpid():
-        kept[2].shutdown(wait=True, cancel_futures=True)
-
-
 def monte_carlo(
     p: DgpParams,
     spec: ModelSpec,
@@ -352,15 +315,8 @@ def monte_carlo(
     n_jobs, an integer >= 1, caps the worker processes: blocks run on
     min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
     when that is 1. Workers fork from a forkserver that has imported this module
-    once. A process forked (os.fork) from the one that started the forkserver
-    cannot start workers from it, and runs its blocks itself. The pool is
-    kept for the next call: a call needing the same number of workers reuses
-    it, one needing another number shuts it down and starts a new one, and a
-    pool started by another process (before an os.fork) is never reused. An
-    exception out of the pool (a worker's error, a dead worker, an interrupt)
-    shuts the pool down before it propagates, so the next call starts afresh.
-    Idle workers live until the interpreter exits, which joins them; calls
-    from several threads take turns on the pool.
+    once, on the pool that `passthru.pools.map_tasks` keeps between calls
+    (see there for reuse, resizing, errors and os.fork).
     Reports do not depend on n_jobs. On Python 3.11 the server does not see
     `sys.path` entries added at run time (pytest's `pythonpath`, say;
     `PYTHONPATH` is seen) and skips a preload that fails to import; workers
@@ -391,16 +347,7 @@ def monte_carlo(
     count = -(-count // workers) * workers
     cuts = [reps * b // count for b in range(count + 1)]
     blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    if workers > 1 and _server_pid in (None, os.getpid()):
-        with _pool_lock:
-            pool = _worker_pool(workers)
-            try:
-                done = list(pool.map(run, blocks))
-            except BaseException:
-                _discard_pool()
-                raise
-    else:
-        done = [run(block) for block in blocks]
+    done = map_tasks(run, blocks, workers, "forkserver")
     estimates, ses = np.concatenate(done, axis=1)  # (reps, slots) each
     errors = estimates - np.array(list(truths.values()), dtype=float)
     moments = np.stack([estimates, errors, errors * errors], axis=1)

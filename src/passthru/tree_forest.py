@@ -16,8 +16,13 @@ bounded only so that its sums of squares stay finite. Split nodes' segments are
 partitioned by one stable radix sort. Each node's mean and mse are computed
 once a batch is grown, one mean per distinct node size. Trees and forests
 alike go through this one kernel; a forest's trees are grown in fixed-size
-batches in one thread. Identical data, settings and seed give identical
-models, whatever the batch a tree is grown in. A fitted tree or forest is one
+batches, each batch one task on worker processes that `fit_forest` forks,
+one per batch and at most one per usable CPU
+(see `passthru.pools`: a fork starts in 13-14 ms, a forkserver with its numpy
+import in 289-380 ms, more than a whole fig5 forest; the kernel calls no BLAS,
+and threads gain nothing, as the kernel holds the interpreter lock).
+Identical data, settings and seed give identical models, whatever the batch
+a tree is grown in or the worker count. A fitted tree or forest is one
 set of flat node arrays, each tree's nodes in preorder and the trees one after
 another (see `RegressionTree`); routing, `importance`, `tree_shape` and the
 leaf boxes of partial dependence all walk these arrays from the trees' roots.
@@ -39,6 +44,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from numbers import Integral, Real
 from typing import Iterator, Sequence
 
@@ -46,6 +52,7 @@ import numpy as np
 
 from passthru.accumulator import _limbs, _round_sums
 from passthru.errors import PassthruError
+from passthru.pools import map_tasks, usable_cpus
 
 
 FOREST_TREES, FOREST_SUBSAMPLE = 1000, 2.0 / 3.0  # fit_forest's defaults: trees, and each one's share of rows
@@ -286,10 +293,8 @@ def _node_stats(y: np.ndarray, rows: np.ndarray, begin: np.ndarray, size: np.nda
     return mse, prediction
 
 
-def _grow(
-    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, offset: int = 0
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Grow one tree on each m-row block of (x, y); return their node arrays and roots, numbered from `offset`.
+def _grow(x: np.ndarray, y: np.ndarray, m: int, params: SplitParams) -> tuple[list[np.ndarray], np.ndarray]:
+    """Grow one tree on each m-row block of (x, y); return their node arrays and roots, numbered from 0.
 
     Every splittable node of every tree is scanned at once, one depth level
     per pass. Each tree's rows are sorted once per feature, stable by
@@ -374,9 +379,9 @@ def _grow(
         slot[left] = at + 1
         slot[left + 1] = at + 1 + subtree[left]
         feature[at], threshold[at], gain[at] = split
-        right[at] = offset + slot[left + 1]
+        right[at] = slot[left + 1]
     preorder = np.argsort(slot)  # the creation number of each slot
-    return [feature, threshold, right, gain, size[preorder], mse[preorder], prediction[preorder]], offset + root
+    return [feature, threshold, right, gain, size[preorder], mse[preorder], prediction[preorder]], root
 
 
 def fit_tree(
@@ -427,6 +432,28 @@ def predict_many(model: RegressionTree, x) -> np.ndarray:
     return _round_sums(sum(table[:, leaves].sum(axis=1) for leaves in _route(model, x)), w, shift) / model.n_trees
 
 
+def _grow_batch(
+    x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, seed: int, trees: range
+) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """Trees `trees` of a forest: their node arrays and roots, numbered from 0, and each one's rows.
+
+    Tree t draws m distinct rows of (x, y) from a generator seeded by
+    (seed, t). A batch is one task of `fit_forest`'s worker pool, so it reads
+    nothing but its arguments.
+    """
+    rows = [  # sorted, so the draw need not be shuffled
+        np.sort(np.random.default_rng((seed, t)).choice(y.shape[0], size=m, replace=False, shuffle=False))
+        for t in trees
+    ]
+    idx = np.concatenate(rows)
+    return (*_grow(x[idx], y[idx], m, params), rows)
+
+
+def forest_workers(n_trees: int) -> int:
+    """The worker processes a forest of `n_trees` grows on: one per batch, at most one per usable CPU."""
+    return min(usable_cpus(), -(-n_trees // _BATCH_TREES))
+
+
 def fit_forest(
     x,
     y,
@@ -439,9 +466,13 @@ def fit_forest(
     """Bag `n_trees` trees, each on ceil(subsample * n) distinct rows.
 
     Tree t draws its rows from a generator seeded by (seed, t), and trees are
-    grown together in fixed-size batches, each tree from its own rows only, so
-    the model does not depend on which trees share a batch. Growth runs in
-    one thread.
+    grown together in batches of _BATCH_TREES, each tree from its own rows
+    only, so the model does not depend on which trees share a batch. Each
+    batch is one task (see `_grow_batch`) on `forest_workers(n_trees)`
+    worker processes, forked by `passthru.pools.map_tasks` and kept for the
+    next call, or in the calling process when that is 1. The batches are
+    joined in tree order, so the model does not depend on the worker count
+    either.
     """
     x, y = _validate_xy(x, y)
     names = _name_columns(x, feature_names)
@@ -452,16 +483,15 @@ def fit_forest(
     _check_int("n_trees", n_trees, 1)
     _check_int("seed", seed, 0)
     m = math.ceil(subsample * n)
-    row_indices = tuple(  # sorted, so the draw need not be shuffled
-        np.sort(np.random.default_rng((seed, t)).choice(n, size=m, replace=False, shuffle=False))
-        for t in range(n_trees)
-    )
-    batches, total = [], 0  # total: the nodes grown so far
-    for first in range(0, n_trees, _BATCH_TREES):
-        idx = np.concatenate(row_indices[first : first + _BATCH_TREES])
-        batches.append(_grow(x[idx], y[idx], m, params, total))
-        total += batches[-1][0][0].size
-    nodes, roots = zip(*batches)
+    batches = [range(t, min(t + _BATCH_TREES, n_trees)) for t in range(0, n_trees, _BATCH_TREES)]
+    grown = map_tasks(partial(_grow_batch, x, y, m, params, seed), batches, forest_workers(n_trees), "fork")
+    nodes, roots, total = [], [], 0  # total: the nodes of the batches before
+    for arrays, batch_roots, _ in grown:  # a batch numbers its right children and roots from 0
+        arrays[2] = np.where(arrays[2] < 0, -1, arrays[2] + total)
+        nodes.append(arrays)
+        roots.append(batch_roots + total)
+        total += arrays[0].size
+    row_indices = tuple(rows for *_, drawn in grown for rows in drawn)
     return RegressionTree(
         *map(np.concatenate, zip(*nodes)), np.concatenate(roots), names, x.min(axis=0), x.max(axis=0), row_indices
     )

@@ -972,7 +972,7 @@ def test_stage_wall_times_and_forest_shape_go_to_the_log_only(tmp_path, data_dir
         assert any(m.startswith(f"stage {name} ended after ") and m.endswith(" s") for m in messages), name
     shapes = [m for m in messages if m.startswith("forest: ")]
     assert len(shapes) == 1
-    found = re.fullmatch(r"forest: 12 trees, (\d+) nodes, max depth (\d+)", shapes[0])
+    found = re.fullmatch(r"forest: 12 trees, (\d+) nodes, max depth (\d+), workers 1", shapes[0])  # one batch
     nodes, depth = int(found[1]), int(found[2])
     assert nodes >= 12 and (nodes - 12) % 2 == 0  # each split adds two nodes
     assert (depth == 0) == (nodes == 12)

@@ -210,6 +210,19 @@ def test_an_overflowed_product_is_reported_before_a_later_series_fault():
             apply_transforms(ds, {"xx": TransformSpec.product("x", "x"), "later": later})
 
 
+@pytest.mark.parametrize("later", [TransformSpec.product("xx", "zero"), TransformSpec.log_diff("xx")])
+def test_an_overflowed_product_raises_its_error_and_no_numpy_warning(later):
+    # inf * 0 and inf - inf are NaN: numpy's "invalid value" warnings, before the error names xx
+    ds = PanelDataset(["AA"], [1990, 1991], {
+        "x": {("AA", 1990): 1e200, ("AA", 1991): 1e200},
+        "zero": {("AA", 1990): 0.0, ("AA", 1991): 0.0},
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PanelDataError, match=r"^xx: non-finite value at \(AA, 1990\); leave missing cells absent$"):
+            apply_transforms(ds, {"xx": TransformSpec.product("x", "x"), "later": later})
+
+
 def test_loaders_read_a_file_saved_with_a_byte_order_mark(tmp_path):
     bom = b"\xef\xbb\xbf"  # UTF-8 byte-order mark, as Excel saves CSV
     panel = write_panel_csv(one_country({1990: 1.5, 1991: 2.5}), tmp_path / "panel.csv")

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import simulate_panel
-from passthru import synth_lab
+from passthru import pools, synth_lab
 from passthru.mg_panel import (
     build_passthrough_spec,
     country_arrays,
@@ -238,13 +238,13 @@ P_POOL = DgpParams(n_countries=3, n_years=12, seed=2)
 @pytest.fixture
 def inline_pool(monkeypatch):
     """ProcessPoolExecutor replaced by _InlinePool, with no pool kept before or after the test."""
-    synth_lab._discard_pool()
+    pools.discard("forkserver")
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "shutdowns", [])
     monkeypatch.setattr(_InlinePool, "tasks", [])
-    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(pools, "ProcessPoolExecutor", _InlinePool)
     yield
-    synth_lab._discard_pool()
+    pools.discard("forkserver")
 
 
 @pytest.mark.parametrize(("reps", "n_jobs", "pool"), [
@@ -338,12 +338,12 @@ def test_an_estimator_added_to_the_table_gets_a_report(monkeypatch):
 
 def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
     monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
-    kept = synth_lab._pool
+    kept = pools._pools["forkserver"]
     monte_carlo(P_POOL, SPEC, reps=3, n_jobs=2)  # one block: runs in this process
     assert monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=2) == monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS)
     assert _InlinePool.sizes == [2]
     assert _InlinePool.shutdowns == []
-    assert synth_lab._pool is kept
+    assert pools._pools["forkserver"] is kept
 
 
 def test_monte_carlo_resizes_its_pool_for_another_worker_count(inline_pool):
@@ -351,16 +351,16 @@ def test_monte_carlo_resizes_its_pool_for_another_worker_count(inline_pool):
     monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=3)
     assert _InlinePool.sizes == [2, 3]
     assert [workers for workers, _ in _InlinePool.shutdowns] == [2]
-    assert synth_lab._pool[1] == 3 and not synth_lab._pool[2].closed
+    assert pools._pools["forkserver"][1] == 3 and not pools._pools["forkserver"][2].closed
 
 
 def test_monte_carlo_discards_a_pool_that_raised(inline_pool, monkeypatch):
-    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _FailingPool)
+    monkeypatch.setattr(pools, "ProcessPoolExecutor", _FailingPool)
     with pytest.raises(BrokenProcessPool, match="a worker died"):
         monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
-    assert synth_lab._pool is None
+    assert "forkserver" not in pools._pools
     assert _InlinePool.shutdowns == [(2, True)]
-    monkeypatch.setattr(synth_lab, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(pools, "ProcessPoolExecutor", _InlinePool)
     report = monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
     assert _InlinePool.sizes == [2, 2]
     assert report == monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS)
@@ -368,12 +368,12 @@ def test_monte_carlo_discards_a_pool_that_raised(inline_pool, monkeypatch):
 
 def test_monte_carlo_never_reuses_a_pool_from_another_process(inline_pool):
     monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
-    pid, workers, inherited = synth_lab._pool
-    synth_lab._pool = (pid + 1, workers, inherited)  # as a child of os.fork finds its parent's pool
+    pid, workers, inherited = pools._pools["forkserver"]
+    pools._pools["forkserver"] = (pid + 1, workers, inherited)  # as a child of os.fork finds its parent's pool
     monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
     assert _InlinePool.sizes == [2, 2]
     assert _InlinePool.shutdowns == []  # the parent's pool is the parent's to shut down
-    assert synth_lab._pool[0] == os.getpid() and synth_lab._pool[2] is not inherited
+    assert pools._pools["forkserver"][0] == os.getpid() and pools._pools["forkserver"][2] is not inherited
 
 
 def test_monte_carlo_runs_its_blocks_itself_in_a_fork_of_the_forkserver_owner():

@@ -2,10 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict, route, tree_at
-from passthru import accumulator, cli_report, tree_forest
+import passthru
+from passthru import accumulator, cli_report, pools, tree_forest
 from passthru.panel_data import write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 from passthru.tree_forest import (
@@ -625,6 +632,134 @@ def test_fig5_forest_and_a_tie_heavy_tree_keep_their_bits(tmp_path, monkeypatch)
     y = rng.integers(-2, 3, size=60) / 4
     tree = fit_tree(x, y, SplitParams(min_leaf=2, max_depth=3))
     assert {"fig5 forest": _model_digest(forests[0]), "tie-heavy tree": _model_digest(tree)} == PINNED_MODELS
+
+
+# ---------------------------------------------------------------- worker processes
+
+def _fig5_sized(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """84 rows of 2 features, the size of the forest fig5 fits on a 21-country panel."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(size=(84, 2))
+    return x, np.where(x[:, 0] < 0.4, 0.4, 0.05) + x[:, 1] / 10 + rng.normal(0.0, 0.03, 84)
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(tree_forest, "usable_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("n_trees", [1000, 300])
+def test_forest_is_the_same_for_every_worker_count(monkeypatch, n_trees):
+    x, y = _fig5_sized(5)
+    digests = {}
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        assert tree_forest.forest_workers(n_trees) == cpus
+        digests[cpus] = _model_digest(fit_forest(x, y, n_trees=n_trees, seed=4))
+    assert digests[2] == digests[3] == digests[1]
+
+
+def test_a_forest_of_one_batch_starts_no_pool(monkeypatch):
+    pools.discard("fork")
+    _cpus(monkeypatch, 4)
+    x, y = _fig5_sized(6)
+    forest = fit_forest(x, y, n_trees=tree_forest._BATCH_TREES, seed=2)
+    assert "fork" not in pools._pools
+    assert tree_forest.forest_workers(tree_forest._BATCH_TREES) == 1 and tree_forest.forest_workers(300) == 3
+    _cpus(monkeypatch, 1)
+    assert _model_digest(forest) == _model_digest(fit_forest(x, y, n_trees=tree_forest._BATCH_TREES, seed=2))
+
+
+def test_kept_workers_take_the_batches_from_their_tasks(monkeypatch):
+    # workers forked before the batch size changes keep the old module state
+    _cpus(monkeypatch, 2)
+    x, y = _fig5_sized(7)
+    fit_forest(x, y, n_trees=300, seed=5)
+    kept = pools._pools["fork"]
+    monkeypatch.setattr(tree_forest, "_BATCH_TREES", 7)
+    parallel = fit_forest(x, y, n_trees=300, seed=5)
+    assert pools._pools["fork"] is kept
+    _cpus(monkeypatch, 1)
+    assert _model_digest(parallel) == _model_digest(fit_forest(x, y, n_trees=300, seed=5))
+
+
+def test_a_forest_does_not_wait_on_the_monte_carlo_pool(monkeypatch):
+    _cpus(monkeypatch, 2)
+    x, y = _fig5_sized(9)
+    fitted = []
+    with pools._locks["forkserver"]:  # as while a Monte Carlo map runs in another thread
+        thread = threading.Thread(target=lambda: fitted.append(fit_forest(x, y, n_trees=300, seed=7)), daemon=True)
+        thread.start()
+        thread.join(120)
+    assert len(fitted) == 1 and "fork" in pools._pools
+
+
+def test_a_fork_pool_runs_in_the_caller_where_it_may_not_start(monkeypatch):
+    pools.discard("fork")
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(pools, "_FORK_POOLS", False)
+    x, y = _fig5_sized(10)
+    forest = fit_forest(x, y, n_trees=300, seed=8)
+    assert "fork" not in pools._pools
+    _cpus(monkeypatch, 1)
+    assert _model_digest(forest) == _model_digest(fit_forest(x, y, n_trees=300, seed=8))
+
+
+def test_a_fork_gets_an_unheld_pool_lock():
+    with pools._locks["fork"]:  # as while a pool forks its workers
+        pid = os.fork()
+        if pid == 0:
+            os._exit(1 if pools._locks["fork"].locked() else 0)
+    assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+
+
+def test_a_fork_of_the_pool_owner_fits_the_same_forest(monkeypatch):
+    x, y = _fig5_sized(8)
+    _cpus(monkeypatch, 1)
+    serial = _model_digest(fit_forest(x, y, n_trees=300, seed=6))
+    _cpus(monkeypatch, 2)
+    fit_forest(x, y, n_trees=300, seed=6)  # this process now holds a kept fork pool
+    pid = os.fork()
+    if pid == 0:  # the child must leave through os._exit, whatever happens
+        code = 1
+        try:
+            code = 0 if _model_digest(fit_forest(x, y, n_trees=300, seed=6)) == serial else 2
+        finally:
+            try:
+                pools.discard("fork")  # the child's own workers, which os._exit would leave running
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 120
+    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if ended[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 120 s")
+    assert os.waitstatus_to_exitcode(ended[1]) == 0
+
+
+FOREST_SCRIPT = """
+import numpy as np
+from passthru import pools, tree_forest
+
+tree_forest.usable_cpus = lambda: 2
+rng = np.random.default_rng(0)
+x = rng.uniform(size=(84, 2))
+tree_forest.fit_forest(x, x[:, 0] + rng.normal(0.0, 0.1, 84), n_trees=1000)
+print(*pools._pools["fork"][2]._processes)
+"""
+
+
+def test_a_script_with_a_forest_pool_exits_cleanly():
+    src = str(Path(passthru.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FOREST_SCRIPT], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    workers = [int(pid) for pid in proc.stdout.split()]
+    assert len(workers) == 2
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)  # signal 0 only checks that the process exists
 
 
 def test_forest_batches_of_many_rows_partition_like_lone_trees():
