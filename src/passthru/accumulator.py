@@ -80,7 +80,14 @@ def _round_sums(acc: np.ndarray, w: int, shift: int) -> np.ndarray:
 
 
 def exact_sums(values: np.ndarray) -> np.ndarray:
-    """The correctly rounded sums of finite `values` over their first axis: math.fsum of each column."""
+    """The correctly rounded sums of `values` over their first axis: math.fsum of each finite column.
+
+    A column that holds NaN or inf has no exact sum; it sums as
+    values.sum(axis=0) does, to NaN or an infinity.
+    """
+    finite = np.isfinite(values).all(axis=0)
+    if not finite.all():
+        return np.where(finite, exact_sums(np.where(finite, values, 0.0)), values.sum(axis=0))
     table, w, shift = _limbs(values.ravel(), values.shape[0])
     sums = table.reshape(table.shape[0], values.shape[0], -1).sum(axis=1)
     return _round_sums(sums, w, shift).reshape(values.shape[1:])

@@ -48,6 +48,7 @@ from passthru.mg_panel import (
 )
 from passthru.panel_data import (
     DecadeWindow,
+    EmptyWindowError,
     PanelDataset,
     load_decade_csv,
     load_panel_csv,
@@ -146,24 +147,19 @@ def p_stars(p: float) -> str:
 
 @dataclass(frozen=True)
 class Cell:
+    """A table cell: an estimate, with its SE when it has one, or text; none of them is a blank cell."""
+
     estimate: float | None = None
     se: float | None = None
-    stars: str | None = None
     text: str | None = None
-    degenerate_se: bool = False
 
-    @classmethod
-    def coef(cls, estimate: float, se: float) -> "Cell":
-        stars, degenerate = stars_for(estimate, se)
-        return cls(estimate=estimate, se=se, stars=stars, degenerate_se=degenerate)
+    @property
+    def stars(self) -> str | None:
+        return None if self.se is None else stars_for(self.estimate, self.se)[0]
 
-    @classmethod
-    def plain(cls, text: str) -> "Cell":
-        return cls(text=text)
-
-    @classmethod
-    def blank(cls) -> "Cell":
-        return cls()
+    @property
+    def degenerate_se(self) -> bool:
+        return self.se == 0.0
 
 
 @dataclass(frozen=True)
@@ -561,39 +557,51 @@ def _warn_exclude(exclude: Sequence[str], countries: Sequence[str]) -> None:
 
 
 def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> dict[str, Cell]:
-    """One mg_table column's cells; with too few usable countries, every cell but `countries` is marked."""
-    sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
+    """One mg_table column's cells.
+
+    A decade with no panel years, or too few usable countries, marks every
+    cell but `countries`, and the rest of the table still runs.
+    """
+
+    def marked(text: str, usable: int) -> dict[str, Cell]:
+        keys = [f"reg{j}" for j in range(len(spec.regressors))] + ["const", "lt", "obs", "rmse", "chi2", "wald_p"]
+        return dict.fromkeys(keys, Cell(text=text)) | {"countries": Cell(text=str(usable))}
+
+    try:
+        sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
+    except EmptyWindowError:
+        log.warning("mg_table %s: the panel has no years in this decade", label)
+        return marked("n/a (no panel years)", 0)
     found = country_arrays(sub, spec, sub.countries)
     usable = np.count_nonzero(found.usable)
     _log_usable(f"mg_table {label}", usable, found.reason[~found.usable].tolist())
     try:
         return _mg_cells(mean_group(found, spec.design_columns), spec)
     except TooFewCountriesError:
-        keys = [f"reg{j}" for j in range(len(spec.regressors))] + ["const", "lt", "obs", "rmse", "chi2", "wald_p"]
-        return dict.fromkeys(keys, Cell.plain("n/a (too few countries)")) | {"countries": Cell.plain(str(usable))}
+        return marked("n/a (too few countries)", usable)
 
 
 def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
     # design column 0 is the constant, and regressor j is column j + 1
-    cells = {"const": Cell.coef(float(result.coefficients[0]), float(result.se[0]))}
+    cells = {"const": Cell(float(result.coefficients[0]), float(result.se[0]))}
     for j in range(len(spec.regressors)):
-        cells[f"reg{j}"] = Cell.coef(float(result.coefficients[j + 1]), float(result.se[j + 1]))
+        cells[f"reg{j}"] = Cell(float(result.coefficients[j + 1]), float(result.se[j + 1]))
     cost, lag_dep = spec.slot("cost"), spec.slot("lag_dep")
     if cost and lag_dep:
         try:
             lt, lt_se = long_run_effect(result, cost, lag_dep)
-            cells["lt"] = Cell.coef(lt, lt_se)
+            cells["lt"] = Cell(lt, lt_se)
         except NearUnitRootError:
-            cells["lt"] = Cell.plain("n/a (unit root)")
-    cells["obs"] = Cell.plain(str(result.total_obs))
-    cells["countries"] = Cell.plain(str(result.n_countries))
-    cells["rmse"] = Cell.plain(fmt6(result.sigma_pooled))
+            cells["lt"] = Cell(text="n/a (unit root)")
+    cells["obs"] = Cell(text=str(result.total_obs))
+    cells["countries"] = Cell(text=str(result.n_countries))
+    cells["rmse"] = Cell(text=fmt6(result.sigma_pooled))
     try:
         stat, _, p = wald_joint(result)
-        cells["chi2"] = Cell.plain(fmt6(stat) + p_stars(p))
-        cells["wald_p"] = Cell.plain(fmt6(p))
+        cells["chi2"] = Cell(text=fmt6(stat) + p_stars(p))
+        cells["wald_p"] = Cell(text=fmt6(p))
     except SingularCovarianceError:
-        cells["chi2"] = cells["wald_p"] = Cell.plain("n/a (singular)")
+        cells["chi2"] = cells["wald_p"] = Cell(text="n/a (singular)")
     return cells
 
 
@@ -602,7 +610,7 @@ def mg_rendered_table(columns: Sequence[tuple[str, dict[str, Cell]]], spec: Mode
     rows: list[TableRow] = []
 
     def add(label: str, key: str) -> None:
-        rows.append(TableRow(label, tuple(cells.get(key, Cell.blank()) for _, cells in columns)))
+        rows.append(TableRow(label, tuple(cells.get(key, Cell()) for _, cells in columns)))
 
     for j, term in enumerate(spec.regressors):
         add(term.name, f"reg{j}")
@@ -627,16 +635,13 @@ def second_stage_table(results: Sequence[SecondStageResult]) -> RenderedTable:
         raise RaggedGridError(f"expected {len(columns)} second-stage results")
     rows = [TableRow("constant", tuple(Cell(estimate=r.constant) for r in results))]
     for covariate in ("kof", "em6", "em10"):
-        cells = tuple(
-            Cell.coef(r.coefficient, r.se) if r.covariate == covariate else Cell.blank()
-            for r in results
-        )
+        cells = tuple(Cell(r.coefficient, r.se) if r.covariate == covariate else Cell() for r in results)
         rows.append(TableRow(COVARIATE_LABELS[covariate], cells))
-    rows.append(TableRow("observations", tuple(Cell.plain(str(r.n)) for r in results)))
-    rows.append(TableRow("country fixed effects", tuple(Cell.plain("yes" if r.fe else "no") for r in results)))
-    rows.append(TableRow("R2", tuple(Cell.plain(fmt6(r.r2)) if r.r2 is not None else Cell.blank() for r in results)))
-    rows.append(TableRow("R2 within", tuple(Cell.plain(fmt6(r.r2_within)) if r.r2_within is not None else Cell.blank() for r in results)))
-    rows.append(TableRow("R2 between", tuple(Cell.plain(fmt6(r.r2_between)) if r.r2_between is not None else Cell.blank() for r in results)))
+    rows.append(TableRow("observations", tuple(Cell(text=str(r.n)) for r in results)))
+    rows.append(TableRow("country fixed effects", tuple(Cell(text="yes" if r.fe else "no") for r in results)))
+    rows.append(TableRow("R2", tuple(Cell(text=fmt6(r.r2)) if r.r2 is not None else Cell() for r in results)))
+    rows.append(TableRow("R2 within", tuple(Cell(text=fmt6(r.r2_within)) if r.r2_within is not None else Cell() for r in results)))
+    rows.append(TableRow("R2 between", tuple(Cell(text=fmt6(r.r2_between)) if r.r2_between is not None else Cell() for r in results)))
     return RenderedTable(
         title="Estimated pass-through vs openness",
         columns=columns,
@@ -648,11 +653,8 @@ def second_stage_table(results: Sequence[SecondStageResult]) -> RenderedTable:
 def medians_table(decade_data: PanelDataset) -> RenderedTable:
     present = [v for v in ("em6", "em10") if v in decade_data.variables]
     rows = []
-    for start in decade_data.years:
-        w = DecadeWindow.from_start(start)
-        rows.append(
-            TableRow(w.label, tuple(Cell(estimate=median_by_window(decade_data, v, w)) for v in present))
-        )
+    for w in map(DecadeWindow, decade_data.years):
+        rows.append(TableRow(w.label, tuple(Cell(estimate=median_by_window(decade_data, v, w)) for v in present)))
     return RenderedTable(
         title="Median import penetration by decade",
         columns=tuple(present),
@@ -812,10 +814,8 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
                 nodes, depth = tree_shape(forest)
                 workers = forest_workers(forest.n_trees)
                 log.info("forest: %d trees, %d nodes, max depth %d, workers %d", forest.n_trees, nodes, depth, workers)
-            axes = (
-                AxisSpec("em10", float(forest.feature_min[0]), float(forest.feature_max[0]), cfg.forest.steps),
-                AxisSpec("avg_inflation", float(forest.feature_min[1]), float(forest.feature_max[1]), cfg.forest.steps),
-            )
+            bounds = zip(forest.feature_min.tolist(), forest.feature_max.tolist())
+            axes = tuple(AxisSpec(lo, hi, cfg.forest.steps) for lo, hi in bounds)
             slices = [("em10", v) for v in OPENNESS_SLICES]
             slices += [("avg_inflation", v) for v in INFLATION_SLICES]
             grid = partial_dependence(forest, axes, slices)

@@ -294,7 +294,7 @@ def mean_group(found: CountryArrays, columns: Sequence[str]) -> MgResult:
     columns = tuple(columns)
     theta, cov = mean_group_moments(found.coefficients[None], found.usable[None], columns)
     ssr = found.ssr[found.usable]
-    total_ssr = float(exact_sums(ssr) if np.isfinite(ssr).all() else ssr.sum())  # inf or NaN has no exact sum
+    total_ssr = float(exact_sums(ssr))
     total_dof = int(found.dof.sum())  # unusable countries have dof 0
     return MgResult(
         columns=columns,
@@ -408,9 +408,8 @@ def estimate_decade_passthroughs(
     cost_column = spec.design_columns.index(cost)
     materialized = materialize_design(ds, spec)
     excluded = np.array([c in exclude for c in materialized.countries])
-    kept = [c for c, out in zip(materialized.countries, excluded.tolist()) if not out]
     annual = [v for v in DECADE_SCHEMA if v in materialized.variables]
-    filed, decade_at = _decade_file_cells(decade_data, kept)
+    filed, decade_at = _decade_file_cells(decade_data, materialized.countries)
     countries: list[str] = []
     decades: list[str] = []
     columns: dict[str, list[float]] = {name: [] for name in ("passthrough", *DECADE_SCHEMA, "avg_inflation")}
@@ -422,17 +421,18 @@ def estimate_decade_passthroughs(
         except EmptyWindowError:
             exclusions.append(Exclusion("*", w.label, "EmptyWindow"))
             continue
-        found = country_arrays(sub, spec, kept)
-        reasons = np.full(len(excluded), "ExcludedByConfig", dtype=object)
-        reasons[~excluded] = found.reason
-        exclusions += [Exclusion(c, w.label, r) for c, r in zip(materialized.countries, reasons.tolist()) if r]
-        used = [c for c, usable in zip(kept, found.usable.tolist()) if usable]
+        # an excluded country is fitted too, as a fit does not depend on the countries beside it
+        found = country_arrays(sub, spec, sub.countries)
+        usable = found.usable & ~excluded
+        reasons = np.where(excluded, "ExcludedByConfig", found.reason)
+        exclusions += [Exclusion(c, w.label, r) for c, r in zip(sub.countries, reasons.tolist()) if r]
+        used = [c for c, kept in zip(sub.countries, usable.tolist()) if kept]
         countries += used
         decades += [w.label] * len(used)
-        columns["passthrough"] += found.coefficients[found.usable, cost_column].tolist()
-        means = window_means(sub, [*annual, spec.dependent.name])[:, ~excluded][:, found.usable]
+        columns["passthrough"] += found.coefficients[usable, cost_column].tolist()
+        means = window_means(sub, [*annual, spec.dependent.name])[:, usable]
         means = dict(zip([*annual, "avg_inflation"], means))
-        given = filed[:, found.usable, decade_at.get(w.start_year, -1)]
+        given = filed[:, usable, decade_at.get(w.start_year, -1)]
         for var, cells in zip(DECADE_SCHEMA, given):
             columns[var] += np.where(np.isnan(cells), means.get(var, np.nan), cells).tolist()
         columns["avg_inflation"] += means["avg_inflation"].tolist()

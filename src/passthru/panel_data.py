@@ -73,30 +73,28 @@ DECADE_SCHEMA = ("kof", "em6", "em10")
 
 @dataclass(frozen=True)
 class DecadeWindow:
-    """An inclusive ten-year span aligned to a calendar decade."""
+    """The calendar decade that starts at start_year: the inclusive span start_year..start_year + 9."""
 
-    label: str
     start_year: int
-    end_year: int
 
     def __post_init__(self):
-        if not self.label:
-            raise PanelDataError("decade window needs a label")
-        if self.end_year - self.start_year != 9:
-            raise PanelDataError(f"{self.label}: decade must span exactly 10 years")
         if self.start_year % 10 != 0:
             raise PanelDataError(f"{self.label}: decade must start on a multiple of 10")
 
-    @classmethod
-    def from_start(cls, start_year: int) -> "DecadeWindow":
-        return cls(f"{start_year}s", start_year, start_year + 9)
+    @property
+    def label(self) -> str:
+        return f"{self.start_year}s"
+
+    @property
+    def end_year(self) -> int:
+        return self.start_year + 9
 
     @classmethod
     def from_label(cls, label: str) -> "DecadeWindow":
         text = label.strip()
         if not (text.endswith("s") and text[:-1].isdigit()):
             raise PanelDataError(f"cannot parse decade label {label!r} (expected e.g. '1980s')")
-        return cls.from_start(int(text[:-1]))
+        return cls(int(text[:-1]))
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,6 @@ class OlsFit:
     r2: float
     cov_classical: np.ndarray
     xtx_inv: np.ndarray
-    has_constant: bool
 
     def coef(self, name: str) -> float:
         return float(self.coefficients[self.columns.index(name)])
@@ -172,7 +171,6 @@ def ols_fit(d: DesignMatrix) -> OlsFit:
         r2=r2,
         cov_classical=cov_classical,
         xtx_inv=xtx_inv,
-        has_constant=has_constant,
     )
 
 

@@ -49,7 +49,6 @@ class NonPositiveCovariateError(SecondStageError):
 @dataclass(frozen=True)
 class SecondStageResult:
     covariate: str
-    label: str
     coefficient: float
     se: float
     constant: float
@@ -91,7 +90,6 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
         rc = robust_cov(fit, design)
         return SecondStageResult(
             covariate=covariate,
-            label=COVARIATE_LABELS[covariate],
             coefficient=fit.coef(col),
             se=math.sqrt(rc[1, 1]),
             constant=fit.coef("const"),
@@ -117,7 +115,6 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
     r2_within, r2_between = r2_components(fit, design, countries)
     return SecondStageResult(
         covariate=covariate,
-        label=COVARIATE_LABELS[covariate],
         coefficient=slope,
         se=math.sqrt(rc[0, 0]),
         constant=float(np.mean(alphas)),

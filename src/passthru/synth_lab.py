@@ -351,8 +351,7 @@ def monte_carlo(
     estimates, ses = np.concatenate(done, axis=1)  # (reps, slots) each
     errors = estimates - np.array(list(truths.values()), dtype=float)
     moments = np.stack([estimates, errors, errors * errors], axis=1)
-    finite = np.isfinite(moments).all(axis=0)  # NaN or inf has no exact sum; their plain sum keeps it
-    sums = np.where(finite, exact_sums(np.where(finite, moments, 0.0)), moments.sum(axis=0)) / reps
+    sums = exact_sums(moments) / reps
     covered = np.count_nonzero(np.abs(errors) <= Z90 * ses, axis=0)
     slots = {
         name: SlotStats(truth=truth, mean_estimate=mean, bias=bias, rmse=math.sqrt(mse), coverage=c / reps)

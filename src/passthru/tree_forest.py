@@ -502,7 +502,6 @@ class ImportanceReport:
     feature_names: tuple[str, ...]
     raw: np.ndarray     # average per-node MSE gain for nodes splitting the feature
     shares: np.ndarray  # raw normalized to sum to one
-    n_splits: tuple[int, ...]
 
     def share(self, name: str) -> float:
         return float(self.shares[self.feature_names.index(name)])
@@ -519,12 +518,7 @@ def importance(model: RegressionTree) -> ImportanceReport:
     if counts.sum() == 0:
         raise NoSplitsError("model has no split nodes")
     raw = np.where(counts > 0, gain_sum / np.maximum(counts, 1), 0.0)
-    return ImportanceReport(
-        feature_names=model.feature_names,
-        raw=raw,
-        shares=raw / raw.sum(),
-        n_splits=tuple(int(c) for c in counts),
-    )
+    return ImportanceReport(feature_names=model.feature_names, raw=raw, shares=raw / raw.sum())
 
 
 def tree_shape(model: RegressionTree) -> tuple[int, int]:
@@ -542,14 +536,13 @@ def tree_shape(model: RegressionTree) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    feature: int | str
+    """One grid axis: `steps` evenly spaced values from minimum to maximum."""
+
     minimum: float
     maximum: float
     steps: int
 
     def __post_init__(self):
-        if not isinstance(self.feature, str):
-            _check_int("feature", self.feature, 0)
         _check_real("minimum", self.minimum, "a real number")
         _check_real("maximum", self.maximum, "a real number")
         _check_int("steps", self.steps, 2)
@@ -575,10 +568,9 @@ class SliceCurve:
 
 @dataclass(frozen=True, eq=False)
 class PdGrid:
-    axes: tuple[AxisSpec, AxisSpec]
     axis_names: tuple[str, str]
     axis_values: tuple[np.ndarray, np.ndarray]
-    surface: np.ndarray  # shape (axes[0].steps, axes[1].steps)
+    surface: np.ndarray  # shape (axis_values[0].size, axis_values[1].size)
     slices: tuple[SliceCurve, ...] = ()
 
     def to_csv(self) -> str:
@@ -619,17 +611,6 @@ class PdGrid:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _feature_index(model: RegressionTree, feature: int | str) -> int:
-    if isinstance(feature, str):
-        if feature not in model.feature_names:
-            raise DimensionMismatchError(f"unknown feature {feature!r}")
-        return model.feature_names.index(feature)
-    _check_int("feature", feature, 0)
-    if feature >= model.n_features:
-        raise DimensionMismatchError(f"feature index {feature} out of range")
-    return int(feature)
-
-
 def _leaf_boxes(model: RegressionTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every leaf of the model: its value, and its box's (leaves, features) lo and hi.
 
@@ -655,13 +636,11 @@ def _leaf_boxes(model: RegressionTree) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return model.prediction[node], lo, hi
 
 
-def _cell_sums(
-    model: RegressionTree, idx: tuple[int, int], cuts: Sequence[np.ndarray], cells: Sequence[np.ndarray]
-) -> np.ndarray:
+def _cell_sums(model: RegressionTree, cuts: Sequence[np.ndarray], cells: Sequence[np.ndarray]) -> np.ndarray:
     """Each point's exact sum over the trees, from a summed-area table of leaf boxes.
 
-    cuts[k] holds the sorted distinct values of feature idx[k], and cells[k]
-    each point's rank among them. A leaf's box covers a rectangle of ranks,
+    cuts[j] holds the sorted distinct values of feature j, and cells[j] each
+    point's rank among them. A leaf's box covers a rectangle of ranks,
     so its limbs (see `_limbs`) go to the rectangle's 4 corners of a
     difference table, and two cumulative sums give every cell its trees'
     total (Crow 1984).
@@ -670,7 +649,7 @@ def _cell_sums(
     table, w, shift = _limbs(values, model.n_trees)
     # a box (lo, hi] holds the ranks start <= r < end of its axis
     (s0, e0), (s1, e1) = (
-        (np.searchsorted(c, lo[:, j], "right"), np.searchsorted(c, hi[:, j], "right")) for c, j in zip(cuts, idx)
+        (np.searchsorted(c, lo[:, j], "right"), np.searchsorted(c, hi[:, j], "right")) for j, c in enumerate(cuts)
     )
     width = cuts[1].size + 1
     corners = np.concatenate([s0 * width + s1, e0 * width + e1, s0 * width + e1, e0 * width + s1])
@@ -686,31 +665,31 @@ def _cell_sums(
 def partial_dependence(
     model: RegressionTree,
     axes: tuple[AxisSpec, AxisSpec],
-    slices: Sequence[tuple[int | str, float]] = (),
+    slices: Sequence[tuple[str, float]] = (),
 ) -> PdGrid:
-    """Predictions over a Cartesian grid of the model's two features.
+    """Predictions over a Cartesian grid of the model's two features; axes[j] spans feature j.
 
     With exactly two predictors the surface is the direct prediction, no
-    marginalization needed. Slice curves fix one feature and sweep the other
-    along its grid axis. A non-finite slice value fails; axes and slices
-    outside the training range warn but run. No point is routed: each
-    axis's grid and slice values cut it into cells, and one summed-area
-    table of the trees' leaf boxes gives every cell's prediction, equal to
-    predict_many's at its points.
+    marginalization needed. A slice curve fixes the feature it names and
+    sweeps the other along its grid axis. A non-finite slice value fails;
+    axes and slices outside the training range warn but run. No point is
+    routed: each axis's grid and slice values cut it into cells, and one
+    summed-area table of the trees' leaf boxes gives every cell's prediction,
+    equal to predict_many's at its points.
     """
     if model.n_features != 2:
         raise DimensionMismatchError("partial dependence grids need a 2-feature model")
-    idx = (_feature_index(model, axes[0].feature), _feature_index(model, axes[1].feature))
-    if set(idx) != {0, 1}:
-        raise DimensionMismatchError("grid axes must cover both model features")
-
     names = model.feature_names
-    fixed = [(_feature_index(model, feature), value) for feature, value in slices]
+    fixed = []  # each slice's (feature index, value)
+    for feature, value in slices:
+        if feature not in names:
+            raise DimensionMismatchError(f"unknown feature {feature!r}")
+        fixed.append((names.index(feature), value))
     for j, value in fixed:
         _check_real(f"slice at {names[j]!r}", value, "a real number")
         if not math.isfinite(value):
             raise TreeError(f"slice at {names[j]!r} is {value}, not finite")
-    for ax, j in zip(axes, idx):
+    for j, ax in enumerate(axes):
         if ax.minimum < model.feature_min[j] or ax.maximum > model.feature_max[j]:
             warnings.warn(
                 f"axis for {names[j]!r} extends beyond the training range "
@@ -728,24 +707,22 @@ def partial_dependence(
     vals = (axes[0].values(), axes[1].values())
     # each axis's distinct grid and slice values, and every point's ranks among
     # them: the grid's points first, then each slice's, along the other axis
-    cuts = [np.sort(np.concatenate([v, [value for j, value in fixed if j == f]])) for v, f in zip(vals, idx)]
+    cuts = [np.sort(np.concatenate([v, [value for f, value in fixed if f == j]])) for j, v in enumerate(vals)]
     cuts = [c[np.append(True, np.diff(c) > 0)] for c in cuts]  # np.unique's first call imports numpy.ma, 1.6 MiB
     ranks = [np.searchsorted(c, v) for c, v in zip(cuts, vals)]
     cells = [[np.repeat(ranks[0], vals[1].size)], [np.tile(ranks[1], vals[0].size)]]
     shown = []
     for j, value in fixed:
-        k = idx.index(j)
-        cells[k].append(np.full(vals[1 - k].size, np.searchsorted(cuts[k], value)))
-        cells[1 - k].append(ranks[1 - k])
-        shown.append((names[j], float(value), names[1 - j], vals[1 - k]))
+        cells[j].append(np.full(vals[1 - j].size, np.searchsorted(cuts[j], value)))
+        cells[1 - j].append(ranks[1 - j])
+        shown.append((names[j], float(value), names[1 - j], vals[1 - j]))
     cells = [np.concatenate(c) for c in cells]
-    predictions = _cell_sums(model, idx, cuts, cells) / model.n_trees
+    predictions = _cell_sums(model, cuts, cells) / model.n_trees
     ends = np.cumsum([vals[0].size * vals[1].size] + [s[3].size for s in shown])
     predictions = np.split(predictions, ends[:-1])
     curves = [SliceCurve(*s, predictions=p) for s, p in zip(shown, predictions[1:])]
     return PdGrid(
-        axes=axes,
-        axis_names=(names[idx[0]], names[idx[1]]),
+        axis_names=names,
         axis_values=vals,
         surface=predictions[0].reshape(vals[0].size, vals[1].size),
         slices=tuple(curves),

@@ -129,7 +129,7 @@ def test_criterion_4_decade_decline_shape():
         n_countries=21, n_years=40, sigma_mu1=0.1, sigma_mu2=0.1,
         sigma_eps=0.01, lambda_schedule=schedule, seed=42,
     )
-    windows = [DecadeWindow.from_start(1980 + 10 * j) for j in range(4)]
+    windows = [DecadeWindow(1980 + 10 * j) for j in range(4)]
     reps = 200
     sums = np.zeros(4)
     for rep in range(reps):
@@ -202,8 +202,8 @@ def test_criterion_7_forest_determinism_and_bagging(monkeypatch):
     x = np.column_stack([rng.uniform(0.002, 0.06, n), rng.uniform(0.005, 0.05, n)])
     y = np.where(x[:, 0] < 0.01, 0.4, 0.05) + rng.normal(0, 0.03, n)
     axes = (
-        AxisSpec("x0", float(x[:, 0].min()), float(x[:, 0].max()), 50),
-        AxisSpec("x1", float(x[:, 1].min()), float(x[:, 1].max()), 50),
+        AxisSpec(float(x[:, 0].min()), float(x[:, 0].max()), 50),
+        AxisSpec(float(x[:, 1].min()), float(x[:, 1].max()), 50),
     )
     grids = []
     batches = (tree_forest._BATCH_TREES, 7, 1000)  # trees grown together
@@ -240,8 +240,8 @@ def test_criterion_8_importance_and_pd_shapes():
 
     forest = fit_forest(x, lam, n_trees=1000, seed=3, feature_names=("openness", "inflation"))
     axes = (
-        AxisSpec("openness", float(openness.min()), float(openness.max()), 50),
-        AxisSpec("inflation", float(inflation.min()), float(inflation.max()), 50),
+        AxisSpec(float(openness.min()), float(openness.max()), 50),
+        AxisSpec(float(inflation.min()), float(inflation.max()), 50),
     )
     grid = partial_dependence(forest, axes, slices=[("openness", 0.045)])
     curve = grid.slices[0]

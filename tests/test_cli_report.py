@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import csv
 import hashlib
 import json
 import logging
@@ -43,7 +44,7 @@ from passthru.cli_report import (
     stars_for,
 )
 from passthru.mg_panel import build_passthrough_spec
-from passthru.panel_data import PanelDataset, panel_csv_text, table_a2_path, write_panel_csv
+from passthru.panel_data import NonPositiveForLogError, PanelDataset, panel_csv_text, table_a2_path, write_panel_csv
 from passthru.synth_lab import DgpParams, generate_panel
 
 
@@ -109,8 +110,8 @@ def sample_table() -> RenderedTable:
         title="Demo",
         columns=("(I)", "(II)"),
         rows=(
-            TableRow("slope", (Cell.coef(0.124, 0.033), Cell.coef(0.064, 0.061))),
-            TableRow("n", (Cell.plain("58"), Cell.plain("58"))),
+            TableRow("slope", (Cell(0.124, 0.033), Cell(0.064, 0.061))),
+            TableRow("n", (Cell(text="58"), Cell(text="58"))),
         ),
     )
 
@@ -137,7 +138,7 @@ def test_csv_and_json_rendering_round_trip():
 def test_degenerate_se_is_rendered_with_flag():
     table = RenderedTable(
         title="T", columns=("(I)",),
-        rows=(TableRow("slope", (Cell.coef(0.5, 0.0),)),),
+        rows=(TableRow("slope", (Cell(0.5, 0.0),)),),
     )
     text = render_table(table, "text")
     assert "0.5***" in text
@@ -147,7 +148,7 @@ def test_degenerate_se_is_rendered_with_flag():
 def test_ragged_grid_rejected():
     table = RenderedTable(
         title="T", columns=("a", "b"),
-        rows=(TableRow("r", (Cell.plain("1"),)),),
+        rows=(TableRow("r", (Cell(text="1"),)),),
     )
     with pytest.raises(RaggedGridError):
         render_table(table, "text")
@@ -1040,32 +1041,64 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 1\noutput.dir = out\n")
     assert main(["run", str(bad)]) == 2
-    # a config that parses but fails downstream: medians without decade data
+    # a config that parses but fails downstream: a cpi cell with no log
     cfg = tmp_path / "downstream.cfg"
-    ds = generate_panel(DgpParams(n_countries=4, n_years=12, seed=1))
-    write_panel_csv(ds, tmp_path / "tiny_panel.csv")
+    write_panel_with_a_zero_cpi(tmp_path / "tiny_panel.csv", DgpParams(n_countries=4, n_years=12, seed=1))
     cfg.write_text(
         f"data.panel_path = {tmp_path / 'tiny_panel.csv'}\n"
         f"output.dir = {tmp_path / 'dout'}\n"
-        "decades = full,2010s\n"  # window outside the tiny panel's years
+        "decades = full,1980s\n"
         "outputs = mg_table\n"
     )
     rc = main(["run", str(cfg)])
     assert rc == 1
-    capsys.readouterr()
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: stage 'mg_table' failed: ")
 
 
-def test_stage_error_names_stage(tmp_path, data_dir):
+def write_panel_with_a_zero_cpi(path: Path, params: DgpParams) -> None:
+    """A generated panel whose cpi is 0 in one cell, which fails the log transform of every model."""
+    base = generate_panel(params)
+    cells = {v: dict(base.cells(v)) for v in base.variables}
+    cells["cpi"][(base.countries[1], base.years[5])] = 0.0
+    write_panel_csv(PanelDataset(base.countries, base.years, cells), path)
+
+
+def test_stage_error_names_stage(tmp_path):
+    write_panel_with_a_zero_cpi(tmp_path / "panel.csv", DgpParams(n_countries=12, n_years=40, seed=101))
     mapping = {
-        "data.panel_path": str(data_dir / "panel.csv"),
+        "data.panel_path": str(tmp_path / "panel.csv"),
         "output.dir": str(tmp_path / "stage_err"),
-        "decades": "full,2070s",
+        "decades": "full,1990s",
         "outputs": "mg_table",
     }
     cfg = config_from_mapping(mapping)
     with pytest.raises(StageError) as err:
         run_pipeline(cfg)
     assert err.value.stage == "mg_table"
+    assert isinstance(err.value.__cause__, NonPositiveForLogError)
+
+
+def test_a_decade_with_no_panel_years_is_a_marked_column(tmp_path, data_dir, caplog):
+    columns = {}
+    for decades in ("full,1980s,2070s", "full,1980s"):
+        cfg = tmp_path / f"{decades}.cfg"
+        cfg.write_text(
+            f"data.panel_path = {data_dir / 'panel.csv'}\n"
+            f"output.dir = {tmp_path / decades}\n"
+            f"decades = {decades}\n"
+            "outputs = mg_table\n"
+            "output.format = csv\n"
+        )
+        with caplog.at_level(logging.WARNING, logger="passthru"):
+            assert main(["run", str(cfg)]) == 0
+        with open(tmp_path / decades / "mg_table.csv", newline="") as f:
+            for label, column, *cell in list(csv.reader(f))[1:]:
+                columns.setdefault((decades, column), []).append((label, cell))
+    assert columns[("full,1980s,2070s", "full")] == columns[("full,1980s", "full")]
+    assert columns[("full,1980s,2070s", "1980s")] == columns[("full,1980s", "1980s")]
+    for label, cell in columns[("full,1980s,2070s", "2070s")]:
+        assert cell == ["", "", "", "0" if label == "countries" else "n/a (no panel years)", ""]
+    assert "mg_table 2070s: the panel has no years in this decade" in caplog.messages
 
 
 def test_synthetic_config_drives_generator(tmp_path):

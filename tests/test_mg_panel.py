@@ -668,7 +668,7 @@ def test_decade_passthroughs_match_a_cell_by_cell_reference():
     }
     del decade_cells["em6"][("C02", 1990)]
     spec = build_passthrough_spec("cpi", "ulc")
-    windows = [DecadeWindow.from_start(d) for d in decades]
+    windows = [DecadeWindow(d) for d in decades]
     for decade_data in (None, PanelDataset(in_file, decades, decade_cells)):
         panel = estimate_decade_passthroughs(ds, spec, windows, decade_data=decade_data, exclude=("C03",))
         expected = _decade_reference(ds, spec, windows, decade_data)
@@ -695,13 +695,13 @@ def test_decade_passthroughs_require_cost_slot(toy_levels):
         regressors=(Term("dln_cpi_lag1", TransformSpec.lag("dln_cpi"), role="lag_dep"),),
     )
     with pytest.raises(MgError):
-        estimate_decade_passthroughs(toy_levels, spec, [DecadeWindow.from_start(1990)])
+        estimate_decade_passthroughs(toy_levels, spec, [DecadeWindow(1990)])
 
 
 def test_decade_passthroughs_schedule_recovery_smoke():
     sched = (0.25, 0.25, 0.05, 0.0)
     spec = build_passthrough_spec("cpi", "ulc")
-    windows = [DecadeWindow.from_start(1980 + 10 * j) for j in range(4)]
+    windows = [DecadeWindow(1980 + 10 * j) for j in range(4)]
     reps = 20
     sums = np.zeros(4)
     p = DgpParams(n_countries=21, n_years=40, lambda_schedule=sched, sigma_eps=0.01, seed=77)

@@ -189,7 +189,7 @@ def test_nan_is_the_only_missing_cell_marker_on_every_path(ds, dense, tmp_path):
             "dx_z": TransformSpec.product("dx", "z"),
             "same": TransformSpec.identity("dx"),
         })
-        decade = DecadeWindow.from_start(ds.years[0] // 10 * 10)
+        decade = DecadeWindow(ds.years[0] // 10 * 10)
         made += [derived, window(derived, decade), country_span(derived, 0, 1)]
         for each in made:
             assert_nan_marks_the_missing_cells(each)
@@ -361,45 +361,49 @@ def test_window_retains_decade(toy_levels):
 def test_pre_window_lag_survives_at_window_start():
     ds = one_country({y: float(y) for y in range(1979, 1986)})
     lagged = apply_transform(ds, TransformSpec.lag("x", 1), "x_lag1")
-    sub = window(lagged, DecadeWindow.from_start(1980))
+    sub = window(lagged, DecadeWindow(1980))
     assert sub.value("x_lag1", "AA", 1980) == 1979.0
 
 
 def test_nested_windows_equal_intersection():
     ds = one_country({y: float(y) for y in range(1980, 2000)})
-    w80 = DecadeWindow.from_start(1980)
+    w80 = DecadeWindow(1980)
     again = window(window(ds, w80), w80)
     assert again == window(ds, w80)
 
 
 def test_decade_window_validation():
-    with pytest.raises(PanelDataError):
-        DecadeWindow("bad", 1980, 1990)
-    with pytest.raises(PanelDataError):
-        DecadeWindow("bad", 1985, 1994)
+    with pytest.raises(PanelDataError, match=r"^1985s: decade must start on a multiple of 10$"):
+        DecadeWindow(1985)
     with pytest.raises(PanelDataError):
         DecadeWindow.from_label("decade of 1980")
     w = DecadeWindow.from_label(" 2010s ")
     assert (w.start_year, w.end_year) == (2010, 2019)
 
 
+def test_a_decade_window_is_its_start_year():
+    w = DecadeWindow(1990)
+    assert w == DecadeWindow.from_label(" 1990s ") == DecadeWindow.from_label("01990s")
+    assert (w.label, w.start_year, w.end_year) == ("1990s", 1990, 1999)
+
+
 # ---------------------------------------------------------------- medians
 
 def test_median_matches_decade_fixture():
     ds = load_decade_csv(table_a2_path())
-    assert median_by_window(ds, "em6", DecadeWindow.from_start(1980)) == pytest.approx(0.0041, abs=1e-12)
-    assert median_by_window(ds, "em10", DecadeWindow.from_start(2010)) == pytest.approx(0.0442, abs=1e-12)
+    assert median_by_window(ds, "em6", DecadeWindow(1980)) == pytest.approx(0.0041, abs=1e-12)
+    assert median_by_window(ds, "em10", DecadeWindow(2010)) == pytest.approx(0.0442, abs=1e-12)
 
 
 def test_median_single_country():
     ds = one_country({1990: 7.0})
-    assert median_by_window(ds, "x", DecadeWindow.from_start(1990)) == 7.0
+    assert median_by_window(ds, "x", DecadeWindow(1990)) == 7.0
 
 
 def test_median_no_data():
     ds = one_country({1990: 7.0})
     with pytest.raises(NoDataError):
-        median_by_window(ds, "x", DecadeWindow.from_start(2000))
+        median_by_window(ds, "x", DecadeWindow(2000))
 
 
 @settings(max_examples=60, deadline=None)
@@ -412,7 +416,7 @@ def test_median_ordering_and_scale_invariance(values, scale):
     base = {"x": {(c, 1990): v for c, v in zip(countries, values)}}
     ds = PanelDataset(countries, [1990], base)
     shuffled = PanelDataset(countries[::-1], [1990], base)
-    w = DecadeWindow.from_start(1990)
+    w = DecadeWindow(1990)
     m = median_by_window(ds, "x", w)
     assert median_by_window(shuffled, "x", w) == m
     scaled = PanelDataset(countries, [1990], {"x": {k: scale * v for k, v in base["x"].items()}})
@@ -430,7 +434,7 @@ def test_median_by_window_is_statistics_median_bit_for_bit(rows):
     cells = {(c, 1990 + j): v for c, row in zip(countries, rows) for j, v in enumerate(row) if v is not None}
     ds = PanelDataset(countries, [1990, 1991, 1992], {"x": cells})
     means = [m for m in window_means(ds, ["x"])[0].tolist() if not math.isnan(m)]
-    w = DecadeWindow.from_start(1990)
+    w = DecadeWindow(1990)
     if not means:
         with pytest.raises(NoDataError):
             median_by_window(ds, "x", w)

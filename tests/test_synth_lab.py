@@ -137,7 +137,7 @@ def test_schedule_changes_lambda_by_decade():
     from passthru.panel_data import DecadeWindow, window
 
     for (start, _), expected in zip(windows, sched):
-        sub = window(mat, DecadeWindow.from_start(start))
+        sub = window(mat, DecadeWindow(start))
         fit = fit_country(sub, SPEC, "C00")
         assert fit.coefficients[SPEC.design_columns.index("dln_ulc")] == pytest.approx(expected, abs=1e-6)
 

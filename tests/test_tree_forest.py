@@ -478,6 +478,14 @@ def test_exact_sums_of_shared_nodes():
     assert _limb_sums(values, picks).tolist() == expected
 
 
+def test_exact_sums_of_non_finite_columns_are_numpy_sums():
+    # columns: one with NaN, one with inf, and a finite one whose plain sum rounds 1.0 away
+    values = np.array([[1.0, math.inf, 1e16], [math.nan, 1.0, 1.0], [2.0, math.inf, -1e16]])
+    got = accumulator.exact_sums(values)
+    assert got[:2].tobytes() == values.sum(axis=0)[:2].tobytes()
+    assert got[2:].tobytes() == np.array([math.fsum(values[:, 2])]).tobytes() != values.sum(axis=0)[2:].tobytes()
+
+
 def test_predict_rejects_non_finite_rows():
     tree = fit_tree(STEP_X, STEP_Y, SplitParams(min_leaf=1))
     with pytest.raises(TreeError, match=r"row 1: feature 'x0' is inf"):
@@ -586,10 +594,10 @@ def test_numpy_scalars_pass_the_argument_checks():
     x = np.arange(9.0).reshape(-1, 1)
     forest = fit_forest(x, x[:, 0], n_trees=np.int64(2), subsample=np.float64(0.5), seed=np.int64(3))
     assert np.array_equal(forest.row_indices[1], fit_forest(x, x[:, 0], n_trees=2, subsample=0.5, seed=3).row_indices[1])
-    assert AxisSpec(0, 0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
-    axes = (AxisSpec(np.int64(0), np.float64(0.0), np.int64(6), 3), AxisSpec(1, 1.0, 7.0, 3))
+    assert AxisSpec(0.0, 1.0, np.int64(3)).values().tolist() == [0.0, 0.5, 1.0]
+    axes = (AxisSpec(np.float64(0.0), np.int64(6), 3), AxisSpec(1.0, 7.0, 3))
     x = np.arange(8.0).reshape(-1, 2)
-    grid = partial_dependence(fit_forest(x, x[:, 0], n_trees=2), axes, [(np.int64(1), np.float64(3.0))])
+    grid = partial_dependence(fit_forest(x, x[:, 0], n_trees=2), axes, [(np.str_("x1"), np.float64(3.0))])
     assert grid.slices[0].fixed_feature == "x1" and grid.axis_values[0].tolist() == [0.0, 3.0, 6.0]
 
 
@@ -838,8 +846,8 @@ def test_importance_raw_non_negative():
 
 def grid_axes(x: np.ndarray, steps: int = 10) -> tuple[AxisSpec, AxisSpec]:
     return (
-        AxisSpec("x0", float(x[:, 0].min()), float(x[:, 0].max()), steps),
-        AxisSpec("x1", float(x[:, 1].min()), float(x[:, 1].max()), steps),
+        AxisSpec(float(x[:, 0].min()), float(x[:, 0].max()), steps),
+        AxisSpec(float(x[:, 1].min()), float(x[:, 1].max()), steps),
     )
 
 
@@ -890,13 +898,13 @@ def test_pd_warns_outside_training_hull():
     rng = np.random.default_rng(15)
     x = rng.uniform(size=(30, 2))
     forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=7)
-    axes = (AxisSpec("x0", -5.0, 5.0, 4), AxisSpec("x1", 0.0, 1.0, 4))
+    axes = (AxisSpec(-5.0, 5.0, 4), AxisSpec(0.0, 1.0, 4))
     with pytest.warns(UserWarning):
         partial_dependence(forest, axes)
 
 
 @pytest.mark.parametrize("fixed, message", [
-    ((0, 50.0), r"slice at 'x0' = 50 lies beyond the training range \[-"),
+    (("x0", 50.0), r"slice at 'x0' = 50 lies beyond the training range \[-"),
     (("x1", -9.5), r"slice at 'x1' = -9.5 lies beyond the training range \[-"),
 ])
 def test_pd_warns_for_slices_outside_training_range(fixed, message):
@@ -904,35 +912,32 @@ def test_pd_warns_for_slices_outside_training_range(fixed, message):
     x = rng.normal(size=(30, 2))
     forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=7)
     with pytest.warns(UserWarning, match=message) as fired:
-        partial_dependence(forest, grid_axes(x, steps=4), [fixed, (0, 0.0)])
+        partial_dependence(forest, grid_axes(x, steps=4), [fixed, ("x0", 0.0)])
     assert len(fired) == 1
 
 
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(0, 999),
-    st.booleans(),
-    st.lists(st.tuples(st.sampled_from([0, 1, "x0", "x1"]), st.floats(-0.5, 1.5)), max_size=4),
+    st.lists(st.tuples(st.sampled_from(["x0", "x1"]), st.floats(-0.5, 1.5)), max_size=4),
     st.integers(2, 9),
     st.integers(2, 9),
 )
-def test_pd_routes_grid_and_slices_like_their_points_alone(seed, swap, slices, steps0, steps1):
+def test_pd_routes_grid_and_slices_like_their_points_alone(seed, slices, steps0, steps1):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(30, 2))
     forest = fit_forest(x, rng.normal(size=30), n_trees=7, seed=seed, params=SplitParams(min_leaf=2))
-    axes = (AxisSpec("x0", 0.0, 1.0, steps0), AxisSpec("x1", 0.0, 1.0, steps1))
-    if swap:
-        axes = axes[::-1]
+    axes = (AxisSpec(0.0, 1.0, steps0), AxisSpec(0.0, 1.0, steps1))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = partial_dependence(forest, axes, slices)
     a, b = np.meshgrid(*grid.axis_values, indexing="ij")
-    points = np.column_stack([a.ravel(), b.ravel()])[:, ::-1 if swap else 1]
+    points = np.column_stack([a.ravel(), b.ravel()])
     assert grid.surface.ravel().tobytes() == predict_many(forest, points).tobytes()
     assert len(grid.slices) == len(slices)
     for (feature, value), curve in zip(slices, grid.slices):
-        j = feature if isinstance(feature, int) else int(feature[1])
-        along = {ax.feature: ax for ax in axes}[f"x{1 - j}"].values()
+        j = int(feature[1])
+        along = axes[1 - j].values()
         pts = np.empty((along.size, 2))
         pts[:, j] = value
         pts[:, 1 - j] = along
@@ -941,13 +946,14 @@ def test_pd_routes_grid_and_slices_like_their_points_alone(seed, swap, slices, s
 
 
 def assert_pd_is_routed_sum(forest, axes, slices=()):
-    """The surface and every slice, bit for bit, against predict_many on their points; axes[k] is feature k."""
+    """The surface and every slice, bit for bit, against predict_many on their points."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         grid = partial_dependence(forest, axes, slices)
     a, b = np.meshgrid(*grid.axis_values, indexing="ij")
     assert grid.surface.ravel().tobytes() == predict_many(forest, np.column_stack([a.ravel(), b.ravel()])).tobytes()
-    for (j, value), curve in zip(slices, grid.slices):
+    for (feature, value), curve in zip(slices, grid.slices):
+        j = forest.feature_names.index(feature)
         pts = np.empty((curve.along_values.size, 2))
         pts[:, j] = value
         pts[:, 1 - j] = grid.axis_values[1 - j]
@@ -959,11 +965,13 @@ def test_pd_points_on_split_thresholds_go_left():
     rng = np.random.default_rng(21)
     x = rng.integers(0, 10, size=(60, 2)).astype(float)
     forest = fit_forest(x, rng.normal(size=60), n_trees=9, seed=3, params=SplitParams(min_leaf=2))
-    axes = (AxisSpec(0, -0.5, 9.5, 21), AxisSpec(1, -0.5, 9.5, 21))
+    axes = (AxisSpec(-0.5, 9.5, 21), AxisSpec(-0.5, 9.5, 21))
     thresholds = set(forest.threshold[forest.feature >= 0].tolist())
     assert len(thresholds & set(axes[0].values().tolist())) > 5
     # slices on thresholds, on a grid value, and repeated
-    assert_pd_is_routed_sum(forest, axes, [(0, 4.5), (1, 2.5), (0, 3.0), (0, 4.5), (1, 2.5), (1, 7.25)])
+    assert_pd_is_routed_sum(
+        forest, axes, [("x0", 4.5), ("x1", 2.5), ("x0", 3.0), ("x0", 4.5), ("x1", 2.5), ("x1", 7.25)]
+    )
 
 
 @pytest.mark.parametrize("n_trees, response, several_limbs", [
@@ -978,7 +986,7 @@ def test_pd_sums_leaves_exactly(n_trees, response, several_limbs):
     x = rng.uniform(size=(40, 2))
     forest = fit_forest(x, response(rng.normal(size=40), rng), n_trees=n_trees, seed=4, params=SplitParams(min_leaf=2))
     assert (accumulator._limbs(forest.prediction, n_trees)[0].shape[0] > 1) == several_limbs
-    assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [(0, 0.5), (1, float(x[3, 1]))])
+    assert_pd_is_routed_sum(forest, grid_axes(x, steps=12), [("x0", 0.5), ("x1", float(x[3, 1]))])
 
 
 def test_pd_of_a_lone_tree_is_its_routed_prediction():
@@ -990,7 +998,7 @@ def test_pd_of_a_lone_tree_is_its_routed_prediction():
     tree = fit_tree(x, y, SplitParams(min_leaf=2))
     assert tree.n_trees == 1 and np.signbit(tree.prediction[route(tree, [0.75, 0.5])])
     assert predict_many(tree, [[0.75, 0.5]]).tobytes() == np.array([0.0]).tobytes()
-    assert_pd_is_routed_sum(tree, grid_axes(x, steps=12), [(0, 0.75), (1, float(x[3, 1]))])
+    assert_pd_is_routed_sum(tree, grid_axes(x, steps=12), [("x0", 0.75), ("x1", float(x[3, 1]))])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -1001,7 +1009,7 @@ def test_pd_rejects_a_non_finite_slice_by_name_before_any_warning(value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(TreeError, match=rf"^slice at 'x1' is {value}, not finite$"):
-            partial_dependence(forest, grid_axes(x), [(0, 9.0), ("x1", value)])
+            partial_dependence(forest, grid_axes(x), [("x0", 9.0), ("x1", value)])
 
 
 def test_pd_requires_two_feature_model():
@@ -1009,22 +1017,19 @@ def test_pd_requires_two_feature_model():
     x = rng.uniform(size=(30, 3))
     forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=8)
     with pytest.raises(DimensionMismatchError):
-        partial_dependence(forest, (AxisSpec(0, 0, 1, 4), AxisSpec(1, 0, 1, 4)))
+        partial_dependence(forest, (AxisSpec(0, 1, 4), AxisSpec(0, 1, 4)))
 
 
 @pytest.mark.parametrize("steps", [2.5, 3.0, True, 1, "3"])
 def test_axis_spec_rejects_bad_steps_by_name(steps):
     with pytest.raises(TreeError, match=r"^steps must be an int of at least 2, got "):
-        AxisSpec(0, 0.0, 1.0, steps)
+        AxisSpec(0.0, 1.0, steps)
 
 
 @pytest.mark.parametrize("args, message", [
-    ((0, "0", 1.0, 3), r"^minimum must be a real number, got '0'$"),
-    ((0, True, 2.0, 3), r"^minimum must be a real number, got True$"),
-    ((0, 0.0, "1", 3), r"^maximum must be a real number, got '1'$"),
-    ((True, 0.0, 1.0, 3), r"^feature must be an int of at least 0, got True$"),
-    ((1.0, 0.0, 1.0, 3), r"^feature must be an int of at least 0, got 1\.0$"),
-    ((-1, 0.0, 1.0, 3), r"^feature must be an int of at least 0, got -1$"),
+    (("0", 1.0, 3), r"^minimum must be a real number, got '0'$"),
+    ((True, 2.0, 3), r"^minimum must be a real number, got True$"),
+    ((0.0, "1", 3), r"^maximum must be a real number, got '1'$"),
 ])
 def test_axis_spec_rejects_bad_fields_by_name(args, message):
     with pytest.raises(TreeError, match=message):
@@ -1032,9 +1037,7 @@ def test_axis_spec_rejects_bad_fields_by_name(args, message):
 
 
 @pytest.mark.parametrize("fixed, message", [
-    ((0, "0.5"), r"^slice at 'x0' must be a real number, got '0\.5'$"),
-    ((True, 0.5), r"^feature must be an int of at least 0, got True$"),
-    ((1.0, 0.5), r"^feature must be an int of at least 0, got 1\.0$"),
+    (("x0", "0.5"), r"^slice at 'x0' must be a real number, got '0\.5'$"),
 ])
 def test_pd_rejects_bad_slices_by_name(fixed, message):
     rng = np.random.default_rng(24)
@@ -1044,20 +1047,32 @@ def test_pd_rejects_bad_slices_by_name(fixed, message):
         partial_dependence(forest, grid_axes(x), [fixed])
 
 
+@pytest.mark.parametrize(
+    "feature, shown", [(0, "0"), (True, "True"), (1.0, r"1\.0"), ("x2", "'x2'")], ids=["0", "True", "1.0", "x2"]
+)
+def test_pd_names_a_slice_feature_the_model_lacks(feature, shown):
+    # a slice names its feature; an index, even one in range, is not a name
+    rng = np.random.default_rng(24)
+    x = rng.uniform(size=(30, 2))
+    forest = fit_forest(x, rng.normal(size=30), n_trees=5, seed=6)
+    with pytest.raises(DimensionMismatchError, match=rf"^unknown feature {shown}$"):
+        partial_dependence(forest, grid_axes(x), [("x1", 0.5), (feature, 0.5)])
+
+
 def test_axis_spec_validation():
     with pytest.raises(TreeError):
-        AxisSpec("x0", 0.0, 1.0, 1)
+        AxisSpec(0.0, 1.0, 1)
     with pytest.raises(TreeError):
-        AxisSpec("x0", 1.0, 0.0, 5)
+        AxisSpec(1.0, 0.0, 5)
 
 
 @pytest.mark.parametrize("low, high", [(-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
 def test_axis_spec_rejects_non_finite_bounds(low, high):
     with pytest.raises(TreeError, match="axis bounds must be finite"):
-        AxisSpec(0, low, high, 3)
+        AxisSpec(low, high, 3)
 
 
 def test_axis_spec_rejects_a_span_that_overflows():
     # linspace over a span past the largest double would make nan grid values
     with pytest.raises(TreeError, match="overflows a double"):
-        AxisSpec(0, -1e308, 1e308, 3)
+        AxisSpec(-1e308, 1e308, 3)
