@@ -121,18 +121,18 @@ def fmt6(value: float) -> str:
     return f"{value:.6g}"
 
 
-def stars_for(estimate: float, se: float) -> tuple[str, bool]:
-    """Significance stars from a normal z; returns (stars, degenerate_se)."""
+def stars_for(estimate: float, se: float) -> str:
+    """Significance stars from a normal z; an SE of 0 stars a nonzero estimate "***"."""
     if se == 0.0:
-        return ("***" if estimate != 0.0 else "", True)
+        return "***" if estimate != 0.0 else ""
     z = abs(estimate / se)
     if z >= 2.576:
-        return "***", False
+        return "***"
     if z >= 1.960:
-        return "**", False
+        return "**"
     if z >= 1.645:
-        return "*", False
-    return "", False
+        return "*"
+    return ""
 
 
 def p_stars(p: float) -> str:
@@ -155,7 +155,7 @@ class Cell:
 
     @property
     def stars(self) -> str | None:
-        return None if self.se is None else stars_for(self.estimate, self.se)[0]
+        return None if self.se is None else stars_for(self.estimate, self.se)
 
     @property
     def degenerate_se(self) -> bool:

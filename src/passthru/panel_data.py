@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -78,6 +79,8 @@ class DecadeWindow:
     start_year: int
 
     def __post_init__(self):
+        if not isinstance(self.start_year, Integral) or isinstance(self.start_year, bool):
+            raise PanelDataError(f"decade start_year must be an int, got {self.start_year!r}")
         if self.start_year % 10 != 0:
             raise PanelDataError(f"{self.label}: decade must start on a multiple of 10")
 

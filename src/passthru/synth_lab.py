@@ -314,14 +314,9 @@ def monte_carlo(
     truths leave those out); all are checked before any replication runs.
     n_jobs, an integer >= 1, caps the worker processes: blocks run on
     min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
-    when that is 1. Workers fork from a forkserver that has imported this module
-    once, on the pool that `passthru.pools.map_tasks` keeps between calls
-    (see there for reuse, resizing, errors and os.fork).
-    Reports do not depend on n_jobs. On Python 3.11 the server does not see
-    `sys.path` entries added at run time (pytest's `pythonpath`, say;
-    `PYTHONPATH` is seen) and skips a preload that fails to import; workers
-    then import the module themselves, which gives the same results and only
-    a slower start.
+    when that is 1. Workers are forked, on the pool that
+    `passthru.pools.map_tasks` keeps between calls (see there for reuse,
+    resizing, errors and os.fork). Reports do not depend on n_jobs.
     """
     for name, value, least in (("reps", reps, 2), ("n_jobs", n_jobs, 1)):
         if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
@@ -347,7 +342,7 @@ def monte_carlo(
     count = -(-count // workers) * workers
     cuts = [reps * b // count for b in range(count + 1)]
     blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    done = map_tasks(run, blocks, workers, "forkserver")
+    done = map_tasks(run, blocks, workers)
     estimates, ses = np.concatenate(done, axis=1)  # (reps, slots) each
     errors = estimates - np.array(list(truths.values()), dtype=float)
     moments = np.stack([estimates, errors, errors * errors], axis=1)

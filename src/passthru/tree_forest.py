@@ -18,9 +18,8 @@ once a batch is grown, one mean per distinct node size. Trees and forests
 alike go through this one kernel; a forest's trees are grown in fixed-size
 batches, each batch one task on worker processes that `fit_forest` forks,
 one per batch and at most one per usable CPU
-(see `passthru.pools`: a fork starts in 13-14 ms, a forkserver with its numpy
-import in 289-380 ms, more than a whole fig5 forest; the kernel calls no BLAS,
-and threads gain nothing, as the kernel holds the interpreter lock).
+(see `passthru.pools`; threads gain nothing, as the kernel holds the
+interpreter lock).
 Identical data, settings and seed give identical models, whatever the batch
 a tree is grown in or the worker count. A fitted tree or forest is one
 set of flat node arrays, each tree's nodes in preorder and the trees one after
@@ -484,7 +483,7 @@ def fit_forest(
     _check_int("seed", seed, 0)
     m = math.ceil(subsample * n)
     batches = [range(t, min(t + _BATCH_TREES, n_trees)) for t in range(0, n_trees, _BATCH_TREES)]
-    grown = map_tasks(partial(_grow_batch, x, y, m, params, seed), batches, forest_workers(n_trees), "fork")
+    grown = map_tasks(partial(_grow_batch, x, y, m, params, seed), batches, forest_workers(n_trees))
     nodes, roots, total = [], [], 0  # total: the nodes of the batches before
     for arrays, batch_roots, _ in grown:  # a batch numbers its right children and roots from 0
         arrays[2] = np.where(arrays[2] < 0, -1, arrays[2] + total)

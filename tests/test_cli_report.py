@@ -68,25 +68,26 @@ def read_rows(path: Path) -> dict[tuple[str, str], dict]:
 # ---------------------------------------------------------------- stars / formatting
 
 def test_star_thresholds_exact_at_boundaries():
-    assert stars_for(1.960, 1.0) == ("**", False)
-    assert stars_for(1.9599, 1.0) == ("*", False)
-    assert stars_for(2.576, 1.0) == ("***", False)
-    assert stars_for(2.5759, 1.0) == ("**", False)
-    assert stars_for(1.645, 1.0) == ("*", False)
-    assert stars_for(1.6449, 1.0) == ("", False)
-    assert stars_for(-2.0, 1.0) == ("**", False)
+    assert stars_for(1.960, 1.0) == "**"
+    assert stars_for(1.9599, 1.0) == "*"
+    assert stars_for(2.576, 1.0) == "***"
+    assert stars_for(2.5759, 1.0) == "**"
+    assert stars_for(1.645, 1.0) == "*"
+    assert stars_for(1.6449, 1.0) == ""
+    assert stars_for(-2.0, 1.0) == "**"
 
 
 def test_star_published_examples():
     # 0.124 over 0.033 is clearly significant; 0.064 over 0.061 is not
-    assert stars_for(0.124, 0.033)[0] == "***"
-    assert stars_for(0.064, 0.061)[0] == ""
+    assert stars_for(0.124, 0.033) == "***"
+    assert stars_for(0.064, 0.061) == ""
 
 
 def test_degenerate_se_flag():
-    stars, degenerate = stars_for(0.5, 0.0)
-    assert (stars, degenerate) == ("***", True)
-    assert stars_for(0.0, 0.0) == ("", True)
+    cell = Cell(0.5, 0.0)
+    assert (cell.stars, cell.degenerate_se) == ("***", True)
+    cell = Cell(0.0, 0.0)
+    assert (cell.stars, cell.degenerate_se) == ("", True)
 
 
 def test_p_stars():

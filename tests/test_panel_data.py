@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 import statistics
 import warnings
 
@@ -379,6 +380,12 @@ def test_decade_window_validation():
         DecadeWindow.from_label("decade of 1980")
     w = DecadeWindow.from_label(" 2010s ")
     assert (w.start_year, w.end_year) == (2010, 2019)
+
+
+@pytest.mark.parametrize("start", [1990.0, "1990", True])
+def test_a_decade_window_names_a_start_that_is_not_an_int(start):
+    with pytest.raises(PanelDataError, match=rf"^decade start_year must be an int, got {re.escape(repr(start))}$"):
+        DecadeWindow(start)
 
 
 def test_a_decade_window_is_its_start_year():

@@ -5,9 +5,7 @@ import json
 import math
 import os
 import re
-import signal
 import sys
-import time
 from concurrent.futures import CancelledError, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
@@ -238,13 +236,13 @@ P_POOL = DgpParams(n_countries=3, n_years=12, seed=2)
 @pytest.fixture
 def inline_pool(monkeypatch):
     """ProcessPoolExecutor replaced by _InlinePool, with no pool kept before or after the test."""
-    pools.discard("forkserver")
+    pools.discard()
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(_InlinePool, "shutdowns", [])
     monkeypatch.setattr(_InlinePool, "tasks", [])
     monkeypatch.setattr(pools, "ProcessPoolExecutor", _InlinePool)
     yield
-    pools.discard("forkserver")
+    pools.discard()
 
 
 @pytest.mark.parametrize(("reps", "n_jobs", "pool"), [
@@ -338,12 +336,12 @@ def test_an_estimator_added_to_the_table_gets_a_report(monkeypatch):
 
 def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
     monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
-    kept = pools._pools["forkserver"]
+    kept = pools._pool
     monte_carlo(P_POOL, SPEC, reps=3, n_jobs=2)  # one block: runs in this process
     assert monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=2) == monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS)
     assert _InlinePool.sizes == [2]
     assert _InlinePool.shutdowns == []
-    assert pools._pools["forkserver"] is kept
+    assert pools._pool is kept
 
 
 def test_monte_carlo_resizes_its_pool_for_another_worker_count(inline_pool):
@@ -351,14 +349,14 @@ def test_monte_carlo_resizes_its_pool_for_another_worker_count(inline_pool):
     monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=3)
     assert _InlinePool.sizes == [2, 3]
     assert [workers for workers, _ in _InlinePool.shutdowns] == [2]
-    assert pools._pools["forkserver"][1] == 3 and not pools._pools["forkserver"][2].closed
+    assert pools._pool[1] == 3 and not pools._pool[2].closed
 
 
 def test_monte_carlo_discards_a_pool_that_raised(inline_pool, monkeypatch):
     monkeypatch.setattr(pools, "ProcessPoolExecutor", _FailingPool)
     with pytest.raises(BrokenProcessPool, match="a worker died"):
         monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
-    assert "forkserver" not in pools._pools
+    assert pools._pool is None
     assert _InlinePool.shutdowns == [(2, True)]
     monkeypatch.setattr(pools, "ProcessPoolExecutor", _InlinePool)
     report = monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
@@ -368,33 +366,48 @@ def test_monte_carlo_discards_a_pool_that_raised(inline_pool, monkeypatch):
 
 def test_monte_carlo_never_reuses_a_pool_from_another_process(inline_pool):
     monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
-    pid, workers, inherited = pools._pools["forkserver"]
-    pools._pools["forkserver"] = (pid + 1, workers, inherited)  # as a child of os.fork finds its parent's pool
+    pid, workers, inherited = pools._pool
+    pools._pool = (pid + 1, workers, inherited)  # as a child of os.fork finds its parent's pool
     monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)
     assert _InlinePool.sizes == [2, 2]
     assert _InlinePool.shutdowns == []  # the parent's pool is the parent's to shut down
-    assert pools._pools["forkserver"][0] == os.getpid() and pools._pools["forkserver"][2] is not inherited
+    assert pools._pool[0] == os.getpid() and pools._pool[2] is not inherited
 
 
-def test_monte_carlo_runs_its_blocks_itself_in_a_fork_of_the_forkserver_owner():
+def test_a_fork_of_the_pool_owner_runs_the_same_monte_carlo(passes_in_a_fork):
     p = DgpParams(seed=42)
-    serial = monte_carlo(p, SPEC, reps=20)
-    monte_carlo(p, SPEC, reps=20, n_jobs=2)  # this process now owns the forkserver
-    pid = os.fork()
-    if pid == 0:  # the child must leave through os._exit, whatever happens
-        code = 1
-        try:
-            code = 0 if monte_carlo(p, SPEC, reps=20, n_jobs=2) == serial else 2
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 120
-    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if ended[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child did not finish within 120 s")
-    assert os.waitstatus_to_exitcode(ended[1]) == 0
+    serial = monte_carlo(p, SPEC, reps=2 * BLOCK_REPS)
+    monte_carlo(p, SPEC, reps=2 * BLOCK_REPS, n_jobs=2)  # this process now holds a kept pool
+    assert pools._pool[:2] == (os.getpid(), 2)
+    passes_in_a_fork(lambda: monte_carlo(p, SPEC, reps=2 * BLOCK_REPS, n_jobs=2) == serial)
+
+
+def test_a_pool_forked_after_blas_threads_ran_gives_the_serial_report(passes_in_a_fork):
+    p = DgpParams(seed=43)
+    serial = monte_carlo(p, SPEC, reps=2 * BLOCK_REPS)
+
+    def check():
+        a = np.random.default_rng(0).normal(size=(512, 512))
+        a @ a  # a product this size starts OpenBLAS's threads in this process
+        pools.discard()
+        return monte_carlo(p, SPEC, reps=2 * BLOCK_REPS, n_jobs=2) == serial
+
+    passes_in_a_fork(check)
+
+
+MC_SCRIPT = """
+from passthru import pools
+from passthru.mg_panel import build_passthrough_spec
+from passthru.synth_lab import DgpParams, monte_carlo
+
+monte_carlo(DgpParams(seed=3), build_passthrough_spec("cpi", "ulc"), reps=50, n_jobs=2)
+print(*pools._pool[2]._processes)
+"""
+
+
+def test_a_script_with_a_monte_carlo_pool_and_no_main_guard_exits_cleanly(script_exits_cleanly):
+    # run as a file, not `python -c`: a start method that re-runs the main module re-runs a file only
+    script_exits_cleanly(MC_SCRIPT)
 
 
 def test_monte_carlo_calls_from_threads_take_turns_on_the_pool(inline_pool):

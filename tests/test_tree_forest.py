@@ -3,15 +3,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import signal
-import subprocess
 import sys
-import threading
-import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import assert_same_tree, bf_best_split, bf_fit_tree, bf_predict, route, tree_at
-import passthru
 from passthru import accumulator, cli_report, pools, tree_forest
+from passthru.mg_panel import build_passthrough_spec
 from passthru.panel_data import write_panel_csv
-from passthru.synth_lab import DgpParams, generate_panel
+from passthru.synth_lab import BLOCK_REPS, DgpParams, generate_panel, monte_carlo
 from passthru.tree_forest import (
     AxisSpec,
     DimensionMismatchError,
@@ -667,11 +663,11 @@ def test_forest_is_the_same_for_every_worker_count(monkeypatch, n_trees):
 
 
 def test_a_forest_of_one_batch_starts_no_pool(monkeypatch):
-    pools.discard("fork")
+    pools.discard()
     _cpus(monkeypatch, 4)
     x, y = _fig5_sized(6)
     forest = fit_forest(x, y, n_trees=tree_forest._BATCH_TREES, seed=2)
-    assert "fork" not in pools._pools
+    assert pools._pool is None
     assert tree_forest.forest_workers(tree_forest._BATCH_TREES) == 1 and tree_forest.forest_workers(300) == 3
     _cpus(monkeypatch, 1)
     assert _model_digest(forest) == _model_digest(fit_forest(x, y, n_trees=tree_forest._BATCH_TREES, seed=2))
@@ -682,68 +678,52 @@ def test_kept_workers_take_the_batches_from_their_tasks(monkeypatch):
     _cpus(monkeypatch, 2)
     x, y = _fig5_sized(7)
     fit_forest(x, y, n_trees=300, seed=5)
-    kept = pools._pools["fork"]
+    kept = pools._pool
     monkeypatch.setattr(tree_forest, "_BATCH_TREES", 7)
     parallel = fit_forest(x, y, n_trees=300, seed=5)
-    assert pools._pools["fork"] is kept
+    assert pools._pool is kept
     _cpus(monkeypatch, 1)
     assert _model_digest(parallel) == _model_digest(fit_forest(x, y, n_trees=300, seed=5))
 
 
-def test_a_forest_does_not_wait_on_the_monte_carlo_pool(monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_a_forest_and_a_monte_carlo_take_turns_on_the_pool(monkeypatch):
     x, y = _fig5_sized(9)
-    fitted = []
-    with pools._locks["forkserver"]:  # as while a Monte Carlo map runs in another thread
-        thread = threading.Thread(target=lambda: fitted.append(fit_forest(x, y, n_trees=300, seed=7)), daemon=True)
-        thread.start()
-        thread.join(120)
-    assert len(fitted) == 1 and "fork" in pools._pools
+    p, spec = DgpParams(n_countries=3, n_years=12, seed=5), build_passthrough_spec("cpi", "ulc")
+    _cpus(monkeypatch, 1)
+    serial = (_model_digest(fit_forest(x, y, n_trees=300, seed=7)), monte_carlo(p, spec, reps=2 * BLOCK_REPS))
+    _cpus(monkeypatch, 2)
+    with ThreadPoolExecutor(2) as threads:
+        forest = threads.submit(lambda: _model_digest(fit_forest(x, y, n_trees=300, seed=7)))
+        report = threads.submit(monte_carlo, p, spec, reps=2 * BLOCK_REPS, n_jobs=2)
+        assert (forest.result(timeout=120), report.result(timeout=120)) == serial
 
 
 def test_a_fork_pool_runs_in_the_caller_where_it_may_not_start(monkeypatch):
-    pools.discard("fork")
+    pools.discard()
     _cpus(monkeypatch, 2)
     monkeypatch.setattr(pools, "_FORK_POOLS", False)
     x, y = _fig5_sized(10)
     forest = fit_forest(x, y, n_trees=300, seed=8)
-    assert "fork" not in pools._pools
+    assert pools._pool is None
     _cpus(monkeypatch, 1)
     assert _model_digest(forest) == _model_digest(fit_forest(x, y, n_trees=300, seed=8))
 
 
 def test_a_fork_gets_an_unheld_pool_lock():
-    with pools._locks["fork"]:  # as while a pool forks its workers
+    with pools._lock:  # as while a pool forks its workers
         pid = os.fork()
         if pid == 0:
-            os._exit(1 if pools._locks["fork"].locked() else 0)
+            os._exit(1 if pools._lock.locked() else 0)
     assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
-def test_a_fork_of_the_pool_owner_fits_the_same_forest(monkeypatch):
+def test_a_fork_of_the_pool_owner_fits_the_same_forest(monkeypatch, passes_in_a_fork):
     x, y = _fig5_sized(8)
     _cpus(monkeypatch, 1)
     serial = _model_digest(fit_forest(x, y, n_trees=300, seed=6))
     _cpus(monkeypatch, 2)
     fit_forest(x, y, n_trees=300, seed=6)  # this process now holds a kept fork pool
-    pid = os.fork()
-    if pid == 0:  # the child must leave through os._exit, whatever happens
-        code = 1
-        try:
-            code = 0 if _model_digest(fit_forest(x, y, n_trees=300, seed=6)) == serial else 2
-        finally:
-            try:
-                pools.discard("fork")  # the child's own workers, which os._exit would leave running
-            finally:
-                os._exit(code)
-    deadline = time.monotonic() + 120
-    while (ended := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if ended[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child did not finish within 120 s")
-    assert os.waitstatus_to_exitcode(ended[1]) == 0
+    passes_in_a_fork(lambda: _model_digest(fit_forest(x, y, n_trees=300, seed=6)) == serial)
 
 
 FOREST_SCRIPT = """
@@ -754,20 +734,12 @@ tree_forest.usable_cpus = lambda: 2
 rng = np.random.default_rng(0)
 x = rng.uniform(size=(84, 2))
 tree_forest.fit_forest(x, x[:, 0] + rng.normal(0.0, 0.1, 84), n_trees=1000)
-print(*pools._pools["fork"][2]._processes)
+print(*pools._pool[2]._processes)
 """
 
 
-def test_a_script_with_a_forest_pool_exits_cleanly():
-    src = str(Path(passthru.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FOREST_SCRIPT], capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 0 and proc.stderr == ""
-    workers = [int(pid) for pid in proc.stdout.split()]
-    assert len(workers) == 2
-    for pid in workers:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)  # signal 0 only checks that the process exists
+def test_a_script_with_a_forest_pool_exits_cleanly(script_exits_cleanly):
+    script_exits_cleanly(FOREST_SCRIPT)
 
 
 def test_forest_batches_of_many_rows_partition_like_lone_trees():
