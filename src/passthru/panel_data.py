@@ -414,11 +414,10 @@ def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, np
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise NonPositiveForLogError(ds.countries[i], ds.years[j], float(values[i, j]))
-    # math.log, cell by cell: np.log differs from it in the last bit of some cells
-    logs = np.full(values.shape, np.nan)
-    observed = ~np.isnan(values)
-    cells = values[observed]
-    logs[observed] = np.fromiter(map(math.log, cells.tolist()), float, len(cells))
+    # np.log of a reversed 1-d view has math.log's bits: numpy 2.4.6 (the only version run) takes its SIMD
+    # log, which changes the last bit of some cells, on forward strides only, and on a negative one calls
+    # libm's log cell by cell, as math.log does. NaN stays NaN, with no warning.
+    logs = np.log(values.ravel()[::-1])[::-1].reshape(values.shape)
     with np.errstate(invalid="ignore"):  # inf - inf: both infs come from an overflow that is reported
         return logs - _lag(ds, logs, 1)
 

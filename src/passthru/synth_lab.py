@@ -4,7 +4,7 @@ The generating process mirrors the estimated model: cost growth follows an
 AR(1), inflation follows the dynamic pass-through recursion with
 country-specific slopes, and index levels are rebuilt by exponentiating
 cumulated growth so the ingestion pipeline's log-difference recovers the
-simulated rates exactly.
+simulated rates to within rounding.
 """
 
 from __future__ import annotations

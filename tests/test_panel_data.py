@@ -35,6 +35,7 @@ from passthru.panel_data import (
     window_means,
     write_panel_csv,
 )
+from passthru.synth_lab import DgpParams, generate_panel
 
 
 def one_country(values: dict[int, float], var: str = "x") -> PanelDataset:
@@ -347,6 +348,37 @@ def test_log_diff_of_geometric_series_is_constant():
         out = apply_transform(one_country(levels), TransformSpec.log_diff("x"), "dx")
         for year in range(1981, 2000):
             assert abs(out.value("dx", "AA", year) - math.log(growth)) <= 1e-12
+
+
+LEVELS = ("cpi", "ulc", "em6", "em10")
+
+
+def math_log_difference(levels: np.ndarray) -> np.ndarray:
+    """The year-on-year difference of math.log along a (country, year) layer of consecutive years; NaN stays NaN."""
+    logs = np.array([[math.nan if math.isnan(v) else math.log(v) for v in row] for row in levels.tolist()])
+    return np.concatenate([np.full((len(logs), 1), math.nan), logs[:, 1:] - logs[:, :-1]], axis=1)
+
+
+def test_log_difference_has_math_log_bits_on_every_level_cell_of_200_panels():
+    # A contiguous np.log (numpy 2.4.6) changes the last bit of 95 of these 672,000 level cells.
+    rng = np.random.default_rng(7)
+    transforms = {f"dln_{name}": TransformSpec.log_diff(name) for name in LEVELS}
+    for seed in range(200):
+        ds = generate_panel(DgpParams(seed=seed))
+        levels, _ = ds.complete_cells(LEVELS)
+        holed = levels.copy()
+        holed[rng.random(levels.shape) < 0.1] = math.nan
+        with_holes = PanelDataset(ds.countries, ds.years, {
+            name: {(c, y): v for c, row in zip(ds.countries, layer.tolist()) for y, v in zip(ds.years, row) if v == v}
+            for name, layer in zip(LEVELS, holed)
+        })
+        decade = window(ds, DecadeWindow.from_label("1990s"))  # years 10-19 of 1980-2019: not a contiguous layer
+        for panel, want in ((ds, levels), (with_holes, holed), (decade, levels[:, :, 10:20])):
+            got, _ = apply_transforms(panel, transforms).complete_cells(transforms)
+            for g, w in zip(got, want):
+                expected = math_log_difference(w)
+                assert np.array_equal(np.isnan(g), np.isnan(expected))
+                assert np.array_equal(g[~np.isnan(g)].view(np.int64), expected[~np.isnan(expected)].view(np.int64))
 
 
 # ---------------------------------------------------------------- windows
