@@ -68,19 +68,18 @@ def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
 
     The tasks run in the calling process when `workers` is 1, or where the
     platform cannot fork or the executor forks workers on demand. The pool is
-    kept for the next call, which reuses it when it has `workers` processes,
-    or more but the call has no more tasks than `workers` (so no more run at
-    once); any other call shuts it down and starts a new one. A pool started
-    by another process (before an os.fork) is never reused. An exception out
-    of the pool (a worker's error, a dead worker, an interrupt) shuts the pool
-    down before it propagates, so the next call starts afresh. Idle workers
-    live until the interpreter exits, which joins them; calls from several
-    threads take turns on the pool.
+    kept for the next call: a call needing the same number of workers reuses
+    it, one needing another number shuts it down and starts a new one, and a
+    pool started by another process (before an os.fork) is never reused. An
+    exception out of the pool (a worker's error, a dead worker, an interrupt)
+    shuts the pool down before it propagates, so the next call starts afresh.
+    Idle workers live until the interpreter exits, which joins them; calls
+    from several threads take turns on the pool.
     """
     if workers < 2 or not _FORK_POOLS:
         return [fn(task) for task in tasks]
     with _lock:
-        pool = _kept_pool(workers, len(tasks))
+        pool = _kept_pool(workers)
         try:
             return list(pool.map(fn, tasks))
         except BaseException:
@@ -88,10 +87,10 @@ def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
             raise
 
 
-def _kept_pool(workers: int, tasks: int) -> ProcessPoolExecutor:
-    """A kept pool that runs `tasks` tasks on at most `workers` processes at once, started or resized as needed."""
+def _kept_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool with `workers` processes, started or resized as needed."""
     global _pool
-    if _pool is not None and _pool[0] == os.getpid() and (_pool[1] == workers or _pool[1] > workers >= tasks):
+    if _pool is not None and _pool[:2] == (os.getpid(), workers):
         return _pool[2]
     discard()
     _pool = (os.getpid(), workers, ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")))

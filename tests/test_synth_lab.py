@@ -352,23 +352,6 @@ def test_monte_carlo_resizes_its_pool_for_another_worker_count(inline_pool):
     assert pools._pool[1] == 3 and not pools._pool[2].closed
 
 
-def test_monte_carlo_reuses_a_larger_pool_for_no_more_blocks_than_it_asks_workers(inline_pool):
-    for _ in range(3):
-        for reps, n_jobs in ((3 * BLOCK_REPS, 3), (2 * BLOCK_REPS, 2)):
-            assert monte_carlo(P_POOL, SPEC, reps=reps, n_jobs=n_jobs) == monte_carlo(P_POOL, SPEC, reps=reps)
-    assert _InlinePool.sizes == [3]
-    assert _InlinePool.shutdowns == []
-    assert [len(blocks) for blocks in _InlinePool.tasks] == [3, 2] * 3
-
-
-def test_monte_carlo_resizes_a_larger_pool_for_more_blocks_than_it_asks_workers(inline_pool):
-    monte_carlo(P_POOL, SPEC, reps=3 * BLOCK_REPS, n_jobs=3)
-    monte_carlo(P_POOL, SPEC, reps=4 * BLOCK_REPS, n_jobs=2)  # 4 blocks would run 3 at once on the kept pool
-    assert _InlinePool.sizes == [3, 2]
-    assert [workers for workers, _ in _InlinePool.shutdowns] == [3]
-    assert pools._pool[1] == 2 and not pools._pool[2].closed
-
-
 def test_monte_carlo_discards_a_pool_that_raised(inline_pool, monkeypatch):
     monkeypatch.setattr(pools, "ProcessPoolExecutor", _FailingPool)
     with pytest.raises(BrokenProcessPool, match="a worker died"):
