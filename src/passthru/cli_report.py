@@ -556,16 +556,29 @@ def _warn_exclude(exclude: Sequence[str], countries: Sequence[str]) -> None:
         )
 
 
-def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> dict[str, Cell]:
-    """One mg_table column's cells.
+def _long_run_slots(spec: ModelSpec) -> tuple[str, str] | None:
+    """The (cost, lag_dep) slots of mg_table's LT row; a spec without both has no LT row."""
+    cost, lag_dep = spec.slot("cost"), spec.slot("lag_dep")
+    return (cost, lag_dep) if cost and lag_dep else None
+
+
+def _mg_rows(spec: ModelSpec) -> list[str]:
+    """mg_table's row labels, in the order of every column's cells."""
+    slots = _long_run_slots(spec)
+    lt = [f"LT effect: {slots[0]}"] if slots else []
+    summary = ["observations", "countries", "RMSE (sigma)", "chi2", "Wald p"]
+    return [t.name for t in spec.regressors] + ["constant", *lt, *summary]
+
+
+def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> list[Cell]:
+    """One mg_table column's cells, in `_mg_rows(spec)` order.
 
     A decade with no panel years, or too few usable countries, marks every
     cell but `countries`, and the rest of the table still runs.
     """
 
-    def marked(text: str, usable: int) -> dict[str, Cell]:
-        keys = [f"reg{j}" for j in range(len(spec.regressors))] + ["const", "lt", "obs", "rmse", "chi2", "wald_p"]
-        return dict.fromkeys(keys, Cell(text=text)) | {"countries": Cell(text=str(usable))}
+    def marked(text: str, usable: int) -> list[Cell]:
+        return [Cell(text=str(usable)) if row == "countries" else Cell(text=text) for row in _mg_rows(spec)]
 
     try:
         sub = ds if label == "full" else window(ds, DecadeWindow.from_label(label))
@@ -581,52 +594,33 @@ def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> dict[str, Cell]
         return marked("n/a (too few countries)", usable)
 
 
-def _mg_cells(result: MgResult, spec: ModelSpec) -> dict[str, Cell]:
-    # design column 0 is the constant, and regressor j is column j + 1
-    cells = {"const": Cell(float(result.coefficients[0]), float(result.se[0]))}
-    for j in range(len(spec.regressors)):
-        cells[f"reg{j}"] = Cell(float(result.coefficients[j + 1]), float(result.se[j + 1]))
-    cost, lag_dep = spec.slot("cost"), spec.slot("lag_dep")
-    if cost and lag_dep:
+def _mg_cells(result: MgResult, spec: ModelSpec) -> list[Cell]:
+    # design column 0 is the constant, which the table lists after the regressors
+    coefficients = [Cell(b, se) for b, se in zip(result.coefficients.tolist(), result.se.tolist())]
+    cells = coefficients[1:] + coefficients[:1]
+    if slots := _long_run_slots(spec):
         try:
-            lt, lt_se = long_run_effect(result, cost, lag_dep)
-            cells["lt"] = Cell(lt, lt_se)
+            cells.append(Cell(*long_run_effect(result, *slots)))
         except NearUnitRootError:
-            cells["lt"] = Cell(text="n/a (unit root)")
-    cells["obs"] = Cell(text=str(result.total_obs))
-    cells["countries"] = Cell(text=str(result.n_countries))
-    cells["rmse"] = Cell(text=fmt6(result.sigma_pooled))
+            cells.append(Cell(text="n/a (unit root)"))
+    cells += [
+        Cell(text=str(result.total_obs)),
+        Cell(text=str(result.n_countries)),
+        Cell(text=fmt6(result.sigma_pooled)),
+    ]
     try:
         stat, _, p = wald_joint(result)
-        cells["chi2"] = Cell(text=fmt6(stat) + p_stars(p))
-        cells["wald_p"] = Cell(text=fmt6(p))
+        cells += [Cell(text=fmt6(stat) + p_stars(p)), Cell(text=fmt6(p))]
     except SingularCovarianceError:
-        cells["chi2"] = cells["wald_p"] = Cell(text="n/a (singular)")
+        cells += [Cell(text="n/a (singular)")] * 2
     return cells
 
 
-def mg_rendered_table(columns: Sequence[tuple[str, dict[str, Cell]]], spec: ModelSpec, title: str) -> RenderedTable:
-    """Decade-column (or variant-column) table of `_mg_column` cells, its row labels from `spec`."""
-    rows: list[TableRow] = []
-
-    def add(label: str, key: str) -> None:
-        rows.append(TableRow(label, tuple(cells.get(key, Cell()) for _, cells in columns)))
-
-    for j, term in enumerate(spec.regressors):
-        add(term.name, f"reg{j}")
-    add("constant", "const")
-    if spec.slot("cost") and spec.slot("lag_dep"):
-        add(f"LT effect: {spec.slot('cost')}", "lt")
-    add("observations", "obs")
-    add("countries", "countries")
-    add("RMSE (sigma)", "rmse")
-    add("chi2", "chi2")
-    add("Wald p", "wald_p")
-    return RenderedTable(
-        title=title,
-        columns=tuple(label for label, _ in columns),
-        rows=tuple(rows),
-    )
+def mg_rendered_table(columns: Sequence[tuple[str, list[Cell]]], spec: ModelSpec, title: str) -> RenderedTable:
+    """Decade-column (or variant-column) table of `_mg_column` cells, transposed onto `_mg_rows(spec)`."""
+    labels, cells = zip(*columns)
+    rows = zip(_mg_rows(spec), zip(*cells, strict=True), strict=True)
+    return RenderedTable(title=title, columns=labels, rows=tuple(TableRow(label, row) for label, row in rows))
 
 
 def second_stage_table(results: Sequence[SecondStageResult]) -> RenderedTable:

@@ -409,10 +409,11 @@ def estimate_decade_passthroughs(
     materialized = materialize_design(ds, spec)
     excluded = np.array([c in exclude for c in materialized.countries])
     annual = [v for v in DECADE_SCHEMA if v in materialized.variables]
+    annual_at = [DECADE_SCHEMA.index(v) for v in annual]
     filed, decade_at = _decade_file_cells(decade_data, materialized.countries)
     countries: list[str] = []
     decades: list[str] = []
-    columns: dict[str, list[float]] = {name: [] for name in ("passthrough", *DECADE_SCHEMA, "avg_inflation")}
+    blocks = [np.empty((len(DECADE_SCHEMA) + 2, 0))]
     exclusions: list[Exclusion] = []
 
     for w in windows:
@@ -429,15 +430,14 @@ def estimate_decade_passthroughs(
         used = [c for c, kept in zip(sub.countries, usable.tolist()) if kept]
         countries += used
         decades += [w.label] * len(used)
-        columns["passthrough"] += found.coefficients[usable, cost_column].tolist()
         means = window_means(sub, [*annual, spec.dependent.name])[:, usable]
-        means = dict(zip([*annual, "avg_inflation"], means))
         given = filed[:, usable, decade_at.get(w.start_year, -1)]
-        for var, cells in zip(DECADE_SCHEMA, given):
-            columns[var] += np.where(np.isnan(cells), means.get(var, np.nan), cells).tolist()
-        columns["avg_inflation"] += means["avg_inflation"].tolist()
-    arrays = {name: np.array(values, dtype=float) for name, values in columns.items()}
-    return PassThroughPanel(tuple(countries), tuple(decades), arrays.pop("passthrough"), arrays, tuple(exclusions))
+        given[annual_at] = np.where(np.isnan(given[annual_at]), means[:-1], given[annual_at])
+        # the rows: passthrough, the DECADE_SCHEMA covariates, then avg_inflation (the dependent's mean)
+        blocks.append(np.vstack([found.coefficients[usable, cost_column], given, means[-1]]))
+    passthrough, *columns = np.concatenate(blocks, axis=1)
+    covariates = dict(zip((*DECADE_SCHEMA, "avg_inflation"), columns))
+    return PassThroughPanel(tuple(countries), tuple(decades), passthrough, covariates, tuple(exclusions))
 
 
 def _decade_file_cells(decade_data: PanelDataset | None, countries: Sequence[str]) -> tuple[np.ndarray, dict[int, int]]:

@@ -12,14 +12,11 @@ Forking a process that has run numpy's BLAS is safe on the assumption that
 its OpenBLAS stops its threads before a fork and the child starts its own:
 numpy 2.4's bundled OpenBLAS (0.3.31, a pthreads build) exports
 `openblas_fork_handler` and registers it with `pthread_atfork`. The
-executor must also fork every worker before its manager thread starts (the
-fix for gh-90622, CPython 3.11.0b2 on); a kept pool does not fork again. An
-executor without it forks workers on demand while its threads run, so
-`_FORK_POOLS` checks for the fix when this module is imported, and where it
-is missing (some 3.10 releases), or the platform cannot fork, the tasks run
-in the calling process. numpy's OpenBLAS thread makes every process
-multi-threaded, so CPython 3.12 and later warn (`DeprecationWarning`) each
-time the pool forks, for the Monte Carlo and the forest alike.
+executor forks every worker before its manager thread starts (CPython 3.11
+on), and a kept pool does not fork again. Where the platform cannot fork,
+the tasks run in the calling process. numpy's OpenBLAS thread makes every
+process multi-threaded, so CPython 3.12 and later warn (`DeprecationWarning`)
+each time the pool forks, for the Monte Carlo and the forest alike.
 
 A task gets all it needs in its arguments: a kept fork pool keeps the module
 state of the moment it started.
@@ -47,12 +44,8 @@ def _new_lock() -> None:
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_lock)
-# Whether the pool may start here: the platform forks, and the executor forks
-# every worker before its threads start (see the docstring).
-_FORK_POOLS = (
-    "fork" in multiprocessing.get_all_start_methods()
-    and "_safe_to_dynamically_spawn_children" in ProcessPoolExecutor.__init__.__code__.co_names
-)
+# Whether the pool may start here: the platform forks.
+_FORK_POOLS = "fork" in multiprocessing.get_all_start_methods()
 
 
 def usable_cpus() -> int:
@@ -67,14 +60,14 @@ def map_tasks(fn: Callable, tasks: Sequence, workers: int) -> list:
     """[fn(task) for task in tasks], on the kept pool of `workers` forked processes.
 
     The tasks run in the calling process when `workers` is 1, or where the
-    platform cannot fork or the executor forks workers on demand. The pool is
-    kept for the next call: a call needing the same number of workers reuses
-    it, one needing another number shuts it down and starts a new one, and a
-    pool started by another process (before an os.fork) is never reused. An
-    exception out of the pool (a worker's error, a dead worker, an interrupt)
-    shuts the pool down before it propagates, so the next call starts afresh.
-    Idle workers live until the interpreter exits, which joins them; calls
-    from several threads take turns on the pool.
+    platform cannot fork. The pool is kept for the next call: a call needing
+    the same number of workers reuses it, one needing another number shuts it
+    down and starts a new one, and a pool started by another process (before
+    an os.fork) is never reused. An exception out of the pool (a worker's
+    error, a dead worker, an interrupt) shuts the pool down before it
+    propagates, so the next call starts afresh. Idle workers live until the
+    interpreter exits, which joins them; calls from several threads take
+    turns on the pool.
     """
     if workers < 2 or not _FORK_POOLS:
         return [fn(task) for task in tasks]

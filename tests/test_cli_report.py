@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -1100,6 +1101,33 @@ def test_a_decade_with_no_panel_years_is_a_marked_column(tmp_path, data_dir, cap
     for label, cell in columns[("full,1980s,2070s", "2070s")]:
         assert cell == ["", "", "", "0" if label == "countries" else "n/a (no panel years)", ""]
     assert "mg_table 2070s: the panel has no years in this decade" in caplog.messages
+
+
+def test_a_unit_root_marks_only_the_lt_row(tmp_path):
+    # price growth is a random walk driven by cost growth, with no noise: persistence 1 in every window
+    rng = np.random.default_rng(3)
+    cost = rng.normal(0.02, 0.01, size=(5, 40))
+    price = np.cumsum(0.5 * (cost - 0.02), axis=1)
+    levels = 100.0 * np.exp(np.cumsum(np.stack([price, cost]), axis=2))
+    panel = PanelDataset.from_arrays([f"C{i:02d}" for i in range(5)], range(1980, 2020), ("cpi", "ulc"), levels)
+    data = tmp_path / "panel.csv"
+    write_panel_csv(panel, data)
+    mapping = {
+        "data.panel_path": str(data),
+        "output.dir": str(tmp_path / "out"),
+        "decades": "full,1990s",
+        "outputs": "mg_table",
+        "output.format": "json",
+    }
+    run_pipeline(config_from_mapping(mapping))
+    cells = read_rows(tmp_path / "out" / "mg_table.json")
+    for column in ("full", "1990s"):
+        assert cells[("LT effect: dln_ulc", column)]["text"] == "n/a (unit root)"
+        for label in ("dln_cpi_lag1", "dln_ulc", "constant"):
+            assert cells[(label, column)]["estimate"] is not None
+        for label in ("observations", "countries", "RMSE (sigma)", "chi2", "Wald p"):
+            assert cells[(label, column)]["text"]
+    assert cells[("countries", "full")]["text"] == "5"
 
 
 def test_synthetic_config_drives_generator(tmp_path):

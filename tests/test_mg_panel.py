@@ -698,6 +698,30 @@ def test_decade_passthroughs_require_cost_slot(toy_levels):
         estimate_decade_passthroughs(toy_levels, spec, [DecadeWindow(1990)])
 
 
+def test_decade_passthroughs_report_empty_windows_in_window_order():
+    base = generate_panel(DgpParams(n_countries=4, n_years=40, seed=5))
+    cells = {v: dict(base.cells(v)) for v in base.variables}
+    for year in range(1983, 1990):  # four years of 1980s levels: too few rows there
+        del cells["cpi"][("C01", year)]
+    ds = PanelDataset(base.countries, base.years, cells)
+    spec = build_passthrough_spec("cpi", "ulc")
+    windows = [DecadeWindow(1970), DecadeWindow(1980), DecadeWindow(2030)]
+    panel = estimate_decade_passthroughs(ds, spec, windows, exclude=("C03",))
+    assert panel.exclusions == (
+        Exclusion("*", "1970s", "EmptyWindow"),
+        Exclusion("C01", "1980s", "TooFewRows"),
+        Exclusion("C03", "1980s", "ExcludedByConfig"),
+        Exclusion("*", "2030s", "EmptyWindow"),
+    )
+    assert panel.country == ("C00", "C02") and panel.decade == ("1980s", "1980s")
+
+    empty = estimate_decade_passthroughs(ds, spec, [DecadeWindow(1970), DecadeWindow(2030)])
+    assert empty.country == empty.decade == ()
+    assert list(empty.covariates) == ["kof", "em6", "em10", "avg_inflation"]
+    for values in (empty.passthrough, *empty.covariates.values()):
+        assert values.dtype == np.float64 and values.shape == (0,)
+
+
 def test_decade_passthroughs_schedule_recovery_smoke():
     sched = (0.25, 0.25, 0.05, 0.0)
     spec = build_passthrough_spec("cpi", "ulc")
