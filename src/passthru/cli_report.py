@@ -54,6 +54,7 @@ from passthru.panel_data import (
     load_panel_csv,
     median_by_window,
     panel_csv_text,
+    read_data_file,
     table_a2_path,
     window,
 )
@@ -497,7 +498,7 @@ def _data_files(cfg: RunConfig) -> dict[str, Path]:
 
 def _input_digests(cfg: RunConfig) -> dict[str, str]:
     """SHA-256 of each input file, keyed by the config key that names it."""
-    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in _data_files(cfg).items()}
+    return {key: hashlib.sha256(read_data_file(path)).hexdigest() for key, path in _data_files(cfg).items()}
 
 
 def config_from_manifest(path: str | Path) -> RunConfig:

@@ -457,7 +457,7 @@ def _decade_file_cells(decade_data: PanelDataset | None, countries: Sequence[str
 
 
 def pooled_fixed_effects(ds: PanelDataset, spec: ModelSpec) -> OlsFit:
-    """Within (entity-demeaned) OLS pooling all countries, for comparison with MG."""
+    """Within (entity-demeaned) OLS pooling all countries, for comparison with MG; MgError names a dropped regressor."""
     names = [spec.dependent.name] + [t.name for t in spec.regressors]
     values, complete = ds.complete_cells(names)
     if np.count_nonzero(complete) < len(spec.regressors) + 2:
@@ -465,4 +465,8 @@ def pooled_fixed_effects(ds: PanelDataset, spec: ModelSpec) -> OlsFit:
     rows = values[:, complete]  # country by country, years ascending
     groups = [ds.countries[i] for i in np.nonzero(complete)[0].tolist()]
     design = DesignMatrix(x=np.ascontiguousarray(rows[1:].T), y=rows[0], columns=tuple(t.name for t in spec.regressors))
-    return ols_fit(within_transform(design, groups))
+    within = within_transform(design, groups)
+    dropped = [name for name in design.columns if name not in within.columns]
+    if dropped:
+        raise MgError(f"pooled fixed effects: within transform drops {', '.join(dropped)}, constant in every country")
+    return ols_fit(within)

@@ -150,55 +150,30 @@ def _check_axes(countries: Iterable[str], years: Iterable[int]) -> tuple[tuple[s
 class PanelDataset:
     """Immutable country x year grid of named numeric series.
 
-    One read-only float64 array of shape (variable, country, year) holds the
-    values. NaN is the only mark of a missing cell and observed cells are
-    finite, so two datasets are equal when their grids and value arrays are,
-    NaN for NaN.
+    `values` is a (variable, country, year) array, which the dataset copies to
+    float64 and keeps read-only. NaN is the only mark of a missing cell and
+    observed cells are finite: an inf is rejected, naming the first one in
+    (variable, country, year) order. Two datasets are equal when their grids
+    and value arrays are, NaN for NaN.
     """
 
     __slots__ = ("countries", "years", "variables", "_values", "_row", "_country", "_year")
 
-    def __init__(
-        self, countries: Iterable[str], years: Iterable[int], series: Mapping[str, Mapping[tuple[str, int], float]]
-    ):
-        """`series` maps variable name -> {(country, year): value}; absent cells are missing."""
-        countries, years = _check_axes(countries, years)
-        country_pos, year_pos = {c: i for i, c in enumerate(countries)}, {y: j for j, y in enumerate(years)}
-        values = np.full((len(series), len(countries), len(years)), np.nan)
-        bad = np.zeros(values.shape, dtype=bool)  # given cells that are not finite
-        for v, (name, obs) in enumerate(series.items()):
-            for (country, year), value in obs.items():
-                i, j = country_pos.get(country), year_pos.get(year)
-                if i is None or j is None:
-                    raise PanelDataError(f"{name}: cell ({country}, {year}) outside the declared grid")
-                values[v, i, j] = value = float(value)
-                bad[v, i, j] = not math.isfinite(value)
-        self._set(countries, years, tuple(str(name) for name in series), values, bad)
-
-    @classmethod
-    def from_arrays(
-        cls, countries: Iterable[str], years: Iterable[int], variables: Iterable[str], values: np.ndarray
-    ) -> "PanelDataset":
-        """Build from a dense (variable, country, year) array in which every cell is observed."""
-        return cls._adopt(countries, years, variables, np.array(values, dtype=float))
-
-    @classmethod
-    def _adopt(cls, countries, years, variables, values: np.ndarray) -> "PanelDataset":
-        """`from_arrays` on a float64 array that no one else holds: kept uncopied, and made read-only."""
+    def __init__(self, countries: Iterable[str], years: Iterable[int], variables: Iterable[str], values: np.ndarray):
         countries, years = _check_axes(countries, years)
         variables = tuple(str(v) for v in variables)
+        values = np.array(values, dtype=float)
         if values.shape != (len(variables), len(countries), len(years)):
             raise PanelDataError(f"array of shape {values.shape} does not fit the grid")
-        return _dataset(countries, years, variables, values, ~np.isfinite(values))
+        self._set(countries, years, variables, values, check=True)
 
-    def _set(self, countries, years, variables, values, bad: np.ndarray | None = None) -> "PanelDataset":
-        """Take checked axes and the array, made read-only; a cell `bad` marks is named and rejected."""
+    def _set(self, countries, years, variables, values, check: bool = False) -> "PanelDataset":
+        """Take checked axes and the array, made read-only; with `check`, an inf cell is named and rejected."""
         if any(not name for name in variables) or len(set(variables)) != len(variables):
             raise PanelDataError("variable names must be unique and non-empty")
-        if bad is not None and bad.any():  # argwhere only to name the first bad cell
-            v, i, j = np.argwhere(bad)[0]
-            where = f"{variables[v]}: non-finite value at ({countries[i]}, {years[j]})"
-            raise PanelDataError(f"{where}; leave missing cells absent")
+        if check and np.isinf(values).any():  # argwhere only to name the first inf
+            v, i, j = np.argwhere(np.isinf(values))[0]
+            raise PanelDataError(f"{variables[v]}: infinite value at ({countries[i]}, {years[j]})")
         values.flags.writeable = False
         self.countries, self.years, self.variables = countries, years, variables
         self._values = values
@@ -243,7 +218,7 @@ class PanelDataset:
             return self
         values = np.concatenate([self._values, list(layers.values())])
         # no dataset holds an inf, and a NaN made of one follows it: the first inf is the first bad cell
-        return _dataset(self.countries, self.years, self.variables + tuple(layers), values, np.isinf(values))
+        return _dataset(self.countries, self.years, self.variables + tuple(layers), values, check=True)
 
     def complete_cells(self, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """The variables' (variable, country, year) values, and the (country, year) mask where all are observed."""
@@ -263,16 +238,24 @@ class PanelDataset:
         return list(zip(np.asarray(self.years)[complete[i]].tolist(), values[:, i, complete[i]].T.tolist()))
 
 
-def _dataset(countries, years, variables, values, bad: np.ndarray | None = None) -> PanelDataset:
-    """A dataset on checked axes that takes `values` uncopied."""
-    return PanelDataset.__new__(PanelDataset)._set(countries, years, variables, values, bad)
+def _dataset(countries, years, variables, values, check: bool = False) -> PanelDataset:
+    """A dataset on checked axes that takes `values` uncopied; `check` as in `PanelDataset._set`."""
+    return PanelDataset.__new__(PanelDataset)._set(countries, years, variables, values, check)
+
+
+def read_data_file(path: str | Path) -> bytes:
+    """The file's bytes; a path that cannot be read (missing, a directory, not permitted) fails, naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise PanelDataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]) -> PanelDataset:
     path = Path(path)
     # decoded whole, so a byte that is not UTF-8 fails here, naming the file
     try:
-        text = path.read_bytes().decode("utf-8-sig")
+        text = read_data_file(path).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise PanelDataError(f"{path}: not UTF-8 text: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -313,7 +296,8 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
                 value = float(raw or "nan")
             except ValueError:
                 raise MalformedNumberError(row_no, name, raw) from None
-            if raw and not math.isfinite(value):
+            # only an empty cell is missing: a "nan" text is malformed, and the dataset names an inf
+            if raw and math.isnan(value):
                 raise MalformedNumberError(row_no, name, raw)
             cells.append(value)
     if not rows:
@@ -323,7 +307,7 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
     year_at = {y: j for j, y in enumerate(sorted({y for _, y in rows}))}
     values = np.full((len(var_names), len(country_at), len(year_at)), np.nan)
     values[:, [country_at[c] for c, _ in rows], [year_at[y] for _, y in rows]] = np.array(list(rows.values())).T
-    return _dataset(tuple(country_at), tuple(year_at), tuple(var_names), values)
+    return PanelDataset(country_at, year_at, var_names, values)
 
 
 def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA) -> PanelDataset:
@@ -378,7 +362,7 @@ def apply_transforms(ds: PanelDataset, transforms: Mapping[str, TransformSpec]) 
     """Add derived series in one pass, as applying each in turn would.
 
     A series' operands come from the dataset or from a series listed before
-    it. Errors are those of the one-by-one route, in its order: a non-finite
+    it. Errors are those of the one-by-one route, in its order: an infinite
     cell of an earlier series is reported before a later series' bad operand
     or non-positive log cell.
     """
@@ -391,7 +375,7 @@ def apply_transforms(ds: PanelDataset, transforms: Mapping[str, TransformSpec]) 
                 raise NameCollisionError(f"variable {name!r} already exists")
             layers[name] = _transform_layer(ds, t, layers)
     except PanelDataError:
-        ds._with_layers(layers)  # raises for an earlier series' non-finite cell
+        ds._with_layers(layers)  # raises for an earlier series' infinite cell
         raise
     return ds._with_layers(layers)
 
@@ -407,7 +391,7 @@ def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, np
     if t.kind == "lag":
         return _lag(ds, values, t.periods)
     if t.kind == "product":
-        # an overflow is reported as a non-finite cell; inf * 0 is NaN only past an earlier series' reported overflow
+        # an overflow is reported as an infinite cell; inf * 0 is NaN only past an earlier series' reported overflow
         with np.errstate(over="ignore", invalid="ignore"):
             return values * other[0]
     bad = values <= 0.0

@@ -89,6 +89,9 @@ class DgpParams:
             raise InvalidParamsError("cost_ar must be inside the unit circle")
         if self.lambda_schedule is not None and not self.lambda_schedule:
             raise InvalidParamsError("lambda_schedule must not be empty")
+        if self.lambda_schedule is not None and self.start_year % 10 != 0:
+            # entry d covers years start_year + 10 d .. + 9, which must be a DecadeWindow
+            raise InvalidParamsError(f"start_year must be a multiple of 10 with a schedule, got {self.start_year}")
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,7 @@ def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], names: Seq
     panel's cells do not depend on the panels stacked with it. The panel holds
     the series `names`, in that order, from PANEL_SCHEMA, cpi_growth and
     ulc_growth. Only they are built, each written into one (series, countries,
-    years) array that the dataset keeps uncopied; the draws do not depend on
-    which series are built.
+    years) array; the draws do not depend on which series are built.
     """
     total = p.burn_in + p.n_years
     # a country's series draws, in order: cost and price shocks over burn-in plus
@@ -198,7 +200,7 @@ def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], names: Seq
         values[v] = recipes[name]()
     countries = [f"{tag}C{j:02d}" for tag in seeds for j in range(p.n_countries)]
     years = range(p.start_year, p.start_year + p.n_years)
-    return PanelDataset._adopt(countries, years, names, values), rho, mu2, alpha
+    return PanelDataset(countries, years, names, values), rho, mu2, alpha
 
 
 def generate_panel(

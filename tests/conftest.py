@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import os
 import signal
 import subprocess
@@ -68,22 +69,6 @@ def script_exits_cleanly(tmp_path):
 @pytest.fixture
 def toy_levels() -> PanelDataset:
     """Two countries, five years of index levels with one gap."""
-    years = range(1990, 1995)
-    cells = {
-        "cpi": {
-            ("AA", 1990): 100.0, ("AA", 1991): 102.0, ("AA", 1992): 105.0,
-            ("AA", 1993): 105.0, ("AA", 1994): 108.0,
-            ("BB", 1990): 50.0, ("BB", 1991): 51.0,
-            ("BB", 1993): 53.0, ("BB", 1994): 55.0,
-        },
-        "ulc": {
-            ("AA", y): 90.0 + 2.0 * (y - 1990) for y in years
-        } | {
-            ("BB", y): 70.0 + 1.5 * (y - 1990) for y in years
-        },
-    }
-    return PanelDataset(["AA", "BB"], years, cells)
-
-
-def make_panel(series: dict, countries, years) -> PanelDataset:
-    return PanelDataset(countries, years, series)
+    cpi = [[100.0, 102.0, 105.0, 105.0, 108.0], [50.0, 51.0, math.nan, 53.0, 55.0]]
+    ulc = [[90.0 + 2.0 * t for t in range(5)], [70.0 + 1.5 * t for t in range(5)]]
+    return PanelDataset(["AA", "BB"], range(1990, 1995), ["cpi", "ulc"], [cpi, ulc])

@@ -644,9 +644,10 @@ def test_every_preset_output_matches_its_pinned_digest(tmp_path):
     gappy.mkdir()
     write_panel_csv(generate_panel(DgpParams(seed=1)), complete / "panel.csv")
     ds = generate_panel(DgpParams(seed=3))
-    gaps = {(var, country, year) for var, country, years in PANEL_GAPS for year in years}
-    cells = {var: {(c, y): v for (c, y), v in ds.cells(var).items() if (var, c, y) not in gaps} for var in ds.variables}
-    write_panel_csv(PanelDataset(ds.countries, ds.years, cells), gappy / "panel.csv")
+    values, _ = ds.complete_cells(ds.variables)
+    for var, country, years in PANEL_GAPS:
+        values[ds.variables.index(var), ds.countries.index(country), np.isin(ds.years, years)] = np.nan
+    write_panel_csv(PanelDataset(ds.countries, ds.years, ds.variables, values), gappy / "panel.csv")
     (gappy / "decades.csv").write_text(DECADE_FILE)
     digests = {}
     for data in (complete, gappy):
@@ -986,14 +987,12 @@ def test_stage_wall_times_and_forest_shape_go_to_the_log_only(tmp_path, data_dir
 
 def test_usable_countries_by_reason_go_to_the_log_only(tmp_path, caplog):
     base = generate_panel(DgpParams(n_countries=5, n_years=40, seed=7))
-    cells = {v: dict(base.cells(v)) for v in base.variables}
-    for (country, year) in list(cells["cpi"]):
-        if country == "C03" and year >= 1985:  # five years of levels: too few rows everywhere
-            del cells["cpi"][(country, year)]
-        if country == "C04":  # constant cost growth: singular in every window
-            cells["ulc"][(country, year)] = 100.0 * 1.02 ** (year - 1980)
+    values, _ = base.complete_cells(base.variables)
+    values[base.variables.index("cpi"), 3, 5:] = np.nan  # C03 keeps five years of levels: too few rows everywhere
+    # C04's cost growth is constant: singular in every window
+    values[base.variables.index("ulc"), 4] = [100.0 * 1.02 ** (year - 1980) for year in base.years]
     data = tmp_path / "panel.csv"
-    write_panel_csv(PanelDataset(base.countries, base.years, cells), data)
+    write_panel_csv(PanelDataset(base.countries, base.years, base.variables, values), data)
     out = tmp_path / "logged"
     mapping = {
         "data.panel_path": str(data),
@@ -1060,9 +1059,9 @@ def test_cli_exit_codes(tmp_path, capsys):
 def write_panel_with_a_zero_cpi(path: Path, params: DgpParams) -> None:
     """A generated panel whose cpi is 0 in one cell, which fails the log transform of every model."""
     base = generate_panel(params)
-    cells = {v: dict(base.cells(v)) for v in base.variables}
-    cells["cpi"][(base.countries[1], base.years[5])] = 0.0
-    write_panel_csv(PanelDataset(base.countries, base.years, cells), path)
+    values, _ = base.complete_cells(base.variables)
+    values[base.variables.index("cpi"), 1, 5] = 0.0
+    write_panel_csv(PanelDataset(base.countries, base.years, base.variables, values), path)
 
 
 def test_stage_error_names_stage(tmp_path):
@@ -1078,6 +1077,16 @@ def test_stage_error_names_stage(tmp_path):
         run_pipeline(cfg)
     assert err.value.stage == "mg_table"
     assert isinstance(err.value.__cause__, NonPositiveForLogError)
+
+
+@pytest.mark.parametrize("name", ["absent.csv", "a_directory"])
+def test_an_unreadable_panel_file_fails_the_ingest_stage(tmp_path, name):
+    (tmp_path / "a_directory").mkdir()
+    cfg = RunConfig(out_dir=tmp_path / "out", panel_path=tmp_path / name)
+    with pytest.raises(StageError) as err:
+        run_pipeline(cfg)
+    assert err.value.stage == "ingest"
+    assert str(err.value.__cause__).startswith(f"{tmp_path / name}: cannot read: ")
 
 
 def test_a_decade_with_no_panel_years_is_a_marked_column(tmp_path, data_dir, caplog):
@@ -1109,7 +1118,7 @@ def test_a_unit_root_marks_only_the_lt_row(tmp_path):
     cost = rng.normal(0.02, 0.01, size=(5, 40))
     price = np.cumsum(0.5 * (cost - 0.02), axis=1)
     levels = 100.0 * np.exp(np.cumsum(np.stack([price, cost]), axis=2))
-    panel = PanelDataset.from_arrays([f"C{i:02d}" for i in range(5)], range(1980, 2020), ("cpi", "ulc"), levels)
+    panel = PanelDataset([f"C{i:02d}" for i in range(5)], range(1980, 2020), ("cpi", "ulc"), levels)
     data = tmp_path / "panel.csv"
     write_panel_csv(panel, data)
     mapping = {

@@ -130,13 +130,8 @@ def test_fit_country_noise_free_recovery():
 
 def test_fit_country_constant_cost_is_singular():
     years = list(range(1990, 2005))
-    growth = {("AA", y): 0.02 for y in years}
-    cells = {
-        "dln_cpi": {("AA", y): 0.01 + 0.001 * (y % 3) for y in years},
-        "dln_ulc": growth,
-        "dln_cpi_lag1": {("AA", y): 0.01 for y in years},
-    }
-    ds = PanelDataset(["AA"], years, cells)
+    dln_cpi = [0.01 + 0.001 * (y % 3) for y in years]
+    ds = PanelDataset(["AA"], years, ["dln_cpi", "dln_ulc", "dln_cpi_lag1"], [[dln_cpi], [[0.02] * 15], [[0.01] * 15]])
     spec = ModelSpec(
         dependent=Term("dln_cpi", TransformSpec.identity("dln_cpi")),
         regressors=(
@@ -176,15 +171,11 @@ def holey_panels(draw) -> PanelDataset:
     short = draw(st.sets(st.sampled_from(countries), max_size=2))  # five years at most
     constant_cost = draw(st.sets(st.sampled_from(countries), max_size=2))
     scale = draw(st.sampled_from((1e-3, 1.0, 1e3)))
-    series = {}
-    for var in ("y", "x_cost", "x_ctrl"):
-        series[var] = {
-            (c, yr): 0.02 if var == "x_cost" and c in constant_cost else scale * float(rng.normal())
-            for c in countries
-            for yr in years
-            if rng.random() >= hole_rate and not (c in short and yr >= years[5])
-        }
-    return PanelDataset(countries, years, series)
+    values = scale * rng.standard_normal((3, len(countries), len(years)))
+    values[1, [countries.index(c) for c in constant_cost]] = 0.02
+    values[rng.random(values.shape) < hole_rate] = np.nan
+    values[:, [countries.index(c) for c in short], 5:] = np.nan
+    return PanelDataset(countries, years, ("y", "x_cost", "x_ctrl"), values)
 
 
 def ols_reference(ds: PanelDataset, spec: ModelSpec, country: str):
@@ -223,7 +214,8 @@ def test_batched_fits_equal_per_country_ols_bit_for_bit(ds):
 @given(data=st.data(), ds=holey_panels())
 def test_reordering_countries_leaves_mean_group_bit_identical(data, ds):
     order = data.draw(st.permutations(ds.countries))
-    shuffled = PanelDataset(order, ds.years, {v: ds.cells(v) for v in ds.variables})
+    values, _ = ds.complete_cells(ds.variables)
+    shuffled = PanelDataset(order, ds.years, ds.variables, values[:, ds.country_positions(order)])
     try:
         r = mg_of(ds, IDENTITY_SPEC)
     except TooFewCountriesError:
@@ -250,18 +242,10 @@ def test_country_arrays_keeps_the_requested_order():
 
 def test_fit_country_returns_scalar_fields():
     # the tracer's fit_country probe counts usable fits with int(fit.usable)
-    years = range(1990, 2005)
-    rng = np.random.default_rng(7)
-    series = {
-        var: {
-            (c, yr): 0.02 if var == "x_cost" and c == "CC" else float(rng.normal())
-            for c in ("AA", "BB", "CC")
-            for yr in years
-            if c != "BB" or yr < 1994
-        }
-        for var in ("y", "x_cost", "x_ctrl")
-    }
-    ds = PanelDataset(["AA", "BB", "CC"], years, series)
+    values = np.random.default_rng(7).standard_normal((3, 3, 15))
+    values[1, 2] = 0.02  # CC's cost is constant
+    values[:, 1, 4:] = np.nan  # BB ends in 1993
+    ds = PanelDataset(["AA", "BB", "CC"], range(1990, 2005), ("y", "x_cost", "x_ctrl"), values)
     for country, usable, reason in (("AA", 1, None), ("BB", 0, "TooFewRows"), ("CC", 0, "SingularDesign")):
         fit = fit_country(ds, IDENTITY_SPEC, country)
         assert (int(fit.usable), fit.reason) == (usable, reason)
@@ -402,11 +386,9 @@ def test_one_pass_design_equals_the_sequential_transforms(seed, hole_rate, given
     rng = np.random.default_rng(seed)
     countries, years = ["AA", "BB", "CC"], range(1990, 2002)
     names = ("cpi", "ulc", "kof", "output_gap")
-    series = {
-        name: {(c, y): float(rng.uniform(0.5, 2.0)) for c in countries for y in years if rng.random() >= hole_rate}
-        for name in names
-    }
-    ds = PanelDataset(countries, years, series)
+    values = rng.uniform(0.5, 2.0, (len(names), len(countries), len(years)))
+    values[rng.random(values.shape) < hole_rate] = np.nan
+    ds = PanelDataset(countries, years, names, values)
     if given_dln:  # a design series already present is reused, and later ones build on it
         ds = apply_transform(ds, TransformSpec.log_diff("cpi"), "dln_cpi")
     one, seq = materialize_design(ds, FULL_SPEC), sequential_design(ds, FULL_SPEC)
@@ -439,17 +421,16 @@ def error_spec(log_source: str) -> ModelSpec:
     ({"a": 1e200, "b": 1e200}, "absent", PanelDataError),
 ])
 def test_one_pass_design_fails_as_the_sequential_transforms_do(cells, log_source, kind):
-    countries, years = ["AA", "BB"], range(1990, 1996)
-    series = {name: {(c, y): 1.0 + 0.1 * (y - 1990) for c in countries for y in years}
-              for name in ("y", "a", "b", "level")}
+    names = ("y", "a", "b", "level")
+    values = np.tile([1.0 + 0.1 * t for t in range(6)], (len(names), 2, 1))
     for name, value in cells.items():
-        series[name][("BB", 1993)] = value
-    ds, spec = PanelDataset(countries, years, series), error_spec(log_source)
+        values[names.index(name), 1, 3] = value  # (BB, 1993)
+    ds, spec = PanelDataset(["AA", "BB"], range(1990, 1996), names, values), error_spec(log_source)
     got = _error(materialize_design, ds, spec)
     assert got == _error(sequential_design, ds, spec)
     assert got[0] is kind
     if "a" in cells:
-        assert got[1].startswith("ab: non-finite value at (BB, 1993)")
+        assert got[1].startswith("ab: infinite value at (BB, 1993)")
 
 
 # ---------------------------------------------------------------- long-run effect
@@ -597,12 +578,7 @@ def test_decade_passthroughs_exclusion_and_covariate_join():
     p = DgpParams(n_countries=3, n_years=40, seed=6)
     ds = generate_panel(p)
     # rename a country to US by rebuilding the dataset, so the fixture join hits
-    renamed = {}
-    for var in ds.variables:
-        renamed[var] = {
-            ("US" if c == "C00" else c, y): v for (c, y), v in ds.cells(var).items()
-        }
-    ds = PanelDataset(["US", "C01", "C02"], ds.years, renamed)
+    ds = PanelDataset(["US", "C01", "C02"], ds.years, ds.variables, ds.complete_cells(ds.variables)[0])
 
     spec = build_passthrough_spec("cpi", "ulc")
     windows = [DecadeWindow.from_label(lbl) for lbl in ("1980s", "1990s", "2000s", "2010s")]
@@ -652,24 +628,21 @@ def _same_float(a, b) -> bool:
 def test_decade_passthroughs_match_a_cell_by_cell_reference():
     # a panel starting mid-decade, with annual covariate and price cells missing at random
     ds = generate_panel(DgpParams(n_countries=6, n_years=37, start_year=1981, seed=11))
-    rng = np.random.default_rng(4)
-    cells = {}
-    for var in ds.variables:
-        keep = 0.97 if var in ("cpi", "ulc") else 0.6
-        cells[var] = {key: v for key, v in ds.cells(var).items() if rng.random() < keep}
-    cells["kof"] = {(c, y): v for (c, y), v in cells["kof"].items() if not (c == "C01" and y < 2000)}
-    cells["em10"].update({("C04", y): -0.0 for y in range(2000, 2010)})  # sums to -0.0 cell by cell
-    ds = PanelDataset(ds.countries, ds.years, cells)
+    values, _ = ds.complete_cells(ds.variables)
+    keep = np.array([0.97 if var in ("cpi", "ulc") else 0.6 for var in ds.variables])
+    values[np.random.default_rng(4).random(values.shape) >= keep[:, None, None]] = np.nan
+    kof, em10, years = ds.variables.index("kof"), ds.variables.index("em10"), np.array(ds.years)
+    values[kof, 1, years < 2000] = np.nan  # C01
+    values[em10, 4, (years >= 2000) & (years < 2010)] = -0.0  # C04's sums to -0.0 cell by cell
+    ds = PanelDataset(ds.countries, ds.years, ds.variables, values)
     # the decade file lacks em10, countries C01 and C05, and one cell of C02
     in_file = ("C00", "C02", "C03", "C04")
     decades = (1980, 1990, 2000, 2010)
-    decade_cells = {
-        var: {(c, d): 0.1 + 0.01 * i + d / 1e5 for i, c in enumerate(in_file) for d in decades} for var in ("kof", "em6")
-    }
-    del decade_cells["em6"][("C02", 1990)]
+    decade_values = np.array([[[0.1 + 0.01 * i + d / 1e5 for d in decades] for i in range(len(in_file))]] * 2)
+    decade_values[1, 1, 1] = np.nan  # em6 of C02 in 1990
     spec = build_passthrough_spec("cpi", "ulc")
     windows = [DecadeWindow(d) for d in decades]
-    for decade_data in (None, PanelDataset(in_file, decades, decade_cells)):
+    for decade_data in (None, PanelDataset(in_file, decades, ("kof", "em6"), decade_values)):
         panel = estimate_decade_passthroughs(ds, spec, windows, decade_data=decade_data, exclude=("C03",))
         expected = _decade_reference(ds, spec, windows, decade_data)
         assert set(panel.country) == {"C00", "C01", "C02", "C04", "C05"}
@@ -700,10 +673,9 @@ def test_decade_passthroughs_require_cost_slot(toy_levels):
 
 def test_decade_passthroughs_report_empty_windows_in_window_order():
     base = generate_panel(DgpParams(n_countries=4, n_years=40, seed=5))
-    cells = {v: dict(base.cells(v)) for v in base.variables}
-    for year in range(1983, 1990):  # four years of 1980s levels: too few rows there
-        del cells["cpi"][("C01", year)]
-    ds = PanelDataset(base.countries, base.years, cells)
+    values, _ = base.complete_cells(base.variables)
+    values[base.variables.index("cpi"), 1, 3:10] = np.nan  # C01 keeps its 1980-1982 levels: too few rows there
+    ds = PanelDataset(base.countries, base.years, base.variables, values)
     spec = build_passthrough_spec("cpi", "ulc")
     windows = [DecadeWindow(1970), DecadeWindow(1980), DecadeWindow(2030)]
     panel = estimate_decade_passthroughs(ds, spec, windows, exclude=("C03",))

@@ -40,7 +40,7 @@ from passthru.synth_lab import DgpParams, generate_panel
 
 def one_country(values: dict[int, float], var: str = "x") -> PanelDataset:
     years = sorted(values)
-    return PanelDataset(["AA"], years, {var: {("AA", y): v for y, v in values.items()}})
+    return PanelDataset(["AA"], years, [var], [[[values[y] for y in years]]])
 
 
 # ---------------------------------------------------------------- ingestion
@@ -93,6 +93,12 @@ def test_load_rejects_unknown_column(tmp_path):
     assert ds.value("mystery", "AT", 1990) == 1.0
 
 
+def test_an_unreadable_data_file_is_named(tmp_path):
+    for path, why in ((tmp_path / "absent.csv", "No such file or directory"), (tmp_path, "Is a directory")):
+        with pytest.raises(PanelDataError, match=rf"^{re.escape(str(path))}: cannot read: {why}$"):
+            load_panel_csv(path)
+
+
 def test_missing_cells_are_absent(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("country,year,cpi,ulc\nAT,1990,100,\nAT,1991,,90\n")
@@ -121,13 +127,12 @@ def panels_with_holes(draw) -> PanelDataset:
     countries = draw(st.lists(st.text("ABCXYZ", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
     years = sorted(draw(st.sets(st.integers(1950, 2030), min_size=1, max_size=6)))
     variables = draw(st.lists(st.sampled_from(("v1", "v2", "v3", "v4")), min_size=1, max_size=4, unique=True))
-    series = {v: {} for v in variables}
-    for c in countries:
-        for y in years:
-            present = draw(st.sets(st.sampled_from(variables), min_size=1))
-            for v in present:
-                series[v][(c, y)] = draw(FINITE)
-    return PanelDataset(countries, years, series)
+    values = np.full((len(variables), len(countries), len(years)), np.nan)
+    for i in range(len(countries)):
+        for j in range(len(years)):
+            for v in draw(st.sets(st.sampled_from(range(len(variables))), min_size=1)):
+                values[v, i, j] = draw(FINITE)
+    return PanelDataset(countries, years, variables, values)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -169,11 +174,9 @@ def gappy_positive_panels(draw) -> PanelDataset:
     """Two-variable panels on consecutive and broken year axes, any cell missing, values fit for a log."""
     countries = [f"C{i}" for i in range(draw(st.integers(1, 4)))]
     years = sorted(draw(st.sets(st.integers(1978, 2003), min_size=1, max_size=12)))
-    level = st.floats(min_value=1e-3, max_value=1e3)
-    series = {
-        var: {(c, y): draw(level) for c in countries for y in years if draw(st.booleans())} for var in ("x", "z")
-    }
-    return PanelDataset(countries, years, series)
+    cell = st.just(math.nan) | st.floats(min_value=1e-3, max_value=1e3)
+    values = [[[draw(cell) for _ in years] for _ in countries] for _ in ("x", "z")]
+    return PanelDataset(countries, years, ("x", "z"), values)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -181,7 +184,7 @@ def gappy_positive_panels(draw) -> PanelDataset:
 def test_nan_is_the_only_missing_cell_marker_on_every_path(ds, dense, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        made = [ds, PanelDataset.from_arrays(["AA", "BB"], [1990, 1991, 1993], ["d"], np.reshape(dense, (1, 2, 3)))]
+        made = [ds, PanelDataset(["AA", "BB"], [1990, 1991, 1993], ["d"], np.reshape(dense, (1, 2, 3)))]
         if not np.isnan(ds.complete_cells(ds.variables)[0]).all():  # else the CSV would list no row
             made.append(load_panel_csv(write_panel_csv(ds, tmp_path / "gappy.csv"), schema=None))
         derived = apply_transforms(ds, {
@@ -198,30 +201,28 @@ def test_nan_is_the_only_missing_cell_marker_on_every_path(ds, dense, tmp_path):
 
 
 def test_an_overflowed_product_is_reported_before_a_later_series_fault():
-    ds = PanelDataset(["AA", "BB"], [1990, 1991], {
-        "x": {("AA", 1990): 1e200, ("AA", 1991): 2.0, ("BB", 1991): -1.0},
-        "zero": {("AA", 1990): 0.0, ("BB", 1990): 1.0},
-    })
+    nan = math.nan
+    ds = PanelDataset(["AA", "BB"], [1990, 1991], ["x", "zero"], [
+        [[1e200, 2.0], [nan, -1.0]],
+        [[0.0, nan], [1.0, nan]],
+    ])
     later_faults = (
         TransformSpec.lag("absent"),  # an unknown operand
         TransformSpec.log_diff("x"),  # a non-positive log cell
         TransformSpec.product("xx", "zero"),  # inf * 0: NaN at the overflowed cell
     )
     for later in later_faults:
-        with pytest.raises(PanelDataError, match=r"^xx: non-finite value at \(AA, 1990\); leave missing cells absent$"):
+        with pytest.raises(PanelDataError, match=r"^xx: infinite value at \(AA, 1990\)$"):
             apply_transforms(ds, {"xx": TransformSpec.product("x", "x"), "later": later})
 
 
 @pytest.mark.parametrize("later", [TransformSpec.product("xx", "zero"), TransformSpec.log_diff("xx")])
 def test_an_overflowed_product_raises_its_error_and_no_numpy_warning(later):
     # inf * 0 and inf - inf are NaN: numpy's "invalid value" warnings, before the error names xx
-    ds = PanelDataset(["AA"], [1990, 1991], {
-        "x": {("AA", 1990): 1e200, ("AA", 1991): 1e200},
-        "zero": {("AA", 1990): 0.0, ("AA", 1991): 0.0},
-    })
+    ds = PanelDataset(["AA"], [1990, 1991], ["x", "zero"], [[[1e200, 1e200]], [[0.0, 0.0]]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PanelDataError, match=r"^xx: non-finite value at \(AA, 1990\); leave missing cells absent$"):
+        with pytest.raises(PanelDataError, match=r"^xx: infinite value at \(AA, 1990\)$"):
             apply_transforms(ds, {"xx": TransformSpec.product("x", "x"), "later": later})
 
 
@@ -236,24 +237,21 @@ def test_loaders_read_a_file_saved_with_a_byte_order_mark(tmp_path):
 
 def test_array_constructor_copies_and_checks_its_array():
     values = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])
-    ds = PanelDataset.from_arrays(["AA"], [1990, 1991, 1992], ["x", "y"], values)
-    assert ds == PanelDataset(
-        ["AA"], [1990, 1991, 1992],
-        {"x": {("AA", 1990 + j): v for j, v in enumerate((1.0, 2.0, 3.0))},
-         "y": {("AA", 1990 + j): v for j, v in enumerate((4.0, 5.0, 6.0))}},
-    )
+    ds = PanelDataset(["AA"], [1990, 1991, 1992], ["x", "y"], values)
+    assert dict(ds.cells("x")) == {("AA", 1990): 1.0, ("AA", 1991): 2.0, ("AA", 1992): 3.0}
+    assert dict(ds.cells("y")) == {("AA", 1990): 4.0, ("AA", 1991): 5.0, ("AA", 1992): 6.0}
     values[0, 0, 0] = 99.0  # the dataset keeps its own copy
     assert ds.value("x", "AA", 1990) == 1.0
     values[1, 0, 2] = np.inf
-    with pytest.raises(PanelDataError, match=r"y: non-finite value at \(AA, 1992\)"):
-        PanelDataset.from_arrays(["AA"], [1990, 1991, 1992], ["x", "y"], values)
-    with pytest.raises(PanelDataError):
-        PanelDataset.from_arrays(["AA"], [1990], ["x"], np.ones((1, 1, 2)))
+    with pytest.raises(PanelDataError, match=r"^y: infinite value at \(AA, 1992\)$"):
+        PanelDataset(["AA"], [1990, 1991, 1992], ["x", "y"], values)
+    with pytest.raises(PanelDataError, match=r"^array of shape \(1, 1, 2\) does not fit the grid$"):
+        PanelDataset(["AA"], [1990], ["x"], np.ones((1, 1, 2)))
 
 
 def test_product_overflow_is_rejected():
     ds = one_country({1990: 1e200})
-    with pytest.raises(PanelDataError, match="non-finite"):
+    with pytest.raises(PanelDataError, match=r"^xx: infinite value at \(AA, 1990\)$"):
         apply_transform(ds, TransformSpec.product("x", "x"), "xx")
 
 
@@ -273,21 +271,31 @@ def test_decade_loader_names_the_file_and_every_bad_decade(tmp_path):
     assert str(err.value) == f"{p}: decades must be multiples of 10, got [1985, 2003]"
 
 
-def test_dataset_rejects_nan_cells():
-    with pytest.raises(PanelDataError):
-        PanelDataset(["AA"], [1990], {"x": {("AA", 1990): float("nan")}})
+def test_nan_holes_pass_every_door_unchanged(tmp_path):
+    nan = math.nan
+    values = [[[1.0, nan, 3.0], [nan, 5.0, 6.0]], [[2.0, 4.0, nan], [8.0, nan, nan]]]
+    ds = PanelDataset(["AA", "BB"], [1990, 1991, 1992], ["x", "z"], values)
+    assert (ds.value("x", "AA", 1991), ds.n_obs("x")) == (None, 4)
+    assert dict(ds.cells("z")) == {("AA", 1990): 2.0, ("AA", 1991): 4.0, ("BB", 1990): 8.0}
+    assert load_panel_csv(write_panel_csv(ds, tmp_path / "holes.csv"), schema=None) == ds
+    derived = apply_transforms(ds, {"x_again": TransformSpec.identity("x")})
+    assert derived == PanelDataset(ds.countries, ds.years, ["x", "z", "x_again"], values + values[:1])
 
 
-def test_constructors_name_the_first_non_finite_cell_in_grid_order():
-    countries, years = ["AA", "BB"], [1990, 1991]
-    given = {("BB", 1991): math.nan, ("BB", 1990): 1.0, ("AA", 1991): -math.inf, ("AA", 1990): 2.0}
-    first = r"^y: non-finite value at \(AA, 1991\); leave missing cells absent$"
-    with pytest.raises(PanelDataError, match=first):
-        PanelDataset(countries, years, {"x": {("AA", 1990): 1.0}, "y": given})
+def test_constructors_name_the_first_non_finite_cell_in_grid_order(tmp_path):
+    # in (variable, country, year) order, y's -inf at (AA, 1991) comes before its inf at (BB, 1990)
+    first = r"^y: infinite value at \(AA, 1991\)$"
     values = np.ones((2, 2, 2))
-    values[1] = [[2.0, -math.inf], [1.0, math.nan]]
+    values[1] = [[2.0, -math.inf], [math.inf, math.nan]]
     with pytest.raises(PanelDataError, match=first):
-        PanelDataset.from_arrays(countries, years, ["x", "y"], values)
+        PanelDataset(["AA", "BB"], [1990, 1991], ["x", "y"], values)
+    path = tmp_path / "infs.csv"
+    path.write_text("country,year,x,y\nAA,1990,1,2\nBB,1990,1,inf\nAA,1991,1,-inf\nBB,1991,1,\n")
+    with pytest.raises(PanelDataError, match=first):
+        load_panel_csv(path, schema=None)
+    ds = PanelDataset(["AA", "BB"], [1990, 1991], ["x"], [[[1.0, 1e200], [1e200, math.nan]]])
+    with pytest.raises(PanelDataError, match=first):
+        apply_transforms(ds, {"y": TransformSpec.product("x", "x")})
 
 
 # ---------------------------------------------------------------- transforms
@@ -368,10 +376,7 @@ def test_log_difference_has_math_log_bits_on_every_level_cell_of_200_panels():
         levels, _ = ds.complete_cells(LEVELS)
         holed = levels.copy()
         holed[rng.random(levels.shape) < 0.1] = math.nan
-        with_holes = PanelDataset(ds.countries, ds.years, {
-            name: {(c, y): v for c, row in zip(ds.countries, layer.tolist()) for y, v in zip(ds.years, row) if v == v}
-            for name, layer in zip(LEVELS, holed)
-        })
+        with_holes = PanelDataset(ds.countries, ds.years, LEVELS, holed)
         decade = window(ds, DecadeWindow.from_label("1990s"))  # years 10-19 of 1980-2019: not a contiguous layer
         for panel, want in ((ds, levels), (with_holes, holed), (decade, levels[:, :, 10:20])):
             got, _ = apply_transforms(panel, transforms).complete_cells(transforms)
@@ -452,13 +457,12 @@ def test_median_no_data():
 )
 def test_median_ordering_and_scale_invariance(values, scale):
     countries = [f"C{i}" for i in range(len(values))]
-    base = {"x": {(c, 1990): v for c, v in zip(countries, values)}}
-    ds = PanelDataset(countries, [1990], base)
-    shuffled = PanelDataset(countries[::-1], [1990], base)
+    ds = PanelDataset(countries, [1990], ["x"], [[[v] for v in values]])
+    shuffled = PanelDataset(countries[::-1], [1990], ["x"], [[[v] for v in values[::-1]]])
     w = DecadeWindow(1990)
     m = median_by_window(ds, "x", w)
     assert median_by_window(shuffled, "x", w) == m
-    scaled = PanelDataset(countries, [1990], {"x": {k: scale * v for k, v in base["x"].items()}})
+    scaled = PanelDataset(countries, [1990], ["x"], [[[scale * v] for v in values]])
     assert median_by_window(scaled, "x", w) == pytest.approx(scale * m, rel=1e-12, abs=1e-12)
 
 
@@ -466,12 +470,12 @@ TINY_OR_SIGNED_ZERO = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0)) |
 
 
 @settings(max_examples=200, deadline=None)
-@given(rows=st.lists(st.lists(st.none() | TINY_OR_SIGNED_ZERO, min_size=3, max_size=3), min_size=1, max_size=11))
-@example(rows=[[-5e-324, 0.0, 0.0], [1.0, None, None], [-1.0, None, None]])  # a mean underflows to -0.0
+@given(rows=st.lists(st.lists(st.just(math.nan) | TINY_OR_SIGNED_ZERO, min_size=3, max_size=3), min_size=1,
+                     max_size=11))
+@example(rows=[[-5e-324, 0.0, 0.0], [1.0, math.nan, math.nan], [-1.0, math.nan, math.nan]])  # a mean underflows to -0.0
 def test_median_by_window_is_statistics_median_bit_for_bit(rows):
     countries = [f"C{i:02d}" for i in range(len(rows))]
-    cells = {(c, 1990 + j): v for c, row in zip(countries, rows) for j, v in enumerate(row) if v is not None}
-    ds = PanelDataset(countries, [1990, 1991, 1992], {"x": cells})
+    ds = PanelDataset(countries, [1990, 1991, 1992], ["x"], [rows])
     means = [m for m in window_means(ds, ["x"])[0].tolist() if not math.isnan(m)]
     w = DecadeWindow(1990)
     if not means:

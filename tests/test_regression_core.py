@@ -269,17 +269,16 @@ def test_pooled_fixed_effects_matches_dummy_variable_oracle(panel, year_seed):
     rng = np.random.default_rng(year_seed)
     entities = sorted(set(groups))
     used: dict[str, list[int]] = {g: [] for g in entities}
-    cells: dict[str, dict] = {"y": {}, "a": {}, "b": {}}
+    values = np.full((3, len(entities), 20), np.nan)
     for (a, b), yy, g in zip(x.tolist(), y.tolist(), groups):
         year = 1990 + len(used[g]) * 2 + int(rng.integers(0, 2))  # gaps between rows
         used[g].append(year)
-        for var, value in (("y", yy), ("a", a), ("b", b)):
-            cells[var][(g, year)] = value
+        values[:, entities.index(g), year - 1990] = yy, a, b
     spec = ModelSpec(
         dependent=Term("y", TransformSpec.identity("y")),
         regressors=(Term("a", TransformSpec.identity("a"), role="cost"), Term("b", TransformSpec.identity("b"))),
     )
-    ds = PanelDataset(entities, range(1990, 2010), cells)
+    ds = PanelDataset(entities, range(1990, 2010), ("y", "a", "b"), values)
     rows = [(g, yr) for g in entities for yr in ds.years if ds.value("y", g, yr) is not None]
     xs = np.array([[ds.value("a", *r), ds.value("b", *r)] for r in rows])
     ys = np.array([ds.value("y", *r) for r in rows])

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from oracles import simulate_panel
 from passthru import pools, synth_lab
 from passthru.mg_panel import (
+    MgError,
+    TooFewCountriesError,
     build_passthrough_spec,
     country_arrays,
     fit_country,
@@ -79,6 +81,14 @@ def test_params_validation():
         with pytest.raises(InvalidParamsError, match=rf"^lambda_schedule\[1\] must be a real number, got {re.escape(repr(entry))}$"):
             DgpParams(lambda_schedule=(0.1, entry))
     assert DgpParams(rho=np.float64(0.4), lam=1, lambda_schedule=(np.float64(0.2), 0)).lam == 1
+
+
+def test_a_lambda_schedule_starts_on_a_decade():
+    # schedule entry d covers start_year + 10 d .. + 9: from 1985 it would straddle the 1990s window
+    with pytest.raises(InvalidParamsError, match=r"^start_year must be a multiple of 10 with a schedule, got 1985$"):
+        DgpParams(start_year=1985, lambda_schedule=(0.3, 0.0))
+    assert DgpParams(start_year=1985).start_year == 1985
+    assert DgpParams(start_year=1990, lambda_schedule=(0.3, 0.0)).start_year == 1990
 
 
 def test_redraw_limit_names_the_persistence_draw():
@@ -453,6 +463,15 @@ def test_monte_carlo_checks_every_truth_before_any_block(inline_pool, truth):
     with pytest.raises(InvalidParamsError, match=r"truths\['dln_ulc'\] must be a finite real number"):
         monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_cpi_lag1": 0.4, "dln_ulc": truth}, n_jobs=2)
     assert _InlinePool.sizes == [] and _InlinePool.tasks == []
+
+
+def test_pooled_fe_names_a_regressor_the_within_transform_drops():
+    # with no cost shocks, cost growth is zero everywhere: constant within every country
+    p = DgpParams(n_countries=5, n_years=20, cost_sd=0.0, seed=1)
+    with pytest.raises(MgError, match=r"^pooled fixed effects: within transform drops dln_ulc, constant in every"):
+        monte_carlo(p, SPEC, reps=2, estimator="pooled_fe")
+    with pytest.raises(TooFewCountriesError):  # as mg fails on the same panel, by name
+        monte_carlo(p, SPEC, reps=2, estimator="mg")
 
 
 def test_monte_carlo_takes_numpy_float_truths():
