@@ -336,10 +336,13 @@ class RunConfig:
         for key, values in (("model.variants", self.variants), ("outputs", self.outputs)):
             if not values:
                 raise ConfigError(key, "must name at least one")
-        try:  # a label names its decade's window, so '1980s' and '01980s' repeat each other
+        if self.dgp is not None and self.panel_path is not None:
+            raise ConfigError("data.panel_path", "data.synthetic = true generates the panel, so no panel file may be set")
+        try:  # a label names its decade's window, so '01980s' is stored as '1980s', and repeats it
             decades = tuple(DecadeWindow.from_label(d).label if d != "full" else d for d in self.decades)
         except PassthruError as exc:
             raise ConfigError("decades", str(exc)) from exc
+        object.__setattr__(self, "decades", decades)
         for key, values in (("model.variants", self.variants), ("decades", decades), ("outputs", self.outputs)):
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
@@ -586,7 +589,7 @@ def _mg_column(ds: PanelDataset, spec: ModelSpec, label: str) -> list[Cell]:
     except EmptyWindowError:
         log.warning("mg_table %s: the panel has no years in this decade", label)
         return marked("n/a (no panel years)", 0)
-    found = country_arrays(sub, spec, sub.countries)
+    found = country_arrays(sub, spec)
     usable = np.count_nonzero(found.usable)
     _log_usable(f"mg_table {label}", usable, found.reason[~found.usable].tolist())
     try:

@@ -24,6 +24,7 @@ from passthru.panel_data import (
     PanelDataset,
     TransformSpec,
     apply_transforms,
+    country_span,
     window,
     window_means,
 )
@@ -192,26 +193,22 @@ class CountryArrays(NamedTuple):
     reason: np.ndarray
 
 
-def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) -> CountryArrays:
-    """OLS on each country's complete rows, in the order of `countries`.
+def country_arrays(ds: PanelDataset, spec: ModelSpec) -> CountryArrays:
+    """OLS on each country's complete rows, in the dataset's country order.
 
     Countries with equal counts of complete rows are stacked and fitted together
     by `ols_stack`, whose slices do not depend on their stack: each fit is
     `ols_fit` on that country's design, its ssr included. Rows are never
     zero-padded, as padding changes the QR's rounding. Short or singular
-    samples come back unusable.
+    samples come back unusable. To fit some countries only, pass a view of
+    them (`country_span`).
     """
-    try:
-        pos = ds.country_positions(countries)
-    except KeyError as exc:
-        raise UnknownCountryError(exc.args[0]) from None
     names = [spec.dependent.name] + [t.name for t in spec.regressors]
     values, complete = ds.complete_cells(names)
-    values, complete = values[:, pos], complete[pos]
     n_obs = complete.sum(axis=1)
-    usable = np.zeros(len(pos), dtype=bool)
-    coefficients = np.full((len(pos), spec.k), np.nan)
-    ssr = np.full(len(pos), np.nan)
+    usable = np.zeros(len(ds.countries), dtype=bool)
+    coefficients = np.full((len(ds.countries), spec.k), np.nan)
+    ssr = np.full(len(ds.countries), np.nan)
     for n in sorted(set(n_obs.tolist())):
         if n < spec.min_obs_effective:
             continue
@@ -228,8 +225,11 @@ def country_arrays(ds: PanelDataset, spec: ModelSpec, countries: Sequence[str]) 
 
 
 def fit_country(ds: PanelDataset, spec: ModelSpec, country: str) -> CountryArrays:
-    """OLS on one country's complete rows: its row of `country_arrays`, with scalar fields."""
-    return CountryArrays._make(a[0] for a in country_arrays(ds, spec, (country,)))
+    """OLS on one country's complete rows: `country_arrays` of its one-country view, with scalar fields."""
+    if country not in ds.countries:
+        raise UnknownCountryError(country)
+    i = ds.countries.index(country)
+    return CountryArrays._make(a[0] for a in country_arrays(country_span(ds, i, i + 1), spec))
 
 
 @dataclass(frozen=True, eq=False)
@@ -423,7 +423,7 @@ def estimate_decade_passthroughs(
             exclusions.append(Exclusion("*", w.label, "EmptyWindow"))
             continue
         # an excluded country is fitted too, as a fit does not depend on the countries beside it
-        found = country_arrays(sub, spec, sub.countries)
+        found = country_arrays(sub, spec)
         usable = found.usable & ~excluded
         reasons = np.where(excluded, "ExcludedByConfig", found.reason)
         exclusions += [Exclusion(c, w.label, r) for c, r in zip(sub.countries, reasons.tolist()) if r]

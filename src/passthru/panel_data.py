@@ -165,13 +165,9 @@ class PanelDataset:
         values = np.array(values, dtype=float)
         if values.shape != (len(variables), len(countries), len(years)):
             raise PanelDataError(f"array of shape {values.shape} does not fit the grid")
-        self._set(countries, years, variables, values, check=True)
-
-    def _set(self, countries, years, variables, values, check: bool = False) -> "PanelDataset":
-        """Take checked axes and the array, made read-only; with `check`, an inf cell is named and rejected."""
         if any(not name for name in variables) or len(set(variables)) != len(variables):
             raise PanelDataError("variable names must be unique and non-empty")
-        if check and np.isinf(values).any():  # argwhere only to name the first inf
+        if np.isinf(values).any():  # argwhere only to name the first inf
             v, i, j = np.argwhere(np.isinf(values))[0]
             raise PanelDataError(f"{variables[v]}: infinite value at ({countries[i]}, {years[j]})")
         values.flags.writeable = False
@@ -180,7 +176,6 @@ class PanelDataset:
         self._row = {name: r for r, name in enumerate(variables)}
         self._country = {c: i for i, c in enumerate(countries)}
         self._year = {y: j for j, y in enumerate(years)}
-        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset):
@@ -218,16 +213,12 @@ class PanelDataset:
             return self
         values = np.concatenate([self._values, list(layers.values())])
         # no dataset holds an inf, and a NaN made of one follows it: the first inf is the first bad cell
-        return _dataset(self.countries, self.years, self.variables + tuple(layers), values, check=True)
+        return PanelDataset(self.countries, self.years, self.variables + tuple(layers), values)
 
     def complete_cells(self, variables: Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
         """The variables' (variable, country, year) values, and the (country, year) mask where all are observed."""
         values = self._values[[self._row[v] for v in variables]]
         return values, ~np.isnan(values).any(axis=0)
-
-    def country_positions(self, countries: Iterable[str]) -> list[int]:
-        """Index of each country on the country axis; an unknown country raises KeyError naming it."""
-        return [self._country[c] for c in countries]
 
     def complete_rows(self, variables: Iterable[str], country: str) -> list[tuple[int, list[float]]]:
         """Years of `country` where every listed variable is observed."""
@@ -236,11 +227,6 @@ class PanelDataset:
             return []
         i = self._country[country]
         return list(zip(np.asarray(self.years)[complete[i]].tolist(), values[:, i, complete[i]].T.tolist()))
-
-
-def _dataset(countries, years, variables, values, check: bool = False) -> PanelDataset:
-    """A dataset on checked axes that takes `values` uncopied; `check` as in `PanelDataset._set`."""
-    return PanelDataset.__new__(PanelDataset)._set(countries, years, variables, values, check)
 
 
 def read_data_file(path: str | Path) -> bytes:
@@ -417,7 +403,7 @@ def window(ds: PanelDataset, w: DecadeWindow) -> PanelDataset:
     span = slice(bisect_left(ds.years, w.start_year), bisect_right(ds.years, w.end_year))
     if span.start == span.stop:
         raise EmptyWindowError(f"{w.label}: no dataset years in [{w.start_year}, {w.end_year}]")
-    return _dataset(ds.countries, ds.years[span], ds.variables, ds._values[:, :, span])
+    return PanelDataset(ds.countries, ds.years[span], ds.variables, ds._values[:, :, span])
 
 
 def country_span(ds: PanelDataset, start: int, stop: int) -> PanelDataset:
@@ -425,7 +411,7 @@ def country_span(ds: PanelDataset, start: int, stop: int) -> PanelDataset:
     span = slice(start, stop)
     if not ds.countries[span]:
         raise PanelDataError(f"no countries in positions [{start}, {stop})")
-    return _dataset(ds.countries[span], ds.years, ds.variables, ds._values[:, span])
+    return PanelDataset(ds.countries[span], ds.years, ds.variables, ds._values[:, span])
 
 
 def window_means(ds: PanelDataset, names: Iterable[str]) -> np.ndarray:

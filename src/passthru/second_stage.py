@@ -81,48 +81,38 @@ def second_stage_fit(panel: PassThroughPanel, covariate: str, fe: bool = False) 
     y = panel.passthrough[at]
     countries = [panel.country[i] for i in at.tolist()]
     idx, counts = entity_index(countries)
-    n_countries = len(counts)
     col = f"ln_{covariate}"
-
-    if not fe:
-        design = DesignMatrix(x=np.column_stack([np.ones(n), x]), y=y, columns=("const", col))
-        fit = ols_fit(design)
-        rc = robust_cov(fit, design)
-        return SecondStageResult(
-            covariate=covariate,
-            coefficient=fit.coef(col),
-            se=math.sqrt(rc[1, 1]),
-            constant=fit.coef("const"),
-            fe=False,
-            n=n,
-            n_countries=n_countries,
-            r2=fit.r2,
-        )
-
-    if counts.max() < 2:
-        raise DegenerateVarianceError("within (no country observed twice)")
-
     design = DesignMatrix(x=x[:, None], y=y, columns=(col,))
-    demeaned = within_transform(design, countries)
-    if demeaned.k == 0:
-        raise DegenerateVarianceError("within (covariate constant inside every country)")
-    fit = ols_fit(demeaned)
-    rc = robust_cov(fit, demeaned)
-    slope = fit.coef(col)
 
-    # grand mean of the per-country effects implied by the within slope
-    alphas = [float(y[idx == g].mean() - slope * x[idx == g].mean()) for g in range(n_countries)]
-    r2_within, r2_between = r2_components(fit, design, countries)
+    # the pooled design carries a constant; the within design is demeaned by country instead
+    if not fe:
+        fitted = DesignMatrix(x=np.column_stack([np.ones(n), x]), y=y, columns=("const", col))
+    elif counts.max() < 2:
+        raise DegenerateVarianceError("within (no country observed twice)")
+    else:
+        fitted = within_transform(design, countries)
+        if fitted.k == 0:
+            raise DegenerateVarianceError("within (covariate constant inside every country)")
+    fit = ols_fit(fitted)
+    slope = fit.coef(col)
+    se = math.sqrt(robust_cov(fit, fitted)[-1, -1])
+
+    if fe:
+        # grand mean of the per-country effects implied by the within slope
+        alphas = [float(y[idx == g].mean() - slope * x[idx == g].mean()) for g in range(len(counts))]
+        constant = float(np.mean(alphas))
+        r2 = dict(zip(("r2_within", "r2_between"), r2_components(fit, design, countries)))
+    else:
+        constant, r2 = fit.coef("const"), {"r2": fit.r2}
     return SecondStageResult(
         covariate=covariate,
         coefficient=slope,
-        se=math.sqrt(rc[0, 0]),
-        constant=float(np.mean(alphas)),
-        fe=True,
+        se=se,
+        constant=constant,
+        fe=fe,
         n=n,
-        n_countries=n_countries,
-        r2_within=r2_within,
-        r2_between=r2_between,
+        n_countries=len(counts),
+        **r2,
     )
 
 

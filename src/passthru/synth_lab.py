@@ -94,14 +94,6 @@ class DgpParams:
             raise InvalidParamsError(f"start_year must be a multiple of 10 with a schedule, got {self.start_year}")
 
 
-@dataclass(frozen=True)
-class CountryTruth:
-    country: str
-    rho_i: float
-    lam_i: float  # base value; schedule offsets add mu2 per decade
-    alpha_i: float
-
-
 def _ar1(x: np.ndarray, coef: float | np.ndarray) -> np.ndarray:
     """First-order recursion y[..., t] = x[..., t] + coef * y[..., t-1] along the last axis, from rest.
 
@@ -203,28 +195,16 @@ def _simulate(p: DgpParams, seeds: Mapping[str, int | Sequence[int]], names: Seq
     return PanelDataset(countries, years, names, values), rho, mu2, alpha
 
 
-def generate_panel(
-    p: DgpParams,
-    seed: int | Sequence[int] | None = None,
-    include_growth: bool = False,
-    return_truth: bool = False,
-):
-    """Simulate the panel; deterministic for a given seed.
+def generate_panel(p: DgpParams, seed: int | Sequence[int] | None = None) -> PanelDataset:
+    """Simulate the panel; deterministic for a given seed, p.seed by default.
 
     Emits the full ingestion schema (cpi, core_cpi, ulc, earnings_h, gaps,
     openness series) so any pipeline preset runs on the output; core mirrors
     headline and earnings mirror unit labour costs in this synthetic world.
-    With include_growth, the true growth-rate series ride along for
-    round-trip checks. With return_truth, the drawn country parameters are
-    returned next to the dataset. This is the one-panel case of the simulator
-    `monte_carlo` stacks its replications with.
+    This is the one-panel case of the simulator `monte_carlo` stacks its
+    replications with.
     """
-    names = PANEL_SCHEMA + (("cpi_growth", "ulc_growth") if include_growth else ())
-    ds, rho, mu2, alpha = _simulate(p, {"": p.seed if seed is None else seed}, names)
-    if not return_truth:
-        return ds
-    drawn = zip(ds.countries, rho.tolist(), mu2.tolist(), alpha.tolist())
-    return ds, tuple(CountryTruth(c, rho_i, p.lam + mu2_i, alpha_i) for c, rho_i, mu2_i, alpha_i in drawn)
+    return _simulate(p, {"": p.seed if seed is None else seed})[0]
 
 
 @dataclass(frozen=True)
@@ -254,7 +234,7 @@ def default_truths(p: DgpParams, spec: ModelSpec) -> dict[str, float]:
 
 def _mean_group_fit(ds: PanelDataset, spec: ModelSpec, n: int, slots: tuple[str, ...]):
     """Mean group of each replication's n countries, each bit for bit `mean_group` of its countries alone."""
-    found, columns = country_arrays(ds, spec, ds.countries), spec.design_columns
+    found, columns = country_arrays(ds, spec), spec.design_columns
     theta, cov = mean_group_moments(found.coefficients.reshape(-1, n, spec.k), found.usable.reshape(-1, n), columns)
     idx = [columns.index(name) for name in slots]
     return theta[:, idx], np.sqrt(cov[:, idx, idx])

@@ -214,6 +214,7 @@ def test_config_rejects_degenerate_forest_settings(tmp_path, data_dir, key, valu
         (("outputs = mg_table", "forest.max_depth = -1"), "forest.max_depth"),
         (("decades = 1990s,2000s", "outputs = passthrough_panel,pd_grid", "seed = -3"), "seed"),
         (("data.synthetic = true", "dgp.seed = -1"), "dgp"),
+        (("data.synthetic = true",), "data.panel_path"),  # the generated panel would be fitted, the file unread
     ],
 )
 def test_bad_forest_and_seed_values_fail_before_any_output(tmp_path, data_dir, capsys, lines, field):
@@ -250,7 +251,9 @@ def test_preset_rejects_a_negative_seed_before_any_output(tmp_path, data_dir, ca
     ("true", True), ("YES", True), ("1", True), ("False", False), ("no", False), ("0", False), ("", False),
 ])
 def test_config_synthetic_switch_values(tmp_path, data_dir, value, synthetic):
-    mapping = {"data.panel_path": str(data_dir / "panel.csv"), "output.dir": str(tmp_path), "data.synthetic": value}
+    # a synthetic run reads no panel file
+    panel = {} if synthetic else {"data.panel_path": str(data_dir / "panel.csv")}
+    mapping = panel | {"output.dir": str(tmp_path), "data.synthetic": value}
     assert (config_from_mapping(mapping).dgp is not None) == synthetic
 
 
@@ -349,6 +352,7 @@ BAD_RUN_CONFIGS = [
     ({"outputs": ("passthrough_panel", "pd_grid")}, "seed"),
     ({"outputs": ("passthrough_panel",), "decades": ()}, "decades"),
     ({"min_obs": 2}, "model.min_obs"),
+    ({"panel_path": Path("panel.csv"), "dgp": DgpParams()}, "data.panel_path"),
 ]
 
 
@@ -376,7 +380,6 @@ def test_run_pipeline_names_a_missing_data_source_before_writing(tmp_path, setti
 def test_config_to_mapping_is_pinned():
     cfg = RunConfig(
         out_dir=Path("/runs/out"),
-        panel_path=Path("/data/panel.csv"),
         decade_path=Path("/data/decades.csv"),
         dgp=DgpParams(n_countries=8, n_years=30, lambda_schedule=(0.3, 0.1), seed=5),
         variants=("core", "earnings"),
@@ -392,7 +395,6 @@ def test_config_to_mapping_is_pinned():
     )
     assert config_to_mapping(cfg) == {
         "data.decade_path": "/data/decades.csv",
-        "data.panel_path": "/data/panel.csv",
         "data.synthetic": "true",
         "decades": "full,1990s",
         "dgp.alpha_mean": "0.01",
@@ -872,6 +874,26 @@ def test_repeated_entries_and_a_decade_list_without_a_window_fail_before_any_out
     assert not out.exists()
 
 
+def test_a_decade_label_is_stored_in_its_canonical_form(tmp_path, data_dir):
+    written = {}
+    for label in ("1990s", "01990s"):
+        out = tmp_path / label
+        cfg = config_from_mapping({
+            "data.panel_path": str(data_dir / "panel.csv"),
+            "output.dir": str(out),
+            "decades": f"full,{label}",
+            "outputs": "mg_table,passthrough_panel",
+            "output.format": "csv",
+        })
+        assert cfg.decades == ("full", "1990s")
+        run_pipeline(cfg)
+        assert json.loads((out / "manifest.json").read_text())["config"]["decades"] == "full,1990s"
+        written[label] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    # the table, the panel and the exclusions all say 1990s
+    assert written["01990s"] == written["1990s"]
+    assert b"\ndln_cpi_lag1,1990s," in written["1990s"]["mg_table.csv"]
+
+
 def test_a_column_with_too_few_countries_is_marked(tmp_path):
     # the panel starts in 1987: its three 1980s years leave no country enough rows
     data = tmp_path / "data"
@@ -926,7 +948,7 @@ def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> Run
     ).k
     return RunConfig(
         out_dir=out_dir,
-        panel_path=None if dgp is not None and draw(st.booleans()) else panel_path,
+        panel_path=None if dgp is not None else panel_path,
         decade_path=decade_path if "medians" in outputs or draw(st.booleans()) else None,
         dgp=dgp,
         variants=variants,

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from oracles import fe_dummy_ols
-from passthru.mg_panel import PassThroughPanel
+from passthru.mg_panel import PassThroughPanel, build_passthrough_spec, estimate_decade_passthroughs
+from passthru.panel_data import DecadeWindow, PanelDataset
 from passthru.regression_core import DegenerateVarianceError, TooFewRowsError
 from passthru.second_stage import (
     NonPositiveCovariateError,
@@ -15,6 +17,7 @@ from passthru.second_stage import (
     second_stage_fit,
     table5_results,
 )
+from passthru.synth_lab import DgpParams, generate_panel
 
 COUNTRIES = ("AT", "US", "JP", "SE", "FR")
 DECADES = ("1980s", "1990s", "2000s", "2010s")
@@ -140,3 +143,33 @@ def test_table5_results_layout():
             assert r.r2 is None and r.r2_within is not None and r.r2_between is not None
         else:
             assert r.r2 is not None and r.r2_within is None
+
+
+def synthetic_decade_panel(seed: int, hole_rate: float) -> PassThroughPanel:
+    """The headline decade panel of generate_panel(DgpParams(seed=seed)), less a random share of its cells.
+
+    With holes, C03 also lacks em10 throughout, so its rows drop out of the
+    em10 columns.
+    """
+    ds = generate_panel(DgpParams(seed=seed))
+    values, _ = ds.complete_cells(ds.variables)
+    values[np.random.default_rng(seed).random(values.shape) < hole_rate] = np.nan
+    if hole_rate:
+        values[ds.variables.index("em10"), ds.countries.index("C03")] = np.nan
+    ds = PanelDataset(ds.countries, ds.years, ds.variables, values)
+    return estimate_decade_passthroughs(ds, build_passthrough_spec(), [DecadeWindow(y) for y in (1980, 1990, 2000, 2010)])
+
+
+# sha256 of every field of the table5_results of synthetic_decade_panel(1, 0.0) and then of
+# synthetic_decade_panel(3, 0.05), one field a line, each float as float.hex
+SECOND_STAGE_SHA256 = "d890980d5c0160c8d31865fd380b5ba811d621ce26a64fd9ae82c7651b61a1c1"
+
+
+def test_table5_results_are_pinned_to_the_last_bit():
+    lines = [
+        value.hex() if isinstance(value, float) else repr(value)
+        for panel in (synthetic_decade_panel(1, 0.0), synthetic_decade_panel(3, 0.05))
+        for result in table5_results(panel)
+        for value in astuple(result)
+    ]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SECOND_STAGE_SHA256

@@ -26,7 +26,7 @@ from passthru.mg_panel import (
     mean_group,
     pooled_fixed_effects,
 )
-from passthru.panel_data import TransformSpec, apply_transform, panel_csv_text
+from passthru.panel_data import PANEL_SCHEMA, TransformSpec, apply_transform, panel_csv_text
 from passthru.synth_lab import (
     BLOCK_REPS,
     ESTIMATORS,
@@ -44,7 +44,7 @@ SPEC = build_passthrough_spec("cpi", "ulc")
 
 
 def mg_of(ds):
-    return mean_group(country_arrays(ds, SPEC, ds.countries), SPEC.design_columns)
+    return mean_group(country_arrays(ds, SPEC), SPEC.design_columns)
 
 
 def test_params_validation():
@@ -100,8 +100,8 @@ def test_redraw_limit_names_the_persistence_draw():
 def test_noise_free_homogeneous_panel():
     p = DgpParams(n_countries=4, n_years=30, rho=0.4, lam=0.3,
                   sigma_mu1=0, sigma_mu2=0, sigma_eps=0, alpha_mean=0.012, seed=5)
-    ds, truths = generate_panel(p, return_truth=True)
-    assert all(t.rho_i == 0.4 and t.lam_i == 0.3 for t in truths)
+    ds, rho, mu2, _ = synth_lab._simulate(p, {"": p.seed})
+    assert (rho == 0.4).all() and (p.lam + mu2 == 0.3).all()
     mat = materialize_design(ds, SPEC)
     cols = SPEC.design_columns
     for country in ds.countries:
@@ -119,7 +119,7 @@ def test_determinism_same_seed():
 
 def test_levels_round_trip_to_growth_rates():
     p = DgpParams(n_countries=3, n_years=25, seed=9)
-    ds = generate_panel(p, include_growth=True)
+    ds = synth_lab._simulate(p, {"": p.seed}, PANEL_SCHEMA + ("cpi_growth", "ulc_growth"))[0]
     for var, growth in (("cpi", "cpi_growth"), ("ulc", "ulc_growth")):
         recovered = apply_transform(ds, TransformSpec.log_diff(var), f"d_{var}")
         for country in ds.countries:
@@ -131,8 +131,8 @@ def test_levels_round_trip_to_growth_rates():
 
 def test_stationarity_guard():
     p = DgpParams(n_countries=60, n_years=12, rho=0.7, sigma_mu1=0.4, seed=10)
-    _, truths = generate_panel(p, return_truth=True)
-    assert max(abs(t.rho_i) for t in truths) < 0.95
+    _, rho, _, _ = synth_lab._simulate(p, {"": p.seed})
+    assert np.abs(rho).max() < 0.95
 
 
 def test_schedule_changes_lambda_by_decade():
@@ -319,7 +319,7 @@ def test_monte_carlo_aggregates_as_fsum_and_keeps_nan_and_inf_estimates(monkeypa
 
 def _median_fit(ds, spec, n, slots):
     """A toy block fit: each slot's median over each replication's countries, with no standard error."""
-    found = country_arrays(ds, spec, ds.countries)
+    found = country_arrays(ds, spec)
     idx = [spec.design_columns.index(name) for name in slots]
     medians = np.median(found.coefficients[:, idx].reshape(-1, n, len(slots)), axis=1)
     return medians, np.full(medians.shape, math.nan)
@@ -334,7 +334,7 @@ def test_an_estimator_added_to_the_table_gets_a_report(monkeypatch):
     alone = []  # each replication's country coefficients, fitted on its own panel
     for r in range(reps):
         ds = materialize_design(generate_panel(P_POOL, seed=(P_POOL.seed, r)), SPEC)
-        alone.append(country_arrays(ds, SPEC, ds.countries).coefficients)
+        alone.append(country_arrays(ds, SPEC).coefficients)
     for name, stats in report.slots.items():
         medians = [float(np.median(c[:, SPEC.design_columns.index(name)])) for c in alone]
         assert stats.mean_estimate == math.fsum(medians) / reps
@@ -503,10 +503,11 @@ def small_dgps(draw) -> DgpParams:
 @settings(max_examples=40, deadline=None)
 @given(p=small_dgps(), seed=st.integers(0, 2**32))
 def test_generate_panel_matches_the_per_country_reference(p, seed):
-    ds, truths = generate_panel(p, seed=seed, return_truth=True)
+    ds, rho, mu2, alpha = synth_lab._simulate(p, {"": seed})
     values, expected_truths = simulate_panel(p, seed)
+    assert ds == generate_panel(p, seed=seed)
     assert np.array_equal(ds.complete_cells(["cpi", "ulc", "kof", "em6", "em10"])[0], values)
-    assert [(t.rho_i, t.lam_i, t.alpha_i) for t in truths] == expected_truths
+    assert list(zip(rho.tolist(), (p.lam + mu2).tolist(), alpha.tolist())) == expected_truths
 
 
 def test_one_stacked_call_takes_both_draw_paths():
