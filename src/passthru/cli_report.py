@@ -64,6 +64,7 @@ from passthru.tree_forest import (
     FOREST_SUBSAMPLE,
     FOREST_TREES,
     AxisSpec,
+    NoSplitsError,
     SplitParams,
     fit_forest,
     fit_tree,
@@ -532,7 +533,7 @@ def _build_specs(cfg: RunConfig) -> dict[str, ModelSpec]:
         return {
             variant: build_passthrough_spec(
                 *VARIANTS[variant],
-                controls=(cfg.control,) if cfg.control else (),
+                control=cfg.control,
                 with_globalisation=cfg.interactions in ("globalisation", "both"),
                 with_lagged_inflation=cfg.interactions in ("lagged_inflation", "both"),
                 min_obs=cfg.min_obs,
@@ -780,15 +781,13 @@ def run_pipeline(cfg: RunConfig) -> list[Path]:
             rows = []
             for openness in ("em6", "em10"):
                 x, y = _tree_rows(pass_panel, openness)
-                tree = fit_tree(x, y, params, feature_names=(openness, "avg_inflation"))
-                report = importance(tree)
-                for name, raw, share in zip(report.feature_names, report.raw, report.shares):
-                    rows.append(
-                        TableRow(
-                            f"{openness} tree: {name}",
-                            (Cell(estimate=float(raw)), Cell(estimate=float(share))),
-                        )
-                    )
+                names = (openness, "avg_inflation")
+                try:
+                    report = importance(fit_tree(x, y, params, feature_names=names))
+                    cells = [(Cell(estimate=float(r)), Cell(estimate=float(s))) for r, s in zip(report.raw, report.shares)]
+                except NoSplitsError:  # a tree with no split has no importance: mark its rows
+                    cells = [(Cell(text="n/a (no splits)"),) * 2] * len(names)
+                rows += [TableRow(f"{openness} tree: {name}", pair) for name, pair in zip(names, cells)]
             table = RenderedTable(
                 title="Predictor importance (single trees)",
                 columns=("avg MSE gain", "share"),

@@ -121,17 +121,17 @@ class ModelSpec:
 def build_passthrough_spec(
     price_var: str = "cpi",
     cost_var: str = "ulc",
-    controls: Sequence[str] = (),
+    control: str | None = None,
     with_globalisation: bool = False,
     with_lagged_inflation: bool = False,
     min_obs: int | None = None,
 ) -> ModelSpec:
     """Dynamic pass-through design: inflation on its own lag and cost growth.
 
-    Optional pieces add the globalisation level, kof, plus its interaction
-    with cost growth, and/or the interaction of cost growth with inflation
-    lagged twice (the lag reduces endogeneity). Interaction inputs are built
-    on the full series, before any decade windowing.
+    Optional pieces add one control series, the globalisation level (kof)
+    with its interaction with cost growth, and/or the interaction of cost
+    growth with inflation lagged twice (the lag reduces endogeneity).
+    Interaction inputs are built on the full series, before any windowing.
     """
     dep = Term(f"dln_{price_var}", TransformSpec.log_diff(price_var))
     regs: list[Term] = [
@@ -139,8 +139,8 @@ def build_passthrough_spec(
         Term(f"dln_{cost_var}", TransformSpec.log_diff(cost_var), role="cost"),
     ]
     aux: list[Term] = []
-    for ctrl in controls:
-        regs.append(Term(ctrl, TransformSpec.identity(ctrl), role="control"))
+    if control:
+        regs.append(Term(control, TransformSpec.identity(control), role="control"))
     if with_globalisation:
         regs.append(Term("kof", TransformSpec.identity("kof"), role="level"))
         regs.append(

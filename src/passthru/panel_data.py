@@ -237,7 +237,7 @@ def read_data_file(path: str | Path) -> bytes:
         raise PanelDataError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
-def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: tuple[str, ...]) -> PanelDataset:
+def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key: str) -> PanelDataset:
     path = Path(path)
     # decoded whole, so a byte that is not UTF-8 fails here, naming the file
     try:
@@ -249,11 +249,9 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
     if header is None:
         raise EmptyFileError(f"{path}: no header row")
     header = [h.strip() for h in header]
-    if len(header) < 2 or header[0] != "country" or header[1] not in key_names:
-        raise UnknownColumnError(
-            f"{path}: header must start with 'country,{ ' or '.join(key_names)}', got {header[:2]}"
-        )
-    key_col, var_names = header[1], header[2:]
+    if header[:2] != ["country", key]:
+        raise UnknownColumnError(f"{path}: header must start with 'country,{key}', got {header[:2]}")
+    var_names = header[2:]
     if len(set(var_names)) != len(var_names) or any(not v for v in var_names):
         raise UnknownColumnError(f"{path}: variable columns must be unique and non-empty")
     unknown = [] if schema is None else [v for v in var_names if v not in tuple(schema)]
@@ -272,7 +270,7 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
         try:
             year = int(row[1].strip())
         except ValueError:
-            raise MalformedNumberError(row_no, key_col, row[1]) from None
+            raise MalformedNumberError(row_no, key, row[1]) from None
         if (country, year) in rows:
             raise DuplicateKeyError(country, year)
         cells = rows[(country, year)] = []
@@ -297,17 +295,17 @@ def _load_keyed_csv(path: str | Path, schema: Iterable[str] | None, key_names: t
 
 
 def load_panel_csv(path: str | Path, schema: Iterable[str] | None = PANEL_SCHEMA) -> PanelDataset:
-    """Read a wide-format CSV keyed by country and year (or decade start).
+    """Read a wide-format CSV keyed by country and year.
 
     Header is `country,year,<var>,...`; empty cells are missing observations.
     Pass schema=None to accept arbitrary variable columns.
     """
-    return _load_keyed_csv(path, schema, ("year", "decade"))
+    return _load_keyed_csv(path, schema, "year")
 
 
 def load_decade_csv(path: str | Path, schema: Iterable[str] | None = DECADE_SCHEMA) -> PanelDataset:
     """Read a decade-keyed CSV (`country,decade,...`); the year axis holds decade starts."""
-    ds = _load_keyed_csv(path, schema, ("decade",))
+    ds = _load_keyed_csv(path, schema, "decade")
     bad = [y for y in ds.years if y % 10 != 0]
     if bad:
         raise PanelDataError(f"{path}: decades must be multiples of 10, got {bad}")

@@ -246,11 +246,12 @@ def _pooled_fe_fit(ds: PanelDataset, spec: ModelSpec, n: int, slots: tuple[str, 
     return np.moveaxis(np.array([[(f.coef(name), f.se_classical(name)) for name in slots] for f in fits]), 2, 0)
 
 
-# Monte Carlo estimators: name -> (block fit, {design column it does not estimate: why}). A block fit
-# maps a block's design, spec, countries per replication and slots to (replications, slots) estimates and SEs.
-ESTIMATORS: dict[str, tuple[Callable, dict[str, str]]] = {
-    "mg": (_mean_group_fit, {}),
-    "pooled_fe": (_pooled_fe_fit, {"const": "the within transform absorbs it"}),
+# Monte Carlo estimators: name -> (block fit, slots). slots(p, spec) maps each slot the estimator reports to its
+# truth (pooled_fe has no const: the within transform absorbs it); a block fit maps a block's design, spec,
+# countries per replication and slots to (replications, slots) estimates and SEs.
+ESTIMATORS: dict[str, tuple[Callable, Callable]] = {
+    "mg": (_mean_group_fit, default_truths),
+    "pooled_fe": (_pooled_fe_fit, lambda p, spec: {s: t for s, t in default_truths(p, spec).items() if s != "const"}),
 }
 
 
@@ -273,7 +274,6 @@ def monte_carlo(
     p: DgpParams,
     spec: ModelSpec,
     reps: int,
-    truths: Mapping[str, float] | None = None,
     estimator: str = "mg",
     n_jobs: int = 1,
 ) -> McReport:
@@ -289,14 +289,12 @@ def monte_carlo(
     shorter one rep for rep. Aggregation uses exactly rounded sums, making it
     order-independent.
 
-    `estimator` names an entry of ESTIMATORS. reps is an integer >= 2 (any
-    Integral but a bool, as in the int fields of DgpParams), and every slot of
-    `truths` must be a design column whose value is a finite real number (not
-    a bool), other than a column the estimator does not estimate (the default
-    truths leave those out); all are checked before any replication runs.
-    n_jobs, an integer >= 1, caps the worker processes: blocks run on
-    min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the calling process
-    when that is 1. Workers are forked, on the pool that
+    `estimator` names an entry of ESTIMATORS, whose slots give the slots
+    reported and their truths. reps is an integer >= 2 (any Integral but a
+    bool, as in the int fields of DgpParams); both are checked before any
+    replication runs. n_jobs, an integer >= 1, caps the worker processes:
+    blocks run on min(n_jobs, ceil(reps / BLOCK_REPS)) workers, and in the
+    calling process when that is 1. Workers are forked, on the pool that
     `passthru.pools.map_tasks` keeps between calls (see there for reuse,
     resizing, errors and os.fork). Reports do not depend on n_jobs.
     """
@@ -306,17 +304,10 @@ def monte_carlo(
     reps, n_jobs = int(reps), int(n_jobs)
     if not isinstance(estimator, str) or estimator not in ESTIMATORS:
         raise InvalidParamsError(f"unknown estimator {estimator!r}")
-    fit, absent = ESTIMATORS[estimator]
-    truths = {s: t for s, t in default_truths(p, spec).items() if s not in absent} if truths is None else truths
+    fit, slots_of = ESTIMATORS[estimator]
+    truths = slots_of(p, spec)
     if not truths:
         raise InvalidParamsError("no slots with known true values")
-    for slot, truth in truths.items():
-        if slot in absent:
-            raise InvalidParamsError(f"truths: {slot!r} has no {estimator} estimate; {absent[slot]}")
-        if slot not in spec.design_columns:
-            raise InvalidParamsError(f"truths: unknown slot {slot!r}, the design has {spec.design_columns}")
-        if isinstance(truth, bool) or not isinstance(truth, Real) or not math.isfinite(truth):
-            raise InvalidParamsError(f"truths[{slot!r}] must be a finite real number, got {truth!r}")
 
     run = partial(_block, p, spec, tuple(truths), fit)
     count = -(-reps // BLOCK_REPS)

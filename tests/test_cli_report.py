@@ -942,7 +942,7 @@ def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> Run
     control = draw(st.sampled_from((None, *CONTROLS)))
     interactions = draw(st.sampled_from(INTERACTIONS))
     k = build_passthrough_spec(  # every variant has the same k
-        controls=(control,) if control else (),
+        control=control,
         with_globalisation=interactions in ("globalisation", "both"),
         with_lagged_inflation=interactions in ("lagged_inflation", "both"),
     ).k
@@ -1159,6 +1159,24 @@ def test_a_unit_root_marks_only_the_lt_row(tmp_path):
         for label in ("observations", "countries", "RMSE (sigma)", "chi2", "Wald p"):
             assert cells[(label, column)]["text"]
     assert cells[("countries", "full")]["text"] == "5"
+
+
+def test_a_tree_with_no_split_is_marked_and_the_run_goes_on(tmp_path):
+    # two countries over four decades give each tree 8 rows: too few for two leaves of min_leaf 5
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"output.dir = {out}\ndata.synthetic = true\ndgp.countries = 2\n"
+        "decades = 1980s,1990s,2000s,2010s\noutputs = passthrough_panel,importance\noutput.format = json\n"
+    )
+    assert main(["run", str(cfg)]) == 0
+    assert (out / "manifest.json").is_file()
+    cells = read_rows(out / "importance.json")
+    assert sorted(cells) == sorted(
+        (f"{tree} tree: {name}", column)
+        for tree in ("em6", "em10") for name in (tree, "avg_inflation") for column in ("avg MSE gain", "share")
+    )
+    assert all(cell["text"] == "n/a (no splits)" and cell["estimate"] is None for cell in cells.values())
 
 
 def test_synthetic_config_drives_generator(tmp_path):

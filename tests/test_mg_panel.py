@@ -66,7 +66,7 @@ def mg_of(ds: PanelDataset, spec: ModelSpec) -> MgResult:
 # ---------------------------------------------------------------- spec building
 
 def test_spec_shapes():
-    spec = build_passthrough_spec("core_cpi", "ulc", controls=("output_gap",))
+    spec = build_passthrough_spec("core_cpi", "ulc", control="output_gap")
     assert spec.dependent.name == "dln_core_cpi"
     assert [t.role for t in spec.regressors] == ["lag_dep", "cost", "control"]
     assert spec.k == 4
@@ -365,7 +365,7 @@ def sequential_design(ds: PanelDataset, spec: ModelSpec) -> PanelDataset:
     return ds
 
 
-FULL_SPEC = build_passthrough_spec("cpi", "ulc", controls=("output_gap",), with_globalisation=True,
+FULL_SPEC = build_passthrough_spec("cpi", "ulc", control="output_gap", with_globalisation=True,
                                    with_lagged_inflation=True)
 
 

@@ -271,6 +271,12 @@ def test_decade_loader_names_the_file_and_every_bad_decade(tmp_path):
     assert str(err.value) == f"{p}: decades must be multiples of 10, got [1985, 2003]"
 
 
+def test_each_loader_reads_its_own_header_only():
+    # a decade file is not a panel whose years are decade starts
+    with pytest.raises(UnknownColumnError, match=r"header must start with 'country,year', got \['country', 'decade'\]$"):
+        load_panel_csv(table_a2_path())
+
+
 def test_nan_holes_pass_every_door_unchanged(tmp_path):
     nan = math.nan
     values = [[[1.0, nan, 3.0], [nan, 5.0, 6.0]], [[2.0, 4.0, nan], [8.0, nan, nan]]]

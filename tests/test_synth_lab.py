@@ -18,10 +18,13 @@ from oracles import simulate_panel
 from passthru import pools, synth_lab
 from passthru.mg_panel import (
     MgError,
+    ModelSpec,
+    Term,
     TooFewCountriesError,
     build_passthrough_spec,
     country_arrays,
     fit_country,
+    long_run_effect,
     materialize_design,
     mean_group,
     pooled_fixed_effects,
@@ -307,7 +310,8 @@ def test_monte_carlo_aggregates_as_fsum_and_keeps_nan_and_inf_estimates(monkeypa
         return [[found[s][r] for s in slots] for r in reps], [[ses[r]] * len(slots) for r in reps]
 
     monkeypatch.setattr(synth_lab, "_block", fake)
-    report = monte_carlo(P_POOL, SPEC, reps=6, truths=truths)
+    assert default_truths(P_POOL, SPEC) == truths
+    report = monte_carlo(P_POOL, SPEC, reps=6)
     for name, truth in truths.items():
         errors = [e - truth for e in found[name]]
         covered = sum(1 for e, s in zip(errors, ses) if abs(e) <= Z90 * s)
@@ -326,11 +330,11 @@ def _median_fit(ds, spec, n, slots):
 
 
 def test_an_estimator_added_to_the_table_gets_a_report(monkeypatch):
-    monkeypatch.setitem(synth_lab.ESTIMATORS, "median", (_median_fit, {"const": "a toy leaves it out"}))
+    monkeypatch.setitem(synth_lab.ESTIMATORS, "median", (_median_fit, ESTIMATORS["pooled_fe"][1]))
     reps = BLOCK_REPS + 3  # two blocks
     report = monte_carlo(P_POOL, SPEC, reps=reps, estimator="median", n_jobs=1)
     assert report.estimator == "median"
-    assert set(report.slots) == {"dln_cpi_lag1", "dln_ulc"}  # the default truths less the toy's "const"
+    assert set(report.slots) == {"dln_cpi_lag1", "dln_ulc"}  # the default truths less "const", as for pooled_fe
     alone = []  # each replication's country coefficients, fitted on its own panel
     for r in range(reps):
         ds = materialize_design(generate_panel(P_POOL, seed=(P_POOL.seed, r)), SPEC)
@@ -340,8 +344,43 @@ def test_an_estimator_added_to_the_table_gets_a_report(monkeypatch):
         assert stats.mean_estimate == math.fsum(medians) / reps
         assert stats.truth == default_truths(P_POOL, SPEC)[name]
         assert stats.coverage == 0.0  # a NaN standard error covers nothing
-    with pytest.raises(InvalidParamsError, match="truths: 'const' has no median estimate; a toy leaves it out"):
-        monte_carlo(P_POOL, SPEC, reps=2, truths={"const": 0.01}, estimator="median")
+
+
+def _mean_group_lr_fit(ds, spec, n, slots):
+    """A toy block fit: each replication's mean-group lam / (1 - rho), with no standard error."""
+    theta, _ = synth_lab._mean_group_fit(ds, spec, n, ("dln_cpi_lag1", "dln_ulc"))
+    lr = (theta[:, 1] / (1.0 - theta[:, 0]))[:, None]
+    return lr, np.full(lr.shape, math.nan)
+
+
+def test_a_slot_need_not_be_a_design_column(monkeypatch):
+    monkeypatch.setitem(synth_lab.ESTIMATORS, "mg_lr", (_mean_group_lr_fit, lambda p, spec: {"lr": p.lam / (1 - p.rho)}))
+    reps = BLOCK_REPS + 3  # two blocks
+    report = monte_carlo(P_POOL, SPEC, reps=reps, estimator="mg_lr")
+    assert "lr" not in SPEC.design_columns
+    [(name, stats)] = report.slots.items()
+    assert (name, stats.truth) == ("lr", P_POOL.lam / (1 - P_POOL.rho))
+    alone = [long_run_effect(mg_of(materialize_design(generate_panel(P_POOL, seed=(P_POOL.seed, r)), SPEC)),
+                             "dln_ulc", "dln_cpi_lag1")[0] for r in range(reps)]
+    assert stats.mean_estimate == math.fsum(alone) / reps
+    assert stats.coverage == 0.0
+    # the table's own entries report exactly their slots, with their truths
+    want = {"mg": {"dln_cpi_lag1": 0.4, "dln_ulc": 0.25, "const": 0.01}, "pooled_fe": {"dln_cpi_lag1": 0.4, "dln_ulc": 0.25}}
+    for estimator, truths in want.items():
+        assert ESTIMATORS[estimator][1](P_POOL, SPEC) == truths
+        slots = monte_carlo(P_POOL, SPEC, reps=2, estimator=estimator).slots
+        assert {name: stats.truth for name, stats in slots.items()} == truths
+
+
+def test_monte_carlo_names_an_estimator_with_no_slots_before_any_block(inline_pool):
+    # no lag and no cost term: pooled_fe's only default truth would be the constant it does not estimate
+    spec = ModelSpec(
+        dependent=Term("dln_cpi", TransformSpec.log_diff("cpi")),
+        regressors=(Term("output_gap", TransformSpec.identity("output_gap"), role="control"),),
+    )
+    with pytest.raises(InvalidParamsError, match="^no slots with known true values$"):
+        monte_carlo(P_POOL, spec, reps=2 * BLOCK_REPS, estimator="pooled_fe", n_jobs=2)
+    assert _InlinePool.sizes == [] and _InlinePool.tasks == []
 
 
 def test_monte_carlo_keeps_its_pool_for_calls_of_the_same_size(inline_pool):
@@ -440,29 +479,10 @@ def test_monte_carlo_names_an_unknown_estimator_before_any_block(inline_pool, es
     assert _InlinePool.sizes == [] and _InlinePool.tasks == []
 
 
-@pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
-def test_monte_carlo_names_an_unknown_truths_slot_before_any_block(inline_pool, estimator):
-    with pytest.raises(InvalidParamsError, match="truths: unknown slot 'x'"):
-        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_ulc": 0.25, "x": 1.0},
-                    estimator=estimator, n_jobs=2)
-    assert _InlinePool.sizes == []
-
-
-def test_monte_carlo_rejects_a_pooled_fe_constant_truth_before_any_block(inline_pool):
-    with pytest.raises(InvalidParamsError, match="truths: 'const' .* within transform absorbs it"):
-        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_ulc": 0.25, "const": 0.01},
-                    estimator="pooled_fe", n_jobs=2)
-    assert _InlinePool.sizes == [] and _InlinePool.tasks == []
-    # the default truths leave the constant out, and mg estimates it
+def test_monte_carlo_rejects_a_pooled_fe_constant_truth_before_any_block():
+    # pooled_fe's slots leave out the constant, which the within transform absorbs, and mg's hold it
     assert "const" not in monte_carlo(P_POOL, SPEC, reps=2, estimator="pooled_fe").slots
-    assert "const" in monte_carlo(P_POOL, SPEC, reps=2, truths={"const": 0.01}).slots
-
-
-@pytest.mark.parametrize("truth", [math.nan, math.inf, True, "0.25"])
-def test_monte_carlo_checks_every_truth_before_any_block(inline_pool, truth):
-    with pytest.raises(InvalidParamsError, match=r"truths\['dln_ulc'\] must be a finite real number"):
-        monte_carlo(P_POOL, SPEC, reps=2 * BLOCK_REPS, truths={"dln_cpi_lag1": 0.4, "dln_ulc": truth}, n_jobs=2)
-    assert _InlinePool.sizes == [] and _InlinePool.tasks == []
+    assert "const" in monte_carlo(P_POOL, SPEC, reps=2).slots
 
 
 def test_pooled_fe_names_a_regressor_the_within_transform_drops():
@@ -472,12 +492,6 @@ def test_pooled_fe_names_a_regressor_the_within_transform_drops():
         monte_carlo(p, SPEC, reps=2, estimator="pooled_fe")
     with pytest.raises(TooFewCountriesError):  # as mg fails on the same panel, by name
         monte_carlo(p, SPEC, reps=2, estimator="mg")
-
-
-def test_monte_carlo_takes_numpy_float_truths():
-    want = monte_carlo(P_POOL, SPEC, reps=3, truths={"dln_ulc": 0.25})
-    got = monte_carlo(P_POOL, SPEC, reps=3, truths={"dln_ulc": np.float64(0.25)})
-    assert json.dumps(got.to_json_dict(), sort_keys=True) == json.dumps(want.to_json_dict(), sort_keys=True)
 
 
 @st.composite
