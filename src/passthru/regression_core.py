@@ -177,11 +177,13 @@ def ols_fit(d: DesignMatrix) -> OlsFit:
 def ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     """Least squares on a stack of designs x (G, n, k) and responses y (G, n).
 
-    Each slice gets a relative SVD singularity test, then QR on its column-norm
-    equilibrated design; the arithmetic runs per slice, so a slice's results do
-    not depend on the other slices in its stack. Returns the mask of nonsingular
-    slices, their coefficients (G, k), fitted values (G, n) and R factors of the
-    equilibrated QR (G, k, k); all three are NaN on singular slices.
+    Each slice with no zero column gets QR on its column-norm equilibrated
+    design, then a relative singularity test on the singular values of its R
+    factor, which are the design's; the arithmetic runs per slice, so a
+    slice's results do not depend on the other slices in its stack. Returns
+    the mask of nonsingular slices, their coefficients (G, k), fitted values
+    (G, n) and R factors of the equilibrated QR (G, k, k); all three are NaN
+    on singular slices.
     """
     if x.ndim != 3 or y.shape != x.shape[:2]:
         raise ShapeMismatchError(f"x has shape {x.shape} and y {y.shape}, expected (G, n, k) and (G, n)")
@@ -195,11 +197,11 @@ def ols_stack(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
     coef, fitted, r_all = np.full((g, k), np.nan), np.full((g, n), np.nan), np.full((g, k, k), np.nan)
     norms = np.sqrt(np.einsum("gij,gij->gj", x, x))
     ok = np.all(norms != 0.0, axis=1)
-    xe = x[ok] / norms[ok][:, None, :]
-    sv = np.linalg.svd(xe, compute_uv=False)
+    q, r = np.linalg.qr(x[ok] / norms[ok][:, None, :])
+    sv = np.linalg.svd(r, compute_uv=False)  # the equilibrated design's singular values
     fine = ~(sv[:, -1] <= SV_RTOL * sv[:, 0])
     ok[ok] = fine
-    q, r = np.linalg.qr(xe[fine])
+    q, r = q[fine], r[fine]
     qty = np.matmul(np.swapaxes(q, 1, 2), y[ok][:, :, None])[:, :, 0]
     b = np.zeros_like(qty)
     for i in range(k - 1, -1, -1):

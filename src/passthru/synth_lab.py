@@ -27,7 +27,7 @@ from passthru.mg_panel import (
     pooled_fixed_effects,
 )
 from passthru.panel_data import PANEL_SCHEMA, PanelDataset, country_span
-from passthru.pools import map_tasks
+from passthru.pools import map_tasks, shares
 
 Z90 = 1.6448536269514722  # standard normal 95th percentile: two-sided 90% band
 
@@ -280,9 +280,10 @@ def monte_carlo(
     """Repeat generate-and-estimate; report bias, RMSE, and 90% CI coverage.
 
     Replications run in blocks of consecutive ones, each block one stacked
-    panel (see `_block`): ceil(reps / BLOCK_REPS) blocks, rounded up to a
-    multiple of the worker count, whose sizes differ by at most one, so every
-    worker fits an equal share and no block holds more than BLOCK_REPS.
+    panel (see `_block`), cut by `passthru.pools.shares` with the cap
+    BLOCK_REPS: ceil(reps / BLOCK_REPS) blocks, rounded up to a multiple of
+    the worker count, whose sizes differ by at most one, so every worker fits
+    an equal share and no block holds more than BLOCK_REPS.
     Replication r uses the derived seed (p.seed, r), and stacking leaves every
     replication's estimate bit for bit as a fit of
     `generate_panel(p, seed=(p.seed, r))` alone, so a longer run extends a
@@ -310,12 +311,8 @@ def monte_carlo(
         raise InvalidParamsError("no slots with known true values")
 
     run = partial(_block, p, spec, tuple(truths), fit)
-    count = -(-reps // BLOCK_REPS)
-    workers = min(n_jobs, count)
-    count = -(-count // workers) * workers
-    cuts = [reps * b // count for b in range(count + 1)]
-    blocks = [range(a, b) for a, b in zip(cuts, cuts[1:])]
-    done = map_tasks(run, blocks, workers)
+    workers = min(n_jobs, -(-reps // BLOCK_REPS))
+    done = map_tasks(run, shares(reps, BLOCK_REPS, workers), workers)
     estimates, ses = np.concatenate(done, axis=1)  # (reps, slots) each
     errors = estimates - np.array(list(truths.values()), dtype=float)
     moments = np.stack([estimates, errors, errors * errors], axis=1)

@@ -15,9 +15,10 @@ mantissa, so one exact accumulator covers every finite double; a response is
 bounded only so that its sums of squares stay finite. Split nodes' segments are
 partitioned by one stable radix sort. Each node's mean and mse are computed
 once a batch is grown, one mean per distinct node size. Trees and forests
-alike go through this one kernel; a forest's trees are grown in fixed-size
-batches, each batch one task on worker processes that `fit_forest` forks,
-one per batch and at most one per usable CPU
+alike go through this one kernel. A forest's trees are grown in batches whose
+(tree, row) pairs stay within the routing budget, as few as give each worker
+process an equal share (one batch per worker at fig5's size), each batch one
+task on the workers that `fit_forest` forks, at most one per usable CPU
 (see `passthru.pools`; threads gain nothing, as the kernel holds the
 interpreter lock).
 Identical data, settings and seed give identical models, whatever the batch
@@ -51,15 +52,18 @@ import numpy as np
 
 from passthru.accumulator import _limbs, _round_sums
 from passthru.errors import PassthruError
-from passthru.pools import map_tasks, usable_cpus
+from passthru.pools import map_tasks, shares, usable_cpus
 
 
 FOREST_TREES, FOREST_SUBSAMPLE = 1000, 2.0 / 3.0  # fit_forest's defaults: trees, and each one's share of rows
-# Trees that fit_forest grows together. A batch's per-level arrays grow with
-# its size, so this bounds peak memory near that of growing one tree at a time.
+# The trees that earn a forest one worker process: a forest of at most this
+# many grows in the calling process. It sets only the worker count.
 _BATCH_TREES = 128
-# (tree, row) pairs that _route moves together. Each step holds a few int64
-# arrays of this many pairs, so routing memory stays bounded for any row count.
+# (tree, row) pairs that _route moves together, and that fit_forest grows
+# together in one batch (at least one tree). Each routing step, and each level
+# of a batch's growth, holds arrays that grow with this many pairs, so memory
+# stays bounded for any row count: a batch of 56-row trees traces 2.8 MiB at 128
+# trees and 10.9 MiB at 500.
 _ROUTE_PAIRS = 1 << 16
 
 # The square root of the largest double. A response whose rows * max|y| stays
@@ -433,23 +437,23 @@ def predict_many(model: RegressionTree, x) -> np.ndarray:
 
 def _grow_batch(
     x: np.ndarray, y: np.ndarray, m: int, params: SplitParams, seed: int, trees: range
-) -> tuple[list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """Trees `trees` of a forest: their node arrays and roots, numbered from 0, and each one's rows.
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Trees `trees` of a forest: their node arrays and roots, numbered from 0, and their rows, one tree's per row.
 
     Tree t draws m distinct rows of (x, y) from a generator seeded by
     (seed, t). A batch is one task of `fit_forest`'s worker pool, so it reads
     nothing but its arguments.
     """
-    rows = [  # sorted, so the draw need not be shuffled
-        np.sort(np.random.default_rng((seed, t)).choice(y.shape[0], size=m, replace=False, shuffle=False))
-        for t in trees
-    ]
-    idx = np.concatenate(rows)
+    rows = np.sort(  # sorted, so the draw need not be shuffled
+        [np.random.default_rng((seed, t)).choice(y.shape[0], size=m, replace=False, shuffle=False) for t in trees],
+        axis=1,
+    )
+    idx = rows.ravel()
     return (*_grow(x[idx], y[idx], m, params), rows)
 
 
 def forest_workers(n_trees: int) -> int:
-    """The worker processes a forest of `n_trees` grows on: one per batch, at most one per usable CPU."""
+    """The worker processes a forest of `n_trees` grows on: ceil(n_trees / _BATCH_TREES), at most one per usable CPU."""
     return min(usable_cpus(), -(-n_trees // _BATCH_TREES))
 
 
@@ -465,13 +469,17 @@ def fit_forest(
     """Bag `n_trees` trees, each on ceil(subsample * n) distinct rows.
 
     Tree t draws its rows from a generator seeded by (seed, t), and trees are
-    grown together in batches of _BATCH_TREES, each tree from its own rows
-    only, so the model does not depend on which trees share a batch. Each
-    batch is one task (see `_grow_batch`) on `forest_workers(n_trees)`
-    worker processes, forked by `passthru.pools.map_tasks` and kept for the
-    next call, or in the calling process when that is 1. The batches are
-    joined in tree order, so the model does not depend on the worker count
-    either.
+    grown together in batches, each tree from its own rows only, so the model
+    does not depend on which trees share a batch. The batches are cut by
+    `passthru.pools.shares`, the rule `monte_carlo` cuts its blocks by: as
+    few as keep a batch's (tree, row) pairs within _ROUTE_PAIRS (a batch
+    holds at least one tree), rounded up to a multiple of the worker count,
+    with sizes that differ by at most one. Each batch is one task (see
+    `_grow_batch`) on `forest_workers(n_trees)` worker processes, forked by
+    `passthru.pools.map_tasks` and kept for the next call, or in the calling
+    process when that is 1; fig5's 1,000 trees of 56 rows are one batch per
+    worker. The batches are joined in tree order, so the model does not
+    depend on the worker count either.
     """
     x, y = _validate_xy(x, y)
     names = _name_columns(x, feature_names)
@@ -482,8 +490,9 @@ def fit_forest(
     _check_int("n_trees", n_trees, 1)
     _check_int("seed", seed, 0)
     m = math.ceil(subsample * n)
-    batches = [range(t, min(t + _BATCH_TREES, n_trees)) for t in range(0, n_trees, _BATCH_TREES)]
-    grown = map_tasks(partial(_grow_batch, x, y, m, params, seed), batches, forest_workers(n_trees))
+    workers = forest_workers(n_trees)
+    batches = shares(n_trees, max(1, _ROUTE_PAIRS // m), workers)
+    grown = map_tasks(partial(_grow_batch, x, y, m, params, seed), batches, workers)
     nodes, roots, total = [], [], 0  # total: the nodes of the batches before
     for arrays, batch_roots, _ in grown:  # a batch numbers its right children and roots from 0
         arrays[2] = np.where(arrays[2] < 0, -1, arrays[2] + total)

@@ -206,16 +206,19 @@ def test_criterion_7_forest_determinism_and_bagging(monkeypatch):
         AxisSpec(float(x[:, 1].min()), float(x[:, 1].max()), 50),
     )
     grids = []
-    batches = (tree_forest._BATCH_TREES, 7, 1000)  # trees grown together
-    for batch in batches:
-        monkeypatch.setattr(tree_forest, "_BATCH_TREES", batch)
+    expected_m = math.ceil(2 * n / 3)
+    # trees grown together: the pair budget caps a batch at budget // m trees;
+    # one batch per worker on 2 CPUs, batches of 6 or 7 on 2, and all in one
+    batches = {"500": (tree_forest._ROUTE_PAIRS, 2), "7": (7 * expected_m, 2), "1000": (1000 * expected_m, 1)}
+    for budget, cpus in batches.values():
+        monkeypatch.setattr(tree_forest, "_ROUTE_PAIRS", budget)
+        monkeypatch.setattr(tree_forest, "usable_cpus", lambda cpus=cpus: cpus)
         forest = fit_forest(x, y, n_trees=1000, seed=99)
         grids.append(partial_dependence(forest, axes).to_csv().encode())
-        expected_m = math.ceil(2 * n / 3)
         for idx in forest.row_indices:
             assert len(np.unique(idx)) == expected_m == len(idx)
     assert grids[0] == grids[1] == grids[2]
-    report(7, f"byte-identical 50x50 grids for batches of {'/'.join(map(str, batches))} trees; "
+    report(7, f"byte-identical 50x50 grids for batches of {'/'.join(batches)} trees; "
            "all subsamples ceil(2n/3) distinct rows",
            time.perf_counter() - start, 30.0)
 

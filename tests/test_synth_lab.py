@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import simulate_panel
-from passthru import pools, synth_lab
+from passthru import pools, synth_lab, tree_forest
 from passthru.mg_panel import (
     MgError,
     ModelSpec,
@@ -286,6 +286,37 @@ def test_monte_carlo_gives_each_worker_an_equal_share_of_blocks(inline_pool, rep
     assert max(sizes) <= BLOCK_REPS
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(1, 300), st.integers(1, 16))
+def test_shares_are_the_fewest_even_ranges_under_the_cap_that_the_workers_divide(total, cap, workers):
+    ranges = pools.shares(total, cap, workers)
+    sizes = [len(r) for r in ranges]
+    assert [i for r in ranges for i in r] == list(range(total))
+    fewest = -(-total // cap)
+    rounded = -(-fewest // workers) * workers
+    assert len(ranges) == min(total, rounded)  # past total, only empty ranges would make the count a multiple
+    if rounded <= total:
+        assert len(ranges) % workers == 0
+    assert min(sizes) >= 1 and max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+
+
+def test_a_fig5_sized_forest_grows_one_batch_per_worker(inline_pool, monkeypatch):
+    # 84 rows draw 56 each: 1,000 trees hold 56,000 (tree, row) pairs, within the budget
+    monkeypatch.setattr(tree_forest, "usable_cpus", lambda: 2)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(84, 2))
+    y = x[:, 0] + rng.normal(0.0, 0.1, 84)
+    forest = tree_forest.fit_forest(x, y, n_trees=1000, seed=1)
+    monkeypatch.setattr(tree_forest, "_ROUTE_PAIRS", 100 * 56)
+    batched = tree_forest.fit_forest(x, y, n_trees=1000, seed=1)
+    assert _InlinePool.sizes == [2]
+    assert _InlinePool.tasks == [[range(0, 500), range(500, 1000)], [range(t, t + 100) for t in range(0, 1000, 100)]]
+    fields = ("feature", "threshold", "right", "gain", "n", "mse", "prediction", "roots", "row_indices")
+    assert [np.asarray(getattr(forest, f)).tobytes() for f in fields] == [
+        np.asarray(getattr(batched, f)).tobytes() for f in fields
+    ]
+
+
 @pytest.mark.parametrize("estimator", ["mg", "pooled_fe"])
 @pytest.mark.parametrize("reps", [40, 97])
 def test_monte_carlo_reports_do_not_depend_on_the_block_size(monkeypatch, reps, estimator):
@@ -479,7 +510,7 @@ def test_monte_carlo_names_an_unknown_estimator_before_any_block(inline_pool, es
     assert _InlinePool.sizes == [] and _InlinePool.tasks == []
 
 
-def test_monte_carlo_rejects_a_pooled_fe_constant_truth_before_any_block():
+def test_monte_carlo_slots_hold_the_constant_for_mg_only():
     # pooled_fe's slots leave out the constant, which the within transform absorbs, and mg's hold it
     assert "const" not in monte_carlo(P_POOL, SPEC, reps=2, estimator="pooled_fe").slots
     assert "const" in monte_carlo(P_POOL, SPEC, reps=2).slots

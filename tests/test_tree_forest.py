@@ -679,7 +679,7 @@ def test_kept_workers_take_the_batches_from_their_tasks(monkeypatch):
     x, y = _fig5_sized(7)
     fit_forest(x, y, n_trees=300, seed=5)
     kept = pools._pool
-    monkeypatch.setattr(tree_forest, "_BATCH_TREES", 7)
+    monkeypatch.setattr(tree_forest, "_ROUTE_PAIRS", 7 * 56)  # batches of at most 7 of the 56-row trees
     parallel = fit_forest(x, y, n_trees=300, seed=5)
     assert pools._pool is kept
     _cpus(monkeypatch, 1)
@@ -742,14 +742,17 @@ def test_a_script_with_a_forest_pool_exits_cleanly(script_exits_cleanly):
     script_exits_cleanly(FOREST_SCRIPT)
 
 
-def test_forest_batches_of_many_rows_partition_like_lone_trees():
-    # a 128-tree batch of 534-row trees holds 68,352 positions, past what 16 bits index
+def test_forest_batches_of_many_rows_partition_like_lone_trees(monkeypatch):
+    # one 130-tree batch of 534-row trees holds 69,420 positions, past what 16 bits index
+    monkeypatch.setattr(tree_forest, "_ROUTE_PAIRS", 1 << 17)
+    _cpus(monkeypatch, 1)
     rng = np.random.default_rng(41)
     x = rng.normal(size=(800, 2))
     y = np.sin(2 * x[:, 0]) + x[:, 1] + 0.3 * rng.normal(size=800)
-    forest = fit_forest(x, y, n_trees=tree_forest._BATCH_TREES + 2, seed=3)
-    assert tree_forest._BATCH_TREES * forest.row_indices[0].size > 1 << 16
-    for t in (0, tree_forest._BATCH_TREES - 1, tree_forest._BATCH_TREES, tree_forest._BATCH_TREES + 1):
+    forest = fit_forest(x, y, n_trees=130, seed=3)
+    m = forest.row_indices[0].size
+    assert tree_forest._ROUTE_PAIRS // m >= 130 and 130 * m > 1 << 16
+    for t in (0, 127, 128, 129):
         rows = forest.row_indices[t]
         assert _node_fields(tree_at(forest, t)) == _node_fields(fit_tree(x[rows], y[rows]))
 
