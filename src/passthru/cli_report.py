@@ -359,6 +359,10 @@ class RunConfig:
         if panel_outputs and set(decades) <= {"full"}:
             raise ConfigError("decades", f"{', '.join(panel_outputs)} need at least one decade other than full")
         _build_specs(self)  # a model.min_obs below k + 2 fails here
+        # several variants are the full-sample columns of one mg_table; a decade window or a panel fits one
+        windowed = ", ".join([d for d in decades if d != "full"] + panel_outputs)
+        if len(self.variants) > 1 and windowed:
+            raise ConfigError("model.variants", f"several variants fit the full sample only; {windowed} need one")
 
 
 # config key -> field; the field's annotation says how the key's text is read (see

@@ -345,24 +345,14 @@ def _chi2_sf(x: float, dof: int) -> float:
     return (math.erfc(math.sqrt(x / 2.0)) if odd else 0.0) + math.exp(-x / 2.0) * total
 
 
-def wald_joint(r: MgResult, slots: Sequence[str] | None = None) -> tuple[float, int, float]:
-    """Chi-square test that the selected coefficients are jointly zero.
-
-    Defaults to every non-constant slope, one statistic per results column.
-    """
-    if slots is None:
-        slots = [c for c in r.columns if c != "const"]
-    slots = list(slots)
-    if "const" in slots:
-        raise MgError("the constant is not part of a joint slope test")
-    if not slots:
-        raise MgError("empty slot subset")
-    idx = _slot_indices(r, slots)
+def wald_joint(r: MgResult) -> tuple[float, int, float]:
+    """Chi-square test that every non-constant slope is zero, one statistic per results column."""
+    idx = [i for i, c in enumerate(r.columns) if c != "const"]
     theta = r.coefficients[idx]
     v = r.covariance[np.ix_(idx, idx)]
     sv = np.linalg.svd(v, compute_uv=False)
     if sv.size == 0 or sv[-1] <= 1e-12 * sv[0] or sv[0] == 0.0:
-        raise SingularCovarianceError(f"restricted covariance for {slots} is singular")
+        raise SingularCovarianceError(f"slope covariance of {[r.columns[i] for i in idx]} is singular")
     stat = float(theta @ np.linalg.solve(v, theta))
     dof = len(idx)
     return stat, dof, _chi2_sf(stat, dof)

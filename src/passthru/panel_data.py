@@ -4,7 +4,7 @@ The dataset is a grid of named numeric series indexed by (country, year), stored
 as one dense (variable, country, year) array in which NaN marks a missing cell
 and every other cell is finite. Transforms are array operations, a decade
 window is a slice of the year axis, and every operation is a pure function
-returning a new dataset. A missing cell reads as None from `value`.
+returning a new dataset. Readers take the cells through `complete_cells`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from importlib import resources
 from numbers import Integral
 from pathlib import Path
-from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -157,7 +156,7 @@ class PanelDataset:
     and value arrays are, NaN for NaN.
     """
 
-    __slots__ = ("countries", "years", "variables", "_values", "_row", "_country", "_year")
+    __slots__ = ("countries", "years", "variables", "_values", "_row")
 
     def __init__(self, countries: Iterable[str], years: Iterable[int], variables: Iterable[str], values: np.ndarray):
         countries, years = _check_axes(countries, years)
@@ -174,8 +173,6 @@ class PanelDataset:
         self.countries, self.years, self.variables = countries, years, variables
         self._values = values
         self._row = {name: r for r, name in enumerate(variables)}
-        self._country = {c: i for i, c in enumerate(countries)}
-        self._year = {y: j for j, y in enumerate(years)}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset):
@@ -189,20 +186,6 @@ class PanelDataset:
 
     def _layer(self, var: str) -> np.ndarray:
         return self._values[self._row[var]]
-
-    def value(self, var: str, country: str, year: int) -> float | None:
-        """Cell value, or None when the observation is missing."""
-        r, i, j = self._row[var], self._country.get(country), self._year.get(year)
-        if i is None or j is None or math.isnan(self._values[r, i, j]):
-            return None
-        return float(self._values[r, i, j])
-
-    def cells(self, var: str) -> Mapping[tuple[str, int], float]:
-        """Read-only view of one variable's observed cells."""
-        values = self._layer(var)
-        observed = ~np.isnan(values)
-        keys = [(self.countries[i], self.years[j]) for i, j in np.argwhere(observed).tolist()]
-        return MappingProxyType(dict(zip(keys, values[observed].tolist())))
 
     def n_obs(self, var: str) -> int:
         return int(np.count_nonzero(~np.isnan(self._layer(var))))
@@ -223,9 +206,9 @@ class PanelDataset:
     def complete_rows(self, variables: Iterable[str], country: str) -> list[tuple[int, list[float]]]:
         """Years of `country` where every listed variable is observed."""
         values, complete = self.complete_cells(variables)
-        if country not in self._country:
+        if country not in self.countries:
             return []
-        i = self._country[country]
+        i = self.countries.index(country)
         return list(zip(np.asarray(self.years)[complete[i]].tolist(), values[:, i, complete[i]].T.tolist()))
 
 
@@ -392,7 +375,8 @@ def _transform_layer(ds: PanelDataset, t: TransformSpec, layers: Mapping[str, np
 
 def _lag(ds: PanelDataset, values: np.ndarray, periods: int) -> np.ndarray:
     """Calendar lag of a (country, year) layer: year y takes the cell of year y - periods, NaN if none."""
-    src = np.array([ds._year.get(y - periods, -1) for y in ds.years])
+    year_at = {y: j for j, y in enumerate(ds.years)}
+    src = np.array([year_at.get(y - periods, -1) for y in ds.years])
     return np.where(src >= 0, values[:, src], np.nan)
 
 

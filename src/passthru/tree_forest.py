@@ -120,7 +120,8 @@ class RegressionTree:
     feature and right -1, threshold and gain 0. Every node holds its training
     row count n, the mse of its rows and their mean, prediction. The model
     also keeps its features' names and training bounds, and the rows each
-    bagged tree t drew, row_indices[t]; a tree grown on every row has none.
+    bagged tree t drew, row_indices[t], read-only too; a tree grown on every
+    row has none.
     """
 
     feature: np.ndarray
@@ -137,7 +138,8 @@ class RegressionTree:
     row_indices: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
-        for field in (self.feature, self.threshold, self.right, self.gain, self.n, self.mse, self.prediction, self.roots):
+        nodes = (self.feature, self.threshold, self.right, self.gain, self.n, self.mse, self.prediction, self.roots)
+        for field in nodes + self.row_indices:
             field.flags.writeable = False
 
     @property
@@ -685,6 +687,11 @@ def partial_dependence(
     summed-area table of the trees' leaf boxes gives every cell's prediction,
     equal to predict_many's at its points.
     """
+    if len(axes) != 2:
+        raise DimensionMismatchError(f"one AxisSpec per feature: 2, got {len(axes)}")
+    for ax in axes:
+        if not isinstance(ax, AxisSpec):
+            raise TreeError(f"each axis must be an AxisSpec, got {ax!r}")
     if model.n_features != 2:
         raise DimensionMismatchError("partial dependence grids need a 2-feature model")
     names = model.feature_names

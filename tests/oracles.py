@@ -40,6 +40,15 @@ def mg_fsum(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return theta, cov
 
 
+def cell(ds, var: str, country: str, year: int) -> float | None:
+    """One cell of a dataset, read through `complete_cells`; None when it is missing or off the grid."""
+    values, observed = ds.complete_cells([var])
+    if country not in ds.countries or year not in ds.years:
+        return None
+    i, j = ds.countries.index(country), ds.years.index(year)
+    return float(values[0, i, j]) if observed[i, j] else None
+
+
 def _sse(values: np.ndarray) -> float:
     """Sum of squared deviations from the mean, by exactly rounded sums."""
     import math

@@ -382,7 +382,7 @@ def test_config_to_mapping_is_pinned():
         out_dir=Path("/runs/out"),
         decade_path=Path("/data/decades.csv"),
         dgp=DgpParams(n_countries=8, n_years=30, lambda_schedule=(0.3, 0.1), seed=5),
-        variants=("core", "earnings"),
+        variants=("core",),
         control="unemp_gap",
         interactions="both",
         decades=("full", "1990s"),
@@ -421,7 +421,7 @@ def test_config_to_mapping_is_pinned():
         "model.control": "unemp_gap",
         "model.interactions": "both",
         "model.min_obs": "12",
-        "model.variants": "core,earnings",
+        "model.variants": "core",
         "output.dir": "/runs/out",
         "output.format": "json",
         "outputs": "mg_table,passthrough_panel,pd_grid",
@@ -874,6 +874,21 @@ def test_repeated_entries_and_a_decade_list_without_a_window_fail_before_any_out
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, needs", [
+    (("decades = 1990s,2000s",), "1990s, 2000s"),
+    (("decades = 1990s,2000s", "outputs = mg_table,passthrough_panel"), "1990s, 2000s, passthrough_panel"),
+])
+def test_several_variants_refuse_decade_windows_and_panel_outputs(tmp_path, capsys, lines, needs):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.cfg"
+    head = [f"output.dir = {out}", "data.synthetic = true", "dgp.countries = 8", "model.variants = headline,core"]
+    cfg.write_text("\n".join([*head, *lines]) + "\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: model.variants: several variants fit the full sample only; {needs} need one\n"
+    assert not out.exists()
+
+
 def test_a_decade_label_is_stored_in_its_canonical_form(tmp_path, data_dir):
     written = {}
     for label in ("1990s", "01990s"):
@@ -924,12 +939,15 @@ CONFIG_FLOATS = st.floats(-0.9, 0.9, allow_nan=False)
 @st.composite
 def run_configs(draw, out_dir: Path, panel_path: Path, decade_path: Path) -> RunConfig:
     outputs = tuple(draw(st.lists(st.sampled_from(OUTPUTS), min_size=1, max_size=3, unique=True)))
-    variants = tuple(draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=2, unique=True)))
     panel_based = set(outputs) & {"passthrough_panel", "second_stage", "importance", "pd_grid"}
+    most = 1 if panel_based else 2  # a panel output fits one variant
+    variants = tuple(draw(st.lists(st.sampled_from(sorted(VARIANTS)), min_size=1, max_size=most, unique=True)))
     needs_decades = panel_based or ("mg_table" in outputs and len(variants) == 1)
     decade_lists = st.lists(st.sampled_from(DECADE_LABELS), min_size=1, max_size=4, unique=True).map(tuple)
     if panel_based:  # the panel outputs need a decade window
         decade_lists = decade_lists.filter(lambda labels: labels != ("full",))
+    if len(variants) > 1:  # several variants fit the full sample only
+        decade_lists = st.just(("full",))
     dgp = draw(st.one_of(st.none(), st.builds(
         DgpParams,
         n_countries=st.integers(1, 40),

@@ -30,7 +30,7 @@ from passthru.mg_panel import (
     pooled_fixed_effects,
     wald_joint,
 )
-from oracles import mg_fsum
+from oracles import cell, mg_fsum
 from passthru.panel_data import (
     DECADE_SCHEMA,
     DecadeWindow,
@@ -382,8 +382,6 @@ def test_one_pass_design_equals_the_sequential_transforms(seed, hole_rate, given
         ds = apply_transform(ds, TransformSpec.log_diff("cpi"), "dln_cpi")
     one, seq = materialize_design(ds, FULL_SPEC), sequential_design(ds, FULL_SPEC)
     assert one.variables == seq.variables and one == seq
-    for name in one.variables:
-        assert dict(one.cells(name)) == dict(seq.cells(name))
 
 
 def _error(build, ds, spec):
@@ -498,7 +496,7 @@ def test_wald_single_slot_matches_tabulated_quantile():
     target = math.sqrt(3.841)
     r = mg_from_matrix([[0.0, target - 1.0], [0.0, target + 1.0]])
     assert r.se[r.columns.index("b0")] == pytest.approx(1.0, abs=1e-12)
-    stat, dof, p = wald_joint(r, ["b0"])
+    stat, dof, p = wald_joint(r)
     assert stat == pytest.approx(3.841, rel=1e-12)
     assert dof == 1
     assert p == pytest.approx(0.05, abs=1e-3)
@@ -508,7 +506,7 @@ def test_wald_singular_covariance():
     # two countries give a rank-1 dispersion matrix; a 2-slot test cannot run
     r = mg_from_matrix([[0.0, 0.1, 0.3], [0.0, 0.2, 0.5]])
     with pytest.raises(SingularCovarianceError):
-        wald_joint(r, ["b0", "b1"])
+        wald_joint(r)
 
 
 def test_chi2_sf_tabulated_points():
@@ -526,18 +524,8 @@ def test_chi2_sf_matches_scipy():
             assert _chi2_sf(float(x), dof) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_wald_rejects_constant_in_subset():
-    r = mg_from_matrix([[0.0, 0.1], [0.1, 0.2], [0.2, 0.3]])
-    with pytest.raises(MgError):
-        wald_joint(r, ["const"])
-
-
 def test_unknown_or_repeated_slots_are_named():
     r = mg_from_matrix([[0.0, 0.1, 0.3], [0.1, 0.2, 0.1], [0.2, 0.3, 0.4]])
-    with pytest.raises(MgError, match="slot 'b9' is unknown"):
-        wald_joint(r, ["b0", "b9"])
-    with pytest.raises(MgError, match="slot 'b0' is repeated"):
-        wald_joint(r, ["b0", "b0"])
     with pytest.raises(MgError, match="slot 'rho' is unknown"):
         long_run_effect(r, "b1", "rho")
     with pytest.raises(MgError, match="slot 'b1' is repeated"):
@@ -586,7 +574,7 @@ def test_decade_passthroughs_exclusion_and_covariate_join():
 
 
 def _decade_reference(ds, spec, windows, decade_data):
-    """Each (country, decade)'s covariates and average inflation, read cell by cell with value()."""
+    """Each (country, decade)'s covariates and average inflation, read cell by cell."""
     mat = materialize_design(ds, spec)
     expected = {}
     for w in windows:
@@ -596,12 +584,12 @@ def _decade_reference(ds, spec, windows, decade_data):
             for var in DECADE_SCHEMA:
                 val = None
                 if decade_data is not None and var in decade_data.variables:
-                    val = decade_data.value(var, country, w.start_year)
+                    val = cell(decade_data, var, country, w.start_year)
                 if val is None and var in mat.variables:
-                    obs = [v for y in years if (v := mat.value(var, country, y)) is not None]
+                    obs = [v for y in years if (v := cell(mat, var, country, y)) is not None]
                     val = sum(obs) / len(obs) if obs else None
                 row[var] = math.nan if val is None else val
-            dep = [v for y in years if (v := mat.value(spec.dependent.name, country, y)) is not None]
+            dep = [v for y in years if (v := cell(mat, spec.dependent.name, country, y)) is not None]
             row["avg_inflation"] = sum(dep) / len(dep) if dep else math.nan
             expected[(country, w.label)] = row
     return expected

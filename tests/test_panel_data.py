@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import cell
 from passthru.panel_data import (
     DecadeWindow,
     DuplicateKeyError,
@@ -47,8 +48,8 @@ def one_country(values: dict[int, float], var: str = "x") -> PanelDataset:
 
 def test_table_a2_fixture_values():
     ds = load_decade_csv(table_a2_path())
-    assert ds.value("em10", "US", 2010) == 0.0506
-    assert ds.value("kof", "AT", 1980) == 0.744
+    assert cell(ds, "em10", "US", 2010) == 0.0506
+    assert cell(ds, "kof", "AT", 1980) == 0.744
     assert len(ds.countries) == 16
     total = sum(ds.n_obs("kof") for _ in [0])
     assert total == 58
@@ -90,7 +91,7 @@ def test_load_rejects_unknown_column(tmp_path):
         load_panel_csv(p, schema=("cpi",))
     # open schema accepts anything
     ds = load_panel_csv(p, schema=None)
-    assert ds.value("mystery", "AT", 1990) == 1.0
+    assert cell(ds, "mystery", "AT", 1990) == 1.0
 
 
 def test_an_unreadable_data_file_is_named(tmp_path):
@@ -103,9 +104,9 @@ def test_missing_cells_are_absent(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("country,year,cpi,ulc\nAT,1990,100,\nAT,1991,,90\n")
     ds = load_panel_csv(p, schema=("cpi", "ulc"))
-    assert ds.value("cpi", "AT", 1990) == 100.0
-    assert ds.value("ulc", "AT", 1990) is None
-    assert ds.value("cpi", "AT", 1991) is None
+    assert cell(ds, "cpi", "AT", 1990) == 100.0
+    assert cell(ds, "ulc", "AT", 1990) is None
+    assert cell(ds, "cpi", "AT", 1991) is None
 
 
 def test_round_trip_is_bit_exact(tmp_path, toy_levels):
@@ -145,28 +146,26 @@ def test_panel_with_holes_survives_csv_round_trip_bit_for_bit(ds, tmp_path):
     for v in ds.variables:
         for c in ds.countries:
             for y in ds.years:
-                cell, back = ds.value(v, c, y), again.value(v, c, y)
-                if (c, y) in ds.cells(v):
-                    assert back.hex() == cell.hex()
+                got, back = cell(ds, v, c, y), cell(again, v, c, y)
+                if got is not None:
+                    assert back.hex() == got.hex()
                 else:
-                    assert cell is None and back is None
+                    assert back is None
 
 
 def assert_nan_marks_the_missing_cells(ds: PanelDataset) -> None:
-    """n_obs, cells, value and complete_cells all read a cell as missing exactly where it is NaN."""
+    """n_obs, complete_cells and a cell read all take a cell as missing exactly where it is NaN."""
     values, complete = ds.complete_cells(ds.variables)
     observed = ~np.isnan(values)
     assert np.array_equal(complete, observed.all(axis=0))
     for v, var in enumerate(ds.variables):
         assert ds.n_obs(var) == np.count_nonzero(observed[v])
-        keys = [(ds.countries[i], ds.years[j]) for i, j in np.argwhere(observed[v]).tolist()]
-        assert dict(ds.cells(var)) == dict(zip(keys, values[v][observed[v]].tolist()))
         assert np.array_equal(ds.complete_cells([var])[1], observed[v])
         for i, country in enumerate(ds.countries):
             for j, year in enumerate(ds.years):
-                cell = ds.value(var, country, year)
-                assert (cell is None) == (not observed[v, i, j])
-                assert cell is None or cell == values[v, i, j]
+                got = cell(ds, var, country, year)
+                assert (got is None) == (not observed[v, i, j])
+                assert got is None or got == values[v, i, j]
 
 
 @st.composite
@@ -238,10 +237,10 @@ def test_loaders_read_a_file_saved_with_a_byte_order_mark(tmp_path):
 def test_array_constructor_copies_and_checks_its_array():
     values = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])
     ds = PanelDataset(["AA"], [1990, 1991, 1992], ["x", "y"], values)
-    assert dict(ds.cells("x")) == {("AA", 1990): 1.0, ("AA", 1991): 2.0, ("AA", 1992): 3.0}
-    assert dict(ds.cells("y")) == {("AA", 1990): 4.0, ("AA", 1991): 5.0, ("AA", 1992): 6.0}
+    cells, observed = ds.complete_cells(["x", "y"])
+    assert observed.all() and cells.tolist() == [[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]]
     values[0, 0, 0] = 99.0  # the dataset keeps its own copy
-    assert ds.value("x", "AA", 1990) == 1.0
+    assert cell(ds, "x", "AA", 1990) == 1.0
     values[1, 0, 2] = np.inf
     with pytest.raises(PanelDataError, match=r"^y: infinite value at \(AA, 1992\)$"):
         PanelDataset(["AA"], [1990, 1991, 1992], ["x", "y"], values)
@@ -281,8 +280,10 @@ def test_nan_holes_pass_every_door_unchanged(tmp_path):
     nan = math.nan
     values = [[[1.0, nan, 3.0], [nan, 5.0, 6.0]], [[2.0, 4.0, nan], [8.0, nan, nan]]]
     ds = PanelDataset(["AA", "BB"], [1990, 1991, 1992], ["x", "z"], values)
-    assert (ds.value("x", "AA", 1991), ds.n_obs("x")) == (None, 4)
-    assert dict(ds.cells("z")) == {("AA", 1990): 2.0, ("AA", 1991): 4.0, ("BB", 1990): 8.0}
+    assert (cell(ds, "x", "AA", 1991), ds.n_obs("x")) == (None, 4)
+    z, observed = ds.complete_cells(["z"])
+    assert observed.tolist() == [[True, True, False], [True, False, False]]
+    assert z[0][observed].tolist() == [2.0, 4.0, 8.0]
     assert load_panel_csv(write_panel_csv(ds, tmp_path / "holes.csv"), schema=None) == ds
     derived = apply_transforms(ds, {"x_again": TransformSpec.identity("x")})
     assert derived == PanelDataset(ds.countries, ds.years, ["x", "z", "x_again"], values + values[:1])
@@ -309,15 +310,15 @@ def test_constructors_name_the_first_non_finite_cell_in_grid_order(tmp_path):
 def test_log_diff_constant_series():
     ds = one_country({1990: 100.0, 1991: 100.0, 1992: 100.0})
     out = apply_transform(ds, TransformSpec.log_diff("x"), "dx")
-    assert out.value("dx", "AA", 1990) is None
-    assert out.value("dx", "AA", 1991) == 0.0
-    assert out.value("dx", "AA", 1992) == 0.0
+    assert cell(out, "dx", "AA", 1990) is None
+    assert cell(out, "dx", "AA", 1991) == 0.0
+    assert cell(out, "dx", "AA", 1992) == 0.0
 
 
 def test_log_diff_hand_value():
     ds = one_country({1990: 100.0, 1991: 110.0})
     out = apply_transform(ds, TransformSpec.log_diff("x"), "dx")
-    assert out.value("dx", "AA", 1991) == pytest.approx(0.0953102, abs=1e-7)
+    assert cell(out, "dx", "AA", 1991) == pytest.approx(0.0953102, abs=1e-7)
 
 
 def test_log_diff_rejects_non_positive():
@@ -330,24 +331,24 @@ def test_log_diff_rejects_non_positive():
 def test_lag_two_years():
     ds = one_country({1990: 1.0, 1991: 2.0, 1992: 3.0})
     out = apply_transform(ds, TransformSpec.lag("x", 2), "x_lag2")
-    assert out.value("x_lag2", "AA", 1990) is None
-    assert out.value("x_lag2", "AA", 1991) is None
-    assert out.value("x_lag2", "AA", 1992) == 1.0
+    assert cell(out, "x_lag2", "AA", 1990) is None
+    assert cell(out, "x_lag2", "AA", 1991) is None
+    assert cell(out, "x_lag2", "AA", 1992) == 1.0
 
 
 def test_lag_is_calendar_based():
     ds = one_country({1990: 1.0, 1992: 3.0})  # no 1991 row
     out = apply_transform(ds, TransformSpec.lag("x", 1), "x_lag1")
     # a positional shift would put 1.0 here; the calendar lag leaves it missing
-    assert out.value("x_lag1", "AA", 1992) is None
+    assert cell(out, "x_lag1", "AA", 1992) is None
     out2 = apply_transform(ds, TransformSpec.lag("x", 2), "x_lag2")
-    assert out2.value("x_lag2", "AA", 1992) == 1.0
+    assert cell(out2, "x_lag2", "AA", 1992) == 1.0
 
 
 def test_product_is_cellwise(toy_levels):
     out = apply_transform(toy_levels, TransformSpec.product("cpi", "ulc"), "prod")
-    assert out.value("prod", "AA", 1990) == 100.0 * 90.0
-    assert out.value("prod", "BB", 1992) is None  # cpi missing there
+    assert cell(out, "prod", "AA", 1990) == 100.0 * 90.0
+    assert cell(out, "prod", "BB", 1992) is None  # cpi missing there
 
 
 def test_name_collision():
@@ -361,7 +362,7 @@ def test_log_diff_of_geometric_series_is_constant():
         levels = {1980 + t: 100.0 * growth**t for t in range(20)}
         out = apply_transform(one_country(levels), TransformSpec.log_diff("x"), "dx")
         for year in range(1981, 2000):
-            assert abs(out.value("dx", "AA", year) - math.log(growth)) <= 1e-12
+            assert abs(cell(out, "dx", "AA", year) - math.log(growth)) <= 1e-12
 
 
 LEVELS = ("cpi", "ulc", "em6", "em10")
@@ -406,7 +407,7 @@ def test_pre_window_lag_survives_at_window_start():
     ds = one_country({y: float(y) for y in range(1979, 1986)})
     lagged = apply_transform(ds, TransformSpec.lag("x", 1), "x_lag1")
     sub = window(lagged, DecadeWindow(1980))
-    assert sub.value("x_lag1", "AA", 1980) == 1979.0
+    assert cell(sub, "x_lag1", "AA", 1980) == 1979.0
 
 
 def test_nested_windows_equal_intersection():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import fe_dummy_ols, ols_normal_equations
+from oracles import cell, fe_dummy_ols, ols_normal_equations
 from passthru.mg_panel import ModelSpec, Term, pooled_fixed_effects
 from passthru.panel_data import PanelDataset, TransformSpec
 from passthru.regression_core import (
@@ -279,9 +279,9 @@ def test_pooled_fixed_effects_matches_dummy_variable_oracle(panel, year_seed):
         regressors=(Term("a", TransformSpec.identity("a"), role="cost"), Term("b", TransformSpec.identity("b"))),
     )
     ds = PanelDataset(entities, range(1990, 2010), ("y", "a", "b"), values)
-    rows = [(g, yr) for g in entities for yr in ds.years if ds.value("y", g, yr) is not None]
-    xs = np.array([[ds.value("a", *r), ds.value("b", *r)] for r in rows])
-    ys = np.array([ds.value("y", *r) for r in rows])
+    rows = [(g, yr) for g in entities for yr in ds.years if cell(ds, "y", g, yr) is not None]
+    xs = np.array([[cell(ds, "a", *r), cell(ds, "b", *r)] for r in rows])
+    ys = np.array([cell(ds, "y", *r) for r in rows])
     fit = pooled_fixed_effects(ds, spec)
     assert fit.columns == ("a", "b")
     assert np.allclose(fit.coefficients, fe_dummy_ols(xs, ys, [g for g, _ in rows]), rtol=1e-8, atol=1e-10)

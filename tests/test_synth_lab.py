@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import simulate_panel
+from oracles import cell, simulate_panel
 from passthru import pools, synth_lab, tree_forest
 from passthru.mg_panel import (
     MgError,
@@ -127,9 +127,8 @@ def test_levels_round_trip_to_growth_rates():
         recovered = apply_transform(ds, TransformSpec.log_diff(var), f"d_{var}")
         for country in ds.countries:
             for year in ds.years[1:]:
-                assert recovered.value(f"d_{var}", country, year) == pytest.approx(
-                    ds.value(growth, country, year), abs=1e-10
-                )
+                got = cell(recovered, f"d_{var}", country, year)
+                assert got == pytest.approx(cell(ds, growth, country, year), abs=1e-10)
 
 
 def test_stationarity_guard():

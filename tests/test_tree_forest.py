@@ -139,6 +139,14 @@ def test_single_row_tree():
     assert predict_one(tree, [99.0]) == 7.5
 
 
+def test_a_forest_keeps_its_draws_read_only():
+    x = np.arange(16.0).reshape(-1, 2)
+    forest = fit_forest(x, x[:, 0], n_trees=3, subsample=0.5, seed=4)
+    for rows in forest.row_indices:
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 0
+
+
 def test_a_tree_and_a_forest_are_one_model_type():
     x = np.array([[1.0, -2.0], [4.0, 0.5], [2.0, 3.0], [3.0, -1.0]])
     tree = fit_tree(x, STEP_Y, SplitParams(min_leaf=1))
@@ -985,6 +993,17 @@ def test_pd_rejects_a_non_finite_slice_by_name_before_any_warning(value):
         warnings.simplefilter("error")
         with pytest.raises(TreeError, match=rf"^slice at 'x1' is {value}, not finite$"):
             partial_dependence(forest, grid_axes(x), [("x0", 9.0), ("x1", value)])
+
+
+@pytest.mark.parametrize("axes, error, message", [
+    ((AxisSpec(0, 1, 4),), DimensionMismatchError, r"^one AxisSpec per feature: 2, got 1$"),
+    ((AxisSpec(0, 1, 4),) * 3, DimensionMismatchError, r"^one AxisSpec per feature: 2, got 3$"),
+    ((AxisSpec(0, 1, 4), (0.0, 1.0, 4)), TreeError, r"^each axis must be an AxisSpec, got \(0\.0, 1\.0, 4\)$"),
+])
+def test_pd_names_a_wrong_axis_count_or_entry(axes, error, message):
+    x = np.arange(8.0).reshape(-1, 2)
+    with pytest.raises(error, match=message):
+        partial_dependence(fit_forest(x, x[:, 0], n_trees=2, seed=1), axes)
 
 
 def test_pd_requires_two_feature_model():
